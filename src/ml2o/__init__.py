@@ -26,7 +26,7 @@ from .harness import (
     interpolate_eval,
     min_log_loss,
 )
-from .numeric import RngStream, gauss_sample, matvec, uniform_mixture_sample
+from .numeric import RngStream, gauss_sample, uniform_mixture_sample
 from .tasks import (
     OptimizeeTask,
     TaskDistribution,

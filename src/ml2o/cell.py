@@ -18,6 +18,7 @@ zero update; `output_scale` is a fixed architectural constant, not trained.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -29,6 +30,8 @@ from .numeric import RngStream
 
 __all__ = [
     "OptimizerParams",
+    "ParamLayout",
+    "ParamStack",
     "UnrollState",
     "param_count",
     "init_params",
@@ -81,17 +84,16 @@ class OptimizerParams:
         return self.w.shape[0] - self.hidden
 
     @property
+    def layout(self) -> "ParamLayout":
+        return ParamLayout(self.hidden, self.feature_dim)
+
+    @property
     def n_params(self) -> int:
         """Length of the flat trainable vector (excludes output_scale)."""
-        return self.w.size + self.b.size + self.w_proj.size + 1
+        return self.layout.size
 
     def to_flat(self) -> np.ndarray:
-        h = self.hidden
-        parts = [self.w[:, g * h : (g + 1) * h].ravel() for g in range(4)]
-        parts.append(self.b)
-        parts.append(self.w_proj)
-        parts.append(np.array([self.b_proj]))
-        return np.concatenate(parts)
+        return self.layout.pack(self.w, self.b, self.w_proj, np.float64(self.b_proj))
 
     @classmethod
     def from_flat(
@@ -101,24 +103,9 @@ class OptimizerParams:
         feature_dim: int,
         output_scale: float = OUTPUT_SCALE_DEFAULT,
     ) -> "OptimizerParams":
-        flat = np.asarray(flat, dtype=np.float64)
-        expected = 4 * ((feature_dim + hidden) * hidden + hidden) + hidden + 1
-        if flat.shape != (expected,):
-            raise ValueError(
-                f"flat vector has length {flat.size}, expected {expected} "
-                f"for hidden={hidden}, feature_dim={feature_dim}"
-            )
-        rows = feature_dim + hidden
-        g = rows * hidden
-        w = np.empty((rows, 4 * hidden))
-        for gate in range(4):
-            w[:, gate * hidden : (gate + 1) * hidden] = flat[
-                gate * g : (gate + 1) * g
-            ].reshape(rows, hidden)
-        b = flat[4 * g : 4 * g + 4 * hidden].copy()
-        w_proj = flat[4 * g + 4 * hidden : 4 * g + 5 * hidden].copy()
-        b_proj = float(flat[-1])
-        return cls(w=w, b=b, w_proj=w_proj, b_proj=b_proj, output_scale=output_scale)
+        layout = ParamLayout(hidden, feature_dim)
+        w, b, w_proj, b_proj = layout.unpack(flat, ())
+        return cls(w=w, b=b, w_proj=w_proj, b_proj=float(b_proj), output_scale=output_scale)
 
     def with_flat(self, flat: np.ndarray) -> "OptimizerParams":
         return OptimizerParams.from_flat(
@@ -136,12 +123,16 @@ class OptimizerParams:
 
 def param_count(hidden: int, feature_dim: int) -> int:
     """Total real-valued entries defining an optimizer, output_scale included."""
-    return 4 * ((feature_dim + hidden) * hidden + hidden) + hidden + 1 + 1
+    return ParamLayout(hidden, feature_dim).size + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamLayout:
-    """Index arithmetic for the flat parameter vector."""
+    """Index arithmetic for the flat parameter vector, and packing to and from it.
+
+    `pack` and `unpack` work on any number of leading (stack) axes; they only
+    move values, so a round trip is bit-exact.
+    """
 
     hidden: int
     feature_dim: int
@@ -172,6 +163,30 @@ class ParamLayout:
     @property
     def size(self) -> int:
         return self.b_proj_index + 1
+
+    def pack(self, w, b, w_proj, b_proj) -> np.ndarray:
+        """Blocks with leading axes `lead` -> flat vectors of shape lead + (size,)."""
+        lead = w.shape[:-2]
+        gates = w.reshape(*lead, self.rows, 4, self.hidden).swapaxes(-3, -2)
+        return np.concatenate(
+            [gates.reshape(*lead, self.bias_base), b, w_proj, np.asarray(b_proj)[..., None]],
+            axis=-1,
+        )
+
+    def unpack(self, flat, lead: tuple[int, ...]):
+        """Flat vectors of shape lead + (size,) -> (w, b, w_proj, b_proj) copies."""
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != (*lead, self.size):
+            raise ValueError(
+                f"flat vector has shape {flat.shape}, expected {(*lead, self.size)} "
+                f"for hidden={self.hidden}, feature_dim={self.feature_dim}"
+            )
+        hid = self.hidden
+        gates = flat[..., : self.bias_base].reshape(*lead, 4, self.rows, hid)
+        w = gates.swapaxes(-3, -2).reshape(*lead, self.rows, 4 * hid)
+        b = flat[..., self.bias_base : self.proj_base].copy()
+        w_proj = flat[..., self.proj_base : self.b_proj_index].copy()
+        return w, b, w_proj, flat[..., self.b_proj_index].copy()
 
 
 def init_params(hidden: int, feature_dim: int, rng: RngStream) -> OptimizerParams:
@@ -267,20 +282,102 @@ def compute_features(
     return features, replace(state, m=m2, v=v2)
 
 
-def cell_forward(
-    params: OptimizerParams, z: np.ndarray, h: np.ndarray, c: np.ndarray
-):
-    """One recurrent step for all coordinates at once.
+@dataclass(frozen=True)
+class ParamStack:
+    """The weights of B optimizers stacked on a leading axis.
 
-    Returns (h', c', cache); the cache holds what the backward pass needs.
+    Slice i runs trajectory i of a lockstep unroll.  Every stacked operation
+    on it computes each slice with exactly the floating-point operations of a
+    lone optimizer, so a slice's results do not depend on its neighbours.
+    The blocks carry singleton axes so that they broadcast against the
+    kernel's (B, dim, ...) arrays as they are.
+    """
+
+    w: np.ndarray  # (B, feature_dim + hidden, 4*hidden)
+    b: np.ndarray  # (B, 1, 4*hidden)
+    w_proj: np.ndarray  # (B, hidden, 1)
+    b_proj: np.ndarray  # (B, 1, 1)
+    output_scale: np.ndarray  # (B, 1, 1)
+
+    @property
+    def size(self) -> int:
+        return self.w.shape[0]
+
+    @property
+    def hidden(self) -> int:
+        return self.w_proj.shape[1]
+
+    @property
+    def feature_dim(self) -> int:
+        return self.w.shape[1] - self.hidden
+
+    @property
+    def layout(self) -> ParamLayout:
+        return ParamLayout(self.hidden, self.feature_dim)
+
+    @classmethod
+    def of(cls, params: list[OptimizerParams]) -> "ParamStack":
+        if len({(p.hidden, p.feature_dim) for p in params}) != 1:
+            raise ValueError("stacked optimizers must share hidden and feature_dim")
+        return cls._from_blocks(
+            np.stack([p.w for p in params]),
+            np.stack([p.b for p in params]),
+            np.stack([p.w_proj for p in params]),
+            np.array([p.b_proj for p in params], dtype=np.float64),
+            np.array([p.output_scale for p in params], dtype=np.float64),
+        )
+
+    @classmethod
+    def _from_blocks(cls, w, b, w_proj, b_proj, output_scale) -> "ParamStack":
+        n = w.shape[0]
+        return cls(
+            w=w,
+            b=b.reshape(n, 1, -1),
+            w_proj=w_proj.reshape(n, -1, 1),
+            b_proj=b_proj.reshape(n, 1, 1),
+            output_scale=np.broadcast_to(output_scale, (n,)).reshape(n, 1, 1),
+        )
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, layout: ParamLayout, output_scale) -> "ParamStack":
+        """Stack from flat vectors (B, |weights|); output_scale is a scalar or (B,)."""
+        flat = np.asarray(flat, dtype=np.float64)
+        return cls._from_blocks(
+            *layout.unpack(flat, flat.shape[:1]), np.asarray(output_scale, dtype=np.float64)
+        )
+
+    def to_flat(self) -> np.ndarray:
+        n = self.size
+        return self.layout.pack(
+            self.w, self.b.reshape(n, -1), self.w_proj.reshape(n, -1), self.b_proj.reshape(n)
+        )
+
+    def with_flat(self, flat: np.ndarray) -> "ParamStack":
+        return ParamStack.from_flat(flat, self.layout, self.output_scale.reshape(self.size))
+
+    def take(self, index) -> "ParamStack":
+        return ParamStack(
+            w=self.w[index],
+            b=self.b[index],
+            w_proj=self.w_proj[index],
+            b_proj=self.b_proj[index],
+            output_scale=self.output_scale[index],
+        )
+
+
+def cell_forward(params: ParamStack, z: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """One recurrent step for all coordinates of all B trajectories at once.
+
+    z is (B, dim, feature_dim), h and c are (B, dim, hidden).  Returns
+    (h', c', cache); the cache holds what the backward pass needs.
     """
     hid = params.hidden
-    x = np.concatenate([z, h], axis=1)
+    x = np.concatenate([z, h], axis=2)
     act = x @ params.w + params.b
-    gi = expit(act[:, :hid])
-    gf = expit(act[:, hid : 2 * hid])
-    go = expit(act[:, 2 * hid : 3 * hid])
-    gq = np.tanh(act[:, 3 * hid :])
+    gi = expit(act[:, :, :hid])
+    gf = expit(act[:, :, hid : 2 * hid])
+    go = expit(act[:, :, 2 * hid : 3 * hid])
+    gq = np.tanh(act[:, :, 3 * hid :])
     c2 = gf * c + gi * gq
     tau = np.tanh(c2)
     h2 = go * tau
@@ -288,7 +385,8 @@ def cell_forward(
     return h2, c2, cache
 
 
-def predict_update(params: OptimizerParams, h2: np.ndarray) -> np.ndarray:
+def predict_update(params: ParamStack, h2: np.ndarray) -> np.ndarray:
+    """Per-coordinate update columns (B, dim, 1) from hidden states (B, dim, hidden)."""
     return params.output_scale * (h2 @ params.w_proj + params.b_proj)
 
 
@@ -302,23 +400,13 @@ def step(
             f"features have shape {features.shape}, expected "
             f"{(state.theta.shape[0], params.feature_dim)}"
         )
-    h2, c2, _ = cell_forward(params, features, state.h, state.c)
-    update = predict_update(params, h2)
+    stack = ParamStack.of([params])
+    h2, c2, _ = cell_forward(stack, features[None], state.h[None], state.c[None])
+    update = predict_update(stack, h2)[0, :, 0]
     new_state = replace(
-        state, theta=state.theta + update, h=h2, c=c2, t=state.t + 1
+        state, theta=state.theta + update, h=h2[0], c=c2[0], t=state.t + 1
     )
     return update, new_state
-
-
-def flatten_param_grads(
-    dw: np.ndarray, db: np.ndarray, dw_proj: np.ndarray, db_proj: float, hidden: int
-) -> np.ndarray:
-    """Pack gradient blocks into the documented flat order."""
-    parts = [dw[:, g * hidden : (g + 1) * hidden].ravel() for g in range(4)]
-    parts.append(db)
-    parts.append(dw_proj)
-    parts.append(np.array([db_proj]))
-    return np.concatenate(parts)
 
 
 def save_checkpoint(params: OptimizerParams, path, metadata: str = "") -> None:
@@ -350,6 +438,13 @@ def save_checkpoint(params: OptimizerParams, path, metadata: str = "") -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
+    """Read n bytes, refusing lengths beyond the end of the file before reading."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise CheckpointError(
+            f"corrupt checkpoint: truncated while reading {what} "
+            f"({n} bytes needed, {max(left, 0)} left)"
+        )
     buf = fh.read(n)
     if len(buf) != n:
         raise CheckpointError(f"corrupt checkpoint: truncated while reading {what}")
@@ -374,7 +469,7 @@ def load_checkpoint(path) -> OptimizerParams:
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
         _read_exact(fh, meta_len, "metadata")
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "payload count"))
-        expected = 4 * ((feature_dim + hidden) * hidden + hidden) + hidden + 1
+        expected = ParamLayout(hidden, feature_dim).size
         if count != expected:
             raise CheckpointError(
                 f"checkpoint header inconsistent with payload: header says "

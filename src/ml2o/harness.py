@@ -15,6 +15,7 @@ zeros clamped at a floor of -40.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -24,11 +25,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.stats
 
-from .cell import OptimizerParams, init_params, load_checkpoint, save_checkpoint
+from .cell import OptimizerParams, ParamStack, init_params, load_checkpoint, save_checkpoint
 from .numeric import RngStream
-from .tasks import NORMAL, TaskDistribution, sample_task, sample_theta0
-from .train import DivergenceError, MetaConfig, adapt, train_ml2o, train_plain_l2o
-from .unroll import unroll
+from .tasks import NORMAL, TaskDistribution, TaskStack, sample_task, sample_theta0
+from .train import DivergenceError, MetaConfig, adapt, train_seeds
+from .unroll import unroll_stack
 
 __all__ = [
     "VANILLA",
@@ -44,6 +45,7 @@ __all__ = [
     "min_log_loss",
     "confidence_interval",
     "evaluate",
+    "evaluate_stack",
     "compare_methods",
     "adapt_sweep",
     "interpolate_eval",
@@ -230,6 +232,64 @@ def _aggregate(records: list[RunRecord]) -> ComparisonTable:
     return ComparisonTable(cells=cells, records=records)
 
 
+def evaluate_stack(
+    variants: list[tuple[str, str, OptimizerParams]],
+    dist_test: TaskDistribution,
+    horizon: int,
+    n_tasks: int,
+    rng: RngStream,
+    seed: int = 0,
+) -> list[RunRecord]:
+    """Unroll several frozen optimizers on the same fresh test tasks, as one stack.
+
+    `variants` is a sequence of (method, key, params).  The `n_tasks` test
+    draws are taken from `rng` once and shared by every variant, and all
+    variant x task trajectories run in lockstep.  A non-finite loss
+    truncates that trajectory's curve at that step instead of aborting;
+    the other trajectories are unaffected.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if n_tasks < 1:
+        raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
+    variants = list(variants)
+    if not variants:
+        return []
+    draws = [(sample_task(dist_test, rng), sample_theta0(dist_test, rng)) for _ in range(n_tasks)]
+    task_digests = [task.digest() for task, _ in draws]
+    theta0_digests = [
+        hashlib.blake2b(np.ascontiguousarray(theta0).tobytes(), digest_size=16).hexdigest()
+        for _, theta0 in draws
+    ]
+    result = unroll_stack(
+        ParamStack.of([params for _, _, params in variants for _ in draws]),
+        TaskStack([task for _ in variants for task, _ in draws]),
+        np.stack([theta0 for _ in variants for _, theta0 in draws]),
+        horizon,
+        truncate_nonfinite=True,
+    )
+    records = []
+    for v, (method, key, params) in enumerate(variants):
+        pdigest = params.digest()
+        for j in range(n_tasks):
+            res = result.trajectory(v * n_tasks + j)
+            records.append(
+                RunRecord(
+                    method=method,
+                    key=_column_key(key),
+                    seed=seed,
+                    task_index=j,
+                    losses=res.losses,
+                    min_log_loss=min_log_loss(res.losses),
+                    task_digest=task_digests[j],
+                    theta0_digest=theta0_digests[j],
+                    params_digest=pdigest,
+                    truncated_at=res.truncated_at,
+                )
+            )
+    return records
+
+
 def evaluate(
     params: OptimizerParams,
     dist_test: TaskDistribution,
@@ -244,33 +304,7 @@ def evaluate(
 
     A non-finite loss truncates the curve at that step instead of aborting.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if n_tasks < 1:
-        raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
-    records = []
-    pdigest = params.digest()
-    for j in range(n_tasks):
-        task = sample_task(dist_test, rng)
-        theta0 = sample_theta0(dist_test, rng)
-        res = unroll(params, task, theta0, horizon, truncate_nonfinite=True)
-        records.append(
-            RunRecord(
-                method=method,
-                key=_column_key(key),
-                seed=seed,
-                task_index=j,
-                losses=res.losses,
-                min_log_loss=min_log_loss(res.losses),
-                task_digest=task.digest(),
-                theta0_digest=hashlib.blake2b(
-                    np.ascontiguousarray(theta0).tobytes(), digest_size=16
-                ).hexdigest(),
-                params_digest=pdigest,
-                truncated_at=res.truncated_at,
-            )
-        )
-    return records
+    return evaluate_stack([(method, key, params)], dist_test, horizon, n_tasks, rng, seed)
 
 
 class TrainingCache:
@@ -301,27 +335,42 @@ class TrainingCache:
         blob = json.dumps(doc, sort_keys=True, default=str)
         return hashlib.blake2b(blob.encode(), digest_size=16).hexdigest()
 
+    def _path(self, trainer: str, key: str) -> str | None:
+        if self.directory is None:
+            return None
+        return os.path.join(self.directory, f"{trainer}-{key}.ckpt")
+
+    def _cached(self, trainer: str, key: str) -> bool:
+        if key not in self._memo:
+            path = self._path(trainer, key)
+            if path is None or not os.path.exists(path):
+                return False
+            self._memo[key] = load_checkpoint(path)
+        return True
+
     def get_or_train(
         self, trainer: str, cfg: MetaConfig, dist: TaskDistribution
     ) -> OptimizerParams:
-        key = self._key(trainer, cfg, dist)
-        if key in self._memo:
-            return self._memo[key]
-        path = None
-        if self.directory is not None:
-            path = os.path.join(self.directory, f"{trainer}-{key}.ckpt")
-            if os.path.exists(path):
-                params = load_checkpoint(path)
-                self._memo[key] = params
-                return params
-        train_fn = train_ml2o if trainer == ML2O else train_plain_l2o
-        params, _ = train_fn(cfg, dist)
-        self._memo[key] = params
-        if path is not None:
-            tmp = path + ".tmp"
-            save_checkpoint(params, tmp, metadata=f"trainer={trainer} key={key}")
-            os.replace(tmp, path)
-        return params
+        return self.get_or_train_all(trainer, [cfg], dist)[0]
+
+    def get_or_train_all(
+        self, trainer: str, cfgs: list[MetaConfig], dist: TaskDistribution
+    ) -> list[OptimizerParams]:
+        """Weights for each config; the misses are trained together in lockstep."""
+        keys = [self._key(trainer, cfg, dist) for cfg in cfgs]
+        missing = {}
+        for key, cfg in zip(keys, cfgs):
+            if key not in missing and not self._cached(trainer, key):
+                missing[key] = cfg
+        trained = train_seeds(list(missing.values()), dist, meta_adaptive=trainer == ML2O)
+        for key, (params, _) in zip(missing, trained):
+            self._memo[key] = params
+            path = self._path(trainer, key)
+            if path is not None:
+                tmp = path + ".tmp"
+                save_checkpoint(params, tmp, metadata=f"trainer={trainer} key={key}")
+                os.replace(tmp, path)
+        return [self._memo[key] for key in keys]
 
 
 def seed_config(cfg: MetaConfig, seed_index: int) -> MetaConfig:
@@ -348,22 +397,63 @@ def _adapt_or_mark(params, dist_adapt, cfg: MetaConfig, adapt_alpha, fresh_per_s
         return None, str(exc)
 
 
-def _eval_methods(
-    variants: dict[str, OptimizerParams | None],
-    dist_test: TaskDistribution,
-    cfg: MetaConfig,
-    horizon: int,
-    n_tasks: int,
-    key: str,
-    seed_index: int,
+@dataclass(frozen=True)
+class _Column:
+    """One table column: its key and the adaptation and test distributions."""
+
+    key: str
+    dist_adapt: TaskDistribution
+    dist_test: TaskDistribution
+
+
+@dataclass(frozen=True)
+class _Protocol:
+    """Everything a chunk of seeds needs to produce its records."""
+
+    meta: MetaConfig
+    dist_train: TaskDistribution
+    columns: tuple[_Column, ...]
+    methods: tuple[str, ...]
+    horizon: int
+    n_tasks: int
+    adapt_alpha: float
+    fresh_per_step: bool
+
+
+def _chunk_records(
+    protocol: _Protocol, cache: TrainingCache, seed_indices: list[int]
 ) -> list[RunRecord]:
+    """Train the chunk's cache misses in lockstep, then adapt and evaluate per seed."""
+    p = protocol
+    cfgs = [seed_config(p.meta, k) for k in seed_indices]
+    no_weights = [None] * len(cfgs)
+    plain = (
+        cache.get_or_train_all("plain", cfgs, p.dist_train)
+        if {DT, TL} & set(p.methods)
+        else no_weights
+    )
+    trained = cache.get_or_train_all(ML2O, cfgs, p.dist_train) if ML2O in p.methods else no_weights
+
     records = []
-    for method, params in variants.items():
-        if params is None:
-            records.append(
+    for seed_index, cfg, plain_k, trained_k in zip(seed_indices, cfgs, plain, trained):
+        start = {TL: plain_k, ML2O: trained_k}
+        if VANILLA in p.methods:
+            start[VANILLA] = init_params(
+                cfg.hidden, cfg.feature_dim, RngStream(cfg.seed).child("vanilla-init")
+            )
+        for col in p.columns:
+            variants: dict[str, OptimizerParams | None] = {}
+            for method in p.methods:
+                if method == DT:  # direct transfer: no adaptation
+                    variants[method] = plain_k
+                else:
+                    variants[method], _ = _adapt_or_mark(
+                        start[method], col.dist_adapt, cfg, p.adapt_alpha, p.fresh_per_step
+                    )
+            records.extend(
                 RunRecord(
                     method=method,
-                    key=key,
+                    key=col.key,
                     seed=seed_index,
                     task_index=0,
                     losses=np.empty(0),
@@ -373,105 +463,51 @@ def _eval_methods(
                     params_digest="",
                     diverged=True,
                 )
+                for method, params in variants.items()
+                if params is None
             )
-            continue
-        records.extend(
-            evaluate(
-                params,
-                dist_test,
-                horizon,
-                n_tasks,
-                RngStream(cfg.seed).child("test"),
-                method=method,
-                key=key,
-                seed=seed_index,
+            records.extend(
+                evaluate_stack(
+                    [(m, col.key, params) for m, params in variants.items() if params is not None],
+                    col.dist_test,
+                    p.horizon,
+                    p.n_tasks,
+                    RngStream(cfg.seed).child("test"),
+                    seed=seed_index,
+                )
             )
-        )
     return records
 
 
-def _comparison_seed_records(
-    meta: MetaConfig,
-    dist_train: TaskDistribution,
-    dist_adapt: TaskDistribution,
-    dist_test: TaskDistribution,
-    horizon: int,
-    n_tasks: int,
-    seed_index: int,
-    sigma_list,
-    adapt_alpha: float,
-    fresh_per_step: bool,
-    cache: TrainingCache,
-    methods: tuple[str, ...] = METHOD_ORDER,
-) -> list[RunRecord]:
-    cfg = seed_config(meta, seed_index)
-    plain = cache.get_or_train("plain", cfg, dist_train) if ({DT, TL} & set(methods)) else None
-    trained = cache.get_or_train(ML2O, cfg, dist_train) if ML2O in methods else None
-
-    records = []
-    columns = sigma_list if sigma_list is not None else [None]
-    for sigma in columns:
-        if sigma is None:
-            da, dt_ = dist_adapt, dist_test
-            key = dist_test.label()
-        else:
-            da = replace(dist_adapt, sigma=float(sigma))
-            dt_ = replace(dist_test, sigma=float(sigma))
-            key = _column_key(float(sigma))
-        variants: dict[str, OptimizerParams | None] = {}
-        for method in methods:
-            if method == VANILLA:
-                fresh = init_params(
-                    cfg.hidden, cfg.feature_dim, RngStream(cfg.seed).child("vanilla-init")
-                )
-                variants[method], _ = _adapt_or_mark(
-                    fresh, da, cfg, adapt_alpha, fresh_per_step
-                )
-            elif method == TL:
-                variants[method], _ = _adapt_or_mark(
-                    plain, da, cfg, adapt_alpha, fresh_per_step
-                )
-            elif method == ML2O:
-                variants[method], _ = _adapt_or_mark(
-                    trained, da, cfg, adapt_alpha, fresh_per_step
-                )
-            else:  # direct transfer: no adaptation
-                variants[method] = plain
-        records.extend(
-            _eval_methods(variants, dt_, cfg, horizon, n_tasks, key, seed_index)
-        )
-    return records
+def _worker_records(protocol: _Protocol, cache_dir: str | None, seed_indices: list[int]):
+    return _chunk_records(protocol, TrainingCache(cache_dir), seed_indices)
 
 
-def _comparison_worker(args) -> list[RunRecord]:
-    (
-        meta,
-        dist_train,
-        dist_adapt,
-        dist_test,
-        horizon,
-        n_tasks,
-        seed_index,
-        sigma_list,
-        alpha,
-        fresh_per_step,
-        cache_dir,
-        methods,
-    ) = args
-    return _comparison_seed_records(
-        meta,
-        dist_train,
-        dist_adapt,
-        dist_test,
-        horizon,
-        n_tasks,
-        seed_index,
-        sigma_list,
-        alpha,
-        fresh_per_step,
-        TrainingCache(cache_dir),
-        methods,
-    )
+def _map_seeds(
+    protocol: _Protocol, n_seeds: int, jobs: int, cache: TrainingCache
+) -> ComparisonTable:
+    """Split the seeds into `jobs` contiguous chunks, one worker process each.
+
+    A single chunk runs in this process, with the caller's cache.
+
+    Each chunk trains in lockstep, and every seed's records are the same
+    whatever chunk it lands in, so `jobs` never changes a result.
+    """
+    chunks = [
+        [int(k) for k in chunk]
+        for chunk in np.array_split(np.arange(n_seeds), max(jobs, 1))
+        if chunk.size
+    ]
+    if len(chunks) == 1:
+        return _aggregate(_chunk_records(protocol, cache, chunks[0]))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    work = functools.partial(_worker_records, protocol, cache.directory)
+    with ProcessPoolExecutor(
+        max_workers=len(chunks), mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        return _aggregate([r for part in pool.map(work, chunks) for r in part])
 
 
 def compare_methods(
@@ -493,123 +529,35 @@ def compare_methods(
     When `sigma_list` is given, both the adaptation and test distributions
     are evaluated at each sigma (they must be normal-coefficient families);
     otherwise the configured distributions are used as-is, in one column.
-    Seeds are independent, so `jobs > 1` fans them out across processes
-    without changing any result.
+    Seeds are independent, so `jobs > 1` splits them into that many chunks,
+    one process each, without changing any result.
     """
     if n_seeds < 2:
         raise ValueError(f"n_seeds must be >= 2, got {n_seeds}")
-    if sigma_list is not None and (dist_adapt.kind != NORMAL or dist_test.kind != NORMAL):
-        raise ValueError("sigma sweeps need normal adapt/test distributions")
-    cache = cache or TrainingCache()
-    alpha = meta.alpha if adapt_alpha is None else adapt_alpha
-    records = []
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        work = [
-            (
-                meta,
-                dist_train,
-                dist_adapt,
-                dist_test,
-                horizon,
-                n_tasks,
-                seed_index,
-                sigma_list,
-                alpha,
-                fresh_per_step,
-                cache.directory,
-                METHOD_ORDER,
-            )
-            for seed_index in range(n_seeds)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_comparison_worker, work):
-                records.extend(chunk)
+    if sigma_list is None:
+        columns = (_Column(dist_test.label(), dist_adapt, dist_test),)
     else:
-        for seed_index in range(n_seeds):
-            records.extend(
-                _comparison_seed_records(
-                    meta,
-                    dist_train,
-                    dist_adapt,
-                    dist_test,
-                    horizon,
-                    n_tasks,
-                    seed_index,
-                    sigma_list,
-                    alpha,
-                    fresh_per_step,
-                    cache,
-                )
+        if dist_adapt.kind != NORMAL or dist_test.kind != NORMAL:
+            raise ValueError("sigma sweeps need normal adapt/test distributions")
+        columns = tuple(
+            _Column(
+                _column_key(float(sigma)),
+                replace(dist_adapt, sigma=float(sigma)),
+                replace(dist_test, sigma=float(sigma)),
             )
-    return _aggregate(records)
-
-
-def _sweep_seed_records(
-    meta: MetaConfig,
-    dist_train: TaskDistribution,
-    dist_adapt: TaskDistribution,
-    dist_test_fixed: TaskDistribution,
-    adapt_sigmas,
-    horizon: int,
-    n_tasks: int,
-    seed_index: int,
-    alpha: float,
-    fresh_per_step: bool,
-    cache: TrainingCache,
-) -> list[RunRecord]:
-    cfg = seed_config(meta, seed_index)
-    plain = cache.get_or_train("plain", cfg, dist_train)
-    trained = cache.get_or_train(ML2O, cfg, dist_train)
-    records = []
-    for sig in adapt_sigmas:
-        da = replace(dist_adapt, sigma=float(sig))
-        variants = {
-            TL: _adapt_or_mark(plain, da, cfg, alpha, fresh_per_step)[0],
-            ML2O: _adapt_or_mark(trained, da, cfg, alpha, fresh_per_step)[0],
-        }
-        records.extend(
-            _eval_methods(
-                variants,
-                dist_test_fixed,
-                cfg,
-                horizon,
-                n_tasks,
-                _column_key(float(sig)),
-                seed_index,
-            )
+            for sigma in sigma_list
         )
-    return records
-
-
-def _sweep_worker(args) -> list[RunRecord]:
-    (
-        meta,
-        dist_train,
-        dist_adapt,
-        dist_test_fixed,
-        adapt_sigmas,
-        horizon,
-        n_tasks,
-        seed_index,
-        alpha,
-        fresh_per_step,
-        cache_dir,
-    ) = args
-    return _sweep_seed_records(
-        meta,
-        dist_train,
-        dist_adapt,
-        dist_test_fixed,
-        adapt_sigmas,
-        horizon,
-        n_tasks,
-        seed_index,
-        alpha,
-        fresh_per_step,
-        TrainingCache(cache_dir),
+    protocol = _Protocol(
+        meta=meta,
+        dist_train=dist_train,
+        columns=columns,
+        methods=METHOD_ORDER,
+        horizon=horizon,
+        n_tasks=n_tasks,
+        adapt_alpha=meta.alpha if adapt_alpha is None else adapt_alpha,
+        fresh_per_step=fresh_per_step,
     )
+    return _map_seeds(protocol, n_seeds, jobs, cache or TrainingCache())
 
 
 def adapt_sweep(
@@ -637,50 +585,21 @@ def adapt_sweep(
         raise ValueError(f"n_seeds must be >= 2, got {n_seeds}")
     if dist_adapt.kind != NORMAL or dist_test.kind != NORMAL:
         raise ValueError("the adaptation sweep needs normal adapt/test distributions")
-    cache = cache or TrainingCache()
-    alpha = meta.alpha if adapt_alpha is None else adapt_alpha
     dist_test_fixed = replace(dist_test, sigma=float(test_sigma))
-    records = []
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        work = [
-            (
-                meta,
-                dist_train,
-                dist_adapt,
-                dist_test_fixed,
-                tuple(adapt_sigmas),
-                horizon,
-                n_tasks,
-                seed_index,
-                alpha,
-                fresh_per_step,
-                cache.directory,
-            )
-            for seed_index in range(n_seeds)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_sweep_worker, work):
-                records.extend(chunk)
-    else:
-        for seed_index in range(n_seeds):
-            records.extend(
-                _sweep_seed_records(
-                    meta,
-                    dist_train,
-                    dist_adapt,
-                    dist_test_fixed,
-                    adapt_sigmas,
-                    horizon,
-                    n_tasks,
-                    seed_index,
-                    alpha,
-                    fresh_per_step,
-                    cache,
-                )
-            )
-    return _aggregate(records)
+    protocol = _Protocol(
+        meta=meta,
+        dist_train=dist_train,
+        columns=tuple(
+            _Column(_column_key(float(sig)), replace(dist_adapt, sigma=float(sig)), dist_test_fixed)
+            for sig in adapt_sigmas
+        ),
+        methods=(TL, ML2O),
+        horizon=horizon,
+        n_tasks=n_tasks,
+        adapt_alpha=meta.alpha if adapt_alpha is None else adapt_alpha,
+        fresh_per_step=fresh_per_step,
+    )
+    return _map_seeds(protocol, n_seeds, jobs, cache or TrainingCache())
 
 
 def blend_params(
@@ -716,25 +635,18 @@ def interpolate_eval(
     Every blend sees exactly the same test tasks and starting iterates, so
     the curves are comparable point by point across the grid.
     """
-    out: dict[str, list[RunRecord]] = {}
     root = RngStream(root_seed)
-    for alpha in alpha_grid:
-        params = blend_params(w1, w2, float(alpha))
-        key = f"{float(alpha):g}"
-        records = []
-        for seed_index in range(n_seeds):
-            rng = RngStream(root.derive_seed(f"seed/{seed_index}")).child("test")
-            records.extend(
-                evaluate(
-                    params,
-                    dist_test,
-                    horizon,
-                    n_tasks,
-                    rng,
-                    method="blend",
-                    key=key,
-                    seed=seed_index,
-                )
-            )
-        out[key] = records
+    blends = {f"{float(a):g}": blend_params(w1, w2, float(a)) for a in alpha_grid}
+    out: dict[str, list[RunRecord]] = {key: [] for key in blends}
+    for seed_index in range(n_seeds):
+        rng = RngStream(root.derive_seed(f"seed/{seed_index}")).child("test")
+        for r in evaluate_stack(
+            [("blend", key, params) for key, params in blends.items()],
+            dist_test,
+            horizon,
+            n_tasks,
+            rng,
+            seed=seed_index,
+        ):
+            out[r.key].append(r)
     return out

@@ -1,4 +1,4 @@
-"""Dense float64 kernels and seeded, splittable random streams.
+"""Seeded, splittable random streams and the samplers built on them.
 
 Everything downstream (task sampling, parameter init, evaluation seeds)
 draws from :class:`RngStream`, a counter-based generator whose children
@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "RngStream",
-    "matvec",
     "gauss_sample",
     "uniform_mixture_sample",
 ]
@@ -56,25 +55,6 @@ class RngStream:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(key={self.key.hex()})"
-
-
-def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Dense matrix-vector product with explicit shape checking.
-
-    Broadcasting is deliberately rejected: a mismatched shape is always a
-    caller bug here, never an intent.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"matvec: expected a 2-d matrix, got shape {a.shape}")
-    if x.ndim != 1:
-        raise ValueError(f"matvec: expected a 1-d vector, got shape {x.shape}")
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"matvec: dimension mismatch, matrix is {a.shape} but vector has length {x.shape[0]}"
-        )
-    return a @ x
 
 
 def gauss_sample(rng: RngStream, n: int, mean: float = 0.0, sigma: float = 1.0) -> np.ndarray:

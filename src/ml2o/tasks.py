@@ -29,6 +29,7 @@ __all__ = [
     "ROSENBROCK_INIT",
     "TRAIN_MIXTURE_RANGES",
     "OptimizeeTask",
+    "TaskStack",
     "TaskDistribution",
     "lasso_eval",
     "quadratic_eval",
@@ -107,13 +108,7 @@ class OptimizeeTask:
         """Dense Hessian; constant A^T A for lasso/quadratic."""
         theta = self._check_theta(theta)
         if self.kind == ROSENBROCK:
-            x, y = theta
-            return np.array(
-                [
-                    [2.0 - 400.0 * y + 1200.0 * x * x, -400.0 * x],
-                    [-400.0 * x, 200.0],
-                ]
-            )
+            return _rosenbrock_hessian(theta[None])[0]
         return self.a.T @ self.a
 
     def hessian_matmul(self, theta: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -153,38 +148,101 @@ class OptimizeeTask:
         return hashlib.blake2b(self.to_json().encode(), digest_size=16).hexdigest()
 
 
+def _rosenbrock_hessian(theta: np.ndarray) -> np.ndarray:
+    """Banana-function Hessians (B, 2, 2) at the rows of theta (B, 2)."""
+    x, y = theta[:, 0], theta[:, 1]
+    off = -400.0 * x
+    hess = np.empty((theta.shape[0], 2, 2))
+    hess[:, 0, 0] = 2.0 - 400.0 * y + 1200.0 * x * x
+    hess[:, 0, 1] = off
+    hess[:, 1, 0] = off
+    hess[:, 1, 1] = 200.0
+    return hess
+
+
+class TaskStack:
+    """B tasks of one family and dimension, evaluated together.
+
+    Iterates and gradients are columns (B, dim, 1), slice i belonging to
+    task i.  Each slice is computed with exactly the floating-point
+    operations a lone task would use (the matrix products run per slice), so
+    stacking never changes a result.
+    """
+
+    def __init__(self, tasks):
+        tasks = list(tasks)
+        if not tasks:
+            raise ValueError("a task stack needs at least one task")
+        kinds = {(t.kind, t.dim) for t in tasks}
+        if len(kinds) != 1:
+            raise ValueError(f"stacked tasks must share kind and dim, got {sorted(kinds)}")
+        self.tasks = tasks
+        self.kind, self.dim = kinds.pop()
+        if self.kind != ROSENBROCK:
+            self.a = np.stack([t.a for t in tasks])
+            self.a_t = self.a.swapaxes(1, 2)
+            self.b = np.stack([t.b for t in tasks])[:, :, None]
+            self.lam = np.array([t.lam for t in tasks], dtype=np.float64)
+
+    @property
+    def size(self) -> int:
+        return len(self.tasks)
+
+    def take(self, index) -> "TaskStack":
+        return TaskStack([self.tasks[i] for i in np.arange(self.size)[index]])
+
+    def loss_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Losses (B,) and (sub)gradient columns; sign(0) = 0 for the l1 term."""
+        n = theta.shape[0]
+        if self.kind == ROSENBROCK:
+            x, y = theta[:, 0, 0], theta[:, 1, 0]
+            gap = y - x * x
+            # float_power is libm pow, as `** 2` on a float64 scalar is; the
+            # array `** 2` squares instead and can differ in the last bit
+            loss = np.float_power(x - 1.0, 2) + 100.0 * gap * gap
+            grad = np.empty((n, 2, 1))
+            grad[:, 0, 0] = 2.0 * (x - 1.0) - 400.0 * x * gap
+            grad[:, 1, 0] = 200.0 * gap
+            return loss, grad
+        r = self.a @ theta - self.b
+        loss = 0.5 * (r.reshape(n, 1, self.dim) @ r).reshape(n)
+        grad = self.a_t @ r
+        if self.kind == LASSO:
+            loss = loss + self.lam * np.abs(theta).sum(axis=(1, 2))
+            grad = grad + self.lam[:, None, None] * np.sign(theta)
+        return loss, grad
+
+    def grad(self, theta: np.ndarray) -> np.ndarray:
+        return self.loss_grad(theta)[1]
+
+    def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Hessian-vector products of columns; the l1 term contributes zero almost everywhere."""
+        if self.kind == ROSENBROCK:
+            return _rosenbrock_hessian(theta[:, :, 0]) @ v
+        return self.a_t @ (self.a @ v)
+
+
+def _eval_one(task: OptimizeeTask, kind: str, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    if task.kind != kind:
+        raise ValueError(f"{kind}_eval called on a {task.kind} task")
+    theta = task._check_theta(theta)
+    loss, grad = TaskStack([task]).loss_grad(theta.reshape(1, -1, 1))
+    return float(loss[0]), grad.reshape(-1)
+
+
 def lasso_eval(task: OptimizeeTask, theta: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss and subgradient of 0.5*||A x - b||^2 + lam*||x||_1 (sign(0)=0)."""
-    if task.kind != LASSO:
-        raise ValueError(f"lasso_eval called on a {task.kind} task")
-    theta = task._check_theta(theta)
-    r = task.a @ theta - task.b
-    loss = 0.5 * float(r @ r) + task.lam * float(np.sum(np.abs(theta)))
-    grad = task.a.T @ r + task.lam * np.sign(theta)
-    return loss, grad
+    return _eval_one(task, LASSO, theta)
 
 
 def quadratic_eval(task: OptimizeeTask, theta: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss and gradient of 0.5*||A x - b||^2."""
-    if task.kind != QUADRATIC:
-        raise ValueError(f"quadratic_eval called on a {task.kind} task")
-    theta = task._check_theta(theta)
-    r = task.a @ theta - task.b
-    loss = 0.5 * float(r @ r)
-    grad = task.a.T @ r
-    return loss, grad
+    return _eval_one(task, QUADRATIC, theta)
 
 
 def rosenbrock_eval(task: OptimizeeTask, theta: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss and gradient of the two-dimensional banana function."""
-    if task.kind != ROSENBROCK:
-        raise ValueError(f"rosenbrock_eval called on a {task.kind} task")
-    theta = task._check_theta(theta)
-    x, y = theta
-    gap = y - x * x
-    loss = (x - 1.0) ** 2 + 100.0 * gap * gap
-    grad = np.array([2.0 * (x - 1.0) - 400.0 * x * gap, 200.0 * gap])
-    return float(loss), grad
+    return _eval_one(task, ROSENBROCK, theta)
 
 
 def task_hvp(task: OptimizeeTask, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -193,9 +251,7 @@ def task_hvp(task: OptimizeeTask, theta: np.ndarray, v: np.ndarray) -> np.ndarra
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (task.dim,):
         raise ValueError(f"v has shape {v.shape}, expected {(task.dim,)}")
-    if task.kind == ROSENBROCK:
-        return task.hessian(theta) @ v
-    return task.a.T @ (task.a @ v)
+    return TaskStack([task]).hvp(theta.reshape(1, -1, 1), v.reshape(1, -1, 1)).reshape(-1)
 
 
 MIXTURE = "mixture"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import OptimizerParams, cell_forward, predict_update, random_params
+from .cell import OptimizerParams, ParamStack, cell_forward, predict_update, random_params
 from .numeric import RngStream
 from .tasks import (
     NORMAL,
@@ -209,12 +209,13 @@ def input_sensitivity(
     if rng is None:
         rng = RngStream(0).child("input-sensitivity")
     fdim = params.feature_dim
-    h = np.zeros((1, params.hidden))
-    c = np.zeros((1, params.hidden))
+    stack = ParamStack.of([params])
+    h = np.zeros((1, 1, params.hidden))
+    c = np.zeros((1, 1, params.hidden))
 
     def update_for(z):
-        h2, _, _ = cell_forward(params, z.reshape(1, fdim), h, c)
-        return float(predict_update(params, h2)[0])
+        h2, _, _ = cell_forward(stack, z.reshape(1, 1, fdim), h, c)
+        return float(predict_update(stack, h2)[0, 0, 0])
 
     best = 0.0
     for _ in range(n_pairs):

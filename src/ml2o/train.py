@@ -10,29 +10,33 @@ bit for bit, which the tests pin down.
 Within a block of `S` epochs the optimizee iterate continues where the last
 epoch's unroll ended; at block boundaries a fresh task and a fresh random
 iterate are drawn.
+
+Several seeds train in lockstep (`train_seeds`): each epoch stacks every
+seed's unrolls into one computation, and each seed's result is bit-identical
+to training it alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cell import OptimizerParams, init_params
+from .cell import OptimizerParams, ParamStack, init_params
 from .numeric import RngStream
-from .tasks import TaskDistribution, sample_task, sample_theta0
+from .tasks import TaskDistribution, TaskStack, sample_task, sample_theta0
 from .unroll import (
     FD_HVP_META,
     FULL_SECOND_ORDER,
     GRAD_MODES,
     NonFiniteGradientError,
     UnrollDivergedError,
-    _maml_parts,
     inner_mode,
+    maml_parts_stack,
     meta_grad,
-    meta_grad_with_result,
+    meta_grad_stack,
     meta_mode,
 )
 
@@ -42,6 +46,7 @@ __all__ = [
     "DivergenceError",
     "train_ml2o",
     "train_plain_l2o",
+    "train_seeds",
     "adapt",
     "sgd_schedule_lr",
 ]
@@ -61,6 +66,12 @@ class DivergenceError(RuntimeError):
         )
         self.epoch = epoch
         self.last_params = last_params
+        self.cause = cause
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments when it crosses from a
+        # worker process, so `--jobs N` reports it like a serial run
+        return (DivergenceError, (self.epoch, self.last_params, self.cause))
 
 
 @dataclass
@@ -146,10 +157,12 @@ def sgd_schedule_lr(k: int, beta: float, mu: float) -> float:
 
 
 class _AdamOuter:
-    def __init__(self, n: int, lr: float):
+    """Adam on a block of weight vectors; each row keeps its own moments."""
+
+    def __init__(self, shape, lr: float):
         self.lr = lr
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
 
     def update(self, flat: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -173,110 +186,160 @@ class _SgdScheduleOuter:
         return flat - lr * grad
 
 
-def _make_outer(cfg: MetaConfig, n: int):
+def _make_outer(cfg: MetaConfig, shape):
     if cfg.outer_rule == ADAM:
-        return _AdamOuter(n, cfg.outer_lr)
+        return _AdamOuter(shape, cfg.outer_lr)
     return _SgdScheduleOuter(cfg.sgd_beta, cfg.sgd_mu)
 
 
-def _train(cfg: MetaConfig, dist: TaskDistribution, meta_adaptive: bool):
-    rng = RngStream(cfg.seed)
-    params = init_params(cfg.hidden, cfg.feature_dim, rng.child("optimizer-init"))
-    task_rng = rng.child("train-tasks")
-    theta_rng = rng.child("train-theta0")
-    outer = _make_outer(cfg, params.n_params)
-    log = TrainLog()
+class _SeedRun:
+    """One seed's draws and block bookkeeping inside a lockstep training run."""
 
+    def __init__(self, cfg: MetaConfig, dist: TaskDistribution):
+        rng = RngStream(cfg.seed)
+        self.cfg = cfg
+        self.dist = dist
+        self.params = init_params(cfg.hidden, cfg.feature_dim, rng.child("optimizer-init"))
+        self.task_rng = rng.child("train-tasks")
+        self.theta_rng = rng.child("train-theta0")
+        self.log = TrainLog()
+        self.block_len = cfg.epochs_per_task
+        self.epochs_in_block = self.block_len  # force a draw at epoch 0
+        self.block_id = -1
+        self.block_first_loss = None
+        self.last_loss = None
+        self.tasks = []
+        self.theta0s = []
+
+    def begin_epoch(self, k: int) -> None:
+        """Draw a fresh block of tasks when the current one is used up."""
+        cfg = self.cfg
+        if self.epochs_in_block >= self.block_len:
+            if (
+                cfg.curriculum == CURRICULUM_DOUBLING
+                and self.block_first_loss is not None
+                and self.last_loss is not None
+            ):
+                gain = (self.block_first_loss - self.last_loss) / max(
+                    abs(self.block_first_loss), 1e-12
+                )
+                if gain < cfg.curriculum_threshold:
+                    self.block_len *= 2
+            n = cfg.tasks_per_update
+            self.tasks = [sample_task(self.dist, self.task_rng) for _ in range(n)]
+            self.theta0s = [sample_theta0(self.dist, self.theta_rng) for _ in range(n)]
+            self.epochs_in_block = 0
+            self.block_id += 1
+            self.block_first_loss = None
+            self.log.task_switch_epochs.append(k)
+        self.log.theta0_digests.append(_digest(self.theta0s))
+
+    def end_epoch(self, loss: float, theta_finals: list[np.ndarray]) -> None:
+        """Continue the block from where this epoch's unrolls ended."""
+        self.theta0s = theta_finals
+        self.epochs_in_block += 1
+        if self.block_first_loss is None:
+            self.block_first_loss = loss
+        self.last_loss = loss
+        self.log.meta_losses.append(loss)
+        self.log.task_ids.append(self.block_id)
+        self.log.theta_final_digests.append(_digest(theta_finals))
+
+
+def train_seeds(
+    cfgs: list[MetaConfig], dist: TaskDistribution, meta_adaptive: bool
+) -> list[tuple[OptimizerParams, TrainLog]]:
+    """Train one optimizer per config in lockstep; returns (weights, log) per config.
+
+    The configs may differ only in their seed.  Every epoch runs all seeds'
+    `tasks_per_update` unrolls as one stack (and the finite-difference pair
+    of ``fd_hvp_meta`` as one more), while each seed keeps its own random
+    streams, blocks, curriculum and outer-rule state, so every seed's result
+    is bit-identical to training it alone.  Raises `DivergenceError` for the
+    first seed that diverges.
+    """
+    if not cfgs:
+        return []
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ValueError("lockstep training needs configs that differ only in seed")
+    runs = [_SeedRun(c, dist) for c in cfgs]
     n_tasks = cfg.tasks_per_update
-    block_len = cfg.epochs_per_task
-    epochs_in_block = block_len  # force a draw at epoch 0
-    block_id = -1
-    block_first_loss = None
-    last_loss = None
-    tasks = [None] * n_tasks
-    theta0s = [None] * n_tasks
+    layout = runs[0].params.layout
+    scale = runs[0].params.output_scale
+    flats = np.stack([r.params.to_flat() for r in runs])  # one row per seed
+    outer = _make_outer(cfg, flats.shape)
+
+    def diverged(k: int, seed: int, cause: str) -> DivergenceError:
+        params = OptimizerParams.from_flat(flats[seed], layout.hidden, layout.feature_dim, scale)
+        return DivergenceError(k, params, cause)
 
     for k in range(cfg.epochs):
         t_start = time.perf_counter()
-        if epochs_in_block >= block_len:
-            if (
-                cfg.curriculum == CURRICULUM_DOUBLING
-                and block_first_loss is not None
-                and last_loss is not None
-            ):
-                gain = (block_first_loss - last_loss) / max(abs(block_first_loss), 1e-12)
-                if gain < cfg.curriculum_threshold:
-                    block_len *= 2
-            tasks = [sample_task(dist, task_rng) for _ in range(n_tasks)]
-            theta0s = [sample_theta0(dist, theta_rng) for _ in range(n_tasks)]
-            epochs_in_block = 0
-            block_id += 1
-            block_first_loss = None
-            log.task_switch_epochs.append(k)
-        log.theta0_digests.append(_digest(theta0s))
-
-        grads = np.zeros(params.n_params)
-        loss_sum = 0.0
-        next_theta0s = []
+        for run in runs:
+            run.begin_epoch(k)
+        # slice s * n_tasks + j is seed s on its task j
+        params = ParamStack.from_flat(np.repeat(flats, n_tasks, axis=0), layout, scale)
+        tasks = TaskStack([t for run in runs for t in run.tasks])
+        theta0 = np.stack([th for run in runs for th in run.theta0s])
         try:
-            for task, theta0 in zip(tasks, theta0s):
-                if meta_adaptive:
-                    g, res0, value = _maml_parts(
-                        params,
-                        task,
-                        theta0,
-                        cfg.unroll_len,
-                        cfg.alpha,
-                        meta_mode(cfg.grad_mode),
-                        cfg.fd_epsilon,
-                    )
-                else:
-                    g, res0 = meta_grad_with_result(
-                        params,
-                        task,
-                        theta0,
-                        cfg.unroll_len,
-                        inner_mode(cfg.grad_mode),
-                    )
-                    value = res0.final_loss
-                grads += g
-                loss_sum += value
-                next_theta0s.append(res0.theta_final)
+            if meta_adaptive:
+                g, res0, values = maml_parts_stack(
+                    params,
+                    tasks,
+                    theta0,
+                    cfg.unroll_len,
+                    cfg.alpha,
+                    meta_mode(cfg.grad_mode),
+                    cfg.fd_epsilon,
+                )
+            else:
+                g, res0 = meta_grad_stack(
+                    params, tasks, theta0, cfg.unroll_len, inner_mode(cfg.grad_mode)
+                )
+                values = res0.final_losses
         except (UnrollDivergedError, NonFiniteGradientError) as exc:
-            raise DivergenceError(k, params, str(exc)) from exc
+            raise diverged(k, exc.index // n_tasks, str(exc)) from exc
 
+        # sum each seed's tasks in task order, as a loop over them would
+        grads = np.zeros_like(flats)
+        loss_sum = np.zeros(len(runs))
+        for j in range(n_tasks):
+            grads += g[j::n_tasks]
+            loss_sum += values[j::n_tasks]
         grads /= n_tasks
-        loss = loss_sum / n_tasks
-        if not np.isfinite(loss):
-            raise DivergenceError(k, params, f"meta-loss {loss!r}")
-        new_flat = outer.update(params.to_flat(), grads)
-        if not np.all(np.isfinite(new_flat)):
-            raise DivergenceError(
-                k, params, "non-finite optimizer weights after the outer update"
-            )
-        params = params.with_flat(new_flat)
+        losses = loss_sum / n_tasks
+        for s, loss in enumerate(losses):
+            if not np.isfinite(loss):
+                raise diverged(k, s, f"meta-loss {float(loss)!r}")
+        new_flats = outer.update(flats, grads)
+        for s, row in enumerate(new_flats):
+            if not np.all(np.isfinite(row)):
+                raise diverged(
+                    k, s, "non-finite optimizer weights after the outer update"
+                )
+        flats = new_flats
 
-        theta0s = next_theta0s
-        epochs_in_block += 1
-        if block_first_loss is None:
-            block_first_loss = loss
-        last_loss = loss
-        log.meta_losses.append(loss)
-        log.task_ids.append(block_id)
-        log.theta_final_digests.append(_digest(next_theta0s))
-        log.wall_ms.append((time.perf_counter() - t_start) * 1e3)
+        wall_ms = (time.perf_counter() - t_start) * 1e3
+        for s, run in enumerate(runs):
+            finals = list(res0.theta_final[s * n_tasks : (s + 1) * n_tasks])
+            run.end_epoch(float(losses[s]), finals)
+            run.log.wall_ms.append(wall_ms)
 
-    return params, log
+    return [
+        (OptimizerParams.from_flat(flat, layout.hidden, layout.feature_dim, scale), run.log)
+        for flat, run in zip(flats, runs)
+    ]
 
 
 def train_ml2o(cfg: MetaConfig, dist: TaskDistribution):
     """Meta-adaptive training; returns the learned weights and the log."""
-    return _train(cfg, dist, meta_adaptive=True)
+    return train_seeds([cfg], dist, meta_adaptive=True)[0]
 
 
 def train_plain_l2o(cfg: MetaConfig, dist: TaskDistribution):
     """Plain learned-optimizer training on the unrolled loss."""
-    return _train(cfg, dist, meta_adaptive=False)
+    return train_seeds([cfg], dist, meta_adaptive=False)[0]
 
 
 def adapt(

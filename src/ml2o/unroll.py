@@ -2,7 +2,10 @@
 
 `unroll` runs T update-rule steps on one task and reports the loss curve.
 `meta_grad` backpropagates the final loss through the whole trajectory by
-hand-written reverse mode.  In ``full_second_order`` mode the path through
+hand-written reverse mode.  Both run on a stack of B independent
+trajectories at once (`unroll_stack`, `meta_grad_stack`); the one-trajectory
+functions are stacks of one, and a slice's results are bit-identical to
+running it alone.  In ``full_second_order`` mode the path through
 the feature inputs (the task gradient and its momentum statistics, which
 themselves depend on the iterate) is kept alive via Hessian-vector products;
 ``detached_input`` cuts that path, which is the cheaper convention much of
@@ -27,13 +30,12 @@ from .cell import (
     EPS,
     OptimizerParams,
     ParamLayout,
-    UnrollState,
+    ParamStack,
     cell_forward,
-    flatten_param_grads,
     moment_update,
     predict_update,
 )
-from .tasks import OptimizeeTask
+from .tasks import OptimizeeTask, TaskStack
 
 __all__ = [
     "FULL_SECOND_ORDER",
@@ -42,13 +44,17 @@ __all__ = [
     "FD_HVP_META",
     "GRAD_MODES",
     "UnrollResult",
+    "StackResult",
     "UnrollDivergedError",
     "NonFiniteGradientError",
     "unroll",
+    "unroll_stack",
     "meta_grad",
     "meta_grad_with_result",
+    "meta_grad_stack",
     "maml_objective",
     "maml_grad",
+    "maml_parts_stack",
     "jacobian_recursive",
 ]
 
@@ -66,30 +72,61 @@ JACOBIAN_SIZE_LIMIT = 15_000
 
 
 class UnrollDivergedError(RuntimeError):
-    """A non-finite loss appeared during an unroll."""
+    """A non-finite loss appeared during an unroll.
 
-    def __init__(self, step: int, value: float):
+    `index` is the stack slice whose loss it was (0 for a lone trajectory).
+    """
+
+    def __init__(self, step: int, value: float, index: int = 0):
         super().__init__(f"non-finite loss {value!r} at unroll step {step}")
         self.step = step
+        self.index = index
 
 
 class NonFiniteGradientError(RuntimeError):
-    """A non-finite entry appeared in the weight gradient."""
+    """A non-finite entry appeared in the weight gradient of stack slice `index`."""
 
-    def __init__(self, block: str):
+    def __init__(self, block: str, index: int = 0):
         super().__init__(f"non-finite gradient in parameter block {block}")
         self.block = block
+        self.index = index
 
 
 @dataclass
 class UnrollResult:
-    """Trajectory summary: final iterate, loss curve and final state."""
+    """Trajectory summary: final iterate and loss curve."""
 
     theta_final: np.ndarray
     losses: np.ndarray  # loss at theta_0 .. theta_T, so T+1 entries
     final_loss: float
-    state: UnrollState
     truncated_at: int | None = None
+
+
+@dataclass
+class StackResult:
+    """Summary of B trajectories unrolled in lockstep.
+
+    `losses` is time-major, (T+1, B); past a slice's truncation step its
+    column holds NaN.  `truncated_at` is None when no slice was truncated.
+    """
+
+    theta_final: np.ndarray  # (B, dim)
+    losses: np.ndarray  # (T+1, B)
+    truncated_at: tuple[int | None, ...] | None = None
+
+    @property
+    def final_losses(self) -> np.ndarray:
+        return self.losses[-1]
+
+    def trajectory(self, i: int) -> UnrollResult:
+        stop = None if self.truncated_at is None else self.truncated_at[i]
+        losses = self.losses[:stop, i].copy()
+        return UnrollResult(
+            theta_final=self.theta_final[i].copy(),
+            losses=losses,
+            final_loss=float(losses[-1]) if len(losses) else float("nan"),
+            truncated_at=stop,
+        )
 
 
 def inner_mode(mode: str) -> str:
@@ -111,39 +148,65 @@ def meta_mode(mode: str) -> str:
 
 
 def _forward(
-    params: OptimizerParams,
-    task: OptimizeeTask,
+    params: ParamStack,
+    tasks: TaskStack,
     theta0: np.ndarray,
     horizon: int,
+    *,
     keep_tape: bool,
     truncate_nonfinite: bool = False,
 ):
+    """Unroll B trajectories in lockstep: slice i runs params[i] on tasks[i] from theta0[i].
+
+    Without `truncate_nonfinite` the first non-finite loss raises; with it,
+    the slice stops there and the others run on without it.
+    """
+    n, d = params.size, tasks.dim
     theta0 = np.asarray(theta0, dtype=np.float64)
-    if theta0.shape != (task.dim,):
-        raise ValueError(
-            f"theta0 has shape {theta0.shape}, expected {(task.dim,)}"
-        )
+    if tasks.size != n:
+        raise ValueError(f"{n} optimizers but {tasks.size} tasks in the stack")
+    if theta0.shape != (n, d):
+        raise ValueError(f"theta0 has shape {theta0.shape}, expected {(n, d)}")
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    state = UnrollState.fresh(theta0, params.hidden)
-    losses = np.empty(horizon + 1)
+    hid = params.hidden
+    losses = np.full((horizon + 1, n), np.nan)
     tape = [] if keep_tape else None
-    truncated_at = None
+    truncated_at = [None] * n
+    live = np.arange(n)  # stack slices still running
+    theta_final = theta0.reshape(n, d, 1).copy()
 
-    theta, h, c, m, v = state.theta, state.h, state.c, state.m, state.v
+    # iterates, gradients and moments are columns (B, dim, 1)
+    theta = theta_final.copy()
+    h = np.zeros((n, d, hid))
+    c = np.zeros((n, d, hid))
+    m = np.zeros((n, d, 1))
+    v = np.zeros((n, d, 1))
     for t in range(horizon + 1):
-        loss, grad = task.loss_grad(theta)
-        if not np.isfinite(loss):
-            if truncate_nonfinite:
-                losses = losses[:t]
-                truncated_at = t
+        loss, grad = tasks.loss_grad(theta)
+        finite = np.isfinite(loss)
+        if not finite.all():
+            if not truncate_nonfinite:
+                bad = int(np.flatnonzero(~finite)[0])
+                raise UnrollDivergedError(t, float(loss[bad]), int(live[bad]))
+            stopped = live[~finite]
+            for i in stopped:
+                truncated_at[i] = t
+            theta_final[stopped] = theta[~finite]
+            live = live[finite]
+            if not live.size:
                 break
-            raise UnrollDivergedError(t, loss)
-        losses[t] = loss
+            params, tasks = params.take(finite), tasks.take(finite)
+            loss, grad = loss[finite], grad[finite]
+            theta, h, c, m, v = theta[finite], h[finite], c[finite], m[finite], v[finite]
+        if live.size == n:
+            losses[t] = loss
+        else:
+            losses[t, live] = loss
         if t == horizon:
             break
         m2, v2, nm = moment_update(m, v, grad)
-        z = np.stack([grad, nm], axis=1)
+        z = np.concatenate([grad, nm], axis=2)
         h2, c2, cache = cell_forward(params, z, h, c)
         update = predict_update(params, h2)
         if keep_tape:
@@ -151,15 +214,27 @@ def _forward(
         theta = theta + update
         h, c, m, v = h2, c2, m2, v2
 
-    final_state = UnrollState(theta=theta, h=h, c=c, m=m, v=v, t=min(horizon, len(losses) - 1))
-    result = UnrollResult(
-        theta_final=theta,
-        losses=losses,
-        final_loss=float(losses[-1]) if len(losses) else float("nan"),
-        state=final_state,
-        truncated_at=truncated_at,
+    theta_final[live] = theta
+    truncated = None if live.size == n else tuple(truncated_at)
+    result = StackResult(
+        theta_final=theta_final.reshape(n, d), losses=losses, truncated_at=truncated
     )
     return result, tape
+
+
+def unroll_stack(
+    params: ParamStack,
+    tasks: TaskStack,
+    theta0: np.ndarray,
+    horizon: int,
+    truncate_nonfinite: bool = False,
+) -> StackResult:
+    """Run `horizon` update steps on every slice of the stack under frozen weights."""
+    result, _ = _forward(
+        params, tasks, theta0, horizon, keep_tape=False,
+        truncate_nonfinite=truncate_nonfinite,
+    )
+    return result
 
 
 def unroll(
@@ -170,11 +245,20 @@ def unroll(
     truncate_nonfinite: bool = False,
 ) -> UnrollResult:
     """Run `horizon` update steps from theta0 under frozen optimizer weights."""
-    result, _ = _forward(
-        params, task, theta0, horizon, keep_tape=False,
+    theta0 = _check_theta0(theta0, task)
+    return unroll_stack(
+        ParamStack.of([params]), TaskStack([task]), theta0[None], horizon,
         truncate_nonfinite=truncate_nonfinite,
-    )
-    return result
+    ).trajectory(0)
+
+
+def _check_theta0(theta0: np.ndarray, task: OptimizeeTask) -> np.ndarray:
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    if theta0.shape != (task.dim,):
+        raise ValueError(
+            f"theta0 has shape {theta0.shape}, expected {(task.dim,)}"
+        )
+    return theta0
 
 
 def _grad_block_name(index: int, layout: ParamLayout) -> str:
@@ -189,48 +273,53 @@ def _grad_block_name(index: int, layout: ParamLayout) -> str:
     return "w_proj" if index < layout.hidden else "b_proj"
 
 
-def meta_grad_with_result(
-    params: OptimizerParams,
-    task: OptimizeeTask,
+def meta_grad_stack(
+    params: ParamStack,
+    tasks: TaskStack,
     theta0: np.ndarray,
     horizon: int,
     mode: str = FULL_SECOND_ORDER,
-) -> tuple[np.ndarray, UnrollResult]:
-    """Reverse-mode gradient of the final unrolled loss, plus the trajectory."""
+) -> tuple[np.ndarray, StackResult]:
+    """Reverse-mode gradients (B, |weights|) of each slice's final unrolled loss.
+
+    Slice i's gradient is the one `meta_grad` gives for params[i], tasks[i]
+    and theta0[i] alone, bit for bit.
+    """
     if mode not in TRAJECTORY_MODES:
         raise ValueError(
             f"meta_grad mode must be one of {TRAJECTORY_MODES}, got {mode!r}"
         )
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1 for gradients, got {horizon}")
-    result, tape = _forward(params, task, theta0, horizon, keep_tape=True)
+    result, tape = _forward(params, tasks, theta0, horizon, keep_tape=True)
 
+    n, d = params.size, tasks.dim
     hid = params.hidden
     fdim = params.feature_dim
-    w = params.w
-    w_proj = params.w_proj
+    w_t = params.w.swapaxes(1, 2)
+    w_proj_row = params.w_proj.swapaxes(1, 2)
     scale = params.output_scale
     second_order = mode == FULL_SECOND_ORDER
 
-    dW = np.zeros_like(w)
-    db = np.zeros(4 * hid)
-    dw_proj = np.zeros(hid)
-    db_proj = 0.0
+    dW = np.zeros_like(params.w)
+    db = np.zeros((n, 4 * hid))
+    dw_proj = np.zeros((n, hid, 1))
+    db_proj = np.zeros((n, 1, 1))
 
-    dtheta = task.grad(result.theta_final)
-    dh = np.zeros((task.dim, hid))
-    dc = np.zeros((task.dim, hid))
-    dm = np.zeros(task.dim)
-    dv = np.zeros(task.dim)
+    dtheta = tasks.grad(result.theta_final.reshape(n, d, 1))
+    dh = np.zeros((n, d, hid))
+    dc = np.zeros((n, d, hid))
+    dm = np.zeros((n, d, 1))
+    dv = np.zeros((n, d, 1))
 
     for t in range(horizon - 1, -1, -1):
         theta_t, g_t, m2, v2, cache, h2 = tape[t]
         x, gi, gf, go, gq, c_prev, tau = cache
 
         # update projection: u = scale * (h2 @ w_proj + b_proj)
-        dw_proj += scale * (h2.T @ dtheta)
-        db_proj += scale * float(dtheta.sum())
-        dh_full = dh + scale * dtheta[:, None] * w_proj[None, :]
+        dw_proj += scale * (h2.swapaxes(1, 2) @ dtheta)
+        db_proj += scale * dtheta.sum(axis=1, keepdims=True)
+        dh_full = dh + scale * dtheta * w_proj_row
 
         # cell
         dgo = dh_full * tau
@@ -248,17 +337,16 @@ def meta_grad_with_result(
                 dgo * go * (1.0 - go),
                 dgq * (1.0 - gq * gq),
             ],
-            axis=1,
+            axis=2,
         )
-        dW += x.T @ da
-        db += da.sum(axis=0)
-        dx = da @ w.T
-        dh = dx[:, fdim:]
+        dW += x.swapaxes(1, 2) @ da
+        db += da.sum(axis=1)
+        dx = da @ w_t
+        dh = dx[:, :, fdim:]
 
         if second_order:
-            dz = dx[:, :fdim]
-            dg = dz[:, 0].copy()
-            dnm = dz[:, 1]
+            dg = dx[:, :, 0:1].copy()
+            dnm = dx[:, :, 1:2]
             s = np.sqrt(v2)
             denom = s + EPS
             dm_full = dm + dnm / denom
@@ -270,16 +358,31 @@ def meta_grad_with_result(
             dg += dm_full * (1.0 - BETA1) + dv_full * 2.0 * g_t * (1.0 - BETA2)
             dm = dm_full * BETA1
             dv = dv_full * BETA2
-            dtheta = dtheta + task.hvp(theta_t, dg)
+            dtheta = dtheta + tasks.hvp(theta_t, dg)
         # theta identity path: dtheta carries over unchanged otherwise
 
-    flat = flatten_param_grads(dW, db, dw_proj, db_proj, hid)
-    if not np.all(np.isfinite(flat)):
-        bad = int(np.flatnonzero(~np.isfinite(flat))[0])
-        raise NonFiniteGradientError(
-            _grad_block_name(bad, ParamLayout(hid, fdim))
-        )
+    layout = params.layout
+    flat = layout.pack(dW, db, dw_proj.reshape(n, hid), db_proj.reshape(n))
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        i, j = (int(k[0]) for k in np.nonzero(bad))
+        raise NonFiniteGradientError(_grad_block_name(j, layout), i)
     return flat, result
+
+
+def meta_grad_with_result(
+    params: OptimizerParams,
+    task: OptimizeeTask,
+    theta0: np.ndarray,
+    horizon: int,
+    mode: str = FULL_SECOND_ORDER,
+) -> tuple[np.ndarray, UnrollResult]:
+    """Reverse-mode gradient of the final unrolled loss, plus the trajectory."""
+    theta0 = _check_theta0(theta0, task)
+    grads, result = meta_grad_stack(
+        ParamStack.of([params]), TaskStack([task]), theta0[None], horizon, mode
+    )
+    return grads[0], result.trajectory(0)
 
 
 def meta_grad(
@@ -314,6 +417,51 @@ def maml_objective(
     return unroll(adapted, task, theta0, horizon).final_loss
 
 
+def maml_parts_stack(
+    params: ParamStack,
+    tasks: TaskStack,
+    theta0: np.ndarray,
+    horizon: int,
+    alpha: float,
+    mode: str,
+    fd_epsilon: float | None,
+) -> tuple[np.ndarray, StackResult, np.ndarray]:
+    """Meta-gradients of B slices: (grads, pre-step result, post-step losses).
+
+    The two finite-difference gradients of ``fd_hvp_meta`` run as one
+    stack of 2B slices.
+    """
+    if alpha < 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if mode not in META_MODES:
+        raise ValueError(
+            f"maml_grad mode must be one of {META_MODES}, got {mode!r}"
+        )
+    g0, res0 = meta_grad_stack(params, tasks, theta0, horizon, FULL_SECOND_ORDER)
+    if alpha == 0.0:
+        return g0, res0, res0.final_losses
+    flat = params.to_flat()
+    adapted = params.with_flat(flat - alpha * g0)
+    v, res1 = meta_grad_stack(adapted, tasks, theta0, horizon, FULL_SECOND_ORDER)
+    if mode == FIRST_ORDER_META:
+        return v, res0, res1.final_losses
+    if fd_epsilon is not None:
+        eps = np.full((params.size, 1), fd_epsilon, dtype=np.float64)
+    else:
+        eps = 1e-4 * (1.0 + np.max(np.abs(flat), axis=1, keepdims=True))
+    pair = np.r_[0 : params.size, 0 : params.size]
+    g_pm, _ = meta_grad_stack(
+        params.take(pair).with_flat(np.concatenate([flat + eps * v, flat - eps * v])),
+        tasks.take(pair),
+        np.asarray(theta0, dtype=np.float64)[pair],
+        horizon,
+        FULL_SECOND_ORDER,
+    )
+    gp, gm = g_pm[: params.size], g_pm[params.size :]
+    hv = (gp - gm) / (2.0 * eps)
+    return v - alpha * hv, res0, res1.final_losses
+
+
 def _maml_parts(
     params: OptimizerParams,
     task: OptimizeeTask,
@@ -324,25 +472,12 @@ def _maml_parts(
     fd_epsilon: float | None,
 ):
     """Shared meta-gradient plumbing: returns (grad, pre-step result, post-step loss)."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    if mode not in META_MODES:
-        raise ValueError(
-            f"maml_grad mode must be one of {META_MODES}, got {mode!r}"
-        )
-    g0, res0 = meta_grad_with_result(params, task, theta0, horizon, FULL_SECOND_ORDER)
-    if alpha == 0.0:
-        return g0, res0, res0.final_loss
-    flat = params.to_flat()
-    adapted = params.with_flat(flat - alpha * g0)
-    v, res1 = meta_grad_with_result(adapted, task, theta0, horizon, FULL_SECOND_ORDER)
-    if mode == FIRST_ORDER_META:
-        return v, res0, res1.final_loss
-    eps = fd_epsilon if fd_epsilon is not None else 1e-4 * (1.0 + float(np.max(np.abs(flat))))
-    gp = meta_grad(params.with_flat(flat + eps * v), task, theta0, horizon, FULL_SECOND_ORDER)
-    gm = meta_grad(params.with_flat(flat - eps * v), task, theta0, horizon, FULL_SECOND_ORDER)
-    hv = (gp - gm) / (2.0 * eps)
-    return v - alpha * hv, res0, res1.final_loss
+    theta0 = _check_theta0(theta0, task)
+    grads, res0, values = maml_parts_stack(
+        ParamStack.of([params]), TaskStack([task]), theta0[None], horizon,
+        alpha, mode, fd_epsilon,
+    )
+    return grads[0], res0.trajectory(0), float(values[0])
 
 
 def maml_grad(
@@ -393,6 +528,7 @@ def jacobian_recursive(
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
 
+    stack = ParamStack.of([params])
     w = params.w
     w_proj = params.w_proj
     scale = params.output_scale
@@ -432,8 +568,9 @@ def jacobian_recursive(
             [j_g[:, None, :], j_nm[:, None, :], j_h], axis=1
         )  # (d, rows, p)
 
-        h2, c2, cache = cell_forward(params, z, h, c)
-        _, gi, gf, go, gq, c_prev, tau = cache
+        h2, c2, cache = cell_forward(stack, z[None], h[None], c[None])
+        h2, c2 = h2[0], c2[0]
+        _, gi, gf, go, gq, c_prev, tau = (a[0] for a in cache)
 
         j_act = []
         for gate in range(4):
@@ -463,7 +600,7 @@ def jacobian_recursive(
         j_u[:, layout.proj_base : layout.proj_base + hid] += scale * h2
         j_u[:, layout.b_proj_index] += scale
 
-        update = predict_update(params, h2)
+        update = predict_update(stack, h2[None])[0, :, 0]
         theta = theta + update
         j_theta = j_theta + j_u
         h, c, m, v = h2, c2, m2, v2

@@ -1,10 +1,11 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from ml2o.cell import load_checkpoint, random_params, save_checkpoint
+from ml2o.cell import CheckpointError, ParamLayout, load_checkpoint, random_params, save_checkpoint
 from ml2o.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from ml2o.config import ConfigError, load_config
 from ml2o.numeric import RngStream
@@ -145,6 +146,19 @@ def test_meta_train_divergence_exit_code(tmp_path, capsys):
     assert np.all(np.isfinite(last.to_flat()))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_compare_divergence_exit_code_with_and_without_workers(tmp_path, capsys):
+    path = tmp_path / "explode.ini"
+    path.write_text(
+        TINY.replace("outer_lr = 1e-3", "outer = sgd_schedule\nsgd_beta = 1e150\nsgd_mu = 1e-300")
+    )
+    for jobs in ("1", "2"):
+        rc = main(["compare", "--config", str(path), "--jobs", jobs,
+                   "--out", str(tmp_path / f"o{jobs}")])
+        assert rc == EXIT_DIVERGED
+        assert "diverged at epoch" in capsys.readouterr().err
+
+
 def test_compare_smoke_emits_all_outputs(tiny_config, tmp_path):
     out = tmp_path / "cmp"
     rc = main(["compare", "--config", tiny_config, "--out", str(out),
@@ -232,6 +246,28 @@ def test_interpolate_shape_mismatch_is_config_error(tiny_config, tmp_path, capsy
                "--w2", str(p2), "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert "hidden=4" in capsys.readouterr().err
+
+
+def test_absurd_checkpoint_header_is_config_error(tiny_config, tmp_path, capsys):
+    # 36 bytes whose header claims 2**30 hidden units and a payload count to
+    # match: the lengths must be refused against the file size, not read
+    hidden = 2**30
+    count = ParamLayout(hidden, 2).size
+    header = b"ML2O" + struct.pack("<IIId", 1, hidden, 2, 0.01)
+    huge_payload = tmp_path / "payload.ckpt"
+    huge_payload.write_bytes(header + struct.pack("<I", 0) + struct.pack("<Q", count))
+    assert huge_payload.stat().st_size == 36
+    huge_meta = tmp_path / "meta.ckpt"
+    huge_meta.write_bytes(header + struct.pack("<I", 2**32 - 1) + b"x" * 8)
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(random_params(4, 2, RngStream(1)), good)
+    for bad in (huge_payload, huge_meta):
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(bad)
+        rc = main(["interpolate", "--config", tiny_config, "--w1", str(bad),
+                   "--w2", str(good), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "checkpoint error" in capsys.readouterr().err
 
 
 def test_commands_write_only_inside_out_dir(tiny_config, tmp_path, monkeypatch):

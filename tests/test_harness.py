@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ml2o.harness import (
     compare_methods,
     confidence_interval,
     evaluate,
+    evaluate_stack,
     interpolate_eval,
     min_log_loss,
     read_comparison_json,
@@ -224,18 +226,49 @@ def test_training_cache_hits_are_identical(tmp_path):
 
 
 def test_parallel_jobs_do_not_change_results(tmp_path):
+    # 3 seeds in 2 chunks: one chunk trains two seeds in lockstep, the other one
     meta = tiny_meta()
-    serial = compare_methods(
-        meta, TRAIN_DIST, ADAPT_DIST, TEST_DIST,
-        sigma_list=[10.0], n_seeds=2, horizon=10, n_tasks=1,
-        adapt_alpha=1e-6, cache=TrainingCache(str(tmp_path / "c1")), jobs=1,
+    common = dict(n_seeds=3, horizon=10, n_tasks=1, adapt_alpha=1e-6)
+    tables = {
+        jobs: (
+            compare_methods(
+                meta, TRAIN_DIST, ADAPT_DIST, TEST_DIST, sigma_list=[10.0],
+                cache=TrainingCache(str(tmp_path / f"c{jobs}")), jobs=jobs, **common,
+            ),
+            adapt_sweep(
+                meta, TRAIN_DIST, ADAPT_DIST, TEST_DIST, adapt_sigmas=[10.0, 30.0],
+                test_sigma=10.0, cache=TrainingCache(str(tmp_path / f"s{jobs}")),
+                jobs=jobs, **common,
+            ),
+        )
+        for jobs in (1, 2)
+    }
+    for serial, parallel in zip(tables[1], tables[2]):
+        assert serial.to_json_dict() == parallel.to_json_dict()
+        for a, b in zip(serial.records, parallel.records):
+            assert np.array_equal(a.losses, b.losses)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_evaluation_truncates_one_slice_only(rng):
+    calm = random_params(4, 2, rng)
+    # a huge projection throws the iterate to infinity at the first step
+    wild = replace(calm, w_proj=np.full(4, 1e300))
+    stacked = evaluate_stack(
+        [("calm", "k", calm), ("wild", "k", wild), ("calm2", "k", calm)],
+        TEST_DIST, 15, 2, RngStream(8).child("test"),
     )
-    parallel = compare_methods(
-        meta, TRAIN_DIST, ADAPT_DIST, TEST_DIST,
-        sigma_list=[10.0], n_seeds=2, horizon=10, n_tasks=1,
-        adapt_alpha=1e-6, cache=TrainingCache(str(tmp_path / "c2")), jobs=2,
-    )
-    assert serial.to_json_dict() == parallel.to_json_dict()
+    alone = evaluate(calm, TEST_DIST, 15, 2, RngStream(8).child("test"))
+    by_method = {}
+    for r in stacked:
+        by_method.setdefault(r.method, []).append(r)
+    for r in by_method["wild"]:
+        assert r.truncated_at == 1 and r.losses.shape == (1,)
+    for method in ("calm", "calm2"):
+        for got, want in zip(by_method[method], alone):
+            assert got.truncated_at is None
+            assert np.array_equal(got.losses, want.losses)
+            assert got.task_digest == want.task_digest
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,42 +1,8 @@
 import numpy as np
 import pytest
 
-from ml2o.numeric import RngStream, gauss_sample, matvec, uniform_mixture_sample
+from ml2o.numeric import RngStream, gauss_sample, uniform_mixture_sample
 from ml2o.tasks import TRAIN_MIXTURE_RANGES
-
-
-def test_matvec_identity_exhaustive(rng):
-    for _ in range(100):
-        n = int(rng.gen.integers(1, 12))
-        x = rng.gen.normal(size=n)
-        assert np.array_equal(matvec(np.eye(n), x), x)
-
-
-def test_matvec_zero_matrix():
-    assert np.array_equal(matvec(np.zeros((2, 2)), np.ones(2)), np.zeros(2))
-
-
-def test_matvec_hand_expanded():
-    got = matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
-    assert np.array_equal(got, np.array([3.0, 7.0]))
-
-
-def test_matvec_rejects_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        matvec(np.eye(3), np.ones(2))
-    with pytest.raises(ValueError, match="2-d"):
-        matvec(np.ones(3), np.ones(3))
-    with pytest.raises(ValueError, match="1-d"):
-        matvec(np.eye(2), np.eye(2))
-
-
-def test_matvec_finite_on_finite_inputs(rng):
-    for _ in range(50):
-        m = int(rng.gen.integers(1, 8))
-        n = int(rng.gen.integers(1, 8))
-        a = rng.gen.uniform(-1e6, 1e6, size=(m, n))
-        x = rng.gen.uniform(-1e6, 1e6, size=n)
-        assert np.all(np.isfinite(matvec(a, x)))
 
 
 def test_gauss_degenerate_sigma_zero(rng):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ml2o.train import (
     sgd_schedule_lr,
     train_ml2o,
     train_plain_l2o,
+    train_seeds,
 )
 from ml2o.harness import seed_config
 
@@ -167,3 +170,28 @@ def test_training_divergence_carries_epoch_and_weights():
         train_plain_l2o(cfg, TRAIN_DIST)
     assert err.value.epoch >= 0
     assert np.all(np.isfinite(err.value.last_params.to_flat()))
+
+
+@pytest.mark.parametrize("outer_rule", ["adam", "sgd_schedule"])
+def test_lockstep_training_matches_solo_runs(outer_rule):
+    # threshold 0 doubles a block only when its loss rose, which happens for
+    # some seeds and not others, so the seeds' block lengths drift apart
+    base = tiny_cfg(epochs=16, epochs_per_task=2, curriculum="doubling",
+                    curriculum_threshold=0.0, tasks_per_update=3,
+                    outer_rule=outer_rule, sgd_beta=1e-3)
+    cfgs = [replace(base, seed=s) for s in (1, 2, 3)]
+    for meta_adaptive, solo_fn in ((True, train_ml2o), (False, train_plain_l2o)):
+        together = train_seeds(cfgs, TRAIN_DIST, meta_adaptive)
+        assert len({tuple(log.task_switch_epochs) for _, log in together}) > 1
+        for cfg, (params, log) in zip(cfgs, together):
+            solo, solo_log = solo_fn(cfg, TRAIN_DIST)
+            assert np.array_equal(params.to_flat(), solo.to_flat())
+            assert log.meta_losses == solo_log.meta_losses
+            assert log.task_switch_epochs == solo_log.task_switch_epochs
+            assert log.theta0_digests == solo_log.theta0_digests
+            assert log.theta_final_digests == solo_log.theta_final_digests
+
+
+def test_lockstep_training_rejects_mixed_configs():
+    with pytest.raises(ValueError, match="only in seed"):
+        train_seeds([tiny_cfg(), tiny_cfg(seed=1, hidden=6)], TRAIN_DIST, False)

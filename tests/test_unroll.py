@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_quadratic, rel_error
-from ml2o.cell import init_params, random_params
+from ml2o.cell import ParamStack, init_params, random_params
 from ml2o.numeric import RngStream
-from ml2o.tasks import QUADRATIC, OptimizeeTask
+from ml2o.tasks import QUADRATIC, OptimizeeTask, TaskDistribution, TaskStack, sample_task, sample_theta0
 from ml2o.unroll import (
     DETACHED_INPUT,
     FD_HVP_META,
@@ -14,7 +14,9 @@ from ml2o.unroll import (
     jacobian_recursive,
     maml_grad,
     maml_objective,
+    maml_parts_stack,
     meta_grad,
+    meta_grad_stack,
     meta_grad_with_result,
     unroll,
 )
@@ -228,3 +230,35 @@ def test_long_horizon_gradient_is_tractable(rng):
     g, res = meta_grad_with_result(params, task, theta0, 1000)
     assert np.all(np.isfinite(g))
     assert res.losses.shape == (1001,)
+
+
+STACK_DISTS = {
+    "lasso": TaskDistribution(kind="normal", family="lasso", dim=4, lam=0.05, sigma=1.0),
+    "quadratic": TaskDistribution(kind="normal", family="quadratic", dim=3, sigma=1.0),
+    "rosenbrock": TaskDistribution(kind="rosenbrock"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(STACK_DISTS))
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_stacked_kernel_slices_match_lone_runs(family, size):
+    dist = STACK_DISTS[family]
+    rng = RngStream(4242).child(f"{family}/{size}")
+    tasks = [sample_task(dist, rng) for _ in range(size)]
+    theta0 = np.stack([sample_theta0(dist, rng) for _ in range(size)])
+    params = [random_params(4, 2, rng.child(f"p/{i}")) for i in range(size)]
+    stack = ParamStack.of(params)
+    grads, res = meta_grad_stack(stack, TaskStack(tasks), theta0, 8)
+    maml, _, values = maml_parts_stack(stack, TaskStack(tasks), theta0, 6, 1e-2, FD_HVP_META, None)
+    for i in range(size):
+        lone = ParamStack.of([params[i]]), TaskStack([tasks[i]]), theta0[i : i + 1]
+        g_i, res_i = meta_grad_stack(*lone, 8)
+        assert np.array_equal(grads[i], g_i[0])
+        assert np.array_equal(res.losses[:, i], res_i.losses[:, 0])
+        assert np.array_equal(res.theta_final[i], res_i.theta_final[0])
+        m_i, _, v_i = maml_parts_stack(*lone, 6, 1e-2, FD_HVP_META, None)
+        assert np.array_equal(maml[i], m_i[0]) and values[i] == v_i[0]
+        # and the single-trajectory entry points are B=1 calls of the same kernel
+        g_one, r_one = meta_grad_with_result(params[i], tasks[i], theta0[i], 8)
+        assert np.array_equal(g_one, grads[i])
+        assert np.array_equal(r_one.losses, res.losses[:, i])
