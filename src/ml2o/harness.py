@@ -500,13 +500,10 @@ def _map_seeds(
     ]
     if len(chunks) == 1:
         return _aggregate(_chunk_records(protocol, cache, chunks[0]))
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     work = functools.partial(_worker_records, protocol, cache.directory)
-    with ProcessPoolExecutor(
-        max_workers=len(chunks), mp_context=multiprocessing.get_context("spawn")
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         return _aggregate([r for part in pool.map(work, chunks) for r in part])
 
 

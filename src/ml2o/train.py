@@ -272,7 +272,7 @@ def train_seeds(
 
     def diverged(k: int, seed: int, cause: str) -> DivergenceError:
         params = OptimizerParams.from_flat(flats[seed], layout.hidden, layout.feature_dim, scale)
-        return DivergenceError(k, params, cause)
+        return DivergenceError(k, params, f"seed {cfgs[seed].seed}: {cause}")
 
     for k in range(cfg.epochs):
         t_start = time.perf_counter()

@@ -450,13 +450,18 @@ def maml_parts_stack(
     else:
         eps = 1e-4 * (1.0 + np.max(np.abs(flat), axis=1, keepdims=True))
     pair = np.r_[0 : params.size, 0 : params.size]
-    g_pm, _ = meta_grad_stack(
-        params.take(pair).with_flat(np.concatenate([flat + eps * v, flat - eps * v])),
-        tasks.take(pair),
-        np.asarray(theta0, dtype=np.float64)[pair],
-        horizon,
-        FULL_SECOND_ORDER,
-    )
+    try:
+        g_pm, _ = meta_grad_stack(
+            params.take(pair).with_flat(np.concatenate([flat + eps * v, flat - eps * v])),
+            tasks.take(pair),
+            np.asarray(theta0, dtype=np.float64)[pair],
+            horizon,
+            FULL_SECOND_ORDER,
+        )
+    except (UnrollDivergedError, NonFiniteGradientError) as exc:
+        # slice B + i of the pair is the minus half of input slice i
+        exc.index %= params.size
+        raise
     gp, gm = g_pm[: params.size], g_pm[params.size :]
     hv = (gp - gm) / (2.0 * eps)
     return v - alpha * hv, res0, res1.final_losses

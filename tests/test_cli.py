@@ -159,6 +159,17 @@ def test_compare_divergence_exit_code_with_and_without_workers(tmp_path, capsys)
         assert "diverged at epoch" in capsys.readouterr().err
 
 
+def test_fd_minus_half_divergence_exit_code(tiny_config, tmp_path, poison_fd_minus_half):
+    poison_fd_minus_half([0])
+    rc = main(["meta-train", "--config", tiny_config, "--method", "ml2o",
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DIVERGED
+    assert (tmp_path / "o" / "checkpoint_last_good.ckpt").exists()
+    rc = main(["compare", "--config", tiny_config, "--jobs", "1",
+               "--out", str(tmp_path / "c")])
+    assert rc == EXIT_DIVERGED
+
+
 def test_compare_smoke_emits_all_outputs(tiny_config, tmp_path):
     out = tmp_path / "cmp"
     rc = main(["compare", "--config", tiny_config, "--out", str(out),

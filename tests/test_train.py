@@ -172,6 +172,24 @@ def test_training_divergence_carries_epoch_and_weights():
     assert np.all(np.isfinite(err.value.last_params.to_flat()))
 
 
+def test_divergence_in_fd_minus_half_names_its_seed(poison_fd_minus_half):
+    cfg = tiny_cfg()
+    calls = poison_fd_minus_half([0])
+    with pytest.raises(DivergenceError) as err:
+        train_ml2o(cfg, TRAIN_DIST)
+    assert calls == [1, 1, 2]
+    assert err.value.epoch == 0
+    assert f"seed {cfg.seed}:" in err.value.cause
+
+    calls = poison_fd_minus_half([1])
+    cfgs = [replace(cfg, seed=s) for s in (1, 2)]
+    with pytest.raises(DivergenceError) as err:
+        train_seeds(cfgs, TRAIN_DIST, meta_adaptive=True)
+    assert calls == [2, 2, 4]
+    assert err.value.epoch == 0
+    assert "seed 2:" in err.value.cause
+
+
 @pytest.mark.parametrize("outer_rule", ["adam", "sgd_schedule"])
 def test_lockstep_training_matches_solo_runs(outer_rule):
     # threshold 0 doubles a block only when its loss rose, which happens for
