@@ -9,10 +9,8 @@ from-scratch baselines on out-of-distribution tasks.
 from .cell import (
     CheckpointError,
     OptimizerParams,
-    UnrollState,
     init_params,
     load_checkpoint,
-    param_count,
     save_checkpoint,
 )
 from .harness import (

@@ -32,11 +32,8 @@ __all__ = [
     "OptimizerParams",
     "ParamLayout",
     "ParamStack",
-    "UnrollState",
-    "param_count",
     "init_params",
     "random_params",
-    "compute_features",
     "step",
     "save_checkpoint",
     "load_checkpoint",
@@ -119,11 +116,6 @@ class OptimizerParams:
         h.update(struct.pack("<IId", self.hidden, self.feature_dim, self.output_scale))
         h.update(np.ascontiguousarray(self.to_flat()).tobytes())
         return h.hexdigest()
-
-
-def param_count(hidden: int, feature_dim: int) -> int:
-    """Total real-valued entries defining an optimizer, output_scale included."""
-    return ParamLayout(hidden, feature_dim).size + 1
 
 
 @dataclass(frozen=True)
@@ -229,31 +221,6 @@ def random_params(hidden: int, feature_dim: int, rng: RngStream, proj_scale: flo
     return replace(base, w_proj=w_proj, b_proj=b_proj)
 
 
-@dataclass
-class UnrollState:
-    """Per-trajectory state: iterate, recurrent state and moment accumulators."""
-
-    theta: np.ndarray  # (dim,)
-    h: np.ndarray  # (dim, hidden)
-    c: np.ndarray  # (dim, hidden)
-    m: np.ndarray  # (dim,)
-    v: np.ndarray  # (dim,)
-    t: int = 0
-
-    @classmethod
-    def fresh(cls, theta0: np.ndarray, hidden: int) -> "UnrollState":
-        theta0 = np.asarray(theta0, dtype=np.float64)
-        d = theta0.shape[0]
-        return cls(
-            theta=theta0.copy(),
-            h=np.zeros((d, hidden)),
-            c=np.zeros((d, hidden)),
-            m=np.zeros(d),
-            v=np.zeros(d),
-            t=0,
-        )
-
-
 def moment_update(
     m: np.ndarray, v: np.ndarray, grad: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,24 +229,6 @@ def moment_update(
     v2 = BETA2 * v + (1.0 - BETA2) * grad * grad
     nm = m2 / (np.sqrt(v2) + EPS)
     return m2, v2, nm
-
-
-def compute_features(
-    grad: np.ndarray, state: UnrollState
-) -> tuple[np.ndarray, UnrollState]:
-    """Per-coordinate feature rows [raw gradient, normalized momentum].
-
-    Returns the features and the state with advanced accumulators; the
-    recurrent state and iterate are untouched.
-    """
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != state.theta.shape:
-        raise ValueError(
-            f"grad has shape {grad.shape}, expected {state.theta.shape}"
-        )
-    m2, v2, nm = moment_update(state.m, state.v, grad)
-    features = np.stack([grad, nm], axis=1)
-    return features, replace(state, m=m2, v=v2)
 
 
 @dataclass(frozen=True)
@@ -391,22 +340,19 @@ def predict_update(params: ParamStack, h2: np.ndarray) -> np.ndarray:
 
 
 def step(
-    params: OptimizerParams, features: np.ndarray, state: UnrollState
-) -> tuple[np.ndarray, UnrollState]:
-    """Advance the iterate one step: theta' = theta + predicted update."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (state.theta.shape[0], params.feature_dim):
-        raise ValueError(
-            f"features have shape {features.shape}, expected "
-            f"{(state.theta.shape[0], params.feature_dim)}"
-        )
-    stack = ParamStack.of([params])
-    h2, c2, _ = cell_forward(stack, features[None], state.h[None], state.c[None])
-    update = predict_update(stack, h2)[0, :, 0]
-    new_state = replace(
-        state, theta=state.theta + update, h=h2[0], c=c2[0], t=state.t + 1
-    )
-    return update, new_state
+    params: ParamStack, grad: np.ndarray, h: np.ndarray, c: np.ndarray, m: np.ndarray, v: np.ndarray
+):
+    """One update-rule step of B trajectories: features -> cell -> update.
+
+    grad, m and v are columns (B, dim, 1), h and c are (B, dim, hidden).  The
+    features are [raw gradient | normalized momentum].  Returns
+    (update, h', c', m', v', cache): the update columns to add to the
+    iterates, the advanced state, and the cell's cache, whose first entry
+    holds the features and h side by side.
+    """
+    m2, v2, nm = moment_update(m, v, grad)
+    h2, c2, cache = cell_forward(params, np.concatenate([grad, nm], axis=2), h, c)
+    return predict_update(params, h2), h2, c2, m2, v2, cache
 
 
 def save_checkpoint(params: OptimizerParams, path, metadata: str = "") -> None:
@@ -465,6 +411,10 @@ def load_checkpoint(path) -> OptimizerParams:
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint version {version}, this build reads version {CHECKPOINT_VERSION}"
+            )
+        if hidden < 1 or feature_dim < 1:
+            raise CheckpointError(
+                f"corrupt checkpoint: hidden={hidden}, feature_dim={feature_dim}; both must be >= 1"
             )
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
         _read_exact(fh, meta_len, "metadata")

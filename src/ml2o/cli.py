@@ -35,7 +35,7 @@ from .harness import (
     confidence_interval,
     interpolate_eval,
 )
-from .numeric import RngStream
+from .numeric import RngStream, central_diff
 from .tasks import NORMAL, QUADRATIC, OptimizeeTask, sample_task
 from .theory import default_growth_report, measure_gaps
 from .train import DivergenceError, train_ml2o, train_plain_l2o
@@ -161,104 +161,73 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _fd_grad(params, task, theta0, horizon, eps=1e-5) -> np.ndarray:
-    flat = params.to_flat()
-    out = np.empty_like(flat)
-    for i in range(flat.size):
-        up = flat.copy()
-        up[i] += eps
-        dn = flat.copy()
-        dn[i] -= eps
-        lp = unroll(params.with_flat(up), task, theta0, horizon).final_loss
-        lm = unroll(params.with_flat(dn), task, theta0, horizon).final_loss
-        out[i] = (lp - lm) / (2.0 * eps)
-    return out
+def _rel_error(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300))
 
 
-def _verify_grad(cfg: ExperimentConfig, out_dir: str) -> int:
-    rng = RngStream(cfg.meta.seed).child("verify-grad")
-    d, horizon, hidden = 3, 5, 4
-    tol = 1e-4
-    worst = (0.0, None)
-    for i in range(20):
-        a = rng.gen.normal(size=(d, d))
-        b = rng.gen.normal(size=d)
-        task = OptimizeeTask(kind=QUADRATIC, dim=d, a=a, b=b)
-        params = random_params(hidden, 2, rng.child(f"params/{i}"))
-        theta0 = rng.gen.normal(size=d)
-        g = meta_grad(params, task, theta0, horizon)
-        fd = _fd_grad(params, task, theta0, horizon)
-        rel = float(
-            np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-300)
-        )
-        if rel > worst[0]:
-            worst = (rel, (task, theta0, params))
-    ok = worst[0] <= tol
-    print(f"{'PASS' if ok else 'FAIL'} grad: max rel error {worst[0]:.3e} (tol {tol:g})")
-    if not ok:
-        task, theta0, params = worst[1]
-        with open(os.path.join(out_dir, "worst_case.json"), "w") as fh:
-            json.dump(
-                {
-                    "suite": "grad",
-                    "rel_error": worst[0],
-                    "task": json.loads(task.to_json()),
-                    "theta0": theta0.tolist(),
-                    "params_flat": params.to_flat().tolist(),
-                    "hidden": params.hidden,
-                    "feature_dim": params.feature_dim,
-                    "horizon": horizon,
-                },
-                fh,
-                indent=2,
-            )
-        return EXIT_VERIFY
-    return EXIT_OK
-
-
-def _verify_jacobian(cfg: ExperimentConfig, out_dir: str) -> int:
-    rng = RngStream(cfg.meta.seed).child("verify-jacobian")
-    d, horizon, hidden = 2, 3, 3
-    tol = 1e-8
-    worst = (0.0, None)
-    for i in range(20):
-        a = rng.gen.normal(size=(d, d))
-        b = rng.gen.normal(size=d)
-        task = OptimizeeTask(kind=QUADRATIC, dim=d, a=a, b=b)
-        params = random_params(hidden, 2, rng.child(f"params/{i}"))
-        theta0 = rng.gen.normal(size=d)
-        jac = jacobian_recursive(params, task, theta0, horizon)
-        res = unroll(params, task, theta0, horizon)
-        chained = jac.T @ task.grad(res.theta_final)
-        direct = meta_grad(params, task, theta0, horizon)
-        rel = float(
-            np.linalg.norm(chained - direct) / max(np.linalg.norm(direct), 1e-300)
-        )
-        if rel > worst[0]:
-            worst = (rel, (task, theta0, params))
-    ok = worst[0] <= tol
-    print(
-        f"{'PASS' if ok else 'FAIL'} jacobian: max rel error {worst[0]:.3e} (tol {tol:g})"
+def _grad_error(params, task, theta0, horizon) -> float:
+    """Reverse-mode meta-gradient against central differences of the unrolled loss."""
+    fd = central_diff(
+        lambda flat: unroll(params.with_flat(flat), task, theta0, horizon).final_loss,
+        params.to_flat(),
+        1e-5,
     )
-    if not ok:
-        task, theta0, params = worst[1]
-        with open(os.path.join(out_dir, "worst_case.json"), "w") as fh:
-            json.dump(
-                {
-                    "suite": "jacobian",
-                    "rel_error": worst[0],
-                    "task": json.loads(task.to_json()),
-                    "theta0": theta0.tolist(),
-                    "params_flat": params.to_flat().tolist(),
-                    "hidden": params.hidden,
-                    "feature_dim": params.feature_dim,
-                    "horizon": horizon,
-                },
-                fh,
-                indent=2,
-            )
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _rel_error(meta_grad(params, task, theta0, horizon), fd)
+
+
+def _jacobian_error(params, task, theta0, horizon) -> float:
+    """Forward-recursion Jacobian, chained with the final task gradient, against reverse mode."""
+    jac = jacobian_recursive(params, task, theta0, horizon)
+    res = unroll(params, task, theta0, horizon)
+    chained = jac.T @ task.grad(res.theta_final)
+    return _rel_error(chained, meta_grad(params, task, theta0, horizon))
+
+
+# suite -> ((dim, horizon, hidden), tolerance, error of one case)
+_WORST_CASE_SUITES = {
+    "grad": ((3, 5, 4), 1e-4, _grad_error),
+    "jacobian": ((2, 3, 3), 1e-8, _jacobian_error),
+}
+
+
+def _verify_worst_case(cfg: ExperimentConfig, out_dir: str, suite: str) -> int:
+    """Run 20 random quadratic cases; fail if the worst error exceeds the tolerance.
+
+    On failure the worst case is written to worst_case.json so it can be replayed.
+    """
+    (d, horizon, hidden), tol, error_of = _WORST_CASE_SUITES[suite]
+    rng = RngStream(cfg.meta.seed).child(f"verify-{suite}")
+    worst = (0.0, None)
+    for i in range(20):
+        a = rng.gen.normal(size=(d, d))
+        b = rng.gen.normal(size=d)
+        task = OptimizeeTask(kind=QUADRATIC, dim=d, a=a, b=b)
+        params = random_params(hidden, 2, rng.child(f"params/{i}"))
+        theta0 = rng.gen.normal(size=d)
+        rel = error_of(params, task, theta0, horizon)
+        if rel > worst[0]:
+            worst = (rel, (task, theta0, params))
+    ok = worst[0] <= tol
+    print(f"{'PASS' if ok else 'FAIL'} {suite}: max rel error {worst[0]:.3e} (tol {tol:g})")
+    if ok:
+        return EXIT_OK
+    task, theta0, params = worst[1]
+    with open(os.path.join(out_dir, "worst_case.json"), "w") as fh:
+        json.dump(
+            {
+                "suite": suite,
+                "rel_error": worst[0],
+                "task": json.loads(task.to_json()),
+                "theta0": theta0.tolist(),
+                "params_flat": params.to_flat().tolist(),
+                "hidden": params.hidden,
+                "feature_dim": params.feature_dim,
+                "horizon": horizon,
+            },
+            fh,
+            indent=2,
+        )
+    return EXIT_VERIFY
 
 
 def _verify_gaps(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -306,12 +275,9 @@ def _verify_growth(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
-    suite = {
-        "grad": _verify_grad,
-        "jacobian": _verify_jacobian,
-        "gaps": _verify_gaps,
-        "growth": _verify_growth,
-    }[args.suite]
+    if args.suite in _WORST_CASE_SUITES:
+        return _verify_worst_case(cfg, args.out, args.suite)
+    suite = {"gaps": _verify_gaps, "growth": _verify_growth}[args.suite]
     return suite(cfg, args.out)
 
 

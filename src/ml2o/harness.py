@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtrit
 
 from .cell import OptimizerParams, ParamStack, init_params, load_checkpoint, save_checkpoint
 from .numeric import RngStream
@@ -79,7 +79,7 @@ def confidence_interval(samples) -> tuple[float, float]:
         raise ValueError(f"confidence interval needs at least 2 samples, got {n}")
     mean = float(samples.mean())
     s = float(samples.std(ddof=1))
-    half = float(scipy.stats.t.ppf(0.975, n - 1) * s / math.sqrt(n))
+    half = float(stdtrit(n - 1, 0.975) * s / math.sqrt(n))
     return mean, half
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "RngStream",
+    "central_diff",
     "gauss_sample",
     "uniform_mixture_sample",
 ]
@@ -87,3 +88,19 @@ def uniform_mixture_sample(
     idx = rng.gen.integers(0, len(ranges), size=n)
     u = rng.gen.random(n)
     return lows[idx] + u * (highs[idx] - lows[idx])
+
+
+def central_diff(fn, x: np.ndarray, eps: float) -> np.ndarray:
+    """Central differences (fn(x + eps e_i) - fn(x - eps e_i)) / (2 eps) for each entry i of x.
+
+    The result has fn(x)'s shape plus a last axis of length x.size.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    cols = []
+    for i in range(x.size):
+        up = x.copy()
+        up.flat[i] += eps
+        dn = x.copy()
+        dn.flat[i] -= eps
+        cols.append((np.asarray(fn(up)) - np.asarray(fn(dn))) / (2.0 * eps))
+    return np.stack(cols, axis=-1)

@@ -31,10 +31,6 @@ __all__ = [
     "OptimizeeTask",
     "TaskStack",
     "TaskDistribution",
-    "lasso_eval",
-    "quadratic_eval",
-    "rosenbrock_eval",
-    "task_hvp",
     "sample_task",
     "sample_theta0",
 ]
@@ -89,11 +85,10 @@ class OptimizeeTask:
         return theta
 
     def loss_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        if self.kind == LASSO:
-            return lasso_eval(self, theta)
-        if self.kind == QUADRATIC:
-            return quadratic_eval(self, theta)
-        return rosenbrock_eval(self, theta)
+        """Loss and (sub)gradient at theta; see `TaskStack.loss_grad`."""
+        theta = self._check_theta(theta)
+        loss, grad = TaskStack([self]).loss_grad(theta.reshape(1, -1, 1))
+        return float(loss[0]), grad.reshape(-1)
 
     def loss(self, theta: np.ndarray) -> float:
         return self.loss_grad(theta)[0]
@@ -102,7 +97,12 @@ class OptimizeeTask:
         return self.loss_grad(theta)[1]
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return task_hvp(self, theta, v)
+        """Hessian-vector product; the l1 term contributes zero almost everywhere."""
+        theta = self._check_theta(theta)
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.dim,):
+            raise ValueError(f"v has shape {v.shape}, expected {(self.dim,)}")
+        return TaskStack([self]).hvp(theta.reshape(1, -1, 1), v.reshape(1, -1, 1)).reshape(-1)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """Dense Hessian; constant A^T A for lasso/quadratic."""
@@ -220,38 +220,6 @@ class TaskStack:
         if self.kind == ROSENBROCK:
             return _rosenbrock_hessian(theta[:, :, 0]) @ v
         return self.a_t @ (self.a @ v)
-
-
-def _eval_one(task: OptimizeeTask, kind: str, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    if task.kind != kind:
-        raise ValueError(f"{kind}_eval called on a {task.kind} task")
-    theta = task._check_theta(theta)
-    loss, grad = TaskStack([task]).loss_grad(theta.reshape(1, -1, 1))
-    return float(loss[0]), grad.reshape(-1)
-
-
-def lasso_eval(task: OptimizeeTask, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Loss and subgradient of 0.5*||A x - b||^2 + lam*||x||_1 (sign(0)=0)."""
-    return _eval_one(task, LASSO, theta)
-
-
-def quadratic_eval(task: OptimizeeTask, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Loss and gradient of 0.5*||A x - b||^2."""
-    return _eval_one(task, QUADRATIC, theta)
-
-
-def rosenbrock_eval(task: OptimizeeTask, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Loss and gradient of the two-dimensional banana function."""
-    return _eval_one(task, ROSENBROCK, theta)
-
-
-def task_hvp(task: OptimizeeTask, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Hessian-vector product; the l1 term contributes zero almost everywhere."""
-    theta = task._check_theta(theta)
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (task.dim,):
-        raise ValueError(f"v has shape {v.shape}, expected {(task.dim,)}")
-    return TaskStack([task]).hvp(theta.reshape(1, -1, 1), v.reshape(1, -1, 1)).reshape(-1)
 
 
 MIXTURE = "mixture"

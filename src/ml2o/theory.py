@@ -116,25 +116,13 @@ class GrowthReport:
                 fh.write(f"{t},{g:.17g},{r:.17g}\n")
 
 
-def power_iteration_norm(task_or_matvec, dim: int | None = None, iters: int = 5000, tol: float = 1e-14) -> float:
-    """Largest eigenvalue of a symmetric PSD operator by power iteration.
-
-    Accepts either a quadratic/lasso task (operator A^T A) or a callable
-    v -> M v with an explicit `dim`.
-    """
-    if isinstance(task_or_matvec, OptimizeeTask):
-        task = task_or_matvec
-        op = lambda v: task.a.T @ (task.a @ v)
-        dim = task.dim
-    else:
-        op = task_or_matvec
-        if dim is None:
-            raise ValueError("dim is required with a callable operator")
-    v = RngStream(0).child("power-iteration").gen.normal(size=dim)
+def power_iteration_norm(task: OptimizeeTask, iters: int = 5000, tol: float = 1e-14) -> float:
+    """Largest eigenvalue of a quadratic/lasso task's A^T A by power iteration."""
+    v = RngStream(0).child("power-iteration").gen.normal(size=task.dim)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(iters):
-        w = op(v)
+        w = task.a.T @ (task.a @ v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0

@@ -31,9 +31,7 @@ from .cell import (
     OptimizerParams,
     ParamLayout,
     ParamStack,
-    cell_forward,
-    moment_update,
-    predict_update,
+    step,
 )
 from .tasks import OptimizeeTask, TaskStack
 
@@ -205,14 +203,10 @@ def _forward(
             losses[t, live] = loss
         if t == horizon:
             break
-        m2, v2, nm = moment_update(m, v, grad)
-        z = np.concatenate([grad, nm], axis=2)
-        h2, c2, cache = cell_forward(params, z, h, c)
-        update = predict_update(params, h2)
+        update, h, c, m, v, cache = step(params, grad, h, c, m, v)
         if keep_tape:
-            tape.append((theta, grad, m2, v2, cache, h2))
+            tape.append((theta, grad, m, v, cache, h))
         theta = theta + update
-        h, c, m, v = h2, c2, m2, v2
 
     theta_final[live] = theta
     truncated = None if live.size == n else tuple(truncated_at)
@@ -517,7 +511,9 @@ def jacobian_recursive(
     parameter path, with the input path running through the task Hessian and
     the cell's analytic Jacobians, and the recurrent/momentum state carried
     alongside.  theta0 is treated as independent of the weights, so the
-    recursion starts from a zero Jacobian.  Intended for small instances only.
+    recursion starts from a zero Jacobian.  The forward values come from
+    `cell.step`, the derivatives from this function alone.  Intended for
+    small instances only.
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
     d = task.dim
@@ -542,10 +538,10 @@ def jacobian_recursive(
     ar = np.arange(hid)
 
     theta = theta0.copy()
-    h = np.zeros((d, hid))
-    c = np.zeros((d, hid))
-    m = np.zeros(d)
-    v = np.zeros(d)
+    h = np.zeros((1, d, hid))
+    c = np.zeros((1, d, hid))
+    m = np.zeros((1, d, 1))
+    v = np.zeros((1, d, 1))
 
     j_theta = np.zeros((d, p))
     j_h = np.zeros((d, hid, p))
@@ -556,8 +552,10 @@ def jacobian_recursive(
     for _ in range(horizon):
         grad = task.grad(theta)
         j_g = task.hessian_matmul(theta, j_theta)
+        update, h, c, m, v, cache = step(stack, grad.reshape(1, d, 1), h, c, m, v)
+        x, gi, gf, go, gq, c_prev, tau = (a[0] for a in cache)
+        m2, v2 = m[0, :, 0], v[0, :, 0]
 
-        m2, v2, nm = moment_update(m, v, grad)
         j_m2 = BETA1 * j_m + (1.0 - BETA1) * j_g
         j_v2 = BETA2 * j_v + (1.0 - BETA2) * 2.0 * grad[:, None] * j_g
         s = np.sqrt(v2)
@@ -566,16 +564,9 @@ def jacobian_recursive(
         safe_s = np.where(pos, s, 1.0)
         coef = np.where(pos, m2 / (denom * denom * 2.0 * safe_s), 0.0)
         j_nm = j_m2 / denom[:, None] - coef[:, None] * j_v2
-
-        z = np.stack([grad, nm], axis=1)
-        x = np.concatenate([z, h], axis=1)
         j_x = np.concatenate(
             [j_g[:, None, :], j_nm[:, None, :], j_h], axis=1
         )  # (d, rows, p)
-
-        h2, c2, cache = cell_forward(stack, z[None], h[None], c[None])
-        h2, c2 = h2[0], c2[0]
-        _, gi, gf, go, gq, c_prev, tau = (a[0] for a in cache)
 
         j_act = []
         for gate in range(4):
@@ -602,13 +593,11 @@ def jacobian_recursive(
         j_h2 = go[:, :, None] * j_tau + tau[:, :, None] * j_go
 
         j_u = scale * np.einsum("dkp,k->dp", j_h2, w_proj)
-        j_u[:, layout.proj_base : layout.proj_base + hid] += scale * h2
+        j_u[:, layout.proj_base : layout.proj_base + hid] += scale * h[0]
         j_u[:, layout.b_proj_index] += scale
 
-        update = predict_update(stack, h2[None])[0, :, 0]
-        theta = theta + update
+        theta = theta + update[0, :, 0]
         j_theta = j_theta + j_u
-        h, c, m, v = h2, c2, m2, v2
         j_h, j_c, j_m, j_v = j_h2, j_c2, j_m2, j_v2
 
     return j_theta

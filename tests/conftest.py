@@ -1,9 +1,11 @@
 import importlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from ml2o.cell import random_params
+from ml2o.cell import ParamLayout
 from ml2o.numeric import RngStream
 from ml2o.tasks import QUADRATIC, OptimizeeTask
 
@@ -19,8 +21,15 @@ def make_quadratic(rng: RngStream, dim: int) -> OptimizeeTask:
     return OptimizeeTask(kind=QUADRATIC, dim=dim, a=a, b=b)
 
 
-def make_probe_params(rng: RngStream, hidden: int, feature_dim: int = 2):
-    return random_params(hidden, feature_dim, rng)
+def write_checkpoint(path, hidden: int, feature_dim: int):
+    """Hand-written all-zero checkpoint of any sizes, with a matching count and CRC."""
+    count = ParamLayout(hidden, feature_dim).size
+    payload = np.zeros(count, dtype="<f8").tobytes()
+    path.write_bytes(
+        b"ML2O" + struct.pack("<IIId", 1, hidden, feature_dim, 0.01) + struct.pack("<I", 0)
+        + struct.pack("<Q", count) + payload + struct.pack("<I", zlib.crc32(payload))
+    )
+    return path
 
 
 def rel_error(got: np.ndarray, want: np.ndarray) -> float:

@@ -27,7 +27,7 @@ from ml2o.harness import (
     evaluate,
     interpolate_eval,
 )
-from ml2o.numeric import RngStream
+from ml2o.numeric import RngStream, central_diff
 from ml2o.tasks import TaskDistribution
 from ml2o.theory import default_growth_report, gradient_gap_at, measure_gaps
 from ml2o.train import train_ml2o, train_plain_l2o
@@ -53,17 +53,6 @@ def cache(tmp_path_factory):
     return TrainingCache(str(tmp_path_factory.mktemp("train-cache")))
 
 
-def fd_of(fn, flat, eps):
-    out = np.empty_like(flat)
-    for i in range(flat.size):
-        up = flat.copy()
-        up[i] += eps
-        dn = flat.copy()
-        dn[i] -= eps
-        out[i] = (fn(up) - fn(dn)) / (2 * eps)
-    return out
-
-
 def test_criterion_1_gradient_matches_finite_differences():
     rng = RngStream(1001)
     worst = 0.0
@@ -72,7 +61,7 @@ def test_criterion_1_gradient_matches_finite_differences():
         params = random_params(4, 2, rng.child(f"p/{i}"))
         theta0 = rng.gen.normal(size=3)
         g = meta_grad(params, task, theta0, 5)
-        fd = fd_of(
+        fd = central_diff(
             lambda f: unroll(params.with_flat(f), task, theta0, 5).final_loss,
             params.to_flat(),
             1e-5,
@@ -109,7 +98,7 @@ def test_criterion_3_meta_gradient_correctness():
         params = random_params(4, 2, rng.child(f"p/{i}"))
         theta0 = rng.gen.normal(size=3)
         g = maml_grad(params, task, theta0, 5, alpha, FD_HVP_META)
-        fd = fd_of(
+        fd = central_diff(
             lambda f: maml_objective(params.with_flat(f), task, theta0, 5, alpha),
             params.to_flat(),
             1e-5,

@@ -3,16 +3,15 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import make_quadratic
+from conftest import make_quadratic, write_checkpoint
 from ml2o.cell import (
     CheckpointError,
     OptimizerParams,
-    UnrollState,
-    compute_features,
+    ParamLayout,
+    ParamStack,
     init_params,
     load_checkpoint,
     load_checkpoint_metadata,
-    param_count,
     random_params,
     save_checkpoint,
     step,
@@ -21,29 +20,48 @@ from ml2o.numeric import RngStream
 from ml2o.unroll import unroll
 
 
-def test_param_count_formula_and_serialized_entries(rng, tmp_path):
-    # 4 gates of (22x20 weights + 20 biases), 20 projection weights, its bias,
-    # and the stored output scale.
-    assert param_count(20, 2) == 4 * (22 * 20 + 20) + 20 + 1 + 1
-    assert param_count(20, 2) == 1862
+def step_one(params, grad, h=None, c=None, m=None, v=None):
+    """`step` at B=1 on one trajectory's vectors; missing state starts at zero.
+
+    Returns (update, h', c', m', v', features) with the stack axis dropped.
+    """
+    d, hid = len(grad), params.hidden
+    h = np.zeros((d, hid)) if h is None else h
+    c = np.zeros((d, hid)) if c is None else c
+    m = np.zeros(d) if m is None else m
+    v = np.zeros(d) if v is None else v
+    col = lambda a: np.asarray(a, dtype=np.float64).reshape(1, d, 1)
+    update, h2, c2, m2, v2, cache = step(
+        ParamStack.of([params]), col(grad), h[None], c[None], col(m), col(v)
+    )
+    feats = cache[0][0, :, : params.feature_dim]
+    return update[0, :, 0], h2[0], c2[0], m2[0, :, 0], v2[0, :, 0], feats
+
+
+def test_param_layout_size_and_serialized_entries(rng, tmp_path):
+    # 4 gates of (22x20 weights + 20 biases), 20 projection weights and its
+    # bias; the output scale is stored in the header, outside the payload.
+    assert ParamLayout(20, 2).size == 4 * (22 * 20 + 20) + 20 + 1
+    assert ParamLayout(20, 2).size == 1861
     params = init_params(20, 2, rng)
-    assert params.n_params == 1861  # trainable payload excludes output_scale
+    assert params.n_params == 1861
     path = tmp_path / "c.ckpt"
     save_checkpoint(params, path)
     raw = path.read_bytes()
-    # payload f64 count plus the header's output_scale must match the formula
+    (output_scale,) = struct.unpack("<d", raw[16:24])
     (meta_len,) = struct.unpack("<I", raw[24:28])
     (count,) = struct.unpack("<Q", raw[28 + meta_len : 36 + meta_len])
-    assert count + 1 == param_count(20, 2)
+    assert count == ParamLayout(20, 2).size
+    assert output_scale == params.output_scale
+    assert len(raw) == 36 + meta_len + 8 * count + 4
 
 
 def test_init_zero_projection_means_zero_update(rng):
     params = init_params(6, 2, rng)
-    state = UnrollState.fresh(rng.gen.normal(size=4), 6)
-    feats, state = compute_features(rng.gen.normal(size=4), state)
-    update, nxt = step(params, feats, state)
+    theta = rng.gen.normal(size=4)
+    update, *_ = step_one(params, rng.gen.normal(size=4))
     assert np.array_equal(update, np.zeros(4))
-    assert np.array_equal(nxt.theta, state.theta)
+    assert np.array_equal(theta + update, theta)
 
 
 def test_init_is_seed_deterministic():
@@ -65,10 +83,9 @@ def test_init_bias_and_range():
 
 def test_features_first_step_closed_form(rng):
     g = np.array([2.0, -3.0, 0.5])
-    state = UnrollState.fresh(np.zeros(3), 4)
-    feats, new_state = compute_features(g, state)
-    assert np.allclose(new_state.m, 0.1 * g)
-    assert np.allclose(new_state.v, 0.001 * g * g)
+    _, _, _, m, v, feats = step_one(init_params(4, 2, rng), g)
+    assert np.allclose(m, 0.1 * g)
+    assert np.allclose(v, 0.001 * g * g)
     expected = 0.1 * g / (np.sqrt(0.001 * g * g) + 1e-8)
     assert np.allclose(feats[:, 1], expected)
     assert np.allclose(np.abs(feats[:, 1]), 3.1623, atol=1e-3)
@@ -76,18 +93,18 @@ def test_features_first_step_closed_form(rng):
 
 
 def test_features_zero_gradients_stay_zero():
-    state = UnrollState.fresh(np.zeros(3), 4)
+    params = init_params(4, 2, RngStream(0))
+    state = ()
     for _ in range(5):
-        feats, state = compute_features(np.zeros(3), state)
+        _, *state, feats = step_one(params, np.zeros(3), *state)
         assert np.array_equal(feats, np.zeros((3, 2)))
 
 
 def test_momentum_feature_scale_invariance():
+    params = init_params(4, 2, RngStream(0))
     for g in (1.0, 4.0, 100.0):
-        s1 = UnrollState.fresh(np.zeros(1), 4)
-        f1, _ = compute_features(np.array([g]), s1)
-        s2 = UnrollState.fresh(np.zeros(1), 4)
-        f2, _ = compute_features(np.array([2 * g]), s2)
+        f1 = step_one(params, np.array([g]))[-1]
+        f2 = step_one(params, np.array([2 * g]))[-1]
         assert abs(f1[0, 1] - f2[0, 1]) < 1e-6
 
 
@@ -99,19 +116,15 @@ def test_step_closed_form_gates():
     b = np.zeros(4 * h)
     b[h : 2 * h] = 1.0
     params = OptimizerParams(w=w, b=b, w_proj=np.zeros(h), b_proj=0.25, output_scale=0.01)
-    state = UnrollState.fresh(np.zeros(3), h)
-    feats, state = compute_features(np.array([1.0, -2.0, 3.0]), state)
-    update, nxt = step(params, feats, state)
+    update, h2, c2, *_ = step_one(params, np.array([1.0, -2.0, 3.0]))
     assert np.allclose(update, 0.01 * 0.25)
-    assert np.array_equal(nxt.h, np.zeros((3, h)))
-    assert np.array_equal(nxt.c, np.zeros((3, h)))
+    assert np.array_equal(h2, np.zeros((3, h)))
+    assert np.array_equal(c2, np.zeros((3, h)))
 
 
 def test_shared_weights_give_identical_updates_for_identical_histories(rng):
     params = random_params(5, 2, rng)
-    state = UnrollState.fresh(np.zeros(4), 5)
-    feats, state = compute_features(np.array([1.5, 1.5, -0.2, 1.5]), state)
-    update, _ = step(params, feats, state)
+    update, *_ = step_one(params, np.array([1.5, 1.5, -0.2, 1.5]))
     assert update[0] == update[1] == update[3]
 
 
@@ -119,11 +132,9 @@ def test_update_magnitude_bound(rng):
     params = random_params(6, 2, rng, proj_scale=2.0)
     bound = params.output_scale * (np.abs(params.w_proj).sum() + abs(params.b_proj))
     for _ in range(50):
-        state = UnrollState.fresh(rng.gen.normal(size=5), 6)
-        state.h = rng.gen.uniform(-1, 1, size=(5, 6))
-        state.c = rng.gen.normal(size=(5, 6))
-        feats, state = compute_features(rng.gen.normal(size=5) * 100, state)
-        update, _ = step(params, feats, state)
+        h = rng.gen.uniform(-1, 1, size=(5, 6))
+        c = rng.gen.normal(size=(5, 6))
+        update, *_ = step_one(params, rng.gen.normal(size=5) * 100, h, c)
         assert np.all(np.abs(update) <= bound + 1e-15)
 
 
@@ -204,3 +215,12 @@ def test_checkpoint_corrupt_payload(rng, tmp_path):
     (tmp_path / "c.ckpt").write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="checksum|truncated|inconsistent"):
         load_checkpoint(tmp_path / "c.ckpt")
+
+
+@pytest.mark.parametrize("hidden, feature_dim", [(0, 0), (0, 2), (4, 0)])
+def test_checkpoint_zero_sizes_rejected(tmp_path, hidden, feature_dim):
+    path = write_checkpoint(tmp_path / "z.ckpt", hidden, feature_dim)
+    if hidden == feature_dim == 0:
+        assert path.stat().st_size == 48
+    with pytest.raises(CheckpointError, match="must be >= 1"):
+        load_checkpoint(path)

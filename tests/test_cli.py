@@ -5,8 +5,10 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import write_checkpoint
 from ml2o.cell import CheckpointError, ParamLayout, load_checkpoint, random_params, save_checkpoint
-from ml2o.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from ml2o import cli
+from ml2o.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
 from ml2o.config import ConfigError, load_config
 from ml2o.numeric import RngStream
 
@@ -214,6 +216,26 @@ def test_verify_grad_and_jacobian_pass(tiny_config, tmp_path, capsys):
         assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suite, derivative", [("grad", "meta_grad"), ("jacobian", "jacobian_recursive")])
+def test_verify_failure_exits_4_and_dumps_worst_case(tiny_config, tmp_path, capsys, monkeypatch, suite, derivative):
+    # a derivative that is off by a factor of two must fail its suite
+    real = getattr(cli, derivative)
+    monkeypatch.setattr(cli, derivative, lambda *args: 2.0 * real(*args))
+    out = tmp_path / suite
+    rc = main(["verify", "--config", tiny_config, "--suite", suite, "--out", str(out)])
+    assert rc == EXIT_VERIFY
+    assert f"FAIL {suite}: max rel error" in capsys.readouterr().out
+    doc = json.loads((out / "worst_case.json").read_text())
+    assert set(doc) == {
+        "suite", "rel_error", "task", "theta0", "params_flat", "hidden", "feature_dim", "horizon"
+    }
+    assert doc["suite"] == suite
+    assert doc["rel_error"] > 0.5
+    assert doc["feature_dim"] == 2
+    assert len(doc["params_flat"]) == ParamLayout(doc["hidden"], 2).size
+    assert len(doc["theta0"]) == doc["task"]["dim"]
+
+
 def test_verify_gaps_identical_distributions_zero(tiny_config, tmp_path):
     # the tiny config's adaptation and test sources coincide, so the probed
     # tasks are the identical draw and both gaps vanish exactly
@@ -279,6 +301,15 @@ def test_absurd_checkpoint_header_is_config_error(tiny_config, tmp_path, capsys)
                    "--w2", str(good), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_zero_size_checkpoint_is_config_error(tiny_config, tmp_path, capsys):
+    # no hidden units: the cell would run and emit a constant update
+    bad = write_checkpoint(tmp_path / "zero.ckpt", 0, 2)
+    rc = main(["interpolate", "--config", tiny_config, "--w1", str(bad),
+               "--w2", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "checkpoint error" in capsys.readouterr().err
 
 
 def test_commands_write_only_inside_out_dir(tiny_config, tmp_path, monkeypatch):

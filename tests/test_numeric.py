@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ml2o.numeric import RngStream, gauss_sample, uniform_mixture_sample
+from ml2o.numeric import RngStream, central_diff, gauss_sample, uniform_mixture_sample
 from ml2o.tasks import TRAIN_MIXTURE_RANGES
 
 
@@ -76,3 +76,15 @@ def test_same_seed_same_stream():
 def test_derive_seed_stable():
     assert RngStream(1).derive_seed("x") == RngStream(1).derive_seed("x")
     assert RngStream(1).derive_seed("x") != RngStream(1).derive_seed("y")
+
+
+def test_central_diff_shapes_and_quadratic_exactness():
+    # central differences are exact for quadratics up to rounding
+    a = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, -1.0]])
+    x = np.array([0.5, -1.5])
+    jac = central_diff(lambda y: a @ y, x, 1e-3)
+    assert jac.shape == (3, 2)
+    assert np.allclose(jac, a, rtol=0, atol=1e-12)
+    grad = central_diff(lambda y: 0.5 * float(y @ y), x, 1e-3)
+    assert grad.shape == (2,)
+    assert np.allclose(grad, x, rtol=0, atol=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_quadratic
-from ml2o.numeric import RngStream
+from ml2o.numeric import RngStream, central_diff
 from ml2o.tasks import (
     LASSO,
     MIXTURE,
@@ -12,49 +12,34 @@ from ml2o.tasks import (
     ROSENBROCK_INIT,
     OptimizeeTask,
     TaskDistribution,
-    lasso_eval,
-    quadratic_eval,
-    rosenbrock_eval,
     sample_task,
     sample_theta0,
-    task_hvp,
 )
-
-
-def fd_gradient(task, theta, eps=1e-6):
-    g = np.empty_like(theta)
-    for i in range(theta.size):
-        up = theta.copy()
-        up[i] += eps
-        dn = theta.copy()
-        dn[i] -= eps
-        g[i] = (task.loss(up) - task.loss(dn)) / (2 * eps)
-    return g
 
 
 def test_lasso_at_origin(rng):
     t = OptimizeeTask(
         kind=LASSO, dim=3, a=rng.gen.normal(size=(3, 3)), b=rng.gen.normal(size=3), lam=0.1
     )
-    loss, grad = lasso_eval(t, np.zeros(3))
+    loss, grad = t.loss_grad(np.zeros(3))
     assert loss == pytest.approx(0.5 * float(t.b @ t.b))
     assert np.allclose(grad, -t.a.T @ t.b)
 
 
 def test_lasso_identity_closed_form():
     t = OptimizeeTask(kind=LASSO, dim=2, a=np.eye(2), b=np.zeros(2), lam=0.005)
-    loss, grad = lasso_eval(t, np.array([1.0, 1.0]))
+    loss, grad = t.loss_grad(np.array([1.0, 1.0]))
     assert loss == pytest.approx(1.01)
     assert np.allclose(grad, [1.005, 1.005])
 
 
 def test_quadratic_minimum_and_unit_case():
     t0 = OptimizeeTask(kind=QUADRATIC, dim=2, a=np.eye(2), b=np.zeros(2))
-    loss, grad = quadratic_eval(t0, np.zeros(2))
+    loss, grad = t0.loss_grad(np.zeros(2))
     assert loss == 0.0 and np.array_equal(grad, np.zeros(2))
 
     t1 = OptimizeeTask(kind=QUADRATIC, dim=2, a=np.eye(2), b=np.ones(2))
-    loss, grad = quadratic_eval(t1, np.zeros(2))
+    loss, grad = t1.loss_grad(np.zeros(2))
     assert loss == pytest.approx(1.0)
     assert np.allclose(grad, [-1.0, -1.0])
 
@@ -63,8 +48,8 @@ def test_quadratic_gradient_matches_finite_differences(rng):
     for _ in range(50):
         t = make_quadratic(rng, int(rng.gen.integers(2, 7)))
         theta = rng.gen.normal(size=t.dim)
-        _, grad = quadratic_eval(t, theta)
-        fd = fd_gradient(t, theta)
+        _, grad = t.loss_grad(theta)
+        fd = central_diff(t.loss, theta, 1e-6)
         assert np.linalg.norm(grad - fd) <= 1e-7 * max(np.linalg.norm(fd), 1.0)
 
 
@@ -76,16 +61,16 @@ def test_lasso_gradient_matches_fd_away_from_kinks(rng):
         )
         theta = rng.gen.normal(size=d)
         theta[np.abs(theta) < 1e-3] = 0.5  # keep clear of the l1 kink
-        _, grad = lasso_eval(t, theta)
-        fd = fd_gradient(t, theta)
+        _, grad = t.loss_grad(theta)
+        fd = central_diff(t.loss, theta, 1e-6)
         assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(fd), 1.0)
 
 
 def test_rosenbrock_minimum_and_origin():
     t = OptimizeeTask(kind=ROSENBROCK, dim=2)
-    loss, grad = rosenbrock_eval(t, np.array([1.0, 1.0]))
+    loss, grad = t.loss_grad(np.array([1.0, 1.0]))
     assert loss == 0.0 and np.array_equal(grad, np.zeros(2))
-    loss, grad = rosenbrock_eval(t, np.zeros(2))
+    loss, grad = t.loss_grad(np.zeros(2))
     assert loss == 1.0
     assert np.array_equal(grad, np.array([-2.0, 0.0]))
 
@@ -94,8 +79,8 @@ def test_rosenbrock_gradient_matches_fd(rng):
     t = OptimizeeTask(kind=ROSENBROCK, dim=2)
     for _ in range(50):
         theta = rng.gen.uniform(-2, 2, size=2)
-        _, grad = rosenbrock_eval(t, theta)
-        fd = fd_gradient(t, theta)
+        _, grad = t.loss_grad(theta)
+        fd = central_diff(t.loss, theta, 1e-6)
         assert np.linalg.norm(grad - fd) <= 1e-7 * max(np.linalg.norm(fd), 1.0)
 
 
@@ -118,12 +103,12 @@ def test_rosenbrock_rejects_wrong_dim():
 def test_hvp_identity_hessian():
     t = OptimizeeTask(kind=QUADRATIC, dim=3, a=np.eye(3), b=np.zeros(3))
     v = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(task_hvp(t, np.ones(3), v), v)
+    assert np.allclose(t.hvp(np.ones(3), v), v)
 
 
 def test_hvp_rosenbrock_at_minimum():
     t = OptimizeeTask(kind=ROSENBROCK, dim=2)
-    got = task_hvp(t, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+    got = t.hvp(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
     assert np.allclose(got, [802.0, -400.0])
 
 
@@ -135,7 +120,7 @@ def test_hvp_matches_directional_finite_difference(rng):
             theta = rng.gen.normal(size=t.dim)
             v = rng.gen.normal(size=t.dim)
             fd = (t.grad(theta + eps * v) - t.grad(theta - eps * v)) / (2 * eps)
-            hv = task_hvp(t, theta, v)
+            hv = t.hvp(theta, v)
             assert np.linalg.norm(hv - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
 
 
@@ -145,8 +130,8 @@ def test_hvp_is_symmetric_operator(rng):
         theta = rng.gen.normal(size=5)
         u = rng.gen.normal(size=5)
         v = rng.gen.normal(size=5)
-        left = float(v @ task_hvp(t, theta, u))
-        right = float(u @ task_hvp(t, theta, v))
+        left = float(v @ t.hvp(theta, u))
+        right = float(u @ t.hvp(theta, v))
         assert abs(left - right) <= 1e-10 * max(abs(left), 1.0)
 
 

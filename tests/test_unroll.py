@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_quadratic, rel_error
 from ml2o.cell import ParamStack, init_params, random_params
-from ml2o.numeric import RngStream
+from ml2o.numeric import RngStream, central_diff
 from ml2o.tasks import QUADRATIC, OptimizeeTask, TaskDistribution, TaskStack, sample_task, sample_theta0
 from ml2o.unroll import (
     DETACHED_INPUT,
@@ -20,20 +20,6 @@ from ml2o.unroll import (
     meta_grad_with_result,
     unroll,
 )
-
-
-def fd_meta_grad(params, task, theta0, horizon, eps=1e-5):
-    flat = params.to_flat()
-    out = np.empty_like(flat)
-    for i in range(flat.size):
-        up = flat.copy()
-        up[i] += eps
-        dn = flat.copy()
-        dn[i] -= eps
-        lp = unroll(params.with_flat(up), task, theta0, horizon).final_loss
-        lm = unroll(params.with_flat(dn), task, theta0, horizon).final_loss
-        out[i] = (lp - lm) / (2 * eps)
-    return out
 
 
 def test_unroll_zero_horizon(rng):
@@ -85,7 +71,9 @@ def test_meta_grad_matches_finite_differences(rng):
         params = random_params(4, 2, rng)
         theta0 = rng.gen.normal(size=3)
         g = meta_grad(params, task, theta0, 5)
-        fd = fd_meta_grad(params, task, theta0, 5)
+        fd = central_diff(
+            lambda f: unroll(params.with_flat(f), task, theta0, 5).final_loss, params.to_flat(), 1e-5
+        )
         assert rel_error(g, fd) <= 1e-4
 
 
@@ -141,17 +129,11 @@ def test_maml_grad_fd_hvp_matches_objective_finite_differences(rng):
         theta0 = rng.gen.normal(size=3)
         alpha = 0.01
         g = maml_grad(params, task, theta0, 5, alpha, FD_HVP_META)
-        flat = params.to_flat()
-        fd = np.empty_like(flat)
-        eps = 1e-5
-        for i in range(flat.size):
-            up = flat.copy()
-            up[i] += eps
-            dn = flat.copy()
-            dn[i] -= eps
-            lp = maml_objective(params.with_flat(up), task, theta0, 5, alpha)
-            lm = maml_objective(params.with_flat(dn), task, theta0, 5, alpha)
-            fd[i] = (lp - lm) / (2 * eps)
+        fd = central_diff(
+            lambda f: maml_objective(params.with_flat(f), task, theta0, 5, alpha),
+            params.to_flat(),
+            1e-5,
+        )
         assert rel_error(g, fd) <= 1e-3
 
 
@@ -181,17 +163,10 @@ def test_jacobian_recursive_matches_fd_columns(rng):
     params = random_params(3, 2, rng)
     theta0 = rng.gen.normal(size=2)
     jac = jacobian_recursive(params, task, theta0, 3)
-    flat = params.to_flat()
-    eps = 1e-5
-    fd = np.empty_like(jac)
-    for i in range(flat.size):
-        up = flat.copy()
-        up[i] += eps
-        dn = flat.copy()
-        dn[i] -= eps
-        tp = unroll(params.with_flat(up), task, theta0, 3).theta_final
-        tm = unroll(params.with_flat(dn), task, theta0, 3).theta_final
-        fd[:, i] = (tp - tm) / (2 * eps)
+    fd = central_diff(
+        lambda f: unroll(params.with_flat(f), task, theta0, 3).theta_final, params.to_flat(), 1e-5
+    )
+    assert fd.shape == jac.shape
     assert np.linalg.norm(jac - fd) / max(np.linalg.norm(fd), 1e-300) <= 1e-5
 
 
