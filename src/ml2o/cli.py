@@ -88,12 +88,19 @@ def cmd_meta_train(args) -> int:
 
 
 def _report_diverged(table) -> None:
-    bad = [c for c in table.cells if c.n_diverged > 0]
-    for c in bad:
-        print(
-            f"warning: method={c.method} key={c.key}: {c.n_diverged} diverged run(s)",
-            file=sys.stderr,
-        )
+    """One warning per cell with diverged runs, with the first divergence's reason."""
+    reasons = {}
+    for r in table.records:
+        if r.reason:
+            reasons.setdefault((r.method, r.key), r.reason)
+    for c in table.cells:
+        if c.n_diverged > 0:
+            reason = reasons.get((c.method, c.key))
+            print(
+                f"warning: method={c.method} key={c.key}: {c.n_diverged} diverged run(s)"
+                + (f"; first: {reason}" if reason else ""),
+                file=sys.stderr,
+            )
 
 
 def cmd_compare(args) -> int:

@@ -21,6 +21,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import stdtrit
@@ -28,7 +29,7 @@ from scipy.special import stdtrit
 from .cell import OptimizerParams, ParamStack, init_params, load_checkpoint, save_checkpoint
 from .numeric import RngStream
 from .tasks import NORMAL, TaskDistribution, TaskStack, sample_task, sample_theta0
-from .train import DivergenceError, MetaConfig, adapt, train_seeds
+from .train import DivergenceError, MetaConfig, adapt_stack, train_lockstep
 from .unroll import unroll_stack
 
 __all__ = [
@@ -44,8 +45,11 @@ __all__ = [
     "TrainingCache",
     "min_log_loss",
     "confidence_interval",
+    "STACK_ROWS",
+    "EvalGroup",
     "evaluate",
     "evaluate_stack",
+    "evaluate_groups",
     "compare_methods",
     "adapt_sweep",
     "interpolate_eval",
@@ -61,6 +65,10 @@ METHOD_ORDER = (VANILLA, ML2O, DT, TL)
 
 # Log losses are clamped from below here so exact zeros stay well-defined.
 LOG_FLOOR = -40.0
+
+# Rows (slices x dim) per evaluation stack.  Per-slice cost stops falling
+# near 120 rows at dim 10 and rises beyond; at dim 2 it falls up to ~100.
+STACK_ROWS = 128
 
 
 def min_log_loss(losses: np.ndarray) -> float:
@@ -98,6 +106,7 @@ class RunRecord:
     params_digest: str
     truncated_at: int | None = None
     diverged: bool = False
+    reason: str = ""  # why the adaptation diverged; in no result file
 
 
 @dataclass
@@ -232,6 +241,93 @@ def _aggregate(records: list[RunRecord]) -> ComparisonTable:
     return ComparisonTable(cells=cells, records=records)
 
 
+class EvalGroup(NamedTuple):
+    """Frozen optimizers to evaluate on `n_tasks` shared test draws from `rng`.
+
+    `variants` is a sequence of (method, key, params).
+    """
+
+    variants: list[tuple[str, str, OptimizerParams]]
+    dist_test: TaskDistribution
+    n_tasks: int
+    rng: RngStream
+    seed: int = 0
+
+
+def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecord]]:
+    """Evaluate every group on its own test draws; returns each group's records.
+
+    Each group takes its `n_tasks` draws from its `rng` once and shares them
+    by all its variants.  The groups must share the test task family and
+    dimension.  The variant x task trajectories of all groups run in
+    lockstep, in stacks of at most STACK_ROWS rows (slices x dim, at least
+    one slice).  A non-finite loss truncates that trajectory's curve at
+    that step instead of aborting; the other trajectories are unaffected.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    for g in groups:
+        if g.n_tasks < 1:
+            raise ValueError(f"n_tasks must be >= 1, got {g.n_tasks}")
+    group_draws = [
+        [
+            (sample_task(g.dist_test, g.rng), sample_theta0(g.dist_test, g.rng))
+            for _ in range(g.n_tasks if g.variants else 0)
+        ]
+        for g in groups
+    ]
+    # (params, task, theta0) in group, variant, task order
+    slices = [
+        (params, task, theta0)
+        for g, draws in zip(groups, group_draws)
+        for _, _, params in g.variants
+        for task, theta0 in draws
+    ]
+    trajectories = []
+    if slices:
+        size = max(1, STACK_ROWS // slices[0][1].dim)
+        for lo in range(0, len(slices), size):
+            stack = slices[lo : lo + size]
+            result = unroll_stack(
+                ParamStack.of([params for params, _, _ in stack]),
+                TaskStack([task for _, task, _ in stack]),
+                np.stack([theta0 for _, _, theta0 in stack]),
+                horizon,
+                truncate_nonfinite=True,
+            )
+            trajectories.extend(result.trajectory(i) for i in range(len(stack)))
+
+    out = []
+    results = iter(trajectories)
+    for g, draws in zip(groups, group_draws):
+        task_digests = [task.digest() for task, _ in draws]
+        theta0_digests = [
+            hashlib.blake2b(np.ascontiguousarray(theta0).tobytes(), digest_size=16).hexdigest()
+            for _, theta0 in draws
+        ]
+        records = []
+        for method, key, params in g.variants:
+            pdigest = params.digest()
+            for j in range(g.n_tasks):
+                res = next(results)
+                records.append(
+                    RunRecord(
+                        method=method,
+                        key=_column_key(key),
+                        seed=g.seed,
+                        task_index=j,
+                        losses=res.losses,
+                        min_log_loss=min_log_loss(res.losses),
+                        task_digest=task_digests[j],
+                        theta0_digest=theta0_digests[j],
+                        params_digest=pdigest,
+                        truncated_at=res.truncated_at,
+                    )
+                )
+        out.append(records)
+    return out
+
+
 def evaluate_stack(
     variants: list[tuple[str, str, OptimizerParams]],
     dist_test: TaskDistribution,
@@ -240,54 +336,13 @@ def evaluate_stack(
     rng: RngStream,
     seed: int = 0,
 ) -> list[RunRecord]:
-    """Unroll several frozen optimizers on the same fresh test tasks, as one stack.
+    """Unroll several frozen optimizers on the same fresh test tasks, in lockstep.
 
-    `variants` is a sequence of (method, key, params).  The `n_tasks` test
-    draws are taken from `rng` once and shared by every variant, and all
-    variant x task trajectories run in lockstep.  A non-finite loss
-    truncates that trajectory's curve at that step instead of aborting;
-    the other trajectories are unaffected.
+    `variants` is a sequence of (method, key, params); the one-group call of
+    `evaluate_groups`.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if n_tasks < 1:
-        raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
-    variants = list(variants)
-    if not variants:
-        return []
-    draws = [(sample_task(dist_test, rng), sample_theta0(dist_test, rng)) for _ in range(n_tasks)]
-    task_digests = [task.digest() for task, _ in draws]
-    theta0_digests = [
-        hashlib.blake2b(np.ascontiguousarray(theta0).tobytes(), digest_size=16).hexdigest()
-        for _, theta0 in draws
-    ]
-    result = unroll_stack(
-        ParamStack.of([params for _, _, params in variants for _ in draws]),
-        TaskStack([task for _ in variants for task, _ in draws]),
-        np.stack([theta0 for _ in variants for _, theta0 in draws]),
-        horizon,
-        truncate_nonfinite=True,
-    )
-    records = []
-    for v, (method, key, params) in enumerate(variants):
-        pdigest = params.digest()
-        for j in range(n_tasks):
-            res = result.trajectory(v * n_tasks + j)
-            records.append(
-                RunRecord(
-                    method=method,
-                    key=_column_key(key),
-                    seed=seed,
-                    task_index=j,
-                    losses=res.losses,
-                    min_log_loss=min_log_loss(res.losses),
-                    task_digest=task_digests[j],
-                    theta0_digest=theta0_digests[j],
-                    params_digest=pdigest,
-                    truncated_at=res.truncated_at,
-                )
-            )
-    return records
+    group = EvalGroup(list(variants), dist_test, n_tasks, rng, seed)
+    return evaluate_groups([group], horizon)[0]
 
 
 def evaluate(
@@ -351,50 +406,34 @@ class TrainingCache:
     def get_or_train(
         self, trainer: str, cfg: MetaConfig, dist: TaskDistribution
     ) -> OptimizerParams:
-        return self.get_or_train_all(trainer, [cfg], dist)[0]
+        return self.get_or_train_all([(trainer, cfg)], dist)[0]
 
     def get_or_train_all(
-        self, trainer: str, cfgs: list[MetaConfig], dist: TaskDistribution
+        self, requests: list[tuple[str, MetaConfig]], dist: TaskDistribution
     ) -> list[OptimizerParams]:
-        """Weights for each config; the misses are trained together in lockstep."""
-        keys = [self._key(trainer, cfg, dist) for cfg in cfgs]
+        """Weights for each (trainer, config); the misses of both trainers are
+        trained together in lockstep, and none is stored if any diverges."""
+        keys = [(trainer, self._key(trainer, cfg, dist)) for trainer, cfg in requests]
         missing = {}
-        for key, cfg in zip(keys, cfgs):
+        for (trainer, key), (_, cfg) in zip(keys, requests):
             if key not in missing and not self._cached(trainer, key):
-                missing[key] = cfg
-        trained = train_seeds(list(missing.values()), dist, meta_adaptive=trainer == ML2O)
-        for key, (params, _) in zip(missing, trained):
+                missing[key] = (trainer, cfg)
+        trained = train_lockstep(
+            [(cfg, trainer == ML2O) for trainer, cfg in missing.values()], dist
+        )
+        for (key, (trainer, _)), (params, _) in zip(missing.items(), trained):
             self._memo[key] = params
             path = self._path(trainer, key)
             if path is not None:
                 tmp = path + ".tmp"
                 save_checkpoint(params, tmp, metadata=f"trainer={trainer} key={key}")
                 os.replace(tmp, path)
-        return [self._memo[key] for key in keys]
+        return [self._memo[key] for _, key in keys]
 
 
 def seed_config(cfg: MetaConfig, seed_index: int) -> MetaConfig:
     """Per-repeat config: same knobs, seed derived from the root seed."""
     return replace(cfg, seed=RngStream(cfg.seed).derive_seed(f"seed/{seed_index}"))
-
-
-def _adapt_or_mark(params, dist_adapt, cfg: MetaConfig, adapt_alpha, fresh_per_step):
-    """Run adaptation; on divergence return (None, reason)."""
-    rng = RngStream(cfg.seed).child("adapt")
-    try:
-        adapted = adapt(
-            params,
-            dist_adapt,
-            cfg.adapt_steps,
-            adapt_alpha,
-            cfg.unroll_len,
-            rng,
-            grad_mode=cfg.grad_mode,
-            fresh_task_per_step=fresh_per_step,
-        )
-        return adapted, None
-    except DivergenceError as exc:
-        return None, str(exc)
 
 
 @dataclass(frozen=True)
@@ -423,60 +462,69 @@ class _Protocol:
 def _chunk_records(
     protocol: _Protocol, cache: TrainingCache, seed_indices: list[int]
 ) -> list[RunRecord]:
-    """Train the chunk's cache misses in lockstep, then adapt and evaluate per seed."""
+    """Train the chunk's cache misses in lockstep, then adapt and evaluate.
+
+    Adaptation runs one stack per (seed, column); evaluation runs every
+    (seed, column) group of the chunk together (`evaluate_groups`).
+    """
     p = protocol
     cfgs = [seed_config(p.meta, k) for k in seed_indices]
-    no_weights = [None] * len(cfgs)
-    plain = (
-        cache.get_or_train_all("plain", cfgs, p.dist_train)
-        if {DT, TL} & set(p.methods)
-        else no_weights
-    )
-    trained = cache.get_or_train_all(ML2O, cfgs, p.dist_train) if ML2O in p.methods else no_weights
+    trainers = [t for t, uses in (("plain", {DT, TL}), (ML2O, {ML2O})) if uses & set(p.methods)]
+    weights = cache.get_or_train_all([(t, cfg) for t in trainers for cfg in cfgs], p.dist_train)
+    trained = {t: weights[i * len(cfgs) : (i + 1) * len(cfgs)] for i, t in enumerate(trainers)}
+    adapted_methods = [m for m in p.methods if m != DT]  # direct transfer: no adaptation
 
-    records = []
-    for seed_index, cfg, plain_k, trained_k in zip(seed_indices, cfgs, plain, trained):
-        start = {TL: plain_k, ML2O: trained_k}
+    diverged, groups = [], []  # per (seed, column)
+    for n, (seed_index, cfg) in enumerate(zip(seed_indices, cfgs)):
+        start = {}
+        if TL in p.methods or DT in p.methods:
+            start[TL] = start[DT] = trained["plain"][n]
+        if ML2O in p.methods:
+            start[ML2O] = trained[ML2O][n]
         if VANILLA in p.methods:
             start[VANILLA] = init_params(
                 cfg.hidden, cfg.feature_dim, RngStream(cfg.seed).child("vanilla-init")
             )
         for col in p.columns:
-            variants: dict[str, OptimizerParams | None] = {}
+            adapted = adapt_stack(
+                [start[m] for m in adapted_methods],
+                col.dist_adapt,
+                cfg.adapt_steps,
+                p.adapt_alpha,
+                cfg.unroll_len,
+                RngStream(cfg.seed).child("adapt"),
+                grad_mode=cfg.grad_mode,
+                fresh_task_per_step=p.fresh_per_step,
+            )
+            final = {**start, **dict(zip(adapted_methods, adapted))}
+            variants, marked = [], []
             for method in p.methods:
-                if method == DT:  # direct transfer: no adaptation
-                    variants[method] = plain_k
-                else:
-                    variants[method], _ = _adapt_or_mark(
-                        start[method], col.dist_adapt, cfg, p.adapt_alpha, p.fresh_per_step
+                params = final[method]
+                if not isinstance(params, DivergenceError):
+                    variants.append((method, col.key, params))
+                    continue
+                marked.append(
+                    RunRecord(
+                        method=method,
+                        key=col.key,
+                        seed=seed_index,
+                        task_index=0,
+                        losses=np.empty(0),
+                        min_log_loss=math.nan,
+                        task_digest="",
+                        theta0_digest="",
+                        params_digest="",
+                        diverged=True,
+                        reason=(
+                            f"seed {seed_index}: adaptation step {params.epoch}: {params.cause}"
+                        ),
                     )
-            records.extend(
-                RunRecord(
-                    method=method,
-                    key=col.key,
-                    seed=seed_index,
-                    task_index=0,
-                    losses=np.empty(0),
-                    min_log_loss=math.nan,
-                    task_digest="",
-                    theta0_digest="",
-                    params_digest="",
-                    diverged=True,
                 )
-                for method, params in variants.items()
-                if params is None
-            )
-            records.extend(
-                evaluate_stack(
-                    [(m, col.key, params) for m, params in variants.items() if params is not None],
-                    col.dist_test,
-                    p.horizon,
-                    p.n_tasks,
-                    RngStream(cfg.seed).child("test"),
-                    seed=seed_index,
-                )
-            )
-    return records
+            diverged.append(marked)
+            test_rng = RngStream(cfg.seed).child("test")
+            groups.append(EvalGroup(variants, col.dist_test, p.n_tasks, test_rng, seed_index))
+    evaluated = evaluate_groups(groups, p.horizon)
+    return [r for marked, records in zip(diverged, evaluated) for r in marked + records]
 
 
 def _worker_records(protocol: _Protocol, cache_dir: str | None, seed_indices: list[int]):
@@ -635,15 +683,17 @@ def interpolate_eval(
     root = RngStream(root_seed)
     blends = {f"{float(a):g}": blend_params(w1, w2, float(a)) for a in alpha_grid}
     out: dict[str, list[RunRecord]] = {key: [] for key in blends}
-    for seed_index in range(n_seeds):
-        rng = RngStream(root.derive_seed(f"seed/{seed_index}")).child("test")
-        for r in evaluate_stack(
+    groups = [
+        EvalGroup(
             [("blend", key, params) for key, params in blends.items()],
             dist_test,
-            horizon,
             n_tasks,
-            rng,
-            seed=seed_index,
-        ):
+            RngStream(root.derive_seed(f"seed/{seed_index}")).child("test"),
+            seed_index,
+        )
+        for seed_index in range(n_seeds)
+    ]
+    for records in evaluate_groups(groups, horizon):
+        for r in records:
             out[r.key].append(r)
     return out

@@ -11,9 +11,11 @@ Within a block of `S` epochs the optimizee iterate continues where the last
 epoch's unroll ended; at block boundaries a fresh task and a fresh random
 iterate are drawn.
 
-Several seeds train in lockstep (`train_seeds`): each epoch stacks every
-seed's unrolls into one computation, and each seed's result is bit-identical
-to training it alone.
+Runs of both trainers and several seeds train in lockstep
+(`train_lockstep`): each epoch stacks every run's unrolls into as few
+computations as the trainers' passes allow, and each run's result is
+bit-identical to training it alone.  Likewise `adapt_stack` adapts several
+starting weights on shared draws as one stack.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .unroll import (
     UnrollDivergedError,
     inner_mode,
     maml_parts_stack,
-    meta_grad,
     meta_grad_stack,
     meta_mode,
 )
@@ -47,7 +48,9 @@ __all__ = [
     "train_ml2o",
     "train_plain_l2o",
     "train_seeds",
+    "train_lockstep",
     "adapt",
+    "adapt_stack",
     "sgd_schedule_lr",
 ]
 
@@ -192,8 +195,8 @@ def _make_outer(cfg: MetaConfig, shape):
     return _SgdScheduleOuter(cfg.sgd_beta, cfg.sgd_mu)
 
 
-class _SeedRun:
-    """One seed's draws and block bookkeeping inside a lockstep training run."""
+class _Run:
+    """One run's draws and block bookkeeping inside a lockstep training run."""
 
     def __init__(self, cfg: MetaConfig, dist: TaskDistribution):
         rng = RngStream(cfg.seed)
@@ -246,62 +249,91 @@ class _SeedRun:
         self.log.theta_final_digests.append(_digest(theta_finals))
 
 
-def train_seeds(
-    cfgs: list[MetaConfig], dist: TaskDistribution, meta_adaptive: bool
+def train_lockstep(
+    runs: list[tuple[MetaConfig, bool]], dist: TaskDistribution
 ) -> list[tuple[OptimizerParams, TrainLog]]:
-    """Train one optimizer per config in lockstep; returns (weights, log) per config.
+    """Train one optimizer per (config, meta_adaptive) run in lockstep.
 
-    The configs may differ only in their seed.  Every epoch runs all seeds'
-    `tasks_per_update` unrolls as one stack (and the finite-difference pair
-    of ``fd_hvp_meta`` as one more), while each seed keeps its own random
-    streams, blocks, curriculum and outer-rule state, so every seed's result
-    is bit-identical to training it alone.  Raises `DivergenceError` for the
-    first seed that diverges.
+    Returns (weights, log) per run.  The configs may differ only in their
+    seed; the flag picks the meta-adaptive or the plain trainer.  Every
+    epoch runs all runs' `tasks_per_update` unrolls as one stack.  When the
+    plain trainer's gradient mode is ``full_second_order`` (the first pass
+    of the meta-adaptive trainer always is), the plain slices and the first
+    pass of the meta-adaptive slices are that one stack; only the
+    meta-adaptive slices go on to the pass at the stepped weights and the
+    finite-difference pair.  Each run keeps its own random streams, blocks,
+    curriculum and outer-rule row, so its result is bit-identical to
+    training it alone.  Raises `DivergenceError`, naming the trainer and the
+    seed, for the first run that diverges.
     """
-    if not cfgs:
+    if not runs:
         return []
-    cfg = cfgs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+    cfg = runs[0][0]
+    if any(replace(c, seed=cfg.seed) != cfg for c, _ in runs):
         raise ValueError("lockstep training needs configs that differ only in seed")
-    runs = [_SeedRun(c, dist) for c in cfgs]
+    states = [_Run(c, dist) for c, _ in runs]
     n_tasks = cfg.tasks_per_update
-    layout = runs[0].params.layout
-    scale = runs[0].params.output_scale
-    flats = np.stack([r.params.to_flat() for r in runs])  # one row per seed
+    layout = states[0].params.layout
+    scale = states[0].params.output_scale
+    flats = np.stack([r.params.to_flat() for r in states])  # one row per run
     outer = _make_outer(cfg, flats.shape)
+    # slice r * n_tasks + j is run r on its task j
+    adaptive = np.repeat([meta for _, meta in runs], n_tasks)
+    all_rows = np.arange(adaptive.size)
+    meta_rows = np.flatnonzero(adaptive)
+    plain_rows = np.flatnonzero(~adaptive)
+    plain_mode = inner_mode(cfg.grad_mode)
+    fused = plain_mode == FULL_SECOND_ORDER
 
-    def diverged(k: int, seed: int, cause: str) -> DivergenceError:
-        params = OptimizerParams.from_flat(flats[seed], layout.hidden, layout.feature_dim, scale)
-        return DivergenceError(k, params, f"seed {cfgs[seed].seed}: {cause}")
+    def diverged(k: int, r: int, cause: str) -> DivergenceError:
+        c, meta = runs[r]
+        params = OptimizerParams.from_flat(flats[r], layout.hidden, layout.feature_dim, scale)
+        trainer = "ml2o" if meta else "plain"
+        return DivergenceError(k, params, f"{trainer} seed {c.seed}: {cause}")
 
     for k in range(cfg.epochs):
         t_start = time.perf_counter()
-        for run in runs:
+        for run in states:
             run.begin_epoch(k)
-        # slice s * n_tasks + j is seed s on its task j
         params = ParamStack.from_flat(np.repeat(flats, n_tasks, axis=0), layout, scale)
-        tasks = TaskStack([t for run in runs for t in run.tasks])
-        theta0 = np.stack([th for run in runs for th in run.theta0s])
+        tasks = TaskStack([t for run in states for t in run.tasks])
+        theta0 = np.stack([th for run in states for th in run.theta0s])
+        g = np.empty((all_rows.size, layout.size))
+        values = np.empty(all_rows.size)
+        theta_final = np.empty(theta0.shape)
+        rows = all_rows  # the slices of the call in flight
         try:
-            if meta_adaptive:
-                g, res0, values = maml_parts_stack(
-                    params,
-                    tasks,
-                    theta0,
+            first_pass = None
+            if fused:
+                g0, res0 = meta_grad_stack(params, tasks, theta0, cfg.unroll_len, FULL_SECOND_ORDER)
+                first_pass = (g0[meta_rows], res0.take(meta_rows))
+                g0, res0 = g0[plain_rows], res0.take(plain_rows)
+            elif plain_rows.size:
+                rows = plain_rows
+                g0, res0 = meta_grad_stack(
+                    params.take(rows), tasks.take(rows), theta0[rows], cfg.unroll_len, plain_mode
+                )
+            if plain_rows.size:
+                g[plain_rows] = g0
+                values[plain_rows] = res0.final_losses
+                theta_final[plain_rows] = res0.theta_final
+            if meta_rows.size:
+                rows = meta_rows
+                g[rows], res_m, values[rows] = maml_parts_stack(
+                    params.take(rows),
+                    tasks.take(rows),
+                    theta0[rows],
                     cfg.unroll_len,
                     cfg.alpha,
                     meta_mode(cfg.grad_mode),
                     cfg.fd_epsilon,
+                    first_pass=first_pass,
                 )
-            else:
-                g, res0 = meta_grad_stack(
-                    params, tasks, theta0, cfg.unroll_len, inner_mode(cfg.grad_mode)
-                )
-                values = res0.final_losses
+                theta_final[rows] = res_m.theta_final
         except (UnrollDivergedError, NonFiniteGradientError) as exc:
-            raise diverged(k, exc.index // n_tasks, str(exc)) from exc
+            raise diverged(k, int(rows[exc.index]) // n_tasks, str(exc)) from exc
 
-        # sum each seed's tasks in task order, as a loop over them would
+        # sum each run's tasks in task order, as a loop over them would
         grads = np.zeros_like(flats)
         loss_sum = np.zeros(len(runs))
         for j in range(n_tasks):
@@ -309,27 +341,34 @@ def train_seeds(
             loss_sum += values[j::n_tasks]
         grads /= n_tasks
         losses = loss_sum / n_tasks
-        for s, loss in enumerate(losses):
+        for r, loss in enumerate(losses):
             if not np.isfinite(loss):
-                raise diverged(k, s, f"meta-loss {float(loss)!r}")
+                raise diverged(k, r, f"meta-loss {float(loss)!r}")
         new_flats = outer.update(flats, grads)
-        for s, row in enumerate(new_flats):
+        for r, row in enumerate(new_flats):
             if not np.all(np.isfinite(row)):
                 raise diverged(
-                    k, s, "non-finite optimizer weights after the outer update"
+                    k, r, "non-finite optimizer weights after the outer update"
                 )
         flats = new_flats
 
         wall_ms = (time.perf_counter() - t_start) * 1e3
-        for s, run in enumerate(runs):
-            finals = list(res0.theta_final[s * n_tasks : (s + 1) * n_tasks])
-            run.end_epoch(float(losses[s]), finals)
+        for r, run in enumerate(states):
+            finals = list(theta_final[r * n_tasks : (r + 1) * n_tasks])
+            run.end_epoch(float(losses[r]), finals)
             run.log.wall_ms.append(wall_ms)
 
     return [
         (OptimizerParams.from_flat(flat, layout.hidden, layout.feature_dim, scale), run.log)
-        for flat, run in zip(flats, runs)
+        for flat, run in zip(flats, states)
     ]
+
+
+def train_seeds(
+    cfgs: list[MetaConfig], dist: TaskDistribution, meta_adaptive: bool
+) -> list[tuple[OptimizerParams, TrainLog]]:
+    """Train one optimizer per config with one trainer, in lockstep (`train_lockstep`)."""
+    return train_lockstep([(c, meta_adaptive) for c in cfgs], dist)
 
 
 def train_ml2o(cfg: MetaConfig, dist: TaskDistribution):
@@ -340,6 +379,64 @@ def train_ml2o(cfg: MetaConfig, dist: TaskDistribution):
 def train_plain_l2o(cfg: MetaConfig, dist: TaskDistribution):
     """Plain learned-optimizer training on the unrolled loss."""
     return train_seeds([cfg], dist, meta_adaptive=False)[0]
+
+
+def adapt_stack(
+    starts: list[OptimizerParams],
+    dist_adapt: TaskDistribution,
+    steps: int,
+    alpha: float,
+    unroll_len: int,
+    rng: RngStream,
+    grad_mode: str = FULL_SECOND_ORDER,
+    fresh_task_per_step: bool = True,
+) -> list[OptimizerParams | DivergenceError]:
+    """Adapt several starting weights on shared draws, as one stack.
+
+    Each start takes the plain gradient steps of `adapt`; the adaptation
+    tasks and starting iterates are drawn from `rng` once per step and
+    shared by every start.  Returns, per start, its adapted weights or the
+    `DivergenceError` that `adapt` would raise for it alone.  A start that
+    diverges leaves the stack, and the others redo that step without it, so
+    every result is bit-identical to adapting that start alone.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    mode = inner_mode(grad_mode)
+    out: list[OptimizerParams | DivergenceError] = list(starts)
+    live = list(range(len(out)))
+    task = None
+    for s in range(steps):
+        if not live:
+            break
+        if fresh_task_per_step or task is None:
+            task = sample_task(dist_adapt, rng)
+        theta0 = sample_theta0(dist_adapt, rng)
+        while live:
+            n = len(live)
+            params = ParamStack.of([out[i] for i in live])
+            try:
+                g, _ = meta_grad_stack(
+                    params, TaskStack([task] * n), np.stack([theta0] * n), unroll_len, mode
+                )
+            except (UnrollDivergedError, NonFiniteGradientError) as exc:
+                i = live.pop(exc.index)
+                out[i] = DivergenceError(s, out[i], str(exc))
+                out[i].__cause__ = exc
+                continue
+            new_flats = params.to_flat() - alpha * g
+            for i, flat in zip(list(live), new_flats):
+                if np.all(np.isfinite(flat)):
+                    out[i] = out[i].with_flat(flat)
+                else:
+                    live.remove(i)
+                    out[i] = DivergenceError(
+                        s, out[i], "non-finite optimizer weights after an adaptation step"
+                    )
+            break
+    return out
 
 
 def adapt(
@@ -356,26 +453,12 @@ def adapt(
 
     By default every step draws a fresh task (and a fresh starting iterate)
     from the adaptation distribution; with `fresh_task_per_step=False` a
-    single task is drawn once and reused.
+    single task is drawn once and reused.  Raises `DivergenceError` with the
+    last finite weights.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    mode = inner_mode(grad_mode)
-    task = None
-    for s in range(steps):
-        if fresh_task_per_step or task is None:
-            task = sample_task(dist_adapt, rng)
-        theta0 = sample_theta0(dist_adapt, rng)
-        try:
-            g = meta_grad(params, task, theta0, unroll_len, mode)
-        except (UnrollDivergedError, NonFiniteGradientError) as exc:
-            raise DivergenceError(s, params, str(exc)) from exc
-        new_flat = params.to_flat() - alpha * g
-        if not np.all(np.isfinite(new_flat)):
-            raise DivergenceError(
-                s, params, "non-finite optimizer weights after an adaptation step"
-            )
-        params = params.with_flat(new_flat)
-    return params
+    (result,) = adapt_stack(
+        [params], dist_adapt, steps, alpha, unroll_len, rng, grad_mode, fresh_task_per_step
+    )
+    if isinstance(result, DivergenceError):
+        raise result
+    return result

@@ -116,6 +116,12 @@ class StackResult:
     def final_losses(self) -> np.ndarray:
         return self.losses[-1]
 
+    def take(self, index) -> "StackResult":
+        """The slices at `index`, of a stack that no slice was truncated in."""
+        if self.truncated_at is not None:
+            raise ValueError("cannot take slices of a truncated stack")
+        return StackResult(self.theta_final[index], self.losses[:, index])
+
     def trajectory(self, i: int) -> UnrollResult:
         stop = None if self.truncated_at is None else self.truncated_at[i]
         losses = self.losses[:stop, i].copy()
@@ -157,7 +163,9 @@ def _forward(
     """Unroll B trajectories in lockstep: slice i runs params[i] on tasks[i] from theta0[i].
 
     Without `truncate_nonfinite` the first non-finite loss raises; with it,
-    the slice stops there and the others run on without it.
+    the slice stops there and the others run on without it.  Returns
+    (result, tape, grad): `grad` holds the task gradients at the last
+    iterates of the slices still running, (live B, dim, 1).
     """
     n, d = params.size, tasks.dim
     theta0 = np.asarray(theta0, dtype=np.float64)
@@ -213,7 +221,7 @@ def _forward(
     result = StackResult(
         theta_final=theta_final.reshape(n, d), losses=losses, truncated_at=truncated
     )
-    return result, tape
+    return result, tape, grad
 
 
 def unroll_stack(
@@ -224,7 +232,7 @@ def unroll_stack(
     truncate_nonfinite: bool = False,
 ) -> StackResult:
     """Run `horizon` update steps on every slice of the stack under frozen weights."""
-    result, _ = _forward(
+    result, _, _ = _forward(
         params, tasks, theta0, horizon, keep_tape=False,
         truncate_nonfinite=truncate_nonfinite,
     )
@@ -285,7 +293,8 @@ def meta_grad_stack(
         )
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1 for gradients, got {horizon}")
-    result, tape = _forward(params, tasks, theta0, horizon, keep_tape=True)
+    # no slice is truncated, so the last gradients are those at theta_final
+    result, tape, dtheta = _forward(params, tasks, theta0, horizon, keep_tape=True)
 
     n, d = params.size, tasks.dim
     hid = params.hidden
@@ -300,7 +309,6 @@ def meta_grad_stack(
     dw_proj = np.zeros((n, hid, 1))
     db_proj = np.zeros((n, 1, 1))
 
-    dtheta = tasks.grad(result.theta_final.reshape(n, d, 1))
     dh = np.zeros((n, d, hid))
     dc = np.zeros((n, d, hid))
     dm = np.zeros((n, d, 1))
@@ -419,11 +427,15 @@ def maml_parts_stack(
     alpha: float,
     mode: str,
     fd_epsilon: float | None,
+    first_pass: tuple[np.ndarray, StackResult] | None = None,
 ) -> tuple[np.ndarray, StackResult, np.ndarray]:
     """Meta-gradients of B slices: (grads, pre-step result, post-step losses).
 
     The two finite-difference gradients of ``fd_hvp_meta`` run as one
-    stack of 2B slices.
+    stack of 2B slices.  `first_pass` is the (grads, result) that
+    ``meta_grad_stack(params, tasks, theta0, horizon, FULL_SECOND_ORDER)``
+    returned, when the caller has already run it (as part of a larger
+    stack); it is then not run again.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
@@ -431,7 +443,9 @@ def maml_parts_stack(
         raise ValueError(
             f"maml_grad mode must be one of {META_MODES}, got {mode!r}"
         )
-    g0, res0 = meta_grad_stack(params, tasks, theta0, horizon, FULL_SECOND_ORDER)
+    if first_pass is None:
+        first_pass = meta_grad_stack(params, tasks, theta0, horizon, FULL_SECOND_ORDER)
+    g0, res0 = first_pass
     if alpha == 0.0:
         return g0, res0, res0.final_losses
     flat = params.to_flat()

@@ -44,10 +44,13 @@ def poison_fd_minus_half(monkeypatch):
     With alpha > 0 under fd_hvp_meta, every third stacked meta-gradient call
     is the +/- pair, whose second half holds the minus perturbations.  The
     returned function takes the rows to poison and returns the list of stack
-    sizes seen, one per call.
+    sizes seen, one per call.  Training makes the first of the three calls
+    itself and `maml_parts_stack` the other two, so both modules' names for
+    the kernel are patched.
     """
     # the package re-exports a function named `unroll` over the submodule
     unroll_mod = importlib.import_module("ml2o.unroll")
+    train_mod = importlib.import_module("ml2o.train")
     real = unroll_mod.meta_grad_stack
 
     def install(rows):
@@ -61,6 +64,7 @@ def poison_fd_minus_half(monkeypatch):
             return real(params, tasks, theta0, horizon, mode)
 
         monkeypatch.setattr(unroll_mod, "meta_grad_stack", patched)
+        monkeypatch.setattr(train_mod, "meta_grad_stack", patched)
         return calls
 
     return install

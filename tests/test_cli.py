@@ -161,6 +161,19 @@ def test_compare_divergence_exit_code_with_and_without_workers(tmp_path, capsys)
         assert "diverged at epoch" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_compare_reports_first_adaptation_divergence_reason(tmp_path, capsys):
+    path = tmp_path / "explode.ini"
+    path.write_text(TINY.replace("alpha = 1e-6", "alpha = 1e150"))
+    rc = main(["compare", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_OK
+    warning = [line for line in capsys.readouterr().err.splitlines() if "method=vanilla" in line]
+    assert len(warning) == 1
+    assert "2 diverged run(s); first: seed 0: adaptation step " in warning[0]
+    header = (tmp_path / "o" / "comparison.csv").read_text().splitlines()[0]
+    assert header == "method,key,seed,task,min_log_loss,truncated_at,diverged"
+
+
 def test_fd_minus_half_divergence_exit_code(tiny_config, tmp_path, poison_fd_minus_half):
     poison_fd_minus_half([0])
     rc = main(["meta-train", "--config", tiny_config, "--method", "ml2o",

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import random
@@ -13,6 +14,8 @@ from ml2o.harness import (
     TL,
     VANILLA,
     LOG_FLOOR,
+    STACK_ROWS,
+    EvalGroup,
     TrainingCache,
     _aggregate,
     adapt_sweep,
@@ -20,6 +23,7 @@ from ml2o.harness import (
     compare_methods,
     confidence_interval,
     evaluate,
+    evaluate_groups,
     evaluate_stack,
     interpolate_eval,
     min_log_loss,
@@ -288,3 +292,64 @@ def test_divergent_method_marks_cell_without_aborting(tmp_path):
         cell = table.cell(method, 10.0)
         assert cell.n == 2 and cell.n_diverged == 0
         assert math.isfinite(cell.mean)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_chunk_evaluation_matches_per_group_stacks(rng):
+    # 3 groups of 3 variants x 5 tasks at dim 4: 180 rows, so the first
+    # STACK_ROWS-row stack ends inside the third group, within one variant
+    calm = random_params(4, 2, rng)
+    wild = replace(calm, w_proj=np.full(4, 1e300))
+    variants = [("calm", random_params(4, 2, rng)), ("other", calm), ("wild", wild)]
+    groups = [
+        EvalGroup([(m, f"{sigma:g}", p) for m, p in variants],
+                  replace(TEST_DIST, sigma=sigma), 5, RngStream(seed).child("test"), seed)
+        for seed, sigma in ((0, 10.0), (1, 30.0), (2, 10.0))
+    ]
+    assert STACK_ROWS % (5 * 4) != 0 and len(groups) * 15 * 4 > STACK_ROWS
+    together = evaluate_groups(groups, 12)
+    for group, got in zip(groups, together):
+        want = evaluate_stack(group.variants, group.dist_test, 12, group.n_tasks,
+                              RngStream(group.seed).child("test"), seed=group.seed)
+        assert len(got) == len(want) == 15
+        for a, b in zip(got, want):
+            assert (a.method, a.key, a.seed, a.task_index) == (b.method, b.key, b.seed, b.task_index)
+            assert np.array_equal(a.losses, b.losses)
+            assert a.truncated_at == b.truncated_at
+            assert (a.task_digest, a.theta0_digest, a.params_digest) == (
+                b.task_digest, b.theta0_digest, b.params_digest)
+        assert {r.truncated_at for r in got if r.method == "wild"} == {1}
+        assert all(r.truncated_at is None for r in got if r.method != "wild")
+
+
+def test_compare_kernel_call_counts(tmp_path, monkeypatch):
+    # every phase of a chunk runs in lockstep: a fallback to per-seed,
+    # per-trainer or per-method calls changes these counts
+    train_mod = importlib.import_module("ml2o.train")
+    unroll_mod = importlib.import_module("ml2o.unroll")
+    harness_mod = importlib.import_module("ml2o.harness")
+    reverse, evaluation = [], []
+
+    def counting(real, sizes):
+        def patched(params, *args, **kwargs):
+            sizes.append(params.size)
+            return real(params, *args, **kwargs)
+        return patched
+
+    for mod in (train_mod, unroll_mod):
+        monkeypatch.setattr(mod, "meta_grad_stack", counting(unroll_mod.meta_grad_stack, reverse))
+    monkeypatch.setattr(harness_mod, "unroll_stack", counting(unroll_mod.unroll_stack, evaluation))
+    meta = tiny_meta()
+    n_seeds, sigmas, n_tasks = 2, [10.0, 30.0], 3
+    compare_methods(
+        meta, TRAIN_DIST, ADAPT_DIST, TEST_DIST, sigma_list=sigmas, n_seeds=n_seeds,
+        horizon=10, n_tasks=n_tasks, adapt_alpha=1e-6, cache=TrainingCache(),
+    )
+    # per epoch: both trainers' first pass, then ml2o's stepped pass and its
+    # finite-difference pair; then one 3-method stack per step and (seed, sigma)
+    training = [2 * n_seeds, n_seeds, 2 * n_seeds] * meta.epochs
+    adaptation = [3] * (meta.adapt_steps * n_seeds * len(sigmas))
+    assert reverse == training + adaptation
+    rows = n_seeds * len(sigmas) * 4 * n_tasks * TEST_DIST.dim
+    assert len(evaluation) == math.ceil(rows / STACK_ROWS) == 2
+    assert sum(evaluation) * TEST_DIST.dim == rows

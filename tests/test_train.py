@@ -10,9 +10,11 @@ from ml2o.train import (
     DivergenceError,
     MetaConfig,
     adapt,
+    adapt_stack,
     sgd_schedule_lr,
     train_ml2o,
     train_plain_l2o,
+    train_lockstep,
     train_seeds,
 )
 from ml2o.harness import seed_config
@@ -213,3 +215,59 @@ def test_lockstep_training_matches_solo_runs(outer_rule):
 def test_lockstep_training_rejects_mixed_configs():
     with pytest.raises(ValueError, match="only in seed"):
         train_seeds([tiny_cfg(), tiny_cfg(seed=1, hidden=6)], TRAIN_DIST, False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fresh", [True, False])
+@pytest.mark.parametrize("n_starts", [1, 3])
+def test_adapt_stack_matches_solo_adapt(rng, n_starts, fresh):
+    dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=2.0)
+    starts = [random_params(5, 2, rng) for _ in range(n_starts)]
+    # a huge projection throws the iterate to infinity in the first unroll
+    starts[n_starts // 2] = replace(starts[n_starts // 2], w_proj=np.full(5, 1e300))
+    stacked = adapt_stack(starts, dist, 4, 1e-4, 6, RngStream(1).child("a"),
+                          fresh_task_per_step=fresh)
+    assert len(stacked) == n_starts
+    for start, got in zip(starts, stacked):
+        try:
+            want = adapt(start, dist, 4, 1e-4, 6, RngStream(1).child("a"),
+                         fresh_task_per_step=fresh)
+        except DivergenceError as exc:
+            want = exc
+        if isinstance(want, DivergenceError):
+            assert isinstance(got, DivergenceError)
+            assert str(got) == str(want) and got.epoch == want.epoch == 0
+            assert np.array_equal(got.last_params.to_flat(), start.to_flat())
+        else:
+            assert np.array_equal(got.to_flat(), want.to_flat())
+    assert sum(isinstance(r, DivergenceError) for r in stacked) == 1
+
+
+@pytest.mark.parametrize(
+    "grad_mode, alpha",
+    [("fd_hvp_meta", 1e-3), ("first_order_meta", 1e-3), ("detached_input", 1e-3),
+     ("fd_hvp_meta", 0.0)],
+)
+def test_fused_training_matches_solo_runs(grad_mode, alpha):
+    base = tiny_cfg(epochs=10, epochs_per_task=2, curriculum="doubling",
+                    curriculum_threshold=0.0, tasks_per_update=3,
+                    grad_mode=grad_mode, alpha=alpha)
+    cfgs = [replace(base, seed=s) for s in (1, 2)]
+    runs = [(cfgs[0], True), (cfgs[0], False), (cfgs[1], False), (cfgs[1], True)]
+    together = train_lockstep(runs, TRAIN_DIST)
+    for (cfg, meta_adaptive), (params, log) in zip(runs, together):
+        solo, solo_log = (train_ml2o if meta_adaptive else train_plain_l2o)(cfg, TRAIN_DIST)
+        assert np.array_equal(params.to_flat(), solo.to_flat())
+        assert log.meta_losses == solo_log.meta_losses
+        assert log.task_switch_epochs == solo_log.task_switch_epochs
+        assert log.theta_final_digests == solo_log.theta_final_digests
+
+
+def test_fused_training_divergence_names_trainer_and_seed(poison_fd_minus_half):
+    cfg = tiny_cfg()
+    calls = poison_fd_minus_half([0])
+    with pytest.raises(DivergenceError) as err:
+        train_lockstep([(cfg, False), (replace(cfg, seed=5), True)], TRAIN_DIST)
+    # one pass over both trainers, then the stepped pass and the pair for ml2o
+    assert calls == [2, 1, 2]
+    assert err.value.cause.startswith("ml2o seed 5: ")
