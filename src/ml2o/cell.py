@@ -45,8 +45,8 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
-FEATURE_DIM_DEFAULT = 2
-HIDDEN_DEFAULT = 20
+# `step` feeds the cell two features per coordinate; no other width runs.
+FEATURE_DIM = 2
 OUTPUT_SCALE_DEFAULT = 0.01
 
 CHECKPOINT_MAGIC = b"ML2O"
@@ -137,9 +137,6 @@ class ParamLayout:
     def gate_block(self) -> int:
         return self.rows * self.hidden
 
-    def w_index(self, gate: int, row: int, col: int) -> int:
-        return gate * self.gate_block + row * self.hidden + col
-
     @property
     def bias_base(self) -> int:
         return 4 * self.gate_block
@@ -190,6 +187,8 @@ def init_params(hidden: int, feature_dim: int, rng: RngStream) -> OptimizerParam
     """
     if hidden < 1 or feature_dim < 1:
         raise ValueError("hidden and feature_dim must be >= 1")
+    if feature_dim != FEATURE_DIM:
+        raise ValueError(f"feature_dim must be {FEATURE_DIM}, got {feature_dim}")
     rows = feature_dim + hidden
     s = 1.0 / np.sqrt(rows)
     w = np.empty((rows, 4 * hidden))
@@ -397,27 +396,40 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
+def _read_header(fh) -> tuple[int, int, float, str]:
+    """Check and read a checkpoint's header: (hidden, feature_dim, output_scale, metadata)."""
+    magic = _read_exact(fh, 4, "magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(
+            f"corrupt checkpoint: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
+        )
+    version, hidden, feature_dim, output_scale = struct.unpack(
+        "<IIId", _read_exact(fh, 20, "header")
+    )
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint version {version}, this build reads version {CHECKPOINT_VERSION}"
+        )
+    if hidden < 1 or feature_dim < 1:
+        raise CheckpointError(
+            f"corrupt checkpoint: hidden={hidden}, feature_dim={feature_dim}; both must be >= 1"
+        )
+    if feature_dim != FEATURE_DIM:
+        raise CheckpointError(
+            f"corrupt checkpoint: feature_dim={feature_dim}, this build reads {FEATURE_DIM}"
+        )
+    (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
+    try:
+        metadata = _read_exact(fh, meta_len, "metadata").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"corrupt checkpoint: metadata is not UTF-8 ({exc})") from exc
+    return hidden, feature_dim, output_scale, metadata
+
+
 def load_checkpoint(path) -> OptimizerParams:
     """Read a checkpoint written by `save_checkpoint`; see it for the layout."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(
-                f"corrupt checkpoint: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
-            )
-        version, hidden, feature_dim, output_scale = struct.unpack(
-            "<IIId", _read_exact(fh, 20, "header")
-        )
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {version}, this build reads version {CHECKPOINT_VERSION}"
-            )
-        if hidden < 1 or feature_dim < 1:
-            raise CheckpointError(
-                f"corrupt checkpoint: hidden={hidden}, feature_dim={feature_dim}; both must be >= 1"
-            )
-        (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
-        _read_exact(fh, meta_len, "metadata")
+        hidden, feature_dim, output_scale, _ = _read_header(fh)
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "payload count"))
         expected = ParamLayout(hidden, feature_dim).size
         if count != expected:
@@ -437,11 +449,4 @@ def load_checkpoint(path) -> OptimizerParams:
 def load_checkpoint_metadata(path) -> str:
     """Return the metadata string stored in a checkpoint."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(
-                f"corrupt checkpoint: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
-            )
-        _read_exact(fh, 20, "header")
-        (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
-        return _read_exact(fh, meta_len, "metadata").decode("utf-8")
+        return _read_header(fh)[3]

@@ -14,6 +14,7 @@ directory before doing any work, and never writes outside that directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from .cell import (
     random_params,
     save_checkpoint,
 )
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_float_list
 from .harness import (
     TrainingCache,
     adapt_sweep,
@@ -34,6 +35,7 @@ from .harness import (
     compare_methods,
     confidence_interval,
     interpolate_eval,
+    write_curve,
 )
 from .numeric import RngStream, central_diff
 from .tasks import NORMAL, QUADRATIC, OptimizeeTask, sample_task
@@ -45,10 +47,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_VERIFY = 4
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
 
 
 def _load(args) -> ExperimentConfig:
@@ -80,7 +78,6 @@ def cmd_meta_train(args) -> int:
         ckpt_path,
         metadata=f"method={args.method} seed={cfg.meta.seed} epochs={cfg.meta.epochs}",
     )
-    log.checkpoints.append(ckpt_path)
     log.write_csv(os.path.join(args.out, "trainlog.csv"))
     print(f"wrote {ckpt_path}")
     print(f"final meta-loss: {log.meta_losses[-1]:.6g}")
@@ -103,69 +100,49 @@ def _report_diverged(table) -> None:
             )
 
 
-def cmd_compare(args) -> int:
-    cfg = _load(args)
-    sigmas = _parse_floats(args.sigmas) if args.sigmas else cfg.sigmas
-    sigma_list = sigmas if cfg.dist_test.kind == NORMAL else None
-    cache = TrainingCache(args.cache_dir)
-    table = compare_methods(
+def _run_table(args, cfg: ExperimentConfig, table_fn, stem: str, label: str, width: int) -> int:
+    """Run a comparison table, write `<stem>.csv`, `<stem>.json` and curves, print the cells."""
+    table = table_fn(
         cfg.meta,
         cfg.dist_train,
         cfg.dist_adapt,
         cfg.dist_test,
-        sigma_list=sigma_list,
         n_seeds=args.n_seeds or cfg.n_seeds,
         horizon=cfg.horizon,
         n_tasks=cfg.n_tasks,
         adapt_alpha=cfg.adapt_alpha,
         fresh_per_step=cfg.adapt_fresh_per_step,
-        cache=cache,
+        cache=TrainingCache(args.cache_dir),
         jobs=args.jobs or cfg.jobs,
     )
-    table.write_records_csv(os.path.join(args.out, "comparison.csv"))
-    table.write_json(os.path.join(args.out, "comparison.json"))
+    table.write_records_csv(os.path.join(args.out, f"{stem}.csv"))
+    table.write_json(os.path.join(args.out, f"{stem}.json"))
     table.write_curves(os.path.join(args.out, "curves"))
     _report_diverged(table)
     for cell in table.cells:
         print(
-            f"{cell.method:8s} key={cell.key:>12s} mean={cell.mean:9.4f} "
+            f"{cell.method:8s} {label}={cell.key:>{width}s} mean={cell.mean:9.4f} "
             f"+-{cell.half_width:7.4f} (n={cell.n})"
         )
     return EXIT_OK
+
+
+def cmd_compare(args) -> int:
+    cfg = _load(args)
+    sigmas = parse_float_list(args.sigmas) if args.sigmas else cfg.sigmas
+    sigma_list = sigmas if cfg.dist_test.kind == NORMAL else None
+    table_fn = functools.partial(compare_methods, sigma_list=sigma_list)
+    return _run_table(args, cfg, table_fn, "comparison", "key", 12)
 
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    adapt_sigmas = (
-        _parse_floats(args.adapt_sigmas) if args.adapt_sigmas else cfg.adapt_sigmas
+    table_fn = functools.partial(
+        adapt_sweep,
+        adapt_sigmas=parse_float_list(args.adapt_sigmas) if args.adapt_sigmas else cfg.adapt_sigmas,
+        test_sigma=cfg.test_sigma if args.test_sigma is None else args.test_sigma,
     )
-    test_sigma = args.test_sigma if args.test_sigma is not None else cfg.test_sigma
-    cache = TrainingCache(args.cache_dir)
-    table = adapt_sweep(
-        cfg.meta,
-        cfg.dist_train,
-        cfg.dist_adapt,
-        cfg.dist_test,
-        adapt_sigmas=adapt_sigmas,
-        test_sigma=test_sigma,
-        n_seeds=args.n_seeds or cfg.n_seeds,
-        horizon=cfg.horizon,
-        n_tasks=cfg.n_tasks,
-        adapt_alpha=cfg.adapt_alpha,
-        fresh_per_step=cfg.adapt_fresh_per_step,
-        cache=cache,
-        jobs=args.jobs or cfg.jobs,
-    )
-    table.write_records_csv(os.path.join(args.out, "sweep.csv"))
-    table.write_json(os.path.join(args.out, "sweep.json"))
-    table.write_curves(os.path.join(args.out, "curves"))
-    _report_diverged(table)
-    for cell in table.cells:
-        print(
-            f"{cell.method:8s} adapt_sigma={cell.key:>8s} mean={cell.mean:9.4f} "
-            f"+-{cell.half_width:7.4f} (n={cell.n})"
-        )
-    return EXIT_OK
+    return _run_table(args, cfg, table_fn, "sweep", "adapt_sigma", 8)
 
 
 def _rel_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -293,7 +270,7 @@ def cmd_interpolate(args) -> int:
     w1 = load_checkpoint(args.w1)
     w2 = load_checkpoint(args.w2)
     blend_params(w1, w2, 0.5)  # shape check up front
-    alphas = _parse_floats(args.alphas) if args.alphas else cfg.interp_alphas
+    alphas = parse_float_list(args.alphas) if args.alphas else cfg.interp_alphas
     by_alpha = interpolate_eval(
         w1,
         w2,
@@ -322,10 +299,7 @@ def cmd_interpolate(args) -> int:
         )
         for r in records:
             name = f"curve_alpha{key}_seed{r.seed}_task{r.task_index}.csv"
-            with open(os.path.join(curve_dir, name), "w") as fh:
-                fh.write("step,loss\n")
-                for t, loss in enumerate(r.losses):
-                    fh.write(f"{t},{loss:.17g}\n")
+            write_curve(os.path.join(curve_dir, name), r.losses)
         print(f"alpha={key:>6s} mean={mean:9.4f} +-{half:7.4f} (n={len(values)})")
     with open(os.path.join(args.out, "interpolation.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

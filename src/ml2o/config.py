@@ -15,16 +15,16 @@ from dataclasses import dataclass, field
 from .tasks import LASSO, MIXTURE, NORMAL, QUADRATIC, ROSENBROCK_INIT, TaskDistribution
 from .train import MetaConfig
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_float_list"]
 
 
 class ConfigError(Exception):
     """Malformed, unknown or ill-typed configuration input."""
 
 
-def _parse_float_list(text: str):
-    items = [p.strip() for p in text.split(",") if p.strip()]
-    return tuple(float(p) for p in items)
+def parse_float_list(text: str) -> tuple[float, ...]:
+    """Comma-separated floats; empty items are skipped."""
+    return tuple(float(p) for p in text.split(",") if p.strip())
 
 
 # section -> key -> (default string, parser)
@@ -88,7 +88,7 @@ _PARSERS = {
     "float": float,
     "str": lambda s: s.strip(),
     "bool": lambda s: {"true": True, "false": False, "1": True, "0": False}[s.strip().lower()],
-    "floatlist": _parse_float_list,
+    "floatlist": parse_float_list,
     "optfloat": lambda s: None if not s.strip() else float(s),
 }
 
@@ -160,11 +160,13 @@ def load_config(path: str) -> ExperimentConfig:
     """Parse, validate and resolve an INI experiment file."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name the empty section, so a [DEFAULT] section is an
+    # unknown section like any other instead of defaults for every section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
-    except (configparser.Error, OSError) as exc:
+    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
     values: dict[str, dict] = {}

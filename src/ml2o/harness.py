@@ -48,13 +48,13 @@ __all__ = [
     "STACK_ROWS",
     "EvalGroup",
     "evaluate",
-    "evaluate_stack",
     "evaluate_groups",
     "compare_methods",
     "adapt_sweep",
     "interpolate_eval",
     "seed_config",
     "read_comparison_json",
+    "write_curve",
 ]
 
 VANILLA = "vanilla"
@@ -176,10 +176,14 @@ class ComparisonTable:
         os.makedirs(directory, exist_ok=True)
         for r in self.records:
             name = f"curve_{r.method}_key{r.key}_seed{r.seed}_task{r.task_index}.csv"
-            with open(os.path.join(directory, name), "w") as fh:
-                fh.write("step,loss\n")
-                for t, loss in enumerate(r.losses):
-                    fh.write(f"{t},{loss:.17g}\n")
+            write_curve(os.path.join(directory, name), r.losses)
+
+
+def write_curve(path, losses) -> None:
+    """Write one loss curve as a `step,loss` CSV file, in one write."""
+    rows = [f"{t},{loss:.17g}\n" for t, loss in enumerate(np.asarray(losses).tolist())]
+    with open(path, "w") as fh:
+        fh.write("step,loss\n" + "".join(rows))
 
 
 def read_comparison_json(path) -> ComparisonTable:
@@ -328,23 +332,6 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
     return out
 
 
-def evaluate_stack(
-    variants: list[tuple[str, str, OptimizerParams]],
-    dist_test: TaskDistribution,
-    horizon: int,
-    n_tasks: int,
-    rng: RngStream,
-    seed: int = 0,
-) -> list[RunRecord]:
-    """Unroll several frozen optimizers on the same fresh test tasks, in lockstep.
-
-    `variants` is a sequence of (method, key, params); the one-group call of
-    `evaluate_groups`.
-    """
-    group = EvalGroup(list(variants), dist_test, n_tasks, rng, seed)
-    return evaluate_groups([group], horizon)[0]
-
-
 def evaluate(
     params: OptimizerParams,
     dist_test: TaskDistribution,
@@ -359,7 +346,8 @@ def evaluate(
 
     A non-finite loss truncates the curve at that step instead of aborting.
     """
-    return evaluate_stack([(method, key, params)], dist_test, horizon, n_tasks, rng, seed)
+    group = EvalGroup([(method, key, params)], dist_test, n_tasks, rng, seed)
+    return evaluate_groups([group], horizon)[0]
 
 
 class TrainingCache:
@@ -531,16 +519,24 @@ def _worker_records(protocol: _Protocol, cache_dir: str | None, seed_indices: li
     return _chunk_records(protocol, TrainingCache(cache_dir), seed_indices)
 
 
-def _map_seeds(
-    protocol: _Protocol, n_seeds: int, jobs: int, cache: TrainingCache
+def _compare(
+    meta, dist_train, columns, methods, n_seeds, horizon, n_tasks,
+    adapt_alpha, fresh_per_step, cache, jobs,
 ) -> ComparisonTable:
-    """Split the seeds into `jobs` contiguous chunks, one worker process each.
+    """The `methods` x `columns` table over `n_seeds` paired seeds; see `compare_methods`.
 
-    A single chunk runs in this process, with the caller's cache.
-
+    The seeds are split into `jobs` contiguous chunks, one worker process
+    each; a single chunk runs in this process, with the caller's cache.
     Each chunk trains in lockstep, and every seed's records are the same
     whatever chunk it lands in, so `jobs` never changes a result.
     """
+    if n_seeds < 2:
+        raise ValueError(f"n_seeds must be >= 2, got {n_seeds}")
+    protocol = _Protocol(
+        meta, dist_train, columns, methods, horizon, n_tasks,
+        meta.alpha if adapt_alpha is None else adapt_alpha, fresh_per_step,
+    )
+    cache = cache or TrainingCache()
     chunks = [
         [int(k) for k in chunk]
         for chunk in np.array_split(np.arange(n_seeds), max(jobs, 1))
@@ -577,8 +573,6 @@ def compare_methods(
     Seeds are independent, so `jobs > 1` splits them into that many chunks,
     one process each, without changing any result.
     """
-    if n_seeds < 2:
-        raise ValueError(f"n_seeds must be >= 2, got {n_seeds}")
     if sigma_list is None:
         columns = (_Column(dist_test.label(), dist_adapt, dist_test),)
     else:
@@ -592,17 +586,10 @@ def compare_methods(
             )
             for sigma in sigma_list
         )
-    protocol = _Protocol(
-        meta=meta,
-        dist_train=dist_train,
-        columns=columns,
-        methods=METHOD_ORDER,
-        horizon=horizon,
-        n_tasks=n_tasks,
-        adapt_alpha=meta.alpha if adapt_alpha is None else adapt_alpha,
-        fresh_per_step=fresh_per_step,
+    return _compare(
+        meta, dist_train, columns, METHOD_ORDER, n_seeds, horizon, n_tasks,
+        adapt_alpha, fresh_per_step, cache, jobs,
     )
-    return _map_seeds(protocol, n_seeds, jobs, cache or TrainingCache())
 
 
 def adapt_sweep(
@@ -626,25 +613,17 @@ def adapt_sweep(
     the adaptation sigma.  With adapt sigma equal to the test sigma this
     reproduces the corresponding `compare_methods` numbers exactly.
     """
-    if n_seeds < 2:
-        raise ValueError(f"n_seeds must be >= 2, got {n_seeds}")
     if dist_adapt.kind != NORMAL or dist_test.kind != NORMAL:
         raise ValueError("the adaptation sweep needs normal adapt/test distributions")
     dist_test_fixed = replace(dist_test, sigma=float(test_sigma))
-    protocol = _Protocol(
-        meta=meta,
-        dist_train=dist_train,
-        columns=tuple(
-            _Column(_column_key(float(sig)), replace(dist_adapt, sigma=float(sig)), dist_test_fixed)
-            for sig in adapt_sigmas
-        ),
-        methods=(TL, ML2O),
-        horizon=horizon,
-        n_tasks=n_tasks,
-        adapt_alpha=meta.alpha if adapt_alpha is None else adapt_alpha,
-        fresh_per_step=fresh_per_step,
+    columns = tuple(
+        _Column(_column_key(float(sig)), replace(dist_adapt, sigma=float(sig)), dist_test_fixed)
+        for sig in adapt_sigmas
     )
-    return _map_seeds(protocol, n_seeds, jobs, cache or TrainingCache())
+    return _compare(
+        meta, dist_train, columns, (TL, ML2O), n_seeds, horizon, n_tasks,
+        adapt_alpha, fresh_per_step, cache, jobs,
+    )
 
 
 def blend_params(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cell import OptimizerParams, ParamStack, init_params
+from .cell import FEATURE_DIM, OptimizerParams, ParamStack, init_params
 from .numeric import RngStream
 from .tasks import TaskDistribution, TaskStack, sample_task, sample_theta0
 from .unroll import (
@@ -47,7 +47,6 @@ __all__ = [
     "DivergenceError",
     "train_ml2o",
     "train_plain_l2o",
-    "train_seeds",
     "train_lockstep",
     "adapt",
     "adapt_stack",
@@ -83,7 +82,7 @@ class MetaConfig:
 
     seed: int = 0
     hidden: int = 20
-    feature_dim: int = 2
+    feature_dim: int = FEATURE_DIM  # the one width `cell.step` builds
     unroll_len: int = 20  # steps per inner unroll
     epochs: int = 5000  # total meta-updates
     epochs_per_task: int = 20  # block length before a fresh task is drawn
@@ -100,6 +99,10 @@ class MetaConfig:
     curriculum_threshold: float = 0.05
 
     def __post_init__(self):
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+        if self.feature_dim != FEATURE_DIM:
+            raise ValueError(f"feature_dim must be {FEATURE_DIM}, got {self.feature_dim}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.epochs < 1:
@@ -143,7 +146,6 @@ class TrainLog:
     task_switch_epochs: list[int] = field(default_factory=list)
     theta0_digests: list[str] = field(default_factory=list)
     theta_final_digests: list[str] = field(default_factory=list)
-    checkpoints: list[str] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -364,21 +366,14 @@ def train_lockstep(
     ]
 
 
-def train_seeds(
-    cfgs: list[MetaConfig], dist: TaskDistribution, meta_adaptive: bool
-) -> list[tuple[OptimizerParams, TrainLog]]:
-    """Train one optimizer per config with one trainer, in lockstep (`train_lockstep`)."""
-    return train_lockstep([(c, meta_adaptive) for c in cfgs], dist)
-
-
 def train_ml2o(cfg: MetaConfig, dist: TaskDistribution):
     """Meta-adaptive training; returns the learned weights and the log."""
-    return train_seeds([cfg], dist, meta_adaptive=True)[0]
+    return train_lockstep([(cfg, True)], dist)[0]
 
 
 def train_plain_l2o(cfg: MetaConfig, dist: TaskDistribution):
     """Plain learned-optimizer training on the unrolled loss."""
-    return train_seeds([cfg], dist, meta_adaptive=False)[0]
+    return train_lockstep([(cfg, False)], dist)[0]
 
 
 def adapt_stack(

@@ -224,3 +224,41 @@ def test_checkpoint_zero_sizes_rejected(tmp_path, hidden, feature_dim):
         assert path.stat().st_size == 48
     with pytest.raises(CheckpointError, match="must be >= 1"):
         load_checkpoint(path)
+
+
+def test_init_params_rejects_other_feature_dims(rng):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        init_params(4, 0, rng)
+    with pytest.raises(ValueError, match="feature_dim must be 2, got 3"):
+        init_params(4, 3, rng)
+
+
+def test_checkpoint_other_feature_dim_rejected(tmp_path):
+    # a consistent, CRC-valid file whose cell reads three features
+    path = write_checkpoint(tmp_path / "f3.ckpt", 4, 3)
+    for loader in (load_checkpoint, load_checkpoint_metadata):
+        with pytest.raises(CheckpointError, match="feature_dim=3"):
+            loader(path)
+
+
+def test_checkpoint_metadata_must_be_utf8(rng, tmp_path):
+    path = tmp_path / "w.ckpt"
+    save_checkpoint(random_params(4, 2, rng), path, metadata="ab")
+    raw = bytearray(path.read_bytes())
+    raw[28] = 0xFF  # first metadata byte, after magic, header and length
+    (tmp_path / "m.ckpt").write_bytes(bytes(raw))
+    for loader in (load_checkpoint, load_checkpoint_metadata):
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            loader(tmp_path / "m.ckpt")
+
+
+def test_checkpoint_metadata_reader_checks_the_header(rng, tmp_path):
+    path = tmp_path / "w.ckpt"
+    save_checkpoint(random_params(4, 2, rng), path, metadata="m")
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 9)
+    (tmp_path / "v.ckpt").write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="version 9"):
+        load_checkpoint_metadata(tmp_path / "v.ckpt")
+    with pytest.raises(CheckpointError, match="must be >= 1"):
+        load_checkpoint_metadata(write_checkpoint(tmp_path / "z.ckpt", 0, 2))

@@ -88,6 +88,11 @@ def test_config_rejects_unknown_key(tmp_path):
     path.write_text("[metaa]\nseed = 4\n")
     with pytest.raises(ConfigError, match="metaa"):
         load_config(str(path))
+    # [DEFAULT] would otherwise hand its keys to every section, or to none
+    for text in ("[DEFAULT]\nseed = 5\nbogus = 1\n", "[DEFAULT]\n[meta]\nseed = 5\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            load_config(str(path))
 
 
 def test_config_rejects_bad_value(tmp_path):
@@ -95,6 +100,28 @@ def test_config_rejects_bad_value(tmp_path):
     path.write_text("[meta]\nepochs = soon\n")
     with pytest.raises(ConfigError, match="epochs"):
         load_config(str(path))
+
+
+def test_config_rejects_other_feature_dim(tmp_path, capsys):
+    path = tmp_path / "f3.ini"
+    path.write_text(TINY.replace("hidden = 4", "hidden = 4\nfeature_dim = 3"))
+    with pytest.raises(ConfigError, match="feature_dim must be 2, got 3"):
+        load_config(str(path))
+    out = tmp_path / "o"
+    rc = main(["compare", "--config", str(path), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_config_rejects_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes("[meta]\n# caf\u00e9\nseed = 4\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="cannot parse config"):
+        load_config(str(path))
+    rc = main(["meta-train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_missing_config_names_path(tmp_path, capsys):

@@ -1,0 +1,136 @@
+"""Seeded fuzzing of the two input parsers: checkpoints and config files.
+
+Every mutated input must either load or fail with the parser's own error
+(`CheckpointError`, `ConfigError`); any other exception is a hole.  What
+loads must also build an optimizer that runs a cell step.
+"""
+
+import random
+import struct
+
+import numpy as np
+import pytest
+
+from ml2o.cell import (
+    CheckpointError,
+    ParamStack,
+    init_params,
+    load_checkpoint,
+    load_checkpoint_metadata,
+    random_params,
+    save_checkpoint,
+    step,
+)
+from ml2o.config import ConfigError, load_config
+from ml2o.numeric import RngStream
+from test_cli import TINY
+
+
+def run_step(params) -> None:
+    h = np.zeros((1, 3, params.hidden))
+    col = np.zeros((1, 3, 1))
+    step(ParamStack.of([params]), col, h, h, col, col)
+
+
+def loads_or_checkpoint_error(path) -> bool:
+    """Read `path` with both loaders; True if `load_checkpoint` accepted it."""
+    try:
+        load_checkpoint_metadata(path)
+    except CheckpointError:
+        pass
+    try:
+        params = load_checkpoint(path)
+    except CheckpointError:
+        return False
+    run_step(params)
+    return True
+
+
+@pytest.fixture
+def checkpoint_bytes(tmp_path):
+    path = tmp_path / "good.ckpt"
+    save_checkpoint(random_params(3, 2, RngStream(11)), path, metadata="trainer=plain key=é")
+    return path.read_bytes()
+
+
+def test_fuzz_checkpoint_truncations(checkpoint_bytes, tmp_path):
+    path = tmp_path / "t.ckpt"
+    for n in range(len(checkpoint_bytes)):
+        path.write_bytes(checkpoint_bytes[:n])
+        assert not loads_or_checkpoint_error(path), n
+    path.write_bytes(checkpoint_bytes)
+    assert loads_or_checkpoint_error(path)
+
+
+def test_fuzz_checkpoint_byte_flips(checkpoint_bytes, tmp_path):
+    rnd = random.Random(20241018)
+    path = tmp_path / "f.ckpt"
+    for _ in range(400):
+        raw = bytearray(checkpoint_bytes)
+        for _ in range(rnd.choice((1, 1, 2, 3))):
+            raw[rnd.randrange(len(raw))] ^= rnd.randrange(1, 256)
+        path.write_bytes(bytes(raw))
+        loads_or_checkpoint_error(path)
+
+
+def test_fuzz_checkpoint_absurd_headers(checkpoint_bytes, tmp_path):
+    # hidden at offset 8, the metadata length at 24 and the payload count
+    # right after the metadata
+    meta_len = struct.unpack_from("<I", checkpoint_bytes, 24)[0]
+    count_at = 28 + meta_len
+    fields = [(8, "<I", v) for v in (2, 2**20, 2**31, 2**32 - 1)]
+    fields += [(24, "<I", v) for v in (0, meta_len + 1, 2**31, 2**32 - 1)]
+    fields += [(count_at, "<Q", v) for v in (0, 1, 2**40, 2**63, 2**64 - 1)]
+    path = tmp_path / "h.ckpt"
+    for offset, fmt, value in fields:
+        raw = bytearray(checkpoint_bytes)
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        assert not loads_or_checkpoint_error(path), (offset, value)
+
+
+def config_mutants(rnd: random.Random, n: int):
+    """Mutated copies of the tiny test config, as bytes."""
+    lines = TINY.strip("\n").split("\n")
+    junk_values = ["abc", "1.5", "", "nan", "-1", "0", "1e400", "true", "10,x", "é"]
+    junk_lines = [
+        "[DEFAULT]", "[bogus]", "bogus = 1", "[meta]", "seed", "= 3", "  indented = 1",
+        "feature_dim = 3", "hidden = 0", "%(seed)s = 1", "[]", "[meta",
+    ]
+    for _ in range(n):
+        mutant = list(lines)
+        for _ in range(rnd.randint(1, 3)):
+            i = rnd.randrange(len(mutant))
+            op = rnd.randrange(5)
+            if op == 0:
+                del mutant[i]
+            elif op == 1:
+                mutant.insert(i, mutant[i])
+            elif op == 2:
+                mutant.insert(i, rnd.choice(junk_lines))
+            elif op == 3 and "=" in mutant[i]:
+                key = mutant[i].split("=")[0]
+                mutant[i] = f"{key}= {rnd.choice(junk_values)}"
+            else:
+                j = rnd.randrange(len(mutant))
+                mutant[i], mutant[j] = mutant[j], mutant[i]
+        data = ("\n".join(mutant) + "\n").encode("utf-8")
+        if rnd.random() < 0.1:
+            at = rnd.randrange(len(data))
+            data = data[:at] + bytes([rnd.randrange(0x80, 0x100)]) + data[at:]
+        yield data
+
+
+def test_fuzz_config_mutants(tmp_path):
+    path = tmp_path / "m.ini"
+    loaded = refused = 0
+    for data in config_mutants(random.Random(7), 400):
+        path.write_bytes(data)
+        try:
+            meta = load_config(str(path)).meta
+        except ConfigError:
+            refused += 1
+            continue
+        run_step(init_params(meta.hidden, meta.feature_dim, RngStream(meta.seed)))
+        loaded += 1
+    assert loaded and refused  # the mutants reach both outcomes

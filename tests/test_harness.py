@@ -24,7 +24,6 @@ from ml2o.harness import (
     confidence_interval,
     evaluate,
     evaluate_groups,
-    evaluate_stack,
     interpolate_eval,
     min_log_loss,
     read_comparison_json,
@@ -258,10 +257,10 @@ def test_stacked_evaluation_truncates_one_slice_only(rng):
     calm = random_params(4, 2, rng)
     # a huge projection throws the iterate to infinity at the first step
     wild = replace(calm, w_proj=np.full(4, 1e300))
-    stacked = evaluate_stack(
+    stacked = evaluate_groups([EvalGroup(
         [("calm", "k", calm), ("wild", "k", wild), ("calm2", "k", calm)],
-        TEST_DIST, 15, 2, RngStream(8).child("test"),
-    )
+        TEST_DIST, 2, RngStream(8).child("test"),
+    )], 15)[0]
     alone = evaluate(calm, TEST_DIST, 15, 2, RngStream(8).child("test"))
     by_method = {}
     for r in stacked:
@@ -309,8 +308,9 @@ def test_chunk_evaluation_matches_per_group_stacks(rng):
     assert STACK_ROWS % (5 * 4) != 0 and len(groups) * 15 * 4 > STACK_ROWS
     together = evaluate_groups(groups, 12)
     for group, got in zip(groups, together):
-        want = evaluate_stack(group.variants, group.dist_test, 12, group.n_tasks,
-                              RngStream(group.seed).child("test"), seed=group.seed)
+        fresh = EvalGroup(group.variants, group.dist_test, group.n_tasks,
+                          RngStream(group.seed).child("test"), group.seed)
+        want = evaluate_groups([fresh], 12)[0]
         assert len(got) == len(want) == 15
         for a, b in zip(got, want):
             assert (a.method, a.key, a.seed, a.task_index) == (b.method, b.key, b.seed, b.task_index)

@@ -15,7 +15,6 @@ from ml2o.train import (
     train_ml2o,
     train_plain_l2o,
     train_lockstep,
-    train_seeds,
 )
 from ml2o.harness import seed_config
 
@@ -46,6 +45,11 @@ def test_config_validation():
         MetaConfig(grad_mode="bogus")
     with pytest.raises(ValueError):
         MetaConfig(epochs_per_task=0)
+    # `cell.step` builds two features, and a cell needs a hidden unit
+    with pytest.raises(ValueError, match="feature_dim must be 2, got 3"):
+        MetaConfig(feature_dim=3)
+    with pytest.raises(ValueError, match="hidden must be >= 1"):
+        MetaConfig(hidden=0)
 
 
 def test_alpha_zero_collapses_to_plain_training():
@@ -186,7 +190,7 @@ def test_divergence_in_fd_minus_half_names_its_seed(poison_fd_minus_half):
     calls = poison_fd_minus_half([1])
     cfgs = [replace(cfg, seed=s) for s in (1, 2)]
     with pytest.raises(DivergenceError) as err:
-        train_seeds(cfgs, TRAIN_DIST, meta_adaptive=True)
+        train_lockstep([(c, True) for c in cfgs], TRAIN_DIST)
     assert calls == [2, 2, 4]
     assert err.value.epoch == 0
     assert "seed 2:" in err.value.cause
@@ -201,7 +205,7 @@ def test_lockstep_training_matches_solo_runs(outer_rule):
                     outer_rule=outer_rule, sgd_beta=1e-3)
     cfgs = [replace(base, seed=s) for s in (1, 2, 3)]
     for meta_adaptive, solo_fn in ((True, train_ml2o), (False, train_plain_l2o)):
-        together = train_seeds(cfgs, TRAIN_DIST, meta_adaptive)
+        together = train_lockstep([(c, meta_adaptive) for c in cfgs], TRAIN_DIST)
         assert len({tuple(log.task_switch_epochs) for _, log in together}) > 1
         for cfg, (params, log) in zip(cfgs, together):
             solo, solo_log = solo_fn(cfg, TRAIN_DIST)
@@ -214,7 +218,7 @@ def test_lockstep_training_matches_solo_runs(outer_rule):
 
 def test_lockstep_training_rejects_mixed_configs():
     with pytest.raises(ValueError, match="only in seed"):
-        train_seeds([tiny_cfg(), tiny_cfg(seed=1, hidden=6)], TRAIN_DIST, False)
+        train_lockstep([(tiny_cfg(), False), (tiny_cfg(seed=1, hidden=6), False)], TRAIN_DIST)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
