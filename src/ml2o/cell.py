@@ -8,12 +8,12 @@ parameters drive a 2-d Rosenbrock task and a 100-d regression task.
 
 Flat parameter layout (the order used for gradients and checkpoints):
 
-    W_in, W_forget, W_out_gate, W_cand   each (feature_dim+hidden, hidden), row-major
+    W_in, W_forget, W_out_gate, W_cand   each (FEATURE_DIM+hidden, hidden), row-major
     b_in, b_forget, b_out_gate, b_cand   each (hidden,)
     w_proj (hidden,), b_proj (scalar)
 
 The output projection starts at zero so an untrained optimizer proposes the
-zero update; `output_scale` is a fixed architectural constant, not trained.
+zero update; `OUTPUT_SCALE` is a fixed architectural constant, not trained.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
-# `step` feeds the cell two features per coordinate; no other width runs.
+# `step` feeds the cell two features per coordinate and scales the cell's
+# output by OUTPUT_SCALE; checkpoints record both and must match them.
 FEATURE_DIM = 2
-OUTPUT_SCALE_DEFAULT = 0.01
+OUTPUT_SCALE = 0.01
 
 CHECKPOINT_MAGIC = b"ML2O"
 CHECKPOINT_VERSION = 1
@@ -59,61 +60,47 @@ class CheckpointError(Exception):
 
 @dataclass(frozen=True)
 class OptimizerParams:
-    """All trainable weights of the update rule, plus the fixed output scale.
+    """All trainable weights of the update rule.
 
     `w` holds the four gate weight matrices side by side, columns ordered
     [input | forget | output-gate | candidate]; `b` holds the biases in the
     same order.
     """
 
-    w: np.ndarray  # (feature_dim + hidden, 4*hidden)
+    w: np.ndarray  # (FEATURE_DIM + hidden, 4*hidden)
     b: np.ndarray  # (4*hidden,)
     w_proj: np.ndarray  # (hidden,)
     b_proj: float
-    output_scale: float = OUTPUT_SCALE_DEFAULT
 
     @property
     def hidden(self) -> int:
         return self.w_proj.shape[0]
 
     @property
-    def feature_dim(self) -> int:
-        return self.w.shape[0] - self.hidden
-
-    @property
     def layout(self) -> "ParamLayout":
-        return ParamLayout(self.hidden, self.feature_dim)
+        return ParamLayout(self.hidden)
 
     @property
     def n_params(self) -> int:
-        """Length of the flat trainable vector (excludes output_scale)."""
+        """Length of the flat trainable vector."""
         return self.layout.size
 
     def to_flat(self) -> np.ndarray:
         return self.layout.pack(self.w, self.b, self.w_proj, np.float64(self.b_proj))
 
     @classmethod
-    def from_flat(
-        cls,
-        flat: np.ndarray,
-        hidden: int,
-        feature_dim: int,
-        output_scale: float = OUTPUT_SCALE_DEFAULT,
-    ) -> "OptimizerParams":
-        layout = ParamLayout(hidden, feature_dim)
-        w, b, w_proj, b_proj = layout.unpack(flat, ())
-        return cls(w=w, b=b, w_proj=w_proj, b_proj=float(b_proj), output_scale=output_scale)
+    def from_flat(cls, flat: np.ndarray, hidden: int) -> "OptimizerParams":
+        w, b, w_proj, b_proj = ParamLayout(hidden).unpack(flat, ())
+        return cls(w=w, b=b, w_proj=w_proj, b_proj=float(b_proj))
 
     def with_flat(self, flat: np.ndarray) -> "OptimizerParams":
-        return OptimizerParams.from_flat(
-            flat, self.hidden, self.feature_dim, self.output_scale
-        )
+        return OptimizerParams.from_flat(flat, self.hidden)
 
     def digest(self) -> str:
         import hashlib
 
         h = hashlib.blake2b(digest_size=16)
-        h.update(struct.pack("<IId", self.hidden, self.feature_dim, self.output_scale))
+        h.update(struct.pack("<IId", self.hidden, FEATURE_DIM, OUTPUT_SCALE))
         h.update(np.ascontiguousarray(self.to_flat()).tobytes())
         return h.hexdigest()
 
@@ -127,11 +114,10 @@ class ParamLayout:
     """
 
     hidden: int
-    feature_dim: int
 
     @property
     def rows(self) -> int:
-        return self.feature_dim + self.hidden
+        return FEATURE_DIM + self.hidden
 
     @property
     def gate_block(self) -> int:
@@ -168,7 +154,7 @@ class ParamLayout:
         if flat.shape != (*lead, self.size):
             raise ValueError(
                 f"flat vector has shape {flat.shape}, expected {(*lead, self.size)} "
-                f"for hidden={self.hidden}, feature_dim={self.feature_dim}"
+                f"for hidden={self.hidden}"
             )
         hid = self.hidden
         gates = flat[..., : self.bias_base].reshape(*lead, 4, self.rows, hid)
@@ -178,18 +164,16 @@ class ParamLayout:
         return w, b, w_proj, flat[..., self.b_proj_index].copy()
 
 
-def init_params(hidden: int, feature_dim: int, rng: RngStream) -> OptimizerParams:
+def init_params(hidden: int, rng: RngStream) -> OptimizerParams:
     """Fresh optimizer weights.
 
-    Gate weights are U(-s, s) with s = 1/sqrt(hidden + feature_dim); the
+    Gate weights are U(-s, s) with s = 1/sqrt(hidden + FEATURE_DIM); the
     forget-gate bias starts at 1 so cell memory survives early unrolls; the
     output projection starts at zero so the initial update rule is a no-op.
     """
-    if hidden < 1 or feature_dim < 1:
-        raise ValueError("hidden and feature_dim must be >= 1")
-    if feature_dim != FEATURE_DIM:
-        raise ValueError(f"feature_dim must be {FEATURE_DIM}, got {feature_dim}")
-    rows = feature_dim + hidden
+    if hidden < 1:
+        raise ValueError(f"hidden must be >= 1, got {hidden}")
+    rows = FEATURE_DIM + hidden
     s = 1.0 / np.sqrt(rows)
     w = np.empty((rows, 4 * hidden))
     for gate in range(4):
@@ -198,22 +182,16 @@ def init_params(hidden: int, feature_dim: int, rng: RngStream) -> OptimizerParam
         )
     b = np.zeros(4 * hidden)
     b[hidden : 2 * hidden] = 1.0  # forget gate
-    return OptimizerParams(
-        w=w,
-        b=b,
-        w_proj=np.zeros(hidden),
-        b_proj=0.0,
-        output_scale=OUTPUT_SCALE_DEFAULT,
-    )
+    return OptimizerParams(w=w, b=b, w_proj=np.zeros(hidden), b_proj=0.0)
 
 
-def random_params(hidden: int, feature_dim: int, rng: RngStream, proj_scale: float = 0.5) -> OptimizerParams:
+def random_params(hidden: int, rng: RngStream, proj_scale: float = 0.5) -> OptimizerParams:
     """Generic non-degenerate weights for probing and gradient checks.
 
     Unlike `init_params` the output projection is nonzero, so every
     parameter block influences the unrolled loss.
     """
-    base = init_params(hidden, feature_dim, rng)
+    base = init_params(hidden, rng)
     s = proj_scale / np.sqrt(hidden)
     w_proj = rng.gen.uniform(-s, s, size=hidden)
     b_proj = float(rng.gen.uniform(-s, s))
@@ -241,11 +219,10 @@ class ParamStack:
     kernel's (B, dim, ...) arrays as they are.
     """
 
-    w: np.ndarray  # (B, feature_dim + hidden, 4*hidden)
+    w: np.ndarray  # (B, FEATURE_DIM + hidden, 4*hidden)
     b: np.ndarray  # (B, 1, 4*hidden)
     w_proj: np.ndarray  # (B, hidden, 1)
     b_proj: np.ndarray  # (B, 1, 1)
-    output_scale: np.ndarray  # (B, 1, 1)
 
     @property
     def size(self) -> int:
@@ -256,43 +233,35 @@ class ParamStack:
         return self.w_proj.shape[1]
 
     @property
-    def feature_dim(self) -> int:
-        return self.w.shape[1] - self.hidden
-
-    @property
     def layout(self) -> ParamLayout:
-        return ParamLayout(self.hidden, self.feature_dim)
+        return ParamLayout(self.hidden)
 
     @classmethod
     def of(cls, params: list[OptimizerParams]) -> "ParamStack":
-        if len({(p.hidden, p.feature_dim) for p in params}) != 1:
-            raise ValueError("stacked optimizers must share hidden and feature_dim")
+        if len({p.hidden for p in params}) != 1:
+            raise ValueError("stacked optimizers must share hidden")
         return cls._from_blocks(
             np.stack([p.w for p in params]),
             np.stack([p.b for p in params]),
             np.stack([p.w_proj for p in params]),
             np.array([p.b_proj for p in params], dtype=np.float64),
-            np.array([p.output_scale for p in params], dtype=np.float64),
         )
 
     @classmethod
-    def _from_blocks(cls, w, b, w_proj, b_proj, output_scale) -> "ParamStack":
+    def _from_blocks(cls, w, b, w_proj, b_proj) -> "ParamStack":
         n = w.shape[0]
         return cls(
             w=w,
             b=b.reshape(n, 1, -1),
             w_proj=w_proj.reshape(n, -1, 1),
             b_proj=b_proj.reshape(n, 1, 1),
-            output_scale=np.broadcast_to(output_scale, (n,)).reshape(n, 1, 1),
         )
 
     @classmethod
-    def from_flat(cls, flat: np.ndarray, layout: ParamLayout, output_scale) -> "ParamStack":
-        """Stack from flat vectors (B, |weights|); output_scale is a scalar or (B,)."""
+    def from_flat(cls, flat: np.ndarray, layout: ParamLayout) -> "ParamStack":
+        """Stack from flat vectors (B, |weights|)."""
         flat = np.asarray(flat, dtype=np.float64)
-        return cls._from_blocks(
-            *layout.unpack(flat, flat.shape[:1]), np.asarray(output_scale, dtype=np.float64)
-        )
+        return cls._from_blocks(*layout.unpack(flat, flat.shape[:1]))
 
     def to_flat(self) -> np.ndarray:
         n = self.size
@@ -301,7 +270,7 @@ class ParamStack:
         )
 
     def with_flat(self, flat: np.ndarray) -> "ParamStack":
-        return ParamStack.from_flat(flat, self.layout, self.output_scale.reshape(self.size))
+        return ParamStack.from_flat(flat, self.layout)
 
     def take(self, index) -> "ParamStack":
         return ParamStack(
@@ -309,14 +278,13 @@ class ParamStack:
             b=self.b[index],
             w_proj=self.w_proj[index],
             b_proj=self.b_proj[index],
-            output_scale=self.output_scale[index],
         )
 
 
 def cell_forward(params: ParamStack, z: np.ndarray, h: np.ndarray, c: np.ndarray):
     """One recurrent step for all coordinates of all B trajectories at once.
 
-    z is (B, dim, feature_dim), h and c are (B, dim, hidden).  Returns
+    z is (B, dim, FEATURE_DIM), h and c are (B, dim, hidden).  Returns
     (h', c', cache); the cache holds what the backward pass needs.
     """
     hid = params.hidden
@@ -335,7 +303,7 @@ def cell_forward(params: ParamStack, z: np.ndarray, h: np.ndarray, c: np.ndarray
 
 def predict_update(params: ParamStack, h2: np.ndarray) -> np.ndarray:
     """Per-coordinate update columns (B, dim, 1) from hidden states (B, dim, hidden)."""
-    return params.output_scale * (h2 @ params.w_proj + params.b_proj)
+    return OUTPUT_SCALE * (h2 @ params.w_proj + params.b_proj)
 
 
 def step(
@@ -357,8 +325,8 @@ def step(
 def save_checkpoint(params: OptimizerParams, path, metadata: str = "") -> None:
     """Write a little-endian binary checkpoint.
 
-    Layout: magic "ML2O", u32 version, u32 hidden, u32 feature_dim,
-    f64 output_scale, u32 metadata byte length, metadata (utf-8),
+    Layout: magic "ML2O", u32 version, u32 hidden, u32 FEATURE_DIM,
+    f64 OUTPUT_SCALE, u32 metadata byte length, metadata (utf-8),
     u64 payload count, payload float64s in flat parameter order,
     u32 CRC-32 of the payload bytes.
     """
@@ -367,13 +335,7 @@ def save_checkpoint(params: OptimizerParams, path, metadata: str = "") -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(
-            struct.pack(
-                "<IIId",
-                CHECKPOINT_VERSION,
-                params.hidden,
-                params.feature_dim,
-                params.output_scale,
-            )
+            struct.pack("<IIId", CHECKPOINT_VERSION, params.hidden, FEATURE_DIM, OUTPUT_SCALE)
         )
         fh.write(struct.pack("<I", len(meta)))
         fh.write(meta)
@@ -396,8 +358,8 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
-def _read_header(fh) -> tuple[int, int, float, str]:
-    """Check and read a checkpoint's header: (hidden, feature_dim, output_scale, metadata)."""
+def _read_header(fh) -> tuple[int, str]:
+    """Check and read a checkpoint's header: (hidden, metadata)."""
     magic = _read_exact(fh, 4, "magic")
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(
@@ -418,35 +380,38 @@ def _read_header(fh) -> tuple[int, int, float, str]:
         raise CheckpointError(
             f"corrupt checkpoint: feature_dim={feature_dim}, this build reads {FEATURE_DIM}"
         )
+    if output_scale != OUTPUT_SCALE:
+        raise CheckpointError(
+            f"corrupt checkpoint: output_scale={output_scale!r}, this build reads {OUTPUT_SCALE!r}"
+        )
     (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
     try:
         metadata = _read_exact(fh, meta_len, "metadata").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"corrupt checkpoint: metadata is not UTF-8 ({exc})") from exc
-    return hidden, feature_dim, output_scale, metadata
+    return hidden, metadata
 
 
 def load_checkpoint(path) -> OptimizerParams:
     """Read a checkpoint written by `save_checkpoint`; see it for the layout."""
     with open(path, "rb") as fh:
-        hidden, feature_dim, output_scale, _ = _read_header(fh)
+        hidden, _ = _read_header(fh)
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "payload count"))
-        expected = ParamLayout(hidden, feature_dim).size
+        expected = ParamLayout(hidden).size
         if count != expected:
             raise CheckpointError(
                 f"checkpoint header inconsistent with payload: header says "
-                f"hidden={hidden}, feature_dim={feature_dim} ({expected} values) "
-                f"but payload count is {count}"
+                f"hidden={hidden} ({expected} values) but payload count is {count}"
             )
         payload = _read_exact(fh, 8 * count, "payload")
         (crc,) = struct.unpack("<I", _read_exact(fh, 4, "checksum"))
         if crc != zlib.crc32(payload):
             raise CheckpointError("corrupt checkpoint: payload checksum mismatch")
         flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return OptimizerParams.from_flat(flat, hidden, feature_dim, output_scale)
+    return OptimizerParams.from_flat(flat, hidden)
 
 
 def load_checkpoint_metadata(path) -> str:
     """Return the metadata string stored in a checkpoint."""
     with open(path, "rb") as fh:
-        return _read_header(fh)[3]
+        return _read_header(fh)[1]

@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from .cell import (
+    FEATURE_DIM,
     CheckpointError,
     load_checkpoint,
     random_params,
@@ -30,10 +31,10 @@ from .cell import (
 from .config import ConfigError, ExperimentConfig, load_config, parse_float_list
 from .harness import (
     TrainingCache,
+    _aggregate,
     adapt_sweep,
     blend_params,
     compare_methods,
-    confidence_interval,
     interpolate_eval,
     write_curve,
 )
@@ -186,7 +187,7 @@ def _verify_worst_case(cfg: ExperimentConfig, out_dir: str, suite: str) -> int:
         a = rng.gen.normal(size=(d, d))
         b = rng.gen.normal(size=d)
         task = OptimizeeTask(kind=QUADRATIC, dim=d, a=a, b=b)
-        params = random_params(hidden, 2, rng.child(f"params/{i}"))
+        params = random_params(hidden, rng.child(f"params/{i}"))
         theta0 = rng.gen.normal(size=d)
         rel = error_of(params, task, theta0, horizon)
         if rel > worst[0]:
@@ -205,7 +206,7 @@ def _verify_worst_case(cfg: ExperimentConfig, out_dir: str, suite: str) -> int:
                 "theta0": theta0.tolist(),
                 "params_flat": params.to_flat().tolist(),
                 "hidden": params.hidden,
-                "feature_dim": params.feature_dim,
+                "feature_dim": FEATURE_DIM,
                 "horizon": horizon,
             },
             fh,
@@ -281,26 +282,27 @@ def cmd_interpolate(args) -> int:
         root_seed=cfg.meta.seed,
         n_tasks=cfg.n_tasks,
     )
+    # the statistic of `compare` and `sweep`: per-seed means over the tasks
+    table = _aggregate([r for records in by_alpha.values() for r in records])
     curve_dir = os.path.join(args.out, "curves")
     os.makedirs(curve_dir, exist_ok=True)
     summary = []
     for key in sorted(by_alpha, key=float):
         records = by_alpha[key]
-        values = [r.min_log_loss for r in records]
-        mean, half = confidence_interval(values) if len(values) >= 2 else (values[0], 0.0)
+        cell = table.cell("blend", key)
         summary.append(
             {
                 "alpha": float(key),
-                "mean_min_log_loss": mean,
-                "half_width": half,
-                "n": len(values),
+                "mean_min_log_loss": cell.mean,
+                "half_width": cell.half_width,
+                "n": cell.n,
                 "params_digest": records[0].params_digest,
             }
         )
         for r in records:
             name = f"curve_alpha{key}_seed{r.seed}_task{r.task_index}.csv"
             write_curve(os.path.join(curve_dir, name), r.losses)
-        print(f"alpha={key:>6s} mean={mean:9.4f} +-{half:7.4f} (n={len(values)})")
+        print(f"alpha={key:>6s} mean={cell.mean:9.4f} +-{cell.half_width:7.4f} (n={cell.n})")
     with open(os.path.join(args.out, "interpolation.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

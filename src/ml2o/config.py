@@ -32,7 +32,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
     "meta": {
         "seed": ("1", "int"),
         "hidden": ("20", "int"),
-        "feature_dim": ("2", "int"),
         "unroll_len": ("20", "int"),
         "epochs": ("5000", "int"),
         "epochs_per_task": ("20", "int"),
@@ -204,7 +203,6 @@ def load_config(path: str) -> ExperimentConfig:
         meta = MetaConfig(
             seed=m["seed"],
             hidden=m["hidden"],
-            feature_dim=m["feature_dim"],
             unroll_len=m["unroll_len"],
             epochs=m["epochs"],
             epochs_per_task=m["epochs_per_task"],

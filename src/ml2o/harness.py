@@ -136,7 +136,7 @@ class ComparisonTable:
         key = _column_key(key)
         per_seed: dict[int, list[float]] = {}
         for r in self.records:
-            if r.method == method and r.key == key and not r.diverged:
+            if r.method == method and r.key == key and _counted(r):
                 per_seed.setdefault(r.seed, []).append(r.min_log_loss)
         return {s: float(np.mean(v)) for s, v in sorted(per_seed.items())}
 
@@ -209,6 +209,11 @@ def _column_key(value) -> str:
     return f"{value:g}"
 
 
+def _counted(r: RunRecord) -> bool:
+    """Whether a record enters the statistics: not diverged, with a finite metric."""
+    return not r.diverged and math.isfinite(r.min_log_loss)
+
+
 def _aggregate(records: list[RunRecord]) -> ComparisonTable:
     records = sorted(
         records, key=lambda r: (r.method, r.key, r.seed, r.task_index)
@@ -221,7 +226,7 @@ def _aggregate(records: list[RunRecord]) -> ComparisonTable:
         per_seed: dict[int, list[float]] = {}
         n_diverged = 0
         for r in group:
-            if r.diverged or not math.isfinite(r.min_log_loss):
+            if not _counted(r):
                 n_diverged += 1
                 continue
             per_seed.setdefault(r.seed, []).append(r.min_log_loss)
@@ -366,6 +371,8 @@ class TrainingCache:
     @staticmethod
     def _key(trainer: str, cfg: MetaConfig, dist: TaskDistribution) -> str:
         fields = {k: getattr(cfg, k) for k in sorted(vars(cfg))}
+        # a former config field, hashed still so that existing keys stay valid
+        fields["feature_dim"] = 2
         if trainer != ML2O:
             # the plain trainer never reads the inner-step knobs
             fields.pop("alpha", None)
@@ -470,9 +477,7 @@ def _chunk_records(
         if ML2O in p.methods:
             start[ML2O] = trained[ML2O][n]
         if VANILLA in p.methods:
-            start[VANILLA] = init_params(
-                cfg.hidden, cfg.feature_dim, RngStream(cfg.seed).child("vanilla-init")
-            )
+            start[VANILLA] = init_params(cfg.hidden, RngStream(cfg.seed).child("vanilla-init"))
         for col in p.columns:
             adapted = adapt_stack(
                 [start[m] for m in adapted_methods],
@@ -630,11 +635,8 @@ def blend_params(
     w1: OptimizerParams, w2: OptimizerParams, alpha: float
 ) -> OptimizerParams:
     """alpha*w1 + (1-alpha)*w2 elementwise; endpoints return the exact input."""
-    if (w1.hidden, w1.feature_dim) != (w2.hidden, w2.feature_dim):
-        raise ValueError(
-            f"shape mismatch: (hidden={w1.hidden}, feature_dim={w1.feature_dim}) vs "
-            f"(hidden={w2.hidden}, feature_dim={w2.feature_dim})"
-        )
+    if w1.hidden != w2.hidden:
+        raise ValueError(f"shape mismatch: hidden={w1.hidden} vs hidden={w2.hidden}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"interpolation weight must be in [0, 1], got {alpha}")
     if alpha == 1.0:

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import OptimizerParams, ParamStack, cell_forward, predict_update, random_params
+from .cell import (
+    FEATURE_DIM,
+    OptimizerParams,
+    ParamStack,
+    cell_forward,
+    predict_update,
+    random_params,
+)
 from .numeric import RngStream
 from .tasks import (
     NORMAL,
@@ -196,19 +203,18 @@ def input_sensitivity(
     """
     if rng is None:
         rng = RngStream(0).child("input-sensitivity")
-    fdim = params.feature_dim
     stack = ParamStack.of([params])
     h = np.zeros((1, 1, params.hidden))
     c = np.zeros((1, 1, params.hidden))
 
     def update_for(z):
-        h2, _, _ = cell_forward(stack, z.reshape(1, 1, fdim), h, c)
+        h2, _, _ = cell_forward(stack, z.reshape(1, 1, FEATURE_DIM), h, c)
         return float(predict_update(stack, h2)[0, 0, 0])
 
     best = 0.0
     for _ in range(n_pairs):
-        z1 = rng.gen.normal(scale=z_scale, size=fdim)
-        z2 = rng.gen.normal(scale=z_scale, size=fdim)
+        z1 = rng.gen.normal(scale=z_scale, size=FEATURE_DIM)
+        z2 = rng.gen.normal(scale=z_scale, size=FEATURE_DIM)
         dz = np.linalg.norm(z1 - z2)
         if dz < 1e-12:
             continue
@@ -312,7 +318,7 @@ def gradient_gap_growth(
 def default_growth_report(seed: int = 0) -> GrowthReport:
     """The stock growth diagnostic: quadratic pairs at two coefficient scales."""
     rng = RngStream(seed)
-    params = random_params(8, 2, rng.child("growth-params"))
+    params = random_params(8, rng.child("growth-params"))
     dist1 = TaskDistribution(kind=NORMAL, family=QUADRATIC, dim=5, lam=0.0, sigma=1.0)
     dist2 = TaskDistribution(kind=NORMAL, family=QUADRATIC, dim=5, lam=0.0, sigma=2.0)
     return gradient_gap_growth(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cell import FEATURE_DIM, OptimizerParams, ParamStack, init_params
+from .cell import OptimizerParams, ParamStack, init_params
 from .numeric import RngStream
 from .tasks import TaskDistribution, TaskStack, sample_task, sample_theta0
 from .unroll import (
@@ -82,7 +82,6 @@ class MetaConfig:
 
     seed: int = 0
     hidden: int = 20
-    feature_dim: int = FEATURE_DIM  # the one width `cell.step` builds
     unroll_len: int = 20  # steps per inner unroll
     epochs: int = 5000  # total meta-updates
     epochs_per_task: int = 20  # block length before a fresh task is drawn
@@ -101,8 +100,6 @@ class MetaConfig:
     def __post_init__(self):
         if self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
-        if self.feature_dim != FEATURE_DIM:
-            raise ValueError(f"feature_dim must be {FEATURE_DIM}, got {self.feature_dim}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.epochs < 1:
@@ -204,7 +201,7 @@ class _Run:
         rng = RngStream(cfg.seed)
         self.cfg = cfg
         self.dist = dist
-        self.params = init_params(cfg.hidden, cfg.feature_dim, rng.child("optimizer-init"))
+        self.params = init_params(cfg.hidden, rng.child("optimizer-init"))
         self.task_rng = rng.child("train-tasks")
         self.theta_rng = rng.child("train-theta0")
         self.log = TrainLog()
@@ -276,7 +273,6 @@ def train_lockstep(
     states = [_Run(c, dist) for c, _ in runs]
     n_tasks = cfg.tasks_per_update
     layout = states[0].params.layout
-    scale = states[0].params.output_scale
     flats = np.stack([r.params.to_flat() for r in states])  # one row per run
     outer = _make_outer(cfg, flats.shape)
     # slice r * n_tasks + j is run r on its task j
@@ -289,7 +285,7 @@ def train_lockstep(
 
     def diverged(k: int, r: int, cause: str) -> DivergenceError:
         c, meta = runs[r]
-        params = OptimizerParams.from_flat(flats[r], layout.hidden, layout.feature_dim, scale)
+        params = OptimizerParams.from_flat(flats[r], layout.hidden)
         trainer = "ml2o" if meta else "plain"
         return DivergenceError(k, params, f"{trainer} seed {c.seed}: {cause}")
 
@@ -297,7 +293,7 @@ def train_lockstep(
         t_start = time.perf_counter()
         for run in states:
             run.begin_epoch(k)
-        params = ParamStack.from_flat(np.repeat(flats, n_tasks, axis=0), layout, scale)
+        params = ParamStack.from_flat(np.repeat(flats, n_tasks, axis=0), layout)
         tasks = TaskStack([t for run in states for t in run.tasks])
         theta0 = np.stack([th for run in states for th in run.theta0s])
         g = np.empty((all_rows.size, layout.size))
@@ -361,7 +357,7 @@ def train_lockstep(
             run.log.wall_ms.append(wall_ms)
 
     return [
-        (OptimizerParams.from_flat(flat, layout.hidden, layout.feature_dim, scale), run.log)
+        (OptimizerParams.from_flat(flat, layout.hidden), run.log)
         for flat, run in zip(flats, states)
     ]
 

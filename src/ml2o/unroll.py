@@ -28,6 +28,8 @@ from .cell import (
     BETA1,
     BETA2,
     EPS,
+    FEATURE_DIM,
+    OUTPUT_SCALE,
     OptimizerParams,
     ParamLayout,
     ParamStack,
@@ -298,10 +300,9 @@ def meta_grad_stack(
 
     n, d = params.size, tasks.dim
     hid = params.hidden
-    fdim = params.feature_dim
     w_t = params.w.swapaxes(1, 2)
     w_proj_row = params.w_proj.swapaxes(1, 2)
-    scale = params.output_scale
+    scale = OUTPUT_SCALE
     second_order = mode == FULL_SECOND_ORDER
 
     dW = np.zeros_like(params.w)
@@ -344,7 +345,7 @@ def meta_grad_stack(
         dW += x.swapaxes(1, 2) @ da
         db += da.sum(axis=1)
         dx = da @ w_t
-        dh = dx[:, :, fdim:]
+        dh = dx[:, :, FEATURE_DIM:]
 
         if second_order:
             dg = dx[:, :, 0:1].copy()
@@ -532,8 +533,7 @@ def jacobian_recursive(
     theta0 = np.asarray(theta0, dtype=np.float64)
     d = task.dim
     hid = params.hidden
-    fdim = params.feature_dim
-    layout = ParamLayout(hid, fdim)
+    layout = ParamLayout(hid)
     p = layout.size
     if d * p > JACOBIAN_SIZE_LIMIT:
         raise ValueError(
@@ -546,7 +546,7 @@ def jacobian_recursive(
     stack = ParamStack.of([params])
     w = params.w
     w_proj = params.w_proj
-    scale = params.output_scale
+    scale = OUTPUT_SCALE
     rows = layout.rows
     g_block = layout.gate_block
     ar = np.arange(hid)

@@ -5,7 +5,6 @@ import zlib
 import numpy as np
 import pytest
 
-from ml2o.cell import ParamLayout
 from ml2o.numeric import RngStream
 from ml2o.tasks import QUADRATIC, OptimizeeTask
 
@@ -21,12 +20,14 @@ def make_quadratic(rng: RngStream, dim: int) -> OptimizeeTask:
     return OptimizeeTask(kind=QUADRATIC, dim=dim, a=a, b=b)
 
 
-def write_checkpoint(path, hidden: int, feature_dim: int):
-    """Hand-written all-zero checkpoint of any sizes, with a matching count and CRC."""
-    count = ParamLayout(hidden, feature_dim).size
+def write_checkpoint(path, hidden: int, feature_dim: int, output_scale: float = 0.01):
+    """Hand-written all-zero checkpoint of any header values, with a matching count and CRC."""
+    # the parameter count of a cell reading `feature_dim` features, which
+    # `ParamLayout` (fixed at the cell's two) cannot give
+    count = 4 * (feature_dim + hidden + 1) * hidden + hidden + 1
     payload = np.zeros(count, dtype="<f8").tobytes()
     path.write_bytes(
-        b"ML2O" + struct.pack("<IIId", 1, hidden, feature_dim, 0.01) + struct.pack("<I", 0)
+        b"ML2O" + struct.pack("<IIId", 1, hidden, feature_dim, output_scale) + struct.pack("<I", 0)
         + struct.pack("<Q", count) + payload + struct.pack("<I", zlib.crc32(payload))
     )
     return path

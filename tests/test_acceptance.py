@@ -58,7 +58,7 @@ def test_criterion_1_gradient_matches_finite_differences():
     worst = 0.0
     for i in range(20):
         task = make_quadratic(rng, 3)
-        params = random_params(4, 2, rng.child(f"p/{i}"))
+        params = random_params(4, rng.child(f"p/{i}"))
         theta0 = rng.gen.normal(size=3)
         g = meta_grad(params, task, theta0, 5)
         fd = central_diff(
@@ -77,7 +77,7 @@ def test_criterion_2_jacobian_recursion_equals_reverse_mode():
     worst = 0.0
     for i in range(20):
         task = make_quadratic(rng, 2)
-        params = random_params(3, 2, rng.child(f"p/{i}"))
+        params = random_params(3, rng.child(f"p/{i}"))
         theta0 = rng.gen.normal(size=2)
         jac = jacobian_recursive(params, task, theta0, 3)
         res = unroll(params, task, theta0, 3)
@@ -95,7 +95,7 @@ def test_criterion_3_meta_gradient_correctness():
     alpha = 0.01
     for i in range(10):
         task = make_quadratic(rng, 3)
-        params = random_params(4, 2, rng.child(f"p/{i}"))
+        params = random_params(4, rng.child(f"p/{i}"))
         theta0 = rng.gen.normal(size=3)
         g = maml_grad(params, task, theta0, 5, alpha, FD_HVP_META)
         fd = central_diff(
@@ -105,7 +105,7 @@ def test_criterion_3_meta_gradient_correctness():
         )
         worst = max(worst, rel_error(g, fd))
     task = make_quadratic(rng, 3)
-    params = random_params(4, 2, rng.child("z"))
+    params = random_params(4, rng.child("z"))
     theta0 = rng.gen.normal(size=3)
     exact0 = all(
         np.array_equal(
@@ -246,8 +246,8 @@ def test_criterion_7_training_like_adaptation_generalizes(cache):
 
 def test_criterion_8_interpolation_endpoints_bit_exact(tmp_path):
     rng = RngStream(1008)
-    w1 = random_params(4, 2, rng.child("w1"))
-    w2 = random_params(4, 2, rng.child("w2"))
+    w1 = random_params(4, rng.child("w1"))
+    w2 = random_params(4, rng.child("w2"))
     dist = TaskDistribution(kind="normal", family="lasso", dim=4, lam=0.005, sigma=10.0)
     by_alpha = interpolate_eval(w1, w2, [0.0, 1.0], dist, 20, n_seeds=3, root_seed=7)
     direct = {

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from conftest import make_quadratic, write_checkpoint
 from ml2o.cell import (
+    FEATURE_DIM,
+    OUTPUT_SCALE,
     CheckpointError,
     OptimizerParams,
     ParamLayout,
@@ -34,16 +37,16 @@ def step_one(params, grad, h=None, c=None, m=None, v=None):
     update, h2, c2, m2, v2, cache = step(
         ParamStack.of([params]), col(grad), h[None], c[None], col(m), col(v)
     )
-    feats = cache[0][0, :, : params.feature_dim]
+    feats = cache[0][0, :, :FEATURE_DIM]
     return update[0, :, 0], h2[0], c2[0], m2[0, :, 0], v2[0, :, 0], feats
 
 
 def test_param_layout_size_and_serialized_entries(rng, tmp_path):
     # 4 gates of (22x20 weights + 20 biases), 20 projection weights and its
     # bias; the output scale is stored in the header, outside the payload.
-    assert ParamLayout(20, 2).size == 4 * (22 * 20 + 20) + 20 + 1
-    assert ParamLayout(20, 2).size == 1861
-    params = init_params(20, 2, rng)
+    assert ParamLayout(20).size == 4 * (22 * 20 + 20) + 20 + 1
+    assert ParamLayout(20).size == 1861
+    params = init_params(20, rng)
     assert params.n_params == 1861
     path = tmp_path / "c.ckpt"
     save_checkpoint(params, path)
@@ -51,13 +54,13 @@ def test_param_layout_size_and_serialized_entries(rng, tmp_path):
     (output_scale,) = struct.unpack("<d", raw[16:24])
     (meta_len,) = struct.unpack("<I", raw[24:28])
     (count,) = struct.unpack("<Q", raw[28 + meta_len : 36 + meta_len])
-    assert count == ParamLayout(20, 2).size
-    assert output_scale == params.output_scale
+    assert count == ParamLayout(20).size
+    assert output_scale == OUTPUT_SCALE == 0.01
     assert len(raw) == 36 + meta_len + 8 * count + 4
 
 
 def test_init_zero_projection_means_zero_update(rng):
-    params = init_params(6, 2, rng)
+    params = init_params(6, rng)
     theta = rng.gen.normal(size=4)
     update, *_ = step_one(params, rng.gen.normal(size=4))
     assert np.array_equal(update, np.zeros(4))
@@ -65,25 +68,24 @@ def test_init_zero_projection_means_zero_update(rng):
 
 
 def test_init_is_seed_deterministic():
-    a = init_params(5, 2, RngStream(3).child("i"))
-    b = init_params(5, 2, RngStream(3).child("i"))
+    a = init_params(5, RngStream(3).child("i"))
+    b = init_params(5, RngStream(3).child("i"))
     assert np.array_equal(a.to_flat(), b.to_flat())
 
 
 def test_init_bias_and_range():
-    params = init_params(8, 2, RngStream(1))
+    params = init_params(8, RngStream(1))
     h = 8
     assert np.all(params.b[h : 2 * h] == 1.0)  # forget gate
     assert np.all(params.b[:h] == 0.0) and np.all(params.b[2 * h :] == 0.0)
     s = 1.0 / np.sqrt(10)
     assert np.all(np.abs(params.w) <= s)
     assert np.all(params.w_proj == 0.0) and params.b_proj == 0.0
-    assert params.output_scale == 0.01
 
 
 def test_features_first_step_closed_form(rng):
     g = np.array([2.0, -3.0, 0.5])
-    _, _, _, m, v, feats = step_one(init_params(4, 2, rng), g)
+    _, _, _, m, v, feats = step_one(init_params(4, rng), g)
     assert np.allclose(m, 0.1 * g)
     assert np.allclose(v, 0.001 * g * g)
     expected = 0.1 * g / (np.sqrt(0.001 * g * g) + 1e-8)
@@ -93,7 +95,7 @@ def test_features_first_step_closed_form(rng):
 
 
 def test_features_zero_gradients_stay_zero():
-    params = init_params(4, 2, RngStream(0))
+    params = init_params(4, RngStream(0))
     state = ()
     for _ in range(5):
         _, *state, feats = step_one(params, np.zeros(3), *state)
@@ -101,7 +103,7 @@ def test_features_zero_gradients_stay_zero():
 
 
 def test_momentum_feature_scale_invariance():
-    params = init_params(4, 2, RngStream(0))
+    params = init_params(4, RngStream(0))
     for g in (1.0, 4.0, 100.0):
         f1 = step_one(params, np.array([g]))[-1]
         f2 = step_one(params, np.array([2 * g]))[-1]
@@ -110,12 +112,12 @@ def test_momentum_feature_scale_invariance():
 
 def test_step_closed_form_gates():
     # all gate weights zero, forget bias 1, fresh state: the cell emits zero
-    # hidden state, so the update is exactly output_scale * b_proj
+    # hidden state, so the update is exactly OUTPUT_SCALE * b_proj
     h = 4
     w = np.zeros((2 + h, 4 * h))
     b = np.zeros(4 * h)
     b[h : 2 * h] = 1.0
-    params = OptimizerParams(w=w, b=b, w_proj=np.zeros(h), b_proj=0.25, output_scale=0.01)
+    params = OptimizerParams(w=w, b=b, w_proj=np.zeros(h), b_proj=0.25)
     update, h2, c2, *_ = step_one(params, np.array([1.0, -2.0, 3.0]))
     assert np.allclose(update, 0.01 * 0.25)
     assert np.array_equal(h2, np.zeros((3, h)))
@@ -123,14 +125,14 @@ def test_step_closed_form_gates():
 
 
 def test_shared_weights_give_identical_updates_for_identical_histories(rng):
-    params = random_params(5, 2, rng)
+    params = random_params(5, rng)
     update, *_ = step_one(params, np.array([1.5, 1.5, -0.2, 1.5]))
     assert update[0] == update[1] == update[3]
 
 
 def test_update_magnitude_bound(rng):
-    params = random_params(6, 2, rng, proj_scale=2.0)
-    bound = params.output_scale * (np.abs(params.w_proj).sum() + abs(params.b_proj))
+    params = random_params(6, rng, proj_scale=2.0)
+    bound = OUTPUT_SCALE * (np.abs(params.w_proj).sum() + abs(params.b_proj))
     for _ in range(50):
         h = rng.gen.uniform(-1, 1, size=(5, 6))
         c = rng.gen.normal(size=(5, 6))
@@ -141,7 +143,7 @@ def test_update_magnitude_bound(rng):
 def test_coordinate_permutation_equivariance(rng):
     d = 6
     task = make_quadratic(rng, d)
-    params = random_params(5, 2, rng)
+    params = random_params(5, rng)
     theta0 = rng.gen.normal(size=d)
     perm = rng.gen.permutation(d)
     p = np.eye(d)[perm]
@@ -152,24 +154,23 @@ def test_coordinate_permutation_equivariance(rng):
 
 
 def test_flat_round_trip(rng):
-    params = random_params(7, 2, rng)
-    back = OptimizerParams.from_flat(params.to_flat(), 7, 2, params.output_scale)
+    params = random_params(7, rng)
+    back = OptimizerParams.from_flat(params.to_flat(), 7)
     assert np.array_equal(back.to_flat(), params.to_flat())
     assert np.array_equal(back.w, params.w)
 
 
 def test_checkpoint_round_trip_bit_exact(rng, tmp_path):
-    params = random_params(6, 2, rng)
+    params = random_params(6, rng)
     path = tmp_path / "w.ckpt"
     save_checkpoint(params, path, metadata="unit-test")
     loaded = load_checkpoint(path)
     assert np.array_equal(loaded.to_flat(), params.to_flat())
-    assert loaded.output_scale == params.output_scale
     assert load_checkpoint_metadata(path) == "unit-test"
 
 
 def test_checkpoint_truncation_detected(rng, tmp_path):
-    params = random_params(6, 2, rng)
+    params = random_params(6, rng)
     path = tmp_path / "w.ckpt"
     save_checkpoint(params, path)
     raw = path.read_bytes()
@@ -185,7 +186,7 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_checkpoint_version_mismatch_names_versions(rng, tmp_path):
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     path = tmp_path / "w.ckpt"
     save_checkpoint(params, path)
     raw = bytearray(path.read_bytes())
@@ -196,7 +197,7 @@ def test_checkpoint_version_mismatch_names_versions(rng, tmp_path):
 
 
 def test_checkpoint_header_payload_mismatch(rng, tmp_path):
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     path = tmp_path / "w.ckpt"
     save_checkpoint(params, path)
     raw = bytearray(path.read_bytes())
@@ -207,7 +208,7 @@ def test_checkpoint_header_payload_mismatch(rng, tmp_path):
 
 
 def test_checkpoint_corrupt_payload(rng, tmp_path):
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     path = tmp_path / "w.ckpt"
     save_checkpoint(params, path)
     raw = bytearray(path.read_bytes())
@@ -226,13 +227,6 @@ def test_checkpoint_zero_sizes_rejected(tmp_path, hidden, feature_dim):
         load_checkpoint(path)
 
 
-def test_init_params_rejects_other_feature_dims(rng):
-    with pytest.raises(ValueError, match="must be >= 1"):
-        init_params(4, 0, rng)
-    with pytest.raises(ValueError, match="feature_dim must be 2, got 3"):
-        init_params(4, 3, rng)
-
-
 def test_checkpoint_other_feature_dim_rejected(tmp_path):
     # a consistent, CRC-valid file whose cell reads three features
     path = write_checkpoint(tmp_path / "f3.ckpt", 4, 3)
@@ -241,9 +235,28 @@ def test_checkpoint_other_feature_dim_rejected(tmp_path):
             loader(path)
 
 
+def test_checkpoint_other_output_scale_rejected(tmp_path):
+    # a consistent, CRC-valid file whose update rule scales by 0.02
+    path = write_checkpoint(tmp_path / "s.ckpt", 4, 2, output_scale=0.02)
+    for loader in (load_checkpoint, load_checkpoint_metadata):
+        with pytest.raises(CheckpointError, match="output_scale=0.02"):
+            loader(path)
+
+
+def test_checkpoint_bytes_and_digest_are_pinned(tmp_path):
+    # both fixed sizes stay in the header and the digest, so files and
+    # digests written before they became constants are unchanged
+    params = init_params(3, RngStream(7))
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(params, path, metadata="trainer=plain key=fixed")
+    raw = path.read_bytes()
+    assert hashlib.blake2b(raw, digest_size=16).hexdigest() == "42e25eaec11696ffed6a59692818c16f"
+    assert params.digest() == "92a6d5dad35b2cdfe358420dac2c4238"
+
+
 def test_checkpoint_metadata_must_be_utf8(rng, tmp_path):
     path = tmp_path / "w.ckpt"
-    save_checkpoint(random_params(4, 2, rng), path, metadata="ab")
+    save_checkpoint(random_params(4, rng), path, metadata="ab")
     raw = bytearray(path.read_bytes())
     raw[28] = 0xFF  # first metadata byte, after magic, header and length
     (tmp_path / "m.ckpt").write_bytes(bytes(raw))
@@ -254,7 +267,7 @@ def test_checkpoint_metadata_must_be_utf8(rng, tmp_path):
 
 def test_checkpoint_metadata_reader_checks_the_header(rng, tmp_path):
     path = tmp_path / "w.ckpt"
-    save_checkpoint(random_params(4, 2, rng), path, metadata="m")
+    save_checkpoint(random_params(4, rng), path, metadata="m")
     raw = bytearray(path.read_bytes())
     raw[4:8] = struct.pack("<I", 9)
     (tmp_path / "v.ckpt").write_bytes(bytes(raw))

@@ -10,6 +10,7 @@ from ml2o.cell import CheckpointError, ParamLayout, load_checkpoint, random_para
 from ml2o import cli
 from ml2o.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
 from ml2o.config import ConfigError, load_config
+from ml2o.harness import TrainingCache
 from ml2o.numeric import RngStream
 
 TINY = """
@@ -105,13 +106,24 @@ def test_config_rejects_bad_value(tmp_path):
 def test_config_rejects_other_feature_dim(tmp_path, capsys):
     path = tmp_path / "f3.ini"
     path.write_text(TINY.replace("hidden = 4", "hidden = 4\nfeature_dim = 3"))
-    with pytest.raises(ConfigError, match="feature_dim must be 2, got 3"):
+    with pytest.raises(ConfigError, match="unknown key 'feature_dim' in section \\[meta\\]"):
         load_config(str(path))
     out = tmp_path / "o"
     rc = main(["compare", "--config", str(path), "--out", str(out)])
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+def test_cache_keys_are_pinned(tiny_config):
+    # `feature_dim` left the config but stays in the key, so existing cache
+    # directories keep serving the same files
+    cfg = load_config(tiny_config)
+    keys = {t: TrainingCache._key(t, cfg.meta, cfg.dist_train) for t in ("plain", "ml2o")}
+    assert keys == {
+        "plain": "6f48a3eca64c2117f288cb4c64540ee1",
+        "ml2o": "76a21f1c57c1e3dac7a944f69e409fd0",
+    }
 
 
 def test_config_rejects_non_utf8_file(tmp_path, capsys):
@@ -272,7 +284,7 @@ def test_verify_failure_exits_4_and_dumps_worst_case(tiny_config, tmp_path, caps
     assert doc["suite"] == suite
     assert doc["rel_error"] > 0.5
     assert doc["feature_dim"] == 2
-    assert len(doc["params_flat"]) == ParamLayout(doc["hidden"], 2).size
+    assert len(doc["params_flat"]) == ParamLayout(doc["hidden"]).size
     assert len(doc["theta0"]) == doc["task"]["dim"]
 
 
@@ -296,7 +308,7 @@ def test_verify_growth_writes_report(tiny_config, tmp_path):
 
 
 def test_interpolate_identical_checkpoints_flat(tiny_config, tmp_path):
-    w = random_params(4, 2, RngStream(3).child("w"))
+    w = random_params(4, RngStream(3).child("w"))
     p1 = tmp_path / "w1.ckpt"
     p2 = tmp_path / "w2.ckpt"
     save_checkpoint(w, p1)
@@ -310,11 +322,28 @@ def test_interpolate_identical_checkpoints_flat(tiny_config, tmp_path):
     assert means[0.0] == means[0.5] == means[1.0]
 
 
+def test_interpolate_summary_is_per_seed(tmp_path):
+    # the statistic of `compare`: each seed's tasks are averaged first, so
+    # n counts seeds, and one seed leaves the half-width undefined
+    config = tmp_path / "exp.ini"
+    config.write_text(TINY.replace("n_tasks = 1", "n_tasks = 2"))
+    w = tmp_path / "w.ckpt"
+    save_checkpoint(random_params(4, RngStream(3).child("w")), w)
+    for n_seeds in (3, 1):
+        out = tmp_path / f"interp{n_seeds}"
+        rc = main(["interpolate", "--config", str(config), "--w1", str(w), "--w2", str(w),
+                   "--alphas", "0,1", "--n-seeds", str(n_seeds), "--out", str(out)])
+        assert rc == EXIT_OK
+        doc = json.loads((out / "interpolation.json").read_text())
+        assert [row["n"] for row in doc] == [n_seeds, n_seeds]
+        assert all(np.isnan(row["half_width"]) == (n_seeds == 1) for row in doc)
+
+
 def test_interpolate_shape_mismatch_is_config_error(tiny_config, tmp_path, capsys):
     p1 = tmp_path / "w1.ckpt"
     p2 = tmp_path / "w2.ckpt"
-    save_checkpoint(random_params(4, 2, RngStream(1)), p1)
-    save_checkpoint(random_params(5, 2, RngStream(1)), p2)
+    save_checkpoint(random_params(4, RngStream(1)), p1)
+    save_checkpoint(random_params(5, RngStream(1)), p2)
     rc = main(["interpolate", "--config", tiny_config, "--w1", str(p1),
                "--w2", str(p2), "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
@@ -325,7 +354,7 @@ def test_absurd_checkpoint_header_is_config_error(tiny_config, tmp_path, capsys)
     # 36 bytes whose header claims 2**30 hidden units and a payload count to
     # match: the lengths must be refused against the file size, not read
     hidden = 2**30
-    count = ParamLayout(hidden, 2).size
+    count = ParamLayout(hidden).size
     header = b"ML2O" + struct.pack("<IIId", 1, hidden, 2, 0.01)
     huge_payload = tmp_path / "payload.ckpt"
     huge_payload.write_bytes(header + struct.pack("<I", 0) + struct.pack("<Q", count))
@@ -333,7 +362,7 @@ def test_absurd_checkpoint_header_is_config_error(tiny_config, tmp_path, capsys)
     huge_meta = tmp_path / "meta.ckpt"
     huge_meta.write_bytes(header + struct.pack("<I", 2**32 - 1) + b"x" * 8)
     good = tmp_path / "good.ckpt"
-    save_checkpoint(random_params(4, 2, RngStream(1)), good)
+    save_checkpoint(random_params(4, RngStream(1)), good)
     for bad in (huge_payload, huge_meta):
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(bad)

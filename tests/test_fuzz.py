@@ -49,7 +49,7 @@ def loads_or_checkpoint_error(path) -> bool:
 @pytest.fixture
 def checkpoint_bytes(tmp_path):
     path = tmp_path / "good.ckpt"
-    save_checkpoint(random_params(3, 2, RngStream(11)), path, metadata="trainer=plain key=é")
+    save_checkpoint(random_params(3, RngStream(11)), path, metadata="trainer=plain key=é")
     return path.read_bytes()
 
 
@@ -131,6 +131,6 @@ def test_fuzz_config_mutants(tmp_path):
         except ConfigError:
             refused += 1
             continue
-        run_step(init_params(meta.hidden, meta.feature_dim, RngStream(meta.seed)))
+        run_step(init_params(meta.hidden, RngStream(meta.seed)))
         loaded += 1
     assert loaded and refused  # the mutants reach both outcomes

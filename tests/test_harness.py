@@ -16,6 +16,7 @@ from ml2o.harness import (
     LOG_FLOOR,
     STACK_ROWS,
     EvalGroup,
+    RunRecord,
     TrainingCache,
     _aggregate,
     adapt_sweep,
@@ -41,7 +42,7 @@ TEST_DIST = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=
 
 def tiny_meta(**kw):
     base = dict(
-        seed=5150, hidden=4, feature_dim=2, unroll_len=5, epochs=8,
+        seed=5150, hidden=4, unroll_len=5, epochs=8,
         epochs_per_task=4, alpha=1e-4, outer_lr=1e-3, adapt_steps=2,
     )
     base.update(kw)
@@ -52,7 +53,7 @@ def test_min_log_loss_floor_for_exact_zero():
     assert min_log_loss(np.zeros(5)) == LOG_FLOOR
     # zero-update optimizer parked at a quadratic's optimum
     task = OptimizeeTask(kind=QUADRATIC, dim=3, a=np.eye(3), b=np.zeros(3))
-    params = init_params(4, 2, RngStream(1))
+    params = init_params(4, RngStream(1))
     res = unroll(params, task, np.zeros(3), 10)
     assert min_log_loss(res.losses) == LOG_FLOOR
 
@@ -91,7 +92,7 @@ def test_confidence_interval_shrinks_like_sqrt_n():
 
 
 def test_evaluate_is_deterministic(rng):
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     a = evaluate(params, TEST_DIST, 20, 2, RngStream(3).child("test"))
     b = evaluate(params, TEST_DIST, 20, 2, RngStream(3).child("test"))
     assert len(a) == len(b) == 2
@@ -103,11 +104,25 @@ def test_evaluate_is_deterministic(rng):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_evaluate_truncates_on_nonfinite(rng):
-    params = random_params(4, 2, rng, proj_scale=2.0)
+    params = random_params(4, rng, proj_scale=2.0)
     absurd = TaskDistribution(kind=NORMAL, family=QUADRATIC, dim=3, sigma=1e160)
     recs = evaluate(params, absurd, 10, 1, RngStream(4).child("test"))
     assert recs[0].truncated_at == 0
     assert math.isinf(recs[0].min_log_loss)
+
+
+def test_seed_values_skip_what_the_cell_mean_skips():
+    # a curve truncated at step 0 is not diverged but has no finite metric
+    def record(seed, value):
+        return RunRecord(
+            method=ML2O, key="10", seed=seed, task_index=0, losses=np.empty(0),
+            min_log_loss=value, task_digest="", theta0_digest="", params_digest="",
+        )
+
+    table = _aggregate([record(0, 1.5), record(1, math.inf), record(2, 2.5)])
+    cell = table.cell(ML2O, 10.0)
+    assert (cell.n, cell.n_diverged, cell.mean) == (2, 1, 2.0)
+    assert table.seed_values(ML2O, 10.0) == {0: 1.5, 2: 2.5}
 
 
 def test_comparison_protocol_pairing_and_shared_checkpoint(tmp_path):
@@ -170,8 +185,8 @@ def test_sweep_degenerates_to_comparison_cells(tmp_path):
 
 
 def test_interpolation_endpoints_bit_exact(rng):
-    w1 = random_params(4, 2, rng)
-    w2 = random_params(4, 2, rng)
+    w1 = random_params(4, rng)
+    w2 = random_params(4, rng)
     out = interpolate_eval(w1, w2, [0.0, 0.5, 1.0], TEST_DIST, 15, n_seeds=2, root_seed=3)
     direct_w1 = [
         evaluate(w1, TEST_DIST, 15, 1, RngStream(RngStream(3).derive_seed(f"seed/{k}")).child("test"))
@@ -184,7 +199,7 @@ def test_interpolation_endpoints_bit_exact(rng):
 
 
 def test_interpolation_idempotent_blend(rng):
-    w = random_params(4, 2, rng)
+    w = random_params(4, rng)
     out = interpolate_eval(w, w, [0.0, 0.25, 1.0], TEST_DIST, 10, n_seeds=2, root_seed=3)
     base = [r.min_log_loss for r in out["0"]]
     for key in ("0.25", "1"):
@@ -192,8 +207,8 @@ def test_interpolation_idempotent_blend(rng):
 
 
 def test_blend_rejects_shape_mismatch(rng):
-    w1 = random_params(4, 2, rng)
-    w2 = random_params(5, 2, rng)
+    w1 = random_params(4, rng)
+    w2 = random_params(5, rng)
     with pytest.raises(ValueError, match="hidden=4.*hidden=5"):
         blend_params(w1, w2, 0.5)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -254,7 +269,7 @@ def test_parallel_jobs_do_not_change_results(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_stacked_evaluation_truncates_one_slice_only(rng):
-    calm = random_params(4, 2, rng)
+    calm = random_params(4, rng)
     # a huge projection throws the iterate to infinity at the first step
     wild = replace(calm, w_proj=np.full(4, 1e300))
     stacked = evaluate_groups([EvalGroup(
@@ -297,9 +312,9 @@ def test_divergent_method_marks_cell_without_aborting(tmp_path):
 def test_chunk_evaluation_matches_per_group_stacks(rng):
     # 3 groups of 3 variants x 5 tasks at dim 4: 180 rows, so the first
     # STACK_ROWS-row stack ends inside the third group, within one variant
-    calm = random_params(4, 2, rng)
+    calm = random_params(4, rng)
     wild = replace(calm, w_proj=np.full(4, 1e300))
-    variants = [("calm", random_params(4, 2, rng)), ("other", calm), ("wild", wild)]
+    variants = [("calm", random_params(4, rng)), ("other", calm), ("wild", wild)]
     groups = [
         EvalGroup([(m, f"{sigma:g}", p) for m, p in variants],
                   replace(TEST_DIST, sigma=sigma), 5, RngStream(seed).child("test"), seed)

@@ -64,7 +64,7 @@ def test_power_iteration_matches_dense_eigensolver(rng):
 
 
 def test_lipschitz_profile_identity_and_diagonal(rng):
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     t_eye = OptimizeeTask(kind=QUADRATIC, dim=3, a=np.eye(3), b=np.zeros(3))
     prof = quadratic_lipschitz_profile(t_eye, 2.0, params)
     assert prof.grad_lipschitz == pytest.approx(1.0, rel=1e-10)
@@ -76,21 +76,21 @@ def test_lipschitz_profile_identity_and_diagonal(rng):
 
 
 def test_lipschitz_profile_rejects_non_quadratic(rng):
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     t = OptimizeeTask(kind="rosenbrock", dim=2)
     with pytest.raises(ValueError):
         quadratic_lipschitz_profile(t, 1.0, params)
 
 
 def test_input_sensitivity_positive_and_deterministic(rng):
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     a = input_sensitivity(params)
     b = input_sensitivity(params)
     assert a == b and a > 0.0
 
 
 def test_growth_zero_projection_gap_confined_to_projection_block(rng):
-    params = init_params(5, 2, rng)
+    params = init_params(5, rng)
     t1 = make_quadratic(rng, 3)
     t2 = make_quadratic(rng, 3)
     theta0 = rng.gen.normal(size=3)
@@ -113,7 +113,7 @@ def test_growth_report_shapes_and_monotone_fraction():
 
 
 def test_growth_rejects_bad_horizons(rng):
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     d1 = TaskDistribution(kind=NORMAL, family=QUADRATIC, dim=3, sigma=1.0)
     with pytest.raises(ValueError):
         gradient_gap_growth(params, (d1, d1), [], 2, rng)

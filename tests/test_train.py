@@ -23,7 +23,7 @@ TRAIN_DIST = TaskDistribution(kind=MIXTURE, family=LASSO, dim=6, lam=0.005)
 
 def tiny_cfg(**kw):
     base = dict(
-        seed=77, hidden=5, feature_dim=2, unroll_len=6, epochs=12,
+        seed=77, hidden=5, unroll_len=6, epochs=12,
         epochs_per_task=4, alpha=1e-3, outer_lr=1e-3,
     )
     base.update(kw)
@@ -45,9 +45,7 @@ def test_config_validation():
         MetaConfig(grad_mode="bogus")
     with pytest.raises(ValueError):
         MetaConfig(epochs_per_task=0)
-    # `cell.step` builds two features, and a cell needs a hidden unit
-    with pytest.raises(ValueError, match="feature_dim must be 2, got 3"):
-        MetaConfig(feature_dim=3)
+    # a cell needs a hidden unit
     with pytest.raises(ValueError, match="hidden must be >= 1"):
         MetaConfig(hidden=0)
 
@@ -136,14 +134,14 @@ def test_desk_scale_smoke_meta_loss_halves():
 
 
 def test_adapt_zero_steps_returns_params_unchanged(rng):
-    params = random_params(5, 2, rng)
+    params = random_params(5, rng)
     dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=2.0)
     out = adapt(params, dist, 0, 1e-3, 6, RngStream(1).child("a"))
     assert np.array_equal(out.to_flat(), params.to_flat())
 
 
 def test_adapt_is_deterministic(rng):
-    params = random_params(5, 2, rng)
+    params = random_params(5, rng)
     dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=2.0)
     a = adapt(params, dist, 5, 1e-4, 6, RngStream(1).child("a"))
     b = adapt(params, dist, 5, 1e-4, 6, RngStream(1).child("a"))
@@ -153,7 +151,7 @@ def test_adapt_is_deterministic(rng):
 
 
 def test_adapt_single_task_mode_differs_from_fresh(rng):
-    params = random_params(5, 2, rng)
+    params = random_params(5, rng)
     dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=2.0)
     fresh = adapt(params, dist, 4, 1e-4, 6, RngStream(1).child("a"))
     single = adapt(params, dist, 4, 1e-4, 6, RngStream(1).child("a"),
@@ -163,7 +161,7 @@ def test_adapt_single_task_mode_differs_from_fresh(rng):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_adapt_divergence_raises(rng):
-    params = random_params(5, 2, rng)
+    params = random_params(5, rng)
     dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=2.0)
     with pytest.raises(DivergenceError):
         adapt(params, dist, 8, 1e150, 6, RngStream(1).child("a"))
@@ -226,7 +224,7 @@ def test_lockstep_training_rejects_mixed_configs():
 @pytest.mark.parametrize("n_starts", [1, 3])
 def test_adapt_stack_matches_solo_adapt(rng, n_starts, fresh):
     dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=2.0)
-    starts = [random_params(5, 2, rng) for _ in range(n_starts)]
+    starts = [random_params(5, rng) for _ in range(n_starts)]
     # a huge projection throws the iterate to infinity in the first unroll
     starts[n_starts // 2] = replace(starts[n_starts // 2], w_proj=np.full(5, 1e300))
     stacked = adapt_stack(starts, dist, 4, 1e-4, 6, RngStream(1).child("a"),

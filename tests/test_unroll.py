@@ -24,7 +24,7 @@ from ml2o.unroll import (
 
 def test_unroll_zero_horizon(rng):
     task = make_quadratic(rng, 3)
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     theta0 = rng.gen.normal(size=3)
     res = unroll(params, task, theta0, 0)
     assert np.array_equal(res.theta_final, theta0)
@@ -34,7 +34,7 @@ def test_unroll_zero_horizon(rng):
 
 def test_unroll_zero_projection_is_constant(rng):
     task = make_quadratic(rng, 3)
-    params = init_params(4, 2, rng)
+    params = init_params(4, rng)
     theta0 = rng.gen.normal(size=3)
     res = unroll(params, task, theta0, 10)
     assert np.array_equal(res.theta_final, theta0)
@@ -44,7 +44,7 @@ def test_unroll_zero_projection_is_constant(rng):
 
 def test_unroll_curve_length_and_finiteness(rng):
     task = make_quadratic(rng, 4)
-    params = random_params(5, 2, rng)
+    params = random_params(5, rng)
     res = unroll(params, task, rng.gen.normal(size=4), 17)
     assert res.losses.shape == (18,)
     assert np.all(np.isfinite(res.losses))
@@ -55,7 +55,7 @@ def test_unroll_reports_divergence_step():
     huge = OptimizeeTask(
         kind=QUADRATIC, dim=2, a=np.full((2, 2), 1e160), b=np.zeros(2)
     )
-    params = random_params(4, 2, RngStream(0).child("p"), proj_scale=2.0)
+    params = random_params(4, RngStream(0).child("p"), proj_scale=2.0)
     theta0 = np.full(2, 1e-12)
     with pytest.raises(UnrollDivergedError) as err:
         unroll(params, huge, theta0, 5)
@@ -68,7 +68,7 @@ def test_unroll_reports_divergence_step():
 def test_meta_grad_matches_finite_differences(rng):
     for _ in range(5):
         task = make_quadratic(rng, 3)
-        params = random_params(4, 2, rng)
+        params = random_params(4, rng)
         theta0 = rng.gen.normal(size=3)
         g = meta_grad(params, task, theta0, 5)
         fd = central_diff(
@@ -79,7 +79,7 @@ def test_meta_grad_matches_finite_differences(rng):
 
 def test_meta_grad_zero_projection_structure(rng):
     task = make_quadratic(rng, 3)
-    params = init_params(4, 2, rng)
+    params = init_params(4, rng)
     g = meta_grad(params, task, rng.gen.normal(size=3), 5)
     layout_split = params.w.size + params.b.size
     assert np.all(g[:layout_split] == 0.0)  # gates never reach the loss
@@ -88,7 +88,7 @@ def test_meta_grad_zero_projection_structure(rng):
 
 def test_full_and_detached_modes_differ(rng):
     task = make_quadratic(rng, 3)
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     theta0 = rng.gen.normal(size=3)
     g_full = meta_grad(params, task, theta0, 5, FULL_SECOND_ORDER)
     g_det = meta_grad(params, task, theta0, 5, DETACHED_INPUT)
@@ -97,14 +97,14 @@ def test_full_and_detached_modes_differ(rng):
 
 def test_meta_grad_rejects_meta_modes(rng):
     task = make_quadratic(rng, 3)
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     with pytest.raises(ValueError):
         meta_grad(params, task, np.zeros(3), 5, FD_HVP_META)
 
 
 def test_maml_objective_alpha_zero_is_plain_loss(rng):
     task = make_quadratic(rng, 3)
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     theta0 = rng.gen.normal(size=3)
     assert maml_objective(params, task, theta0, 5, 0.0) == unroll(
         params, task, theta0, 5
@@ -113,7 +113,7 @@ def test_maml_objective_alpha_zero_is_plain_loss(rng):
 
 def test_maml_grad_alpha_zero_equals_meta_grad_bitwise(rng):
     task = make_quadratic(rng, 3)
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     theta0 = rng.gen.normal(size=3)
     for mode in (FIRST_ORDER_META, FD_HVP_META):
         assert np.array_equal(
@@ -125,7 +125,7 @@ def test_maml_grad_alpha_zero_equals_meta_grad_bitwise(rng):
 def test_maml_grad_fd_hvp_matches_objective_finite_differences(rng):
     for _ in range(3):
         task = make_quadratic(rng, 3)
-        params = random_params(4, 2, rng)
+        params = random_params(4, rng)
         theta0 = rng.gen.normal(size=3)
         alpha = 0.01
         g = maml_grad(params, task, theta0, 5, alpha, FD_HVP_META)
@@ -139,7 +139,7 @@ def test_maml_grad_fd_hvp_matches_objective_finite_differences(rng):
 
 def test_first_order_and_fd_hvp_agree_as_alpha_vanishes(rng):
     task = make_quadratic(rng, 3)
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     theta0 = rng.gen.normal(size=3)
     diffs = []
     for alpha in (1e-3, 1e-4):
@@ -152,7 +152,7 @@ def test_first_order_and_fd_hvp_agree_as_alpha_vanishes(rng):
 
 def test_jacobian_recursive_base_case(rng):
     task = make_quadratic(rng, 2)
-    params = random_params(3, 2, rng)
+    params = random_params(3, rng)
     jac = jacobian_recursive(params, task, rng.gen.normal(size=2), 0)
     assert jac.shape == (2, params.n_params)
     assert np.all(jac == 0.0)
@@ -160,7 +160,7 @@ def test_jacobian_recursive_base_case(rng):
 
 def test_jacobian_recursive_matches_fd_columns(rng):
     task = make_quadratic(rng, 2)
-    params = random_params(3, 2, rng)
+    params = random_params(3, rng)
     theta0 = rng.gen.normal(size=2)
     jac = jacobian_recursive(params, task, theta0, 3)
     fd = central_diff(
@@ -173,7 +173,7 @@ def test_jacobian_recursive_matches_fd_columns(rng):
 def test_jacobian_chain_rule_reproduces_meta_grad(rng):
     for _ in range(5):
         task = make_quadratic(rng, 2)
-        params = random_params(3, 2, rng)
+        params = random_params(3, rng)
         theta0 = rng.gen.normal(size=2)
         jac = jacobian_recursive(params, task, theta0, 3)
         res = unroll(params, task, theta0, 3)
@@ -184,14 +184,14 @@ def test_jacobian_chain_rule_reproduces_meta_grad(rng):
 
 def test_jacobian_guards_against_large_instances(rng):
     task = make_quadratic(rng, 10)
-    params = random_params(20, 2, rng)
+    params = random_params(20, rng)
     with pytest.raises(ValueError, match="too large"):
         jacobian_recursive(params, task, np.zeros(10), 3)
 
 
 def test_gradients_are_replay_deterministic(rng):
     task = make_quadratic(rng, 3)
-    params = random_params(4, 2, rng)
+    params = random_params(4, rng)
     theta0 = rng.gen.normal(size=3)
     assert np.array_equal(
         meta_grad(params, task, theta0, 7), meta_grad(params, task, theta0, 7)
@@ -200,7 +200,7 @@ def test_gradients_are_replay_deterministic(rng):
 
 def test_long_horizon_gradient_is_tractable(rng):
     task = make_quadratic(rng, 10)
-    params = random_params(20, 2, rng)
+    params = random_params(20, rng)
     theta0 = rng.gen.normal(size=10)
     g, res = meta_grad_with_result(params, task, theta0, 1000)
     assert np.all(np.isfinite(g))
@@ -221,7 +221,7 @@ def test_stacked_kernel_slices_match_lone_runs(family, size):
     rng = RngStream(4242).child(f"{family}/{size}")
     tasks = [sample_task(dist, rng) for _ in range(size)]
     theta0 = np.stack([sample_theta0(dist, rng) for _ in range(size)])
-    params = [random_params(4, 2, rng.child(f"p/{i}")) for i in range(size)]
+    params = [random_params(4, rng.child(f"p/{i}")) for i in range(size)]
     stack = ParamStack.of(params)
     grads, res = meta_grad_stack(stack, TaskStack(tasks), theta0, 8)
     maml, _, values = maml_parts_stack(stack, TaskStack(tasks), theta0, 6, 1e-2, FD_HVP_META, None)
