@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -37,8 +38,9 @@ from .harness import (
     compare_methods,
     interpolate_eval,
     write_curve,
+    write_json,
 )
-from .numeric import RngStream, central_diff
+from .numeric import RngStream, central_diff, numeric_environment
 from .tasks import NORMAL, QUADRATIC, OptimizeeTask, sample_task
 from .theory import default_growth_report, measure_gaps
 from .train import DivergenceError, train_ml2o, train_plain_l2o
@@ -70,14 +72,19 @@ def cmd_meta_train(args) -> int:
     except DivergenceError as exc:
         last_path = os.path.join(args.out, "checkpoint_last_good.ckpt")
         save_checkpoint(
-            exc.last_params, last_path, metadata=f"diverged-at-epoch={exc.epoch}"
+            exc.last_params,
+            last_path,
+            metadata=f"diverged-at-epoch={exc.epoch} {numeric_environment()}",
         )
         print(f"error: {exc}; wrote {last_path}", file=sys.stderr)
         return EXIT_DIVERGED
     save_checkpoint(
         params,
         ckpt_path,
-        metadata=f"method={args.method} seed={cfg.meta.seed} epochs={cfg.meta.epochs}",
+        metadata=(
+            f"method={args.method} seed={cfg.meta.seed} epochs={cfg.meta.epochs} "
+            f"{numeric_environment()}"
+        ),
     )
     log.write_csv(os.path.join(args.out, "trainlog.csv"))
     print(f"wrote {ckpt_path}")
@@ -197,21 +204,19 @@ def _verify_worst_case(cfg: ExperimentConfig, out_dir: str, suite: str) -> int:
     if ok:
         return EXIT_OK
     task, theta0, params = worst[1]
-    with open(os.path.join(out_dir, "worst_case.json"), "w") as fh:
-        json.dump(
-            {
-                "suite": suite,
-                "rel_error": worst[0],
-                "task": json.loads(task.to_json()),
-                "theta0": theta0.tolist(),
-                "params_flat": params.to_flat().tolist(),
-                "hidden": params.hidden,
-                "feature_dim": FEATURE_DIM,
-                "horizon": horizon,
-            },
-            fh,
-            indent=2,
-        )
+    write_json(
+        os.path.join(out_dir, "worst_case.json"),
+        {
+            "suite": suite,
+            "rel_error": worst[0],
+            "task": json.loads(task.to_json()),
+            "theta0": theta0.tolist(),
+            "params_flat": params.to_flat().tolist(),
+            "hidden": params.hidden,
+            "feature_dim": FEATURE_DIM,
+            "horizon": horizon,
+        },
+    )
     return EXIT_VERIFY
 
 
@@ -234,9 +239,7 @@ def _verify_gaps(cfg: ExperimentConfig, out_dir: str) -> int:
         rng=RngStream(seed).child("gaps-probes"),
     )
     path = os.path.join(out_dir, "gaps.json")
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report.to_json_dict())
     print(
         f"gaps: grad_gap={report.grad_gap:.6g} hess_gap={report.hess_gap:.6g} "
         f"(radius {report.probe_radius:g}, {report.n_probes} probes) -> {path}"
@@ -247,9 +250,7 @@ def _verify_gaps(cfg: ExperimentConfig, out_dir: str) -> int:
 def _verify_growth(cfg: ExperimentConfig, out_dir: str) -> int:
     report = default_growth_report(cfg.meta.seed)
     report.write_csv(os.path.join(out_dir, "growth.csv"))
-    with open(os.path.join(out_dir, "growth.json"), "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "growth.json"), report.to_json_dict())
     print(
         "growth: horizons "
         + ",".join(str(t) for t in report.horizons)
@@ -303,9 +304,7 @@ def cmd_interpolate(args) -> int:
             name = f"curve_alpha{key}_seed{r.seed}_task{r.task_index}.csv"
             write_curve(os.path.join(curve_dir, name), r.losses)
         print(f"alpha={key:>6s} mean={cell.mean:9.4f} +-{cell.half_width:7.4f} (n={cell.n})")
-    with open(os.path.join(args.out, "interpolation.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "interpolation.json"), summary)
     return EXIT_OK
 
 
@@ -377,8 +376,18 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
 
 
-def entry() -> None:  # console-script shim
-    sys.exit(main())
+def entry() -> None:
+    """Console-script shim: run `main`, then exit with its code.
+
+    Interpreter shutdown runs full collections over the tens of thousands of
+    objects that importing numpy and scipy created, about 0.1 s per command;
+    frozen objects are skipped.  Freezing after `main` returns keeps the
+    collector's default behaviour for the command itself and for every caller
+    of `main`, and exits normally: atexit handlers and stream flushes run.
+    """
+    rc = main()
+    gc.freeze()
+    sys.exit(rc)
 
 
 if __name__ == "__main__":

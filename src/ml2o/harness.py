@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .cell import OptimizerParams, ParamStack, init_params, load_checkpoint, save_checkpoint
-from .numeric import RngStream
+from .numeric import RngStream, numeric_environment
 from .tasks import NORMAL, TaskDistribution, TaskStack, sample_task, sample_theta0
 from .train import DivergenceError, MetaConfig, adapt_stack, train_lockstep
 from .unroll import unroll_stack
@@ -55,6 +55,7 @@ __all__ = [
     "seed_config",
     "read_comparison_json",
     "write_curve",
+    "write_json",
 ]
 
 VANILLA = "vanilla"
@@ -158,9 +159,7 @@ class ComparisonTable:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     def write_records_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -186,15 +185,38 @@ def write_curve(path, losses) -> None:
         fh.write("step,loss\n" + "".join(rows))
 
 
+def _nulls(value):
+    """`value` with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _nulls(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nulls(v) for v in value]
+    return value
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as strict JSON, keys sorted, with NaN and infinities as null."""
+    with open(path, "w") as fh:
+        json.dump(_nulls(doc), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def _float_or_nan(value) -> float:
+    return math.nan if value is None else value
+
+
 def read_comparison_json(path) -> ComparisonTable:
+    """Read a table written by `ComparisonTable.write_json`; null reads as NaN."""
     with open(path) as fh:
         doc = json.load(fh)
     cells = [
         ComparisonCell(
             method=c["method"],
             key=c["key"],
-            mean=c["mean"],
-            half_width=c["half_width"],
+            mean=_float_or_nan(c["mean"]),
+            half_width=_float_or_nan(c["half_width"]),
             n=c["n"],
             n_diverged=c["n_diverged"],
         )
@@ -421,7 +443,9 @@ class TrainingCache:
             path = self._path(trainer, key)
             if path is not None:
                 tmp = path + ".tmp"
-                save_checkpoint(params, tmp, metadata=f"trainer={trainer} key={key}")
+                save_checkpoint(
+                    params, tmp, metadata=f"trainer={trainer} key={key} {numeric_environment()}"
+                )
                 os.replace(tmp, path)
         return [self._memo[key] for _, key in keys]
 

@@ -9,14 +9,18 @@ cannot perturb another.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "NumericEnvironment",
     "RngStream",
     "central_diff",
     "gauss_sample",
+    "numeric_environment",
     "uniform_mixture_sample",
 ]
 
@@ -104,3 +108,63 @@ def central_diff(fn, x: np.ndarray, eps: float) -> np.ndarray:
         dn.flat[i] -= eps
         cols.append((np.asarray(fn(up)) - np.asarray(fn(dn))) / (2.0 * eps))
     return np.stack(cols, axis=-1)
+
+
+class NumericEnvironment(NamedTuple):
+    """The floating-point paths numpy takes on this host.
+
+    Each part is ``"unknown"`` when it cannot be read.
+    """
+
+    simd: str  # enabled SIMD dispatch targets, comma-separated, or "none"
+    blas_core: str  # the kernel OpenBLAS picked for this CPU
+
+    def __str__(self) -> str:
+        return f"simd={self.simd} blas={self.blas_core}"
+
+
+# OpenBLAS's name for its core query in numpy >= 2 wheels, in older 64-bit
+# wheels and in a plain build
+_CORENAME_SYMBOLS = (
+    "scipy_openblas_get_corename64_",
+    "openblas_get_corename64_",
+    "openblas_get_corename",
+)
+
+
+@functools.cache
+def numeric_environment() -> NumericEnvironment:
+    """Read the SIMD dispatch targets and the OpenBLAS core of this process.
+
+    Both change the bits of ``tanh``, ``exp`` and ``matmul``, so results are
+    reproducible only within one environment.  The dispatch targets honour
+    ``NPY_DISABLE_CPU_FEATURES``, the core ``OPENBLAS_CORETYPE``.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        features = umath.__cpu_features__
+        simd = ",".join(t for t in umath.__cpu_dispatch__ if features.get(t)) or "none"
+    except AttributeError:
+        simd = "unknown"
+    return NumericEnvironment(simd, _blas_core(umath.__file__))
+
+
+def _blas_core(extension_path: str) -> str:
+    """OpenBLAS's core name, looked up through numpy's extension module, which links it."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(extension_path)
+    except OSError:
+        return "unknown"
+    for symbol in _CORENAME_SYMBOLS:
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.argtypes = []
+            fn.restype = ctypes.c_char_p
+            name = fn()
+            return name.decode("ascii", "replace") if name else "unknown"
+    return "unknown"

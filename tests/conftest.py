@@ -1,10 +1,12 @@
 import importlib
+import os
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
+import ml2o
 from ml2o.numeric import RngStream
 from ml2o.tasks import QUADRATIC, OptimizeeTask
 
@@ -31,6 +33,12 @@ def write_checkpoint(path, hidden: int, feature_dim: int, output_scale: float = 
         + struct.pack("<Q", count) + payload + struct.pack("<I", zlib.crc32(payload))
     )
     return path
+
+
+def child_env(**overrides) -> dict:
+    """Environment for a child interpreter that imports this checkout's `ml2o`."""
+    src = os.path.dirname(os.path.dirname(ml2o.__file__))
+    return dict(os.environ, PYTHONPATH=src, **overrides)
 
 
 def rel_error(got: np.ndarray, want: np.ndarray) -> float:

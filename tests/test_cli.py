@@ -1,17 +1,27 @@
+import gc
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import write_checkpoint
-from ml2o.cell import CheckpointError, ParamLayout, load_checkpoint, random_params, save_checkpoint
+from conftest import child_env, write_checkpoint
+from ml2o.cell import (
+    CheckpointError,
+    ParamLayout,
+    load_checkpoint,
+    load_checkpoint_metadata,
+    random_params,
+    save_checkpoint,
+)
 from ml2o import cli
 from ml2o.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
 from ml2o.config import ConfigError, load_config
 from ml2o.harness import TrainingCache
-from ml2o.numeric import RngStream
+from ml2o.numeric import RngStream, numeric_environment
 
 TINY = """
 [meta]
@@ -56,6 +66,14 @@ def tiny_config(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(TINY)
     return str(path)
+
+
+def run_module(*args):
+    """`python -m ml2o.cli ARGS` in a fresh interpreter, which exits through `entry`."""
+    return subprocess.run(
+        [sys.executable, "-m", "ml2o.cli", *args],
+        env=child_env(), capture_output=True, text=True, timeout=300,
+    )
 
 
 def read_no_wall(path):
@@ -154,6 +172,9 @@ def test_meta_train_writes_artifacts_and_echo(tiny_config, tmp_path):
     assert "[meta]" in echoed and "epochs = 6" in echoed
     params = load_checkpoint(out / "checkpoint_plain.ckpt")
     assert params.hidden == 4
+    assert load_checkpoint_metadata(out / "checkpoint_plain.ckpt") == (
+        f"method=plain seed=9 epochs=6 {numeric_environment()}"
+    )
 
 
 def test_meta_train_warns_alpha_ignored_for_plain(tiny_config, tmp_path, capsys):
@@ -185,6 +206,9 @@ def test_meta_train_divergence_exit_code(tmp_path, capsys):
     assert rc == EXIT_DIVERGED
     last = load_checkpoint(tmp_path / "o" / "checkpoint_last_good.ckpt")
     assert np.all(np.isfinite(last.to_flat()))
+    metadata = load_checkpoint_metadata(tmp_path / "o" / "checkpoint_last_good.ckpt")
+    assert metadata.startswith("diverged-at-epoch=")
+    assert metadata.endswith(f" {numeric_environment()}")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -336,7 +360,7 @@ def test_interpolate_summary_is_per_seed(tmp_path):
         assert rc == EXIT_OK
         doc = json.loads((out / "interpolation.json").read_text())
         assert [row["n"] for row in doc] == [n_seeds, n_seeds]
-        assert all(np.isnan(row["half_width"]) == (n_seeds == 1) for row in doc)
+        assert all((row["half_width"] is None) == (n_seeds == 1) for row in doc)
 
 
 def test_interpolate_shape_mismatch_is_config_error(tiny_config, tmp_path, capsys):
@@ -390,3 +414,33 @@ def test_commands_write_only_inside_out_dir(tiny_config, tmp_path, monkeypatch):
                "--out", str(out)])
     assert rc == EXIT_OK
     assert os.listdir(workdir) == []
+
+
+def test_entry_freezes_the_collector_after_main_returns(monkeypatch):
+    # every stand-in is patched, so the test process itself is never frozen
+    events = []
+    frozen_before = gc.get_freeze_count()
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or EXIT_DIVERGED)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli.sys, "exit", lambda rc: events.append(("exit", rc)))
+    cli.entry()
+    assert events == ["main", "freeze", ("exit", EXIT_DIVERGED)]
+    assert gc.get_freeze_count() == frozen_before
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_module_run_writes_what_main_writes(tiny_config, tmp_path, jobs):
+    args = ["compare", "--config", tiny_config, "--jobs", jobs]
+    child = run_module(*args, "--out", str(tmp_path / "child"))
+    assert child.returncode == EXIT_OK, child.stderr
+    assert main([*args, "--out", str(tmp_path / "here")]) == EXIT_OK
+    for name in ("comparison.json", "comparison.csv"):
+        assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
+def test_module_run_missing_config_exits_2(tmp_path):
+    child = run_module("compare", "--config", str(tmp_path / "nope.ini"),
+                       "--out", str(tmp_path / "o"))
+    assert child.returncode == EXIT_CONFIG
+    assert child.stderr.startswith("config error: ")
+    assert "nope.ini" in child.stderr

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ml2o.cell import init_params, random_params
+from ml2o.cell import init_params, load_checkpoint_metadata, random_params
 from ml2o.harness import (
     DT,
     ML2O,
@@ -30,7 +30,7 @@ from ml2o.harness import (
     read_comparison_json,
     seed_config,
 )
-from ml2o.numeric import RngStream
+from ml2o.numeric import RngStream, numeric_environment
 from ml2o.tasks import LASSO, MIXTURE, NORMAL, QUADRATIC, OptimizeeTask, TaskDistribution
 from ml2o.train import MetaConfig
 from ml2o.unroll import unroll
@@ -234,6 +234,35 @@ def test_table_json_round_trips_bit_exact(tmp_path):
     assert table_doc == back_doc
 
 
+def test_undefined_statistics_write_strict_json_as_null(tmp_path):
+    # one counted seed leaves the half-width undefined; a cell whose only run
+    # diverged has no mean either
+    def record(method, seed, value, diverged=False):
+        return RunRecord(
+            method=method, key="10", seed=seed, task_index=0, losses=np.empty(0),
+            min_log_loss=value, task_digest="", theta0_digest="", params_digest="",
+            diverged=diverged,
+        )
+
+    table = _aggregate([record(ML2O, 0, -3.25), record(TL, 0, 1.0, diverged=True)])
+    path = tmp_path / "t.json"
+    table.write_json(path)
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(path.read_text(), parse_constant=refuse)
+    cells = {c["method"]: c for c in doc["cells"]}
+    assert cells[ML2O]["mean"] == -3.25 and cells[ML2O]["half_width"] is None
+    assert cells[TL]["mean"] is None and cells[TL]["n_diverged"] == 1
+    back = read_comparison_json(path)
+    assert back.cell(ML2O, 10.0).mean == -3.25
+    assert math.isnan(back.cell(ML2O, 10.0).half_width)
+    assert math.isnan(back.cell(TL, 10.0).mean)
+    back.write_json(tmp_path / "t2.json")
+    assert (tmp_path / "t2.json").read_bytes() == path.read_bytes()
+
+
 def test_training_cache_hits_are_identical(tmp_path):
     meta = tiny_meta()
     cache1 = TrainingCache(str(tmp_path / "c"))
@@ -241,6 +270,11 @@ def test_training_cache_hits_are_identical(tmp_path):
     cache2 = TrainingCache(str(tmp_path / "c"))  # cold memo, warm disk
     p2 = cache2.get_or_train("plain", meta, TRAIN_DIST)
     assert np.array_equal(p1.to_flat(), p2.to_flat())
+    # the file records the numeric environment it was trained in
+    (path,) = (tmp_path / "c").glob("plain-*.ckpt")
+    key = TrainingCache._key("plain", meta, TRAIN_DIST)
+    assert path.name == f"plain-{key}.ckpt"
+    assert load_checkpoint_metadata(path) == f"trainer=plain key={key} {numeric_environment()}"
 
 
 def test_parallel_jobs_do_not_change_results(tmp_path):

@@ -1,7 +1,17 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from ml2o.numeric import RngStream, central_diff, gauss_sample, uniform_mixture_sample
+from conftest import child_env
+from ml2o.numeric import (
+    RngStream,
+    central_diff,
+    gauss_sample,
+    numeric_environment,
+    uniform_mixture_sample,
+)
 from ml2o.tasks import TRAIN_MIXTURE_RANGES
 
 
@@ -88,3 +98,23 @@ def test_central_diff_shapes_and_quadratic_exactness():
     grad = central_diff(lambda y: 0.5 * float(y @ y), x, 1e-3)
     assert grad.shape == (2,)
     assert np.allclose(grad, x, rtol=0, atol=1e-12)
+
+
+def test_numeric_environment_honours_disabled_cpu_features():
+    env = numeric_environment()
+    assert numeric_environment() is env  # read once per process
+    assert str(env) == f"simd={env.simd} blas={env.blas_core}"
+    enabled = [t for t in env.simd.split(",") if t not in ("none", "unknown")]
+    if not enabled:
+        pytest.skip(f"no SIMD dispatch target to disable ({env.simd})")
+    highest = enabled[-1]
+    child = subprocess.run(
+        [sys.executable, "-c", "from ml2o.numeric import numeric_environment as e; print(e())"],
+        env=child_env(NPY_DISABLE_CPU_FEATURES=highest),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    simd, blas = child.stdout.split()
+    remaining = simd.removeprefix("simd=").split(",")
+    assert highest not in remaining
+    assert set(remaining) <= set(enabled) | {"none"}
+    assert blas == f"blas={env.blas_core}"
