@@ -8,7 +8,7 @@ from-scratch baselines on out-of-distribution tasks.
 
 from .cell import (
     CheckpointError,
-    OptimizerParams,
+    ParamStack,
     init_params,
     load_checkpoint,
     save_checkpoint,

@@ -18,6 +18,7 @@ zero update; `OUTPUT_SCALE` is a fixed architectural constant, not trained.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 import zlib
@@ -29,7 +30,6 @@ from scipy.special import expit
 from .numeric import RngStream
 
 __all__ = [
-    "OptimizerParams",
     "ParamLayout",
     "ParamStack",
     "init_params",
@@ -56,53 +56,6 @@ CHECKPOINT_VERSION = 1
 
 class CheckpointError(Exception):
     """Raised for unreadable, corrupt or incompatible checkpoint files."""
-
-
-@dataclass(frozen=True)
-class OptimizerParams:
-    """All trainable weights of the update rule.
-
-    `w` holds the four gate weight matrices side by side, columns ordered
-    [input | forget | output-gate | candidate]; `b` holds the biases in the
-    same order.
-    """
-
-    w: np.ndarray  # (FEATURE_DIM + hidden, 4*hidden)
-    b: np.ndarray  # (4*hidden,)
-    w_proj: np.ndarray  # (hidden,)
-    b_proj: float
-
-    @property
-    def hidden(self) -> int:
-        return self.w_proj.shape[0]
-
-    @property
-    def layout(self) -> "ParamLayout":
-        return ParamLayout(self.hidden)
-
-    @property
-    def n_params(self) -> int:
-        """Length of the flat trainable vector."""
-        return self.layout.size
-
-    def to_flat(self) -> np.ndarray:
-        return self.layout.pack(self.w, self.b, self.w_proj, np.float64(self.b_proj))
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, hidden: int) -> "OptimizerParams":
-        w, b, w_proj, b_proj = ParamLayout(hidden).unpack(flat, ())
-        return cls(w=w, b=b, w_proj=w_proj, b_proj=float(b_proj))
-
-    def with_flat(self, flat: np.ndarray) -> "OptimizerParams":
-        return OptimizerParams.from_flat(flat, self.hidden)
-
-    def digest(self) -> str:
-        import hashlib
-
-        h = hashlib.blake2b(digest_size=16)
-        h.update(struct.pack("<IId", self.hidden, FEATURE_DIM, OUTPUT_SCALE))
-        h.update(np.ascontiguousarray(self.to_flat()).tobytes())
-        return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -164,8 +117,8 @@ class ParamLayout:
         return w, b, w_proj, flat[..., self.b_proj_index].copy()
 
 
-def init_params(hidden: int, rng: RngStream) -> OptimizerParams:
-    """Fresh optimizer weights.
+def init_params(hidden: int, rng: RngStream) -> ParamStack:
+    """Fresh weights of one optimizer.
 
     Gate weights are U(-s, s) with s = 1/sqrt(hidden + FEATURE_DIM); the
     forget-gate bias starts at 1 so cell memory survives early unrolls; the
@@ -175,26 +128,26 @@ def init_params(hidden: int, rng: RngStream) -> OptimizerParams:
         raise ValueError(f"hidden must be >= 1, got {hidden}")
     rows = FEATURE_DIM + hidden
     s = 1.0 / np.sqrt(rows)
-    w = np.empty((rows, 4 * hidden))
+    w = np.empty((1, rows, 4 * hidden))
     for gate in range(4):
-        w[:, gate * hidden : (gate + 1) * hidden] = rng.gen.uniform(
+        w[0, :, gate * hidden : (gate + 1) * hidden] = rng.gen.uniform(
             -s, s, size=(rows, hidden)
         )
-    b = np.zeros(4 * hidden)
-    b[hidden : 2 * hidden] = 1.0  # forget gate
-    return OptimizerParams(w=w, b=b, w_proj=np.zeros(hidden), b_proj=0.0)
+    b = np.zeros((1, 1, 4 * hidden))
+    b[..., hidden : 2 * hidden] = 1.0  # forget gate
+    return ParamStack(w=w, b=b, w_proj=np.zeros((1, hidden, 1)), b_proj=np.zeros((1, 1, 1)))
 
 
-def random_params(hidden: int, rng: RngStream, proj_scale: float = 0.5) -> OptimizerParams:
-    """Generic non-degenerate weights for probing and gradient checks.
+def random_params(hidden: int, rng: RngStream, proj_scale: float = 0.5) -> ParamStack:
+    """Generic non-degenerate weights of one optimizer, for probing and gradient checks.
 
     Unlike `init_params` the output projection is nonzero, so every
     parameter block influences the unrolled loss.
     """
     base = init_params(hidden, rng)
     s = proj_scale / np.sqrt(hidden)
-    w_proj = rng.gen.uniform(-s, s, size=hidden)
-    b_proj = float(rng.gen.uniform(-s, s))
+    w_proj = rng.gen.uniform(-s, s, size=(1, hidden, 1))
+    b_proj = rng.gen.uniform(-s, s, size=(1, 1, 1))
     return replace(base, w_proj=w_proj, b_proj=b_proj)
 
 
@@ -210,13 +163,17 @@ def moment_update(
 
 @dataclass(frozen=True)
 class ParamStack:
-    """The weights of B optimizers stacked on a leading axis.
+    """All trainable weights of B optimizers, stacked on a leading axis.
 
-    Slice i runs trajectory i of a lockstep unroll.  Every stacked operation
-    on it computes each slice with exactly the floating-point operations of a
-    lone optimizer, so a slice's results do not depend on its neighbours.
-    The blocks carry singleton axes so that they broadcast against the
-    kernel's (B, dim, ...) arrays as they are.
+    A lone optimizer is a stack of size 1.  `w` holds the four gate weight
+    matrices side by side, columns ordered [input | forget | output-gate |
+    candidate]; `b` holds the biases in the same order.  Slice i runs
+    trajectory i of a lockstep unroll.  Every stacked operation on it
+    computes each slice with exactly the floating-point operations of a lone
+    optimizer, so a slice's results do not depend on its neighbours.  The
+    blocks carry singleton axes so that they broadcast against the kernel's
+    (B, dim, ...) arrays as they are.  An integer index drops the stack axis,
+    so take slices with `take([i])`.
     """
 
     w: np.ndarray  # (B, FEATURE_DIM + hidden, 4*hidden)
@@ -237,19 +194,23 @@ class ParamStack:
         return ParamLayout(self.hidden)
 
     @classmethod
-    def of(cls, params: list[OptimizerParams]) -> "ParamStack":
-        if len({p.hidden for p in params}) != 1:
+    def of(cls, stacks: list["ParamStack"]) -> "ParamStack":
+        """The slices of `stacks`, in order, as one stack."""
+        if len({s.hidden for s in stacks}) != 1:
             raise ValueError("stacked optimizers must share hidden")
-        return cls._from_blocks(
-            np.stack([p.w for p in params]),
-            np.stack([p.b for p in params]),
-            np.stack([p.w_proj for p in params]),
-            np.array([p.b_proj for p in params], dtype=np.float64),
+        return cls(
+            w=np.concatenate([s.w for s in stacks]),
+            b=np.concatenate([s.b for s in stacks]),
+            w_proj=np.concatenate([s.w_proj for s in stacks]),
+            b_proj=np.concatenate([s.b_proj for s in stacks]),
         )
 
     @classmethod
-    def _from_blocks(cls, w, b, w_proj, b_proj) -> "ParamStack":
-        n = w.shape[0]
+    def from_flat(cls, flat: np.ndarray, layout: ParamLayout) -> "ParamStack":
+        """Stack from flat vectors (B, |weights|)."""
+        flat = np.asarray(flat, dtype=np.float64)
+        n = flat.shape[0]
+        w, b, w_proj, b_proj = layout.unpack(flat, (n,))
         return cls(
             w=w,
             b=b.reshape(n, 1, -1),
@@ -257,13 +218,8 @@ class ParamStack:
             b_proj=b_proj.reshape(n, 1, 1),
         )
 
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, layout: ParamLayout) -> "ParamStack":
-        """Stack from flat vectors (B, |weights|)."""
-        flat = np.asarray(flat, dtype=np.float64)
-        return cls._from_blocks(*layout.unpack(flat, flat.shape[:1]))
-
     def to_flat(self) -> np.ndarray:
+        """Flat vectors (B, |weights|); a stack of one holds the bytes of one vector."""
         n = self.size
         return self.layout.pack(
             self.w, self.b.reshape(n, -1), self.w_proj.reshape(n, -1), self.b_proj.reshape(n)
@@ -279,6 +235,19 @@ class ParamStack:
             w_proj=self.w_proj[index],
             b_proj=self.b_proj[index],
         )
+
+    def check_single(self, what: str) -> None:
+        """Refuse a stack that is not one optimizer, for `what` that reads only one."""
+        if self.size != 1:
+            raise ValueError(f"{what} needs a stack of one optimizer, got {self.size}")
+
+    def digest(self) -> str:
+        """Digest of a lone optimizer: the checkpoint header's sizes and the flat weights."""
+        self.check_single("digest")
+        h = hashlib.blake2b(digest_size=16)
+        h.update(struct.pack("<IId", self.hidden, FEATURE_DIM, OUTPUT_SCALE))
+        h.update(np.ascontiguousarray(self.to_flat()).tobytes())
+        return h.hexdigest()
 
 
 def cell_forward(params: ParamStack, z: np.ndarray, h: np.ndarray, c: np.ndarray):
@@ -322,14 +291,15 @@ def step(
     return predict_update(params, h2), h2, c2, m2, v2, cache
 
 
-def save_checkpoint(params: OptimizerParams, path, metadata: str = "") -> None:
-    """Write a little-endian binary checkpoint.
+def save_checkpoint(params: ParamStack, path, metadata: str = "") -> None:
+    """Write a little-endian binary checkpoint of a stack of one optimizer.
 
     Layout: magic "ML2O", u32 version, u32 hidden, u32 FEATURE_DIM,
     f64 OUTPUT_SCALE, u32 metadata byte length, metadata (utf-8),
     u64 payload count, payload float64s in flat parameter order,
     u32 CRC-32 of the payload bytes.
     """
+    params.check_single("save_checkpoint")
     payload = np.ascontiguousarray(params.to_flat(), dtype="<f8").tobytes()
     meta = metadata.encode("utf-8")
     with open(path, "wb") as fh:
@@ -339,7 +309,7 @@ def save_checkpoint(params: OptimizerParams, path, metadata: str = "") -> None:
         )
         fh.write(struct.pack("<I", len(meta)))
         fh.write(meta)
-        fh.write(struct.pack("<Q", params.n_params))
+        fh.write(struct.pack("<Q", params.layout.size))
         fh.write(payload)
         fh.write(struct.pack("<I", zlib.crc32(payload)))
 
@@ -392,8 +362,8 @@ def _read_header(fh) -> tuple[int, str]:
     return hidden, metadata
 
 
-def load_checkpoint(path) -> OptimizerParams:
-    """Read a checkpoint written by `save_checkpoint`; see it for the layout."""
+def load_checkpoint(path) -> ParamStack:
+    """Read a checkpoint written by `save_checkpoint` as a stack of one; see it for the layout."""
     with open(path, "rb") as fh:
         hidden, _ = _read_header(fh)
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "payload count"))
@@ -408,7 +378,7 @@ def load_checkpoint(path) -> OptimizerParams:
         if crc != zlib.crc32(payload):
             raise CheckpointError("corrupt checkpoint: payload checksum mismatch")
         flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return OptimizerParams.from_flat(flat, hidden)
+    return ParamStack.from_flat(flat[None], ParamLayout(hidden))
 
 
 def load_checkpoint_metadata(path) -> str:

@@ -115,7 +115,7 @@ def _run_table(args, cfg: ExperimentConfig, table_fn, stem: str, label: str, wid
         cfg.dist_train,
         cfg.dist_adapt,
         cfg.dist_test,
-        n_seeds=args.n_seeds or cfg.n_seeds,
+        n_seeds=cfg.n_seeds if args.n_seeds is None else args.n_seeds,
         horizon=cfg.horizon,
         n_tasks=cfg.n_tasks,
         adapt_alpha=cfg.adapt_alpha,
@@ -137,7 +137,7 @@ def _run_table(args, cfg: ExperimentConfig, table_fn, stem: str, label: str, wid
 
 def cmd_compare(args) -> int:
     cfg = _load(args)
-    sigmas = parse_float_list(args.sigmas) if args.sigmas else cfg.sigmas
+    sigmas = cfg.sigmas if args.sigmas is None else parse_float_list(args.sigmas)
     sigma_list = sigmas if cfg.dist_test.kind == NORMAL else None
     table_fn = functools.partial(compare_methods, sigma_list=sigma_list)
     return _run_table(args, cfg, table_fn, "comparison", "key", 12)
@@ -147,7 +147,9 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     table_fn = functools.partial(
         adapt_sweep,
-        adapt_sigmas=parse_float_list(args.adapt_sigmas) if args.adapt_sigmas else cfg.adapt_sigmas,
+        adapt_sigmas=(
+            cfg.adapt_sigmas if args.adapt_sigmas is None else parse_float_list(args.adapt_sigmas)
+        ),
         test_sigma=cfg.test_sigma if args.test_sigma is None else args.test_sigma,
     )
     return _run_table(args, cfg, table_fn, "sweep", "adapt_sigma", 8)
@@ -211,7 +213,7 @@ def _verify_worst_case(cfg: ExperimentConfig, out_dir: str, suite: str) -> int:
             "rel_error": worst[0],
             "task": json.loads(task.to_json()),
             "theta0": theta0.tolist(),
-            "params_flat": params.to_flat().tolist(),
+            "params_flat": params.to_flat()[0].tolist(),
             "hidden": params.hidden,
             "feature_dim": FEATURE_DIM,
             "horizon": horizon,
@@ -272,14 +274,14 @@ def cmd_interpolate(args) -> int:
     w1 = load_checkpoint(args.w1)
     w2 = load_checkpoint(args.w2)
     blend_params(w1, w2, 0.5)  # shape check up front
-    alphas = parse_float_list(args.alphas) if args.alphas else cfg.interp_alphas
+    alphas = cfg.interp_alphas if args.alphas is None else parse_float_list(args.alphas)
     by_alpha = interpolate_eval(
         w1,
         w2,
         alphas,
         cfg.dist_test,
         cfg.horizon,
-        n_seeds=args.n_seeds or cfg.n_seeds,
+        n_seeds=cfg.n_seeds if args.n_seeds is None else args.n_seeds,
         root_seed=cfg.meta.seed,
         n_tasks=cfg.n_tasks,
     )

@@ -100,7 +100,7 @@ class ExperimentConfig:
     dist_train: TaskDistribution
     dist_adapt: TaskDistribution
     dist_test: TaskDistribution
-    adapt_alpha: float
+    adapt_alpha: float | None  # None: the adaptation step is [meta] alpha
     adapt_fresh_per_step: bool
     horizon: int
     n_seeds: int
@@ -221,16 +221,13 @@ def load_config(path: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"[meta] {exc}") from exc
 
-    adapt_alpha = values["adapt"]["alpha"]
-    if adapt_alpha is None:
-        adapt_alpha = meta.alpha
     ev = values["eval"]
     cfg = ExperimentConfig(
         meta=meta,
         dist_train=_dist_from(values["train"], "train"),
         dist_adapt=_dist_from(values["adapt"], "adapt"),
         dist_test=_dist_from(values["test"], "test"),
-        adapt_alpha=adapt_alpha,
+        adapt_alpha=values["adapt"]["alpha"],
         adapt_fresh_per_step=values["adapt"]["fresh_task_per_step"],
         horizon=values["test"]["horizon"],
         n_seeds=ev["n_seeds"],

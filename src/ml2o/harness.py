@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import stdtrit
 
-from .cell import OptimizerParams, ParamStack, init_params, load_checkpoint, save_checkpoint
+from .cell import ParamStack, init_params, load_checkpoint, save_checkpoint
 from .numeric import RngStream, numeric_environment
 from .tasks import NORMAL, TaskDistribution, TaskStack, sample_task, sample_theta0
 from .train import DivergenceError, MetaConfig, adapt_stack, train_lockstep
@@ -275,10 +275,10 @@ def _aggregate(records: list[RunRecord]) -> ComparisonTable:
 class EvalGroup(NamedTuple):
     """Frozen optimizers to evaluate on `n_tasks` shared test draws from `rng`.
 
-    `variants` is a sequence of (method, key, params).
+    `variants` is a sequence of (method, key, params), each params a stack of one.
     """
 
-    variants: list[tuple[str, str, OptimizerParams]]
+    variants: list[tuple[str, str, ParamStack]]
     dist_test: TaskDistribution
     n_tasks: int
     rng: RngStream
@@ -360,7 +360,7 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
 
 
 def evaluate(
-    params: OptimizerParams,
+    params: ParamStack,
     dist_test: TaskDistribution,
     horizon: int,
     n_tasks: int,
@@ -388,7 +388,7 @@ class TrainingCache:
         self.directory = directory
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
-        self._memo: dict[str, OptimizerParams] = {}
+        self._memo: dict[str, ParamStack] = {}
 
     @staticmethod
     def _key(trainer: str, cfg: MetaConfig, dist: TaskDistribution) -> str:
@@ -422,14 +422,18 @@ class TrainingCache:
 
     def get_or_train(
         self, trainer: str, cfg: MetaConfig, dist: TaskDistribution
-    ) -> OptimizerParams:
+    ) -> ParamStack:
         return self.get_or_train_all([(trainer, cfg)], dist)[0]
 
     def get_or_train_all(
         self, requests: list[tuple[str, MetaConfig]], dist: TaskDistribution
-    ) -> list[OptimizerParams]:
+    ) -> list[ParamStack]:
         """Weights for each (trainer, config); the misses of both trainers are
-        trained together in lockstep, and none is stored if any diverges."""
+        trained together in lockstep, and none is stored if any diverges.
+
+        Each checkpoint is written to a temporary file of its own writer, then
+        renamed into place, so commands sharing a directory never collide.
+        """
         keys = [(trainer, self._key(trainer, cfg, dist)) for trainer, cfg in requests]
         missing = {}
         for (trainer, key), (_, cfg) in zip(keys, requests):
@@ -442,7 +446,7 @@ class TrainingCache:
             self._memo[key] = params
             path = self._path(trainer, key)
             if path is not None:
-                tmp = path + ".tmp"
+                tmp = f"{path}.{os.getpid()}-{os.urandom(6).hex()}.tmp"
                 save_checkpoint(
                     params, tmp, metadata=f"trainer={trainer} key={key} {numeric_environment()}"
                 )
@@ -561,6 +565,8 @@ def _compare(
     """
     if n_seeds < 2:
         raise ValueError(f"n_seeds must be >= 2, got {n_seeds}")
+    if not columns:
+        raise ValueError("the sigma list is empty: no column to evaluate")
     protocol = _Protocol(
         meta, dist_train, columns, methods, horizon, n_tasks,
         meta.alpha if adapt_alpha is None else adapt_alpha, fresh_per_step,
@@ -655,9 +661,7 @@ def adapt_sweep(
     )
 
 
-def blend_params(
-    w1: OptimizerParams, w2: OptimizerParams, alpha: float
-) -> OptimizerParams:
+def blend_params(w1: ParamStack, w2: ParamStack, alpha: float) -> ParamStack:
     """alpha*w1 + (1-alpha)*w2 elementwise; endpoints return the exact input."""
     if w1.hidden != w2.hidden:
         raise ValueError(f"shape mismatch: hidden={w1.hidden} vs hidden={w2.hidden}")
@@ -671,8 +675,8 @@ def blend_params(
 
 
 def interpolate_eval(
-    w1: OptimizerParams,
-    w2: OptimizerParams,
+    w1: ParamStack,
+    w2: ParamStack,
     alpha_grid,
     dist_test: TaskDistribution,
     horizon: int,
@@ -685,8 +689,12 @@ def interpolate_eval(
     Every blend sees exactly the same test tasks and starting iterates, so
     the curves are comparable point by point across the grid.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     root = RngStream(root_seed)
     blends = {f"{float(a):g}": blend_params(w1, w2, float(a)) for a in alpha_grid}
+    if not blends:
+        raise ValueError("the list of interpolation weights is empty")
     out: dict[str, list[RunRecord]] = {key: [] for key in blends}
     groups = [
         EvalGroup(

@@ -17,7 +17,6 @@ import numpy as np
 
 from .cell import (
     FEATURE_DIM,
-    OptimizerParams,
     ParamStack,
     cell_forward,
     predict_update,
@@ -190,7 +189,7 @@ def measure_gaps(
 
 
 def input_sensitivity(
-    params: OptimizerParams,
+    params: ParamStack,
     n_pairs: int = 256,
     z_scale: float = 3.0,
     rng: RngStream | None = None,
@@ -201,15 +200,15 @@ def input_sensitivity(
     closed form exists for the recurrent cell, so this is an empirical
     lower bound.
     """
+    params.check_single("input_sensitivity")
     if rng is None:
         rng = RngStream(0).child("input-sensitivity")
-    stack = ParamStack.of([params])
     h = np.zeros((1, 1, params.hidden))
     c = np.zeros((1, 1, params.hidden))
 
     def update_for(z):
-        h2, _, _ = cell_forward(stack, z.reshape(1, 1, FEATURE_DIM), h, c)
-        return float(predict_update(stack, h2)[0, 0, 0])
+        h2, _, _ = cell_forward(params, z.reshape(1, 1, FEATURE_DIM), h, c)
+        return float(predict_update(params, h2)[0, 0, 0])
 
     best = 0.0
     for _ in range(n_pairs):
@@ -223,7 +222,7 @@ def input_sensitivity(
 
 
 def quadratic_lipschitz_profile(
-    task: OptimizeeTask, domain_radius: float, params: OptimizerParams
+    task: OptimizeeTask, domain_radius: float, params: ParamStack
 ) -> LipschitzProfile:
     """Curvature constants of a quadratic task over a ball of a given radius."""
     if task.kind != QUADRATIC:
@@ -242,7 +241,7 @@ def quadratic_lipschitz_profile(
 
 
 def gradient_gap_growth(
-    params: OptimizerParams,
+    params: ParamStack,
     dist_pair: tuple[TaskDistribution, TaskDistribution],
     horizons,
     n_probes: int,

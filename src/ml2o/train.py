@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cell import OptimizerParams, ParamStack, init_params
+from .cell import ParamStack, init_params
 from .numeric import RngStream
 from .tasks import TaskDistribution, TaskStack, sample_task, sample_theta0
 from .unroll import (
@@ -62,7 +62,7 @@ CURRICULUM_DOUBLING = "doubling"
 class DivergenceError(RuntimeError):
     """Training or adaptation produced a non-finite loss or gradient."""
 
-    def __init__(self, epoch: int, last_params: OptimizerParams, cause: str):
+    def __init__(self, epoch: int, last_params: ParamStack, cause: str):
         super().__init__(
             f"diverged at epoch {epoch}: {cause}; last finite weights attached"
         )
@@ -250,17 +250,17 @@ class _Run:
 
 def train_lockstep(
     runs: list[tuple[MetaConfig, bool]], dist: TaskDistribution
-) -> list[tuple[OptimizerParams, TrainLog]]:
+) -> list[tuple[ParamStack, TrainLog]]:
     """Train one optimizer per (config, meta_adaptive) run in lockstep.
 
-    Returns (weights, log) per run.  The configs may differ only in their
-    seed; the flag picks the meta-adaptive or the plain trainer.  Every
-    epoch runs all runs' `tasks_per_update` unrolls as one stack.  When the
-    plain trainer's gradient mode is ``full_second_order`` (the first pass
-    of the meta-adaptive trainer always is), the plain slices and the first
-    pass of the meta-adaptive slices are that one stack; only the
-    meta-adaptive slices go on to the pass at the stepped weights and the
-    finite-difference pair.  Each run keeps its own random streams, blocks,
+    Returns (weights, log) per run, the weights a stack of one.  The configs
+    may differ only in their seed; the flag picks the meta-adaptive or the
+    plain trainer.  Every epoch runs all runs' `tasks_per_update` unrolls as
+    one stack.  When the plain trainer's gradient mode is
+    ``full_second_order`` (the first pass of the meta-adaptive trainer
+    always is), the plain slices and the first pass of the meta-adaptive
+    slices are that one stack; only the meta-adaptive slices go on to the
+    pass at the stepped weights and the finite-difference pair.  Each run keeps its own random streams, blocks,
     curriculum and outer-rule row, so its result is bit-identical to
     training it alone.  Raises `DivergenceError`, naming the trainer and the
     seed, for the first run that diverges.
@@ -273,7 +273,7 @@ def train_lockstep(
     states = [_Run(c, dist) for c, _ in runs]
     n_tasks = cfg.tasks_per_update
     layout = states[0].params.layout
-    flats = np.stack([r.params.to_flat() for r in states])  # one row per run
+    flats = np.concatenate([r.params.to_flat() for r in states])  # one row per run
     outer = _make_outer(cfg, flats.shape)
     # slice r * n_tasks + j is run r on its task j
     adaptive = np.repeat([meta for _, meta in runs], n_tasks)
@@ -283,11 +283,13 @@ def train_lockstep(
     plain_mode = inner_mode(cfg.grad_mode)
     fused = plain_mode == FULL_SECOND_ORDER
 
+    def weights(r: int) -> ParamStack:
+        return ParamStack.from_flat(flats[r : r + 1], layout)
+
     def diverged(k: int, r: int, cause: str) -> DivergenceError:
         c, meta = runs[r]
-        params = OptimizerParams.from_flat(flats[r], layout.hidden)
         trainer = "ml2o" if meta else "plain"
-        return DivergenceError(k, params, f"{trainer} seed {c.seed}: {cause}")
+        return DivergenceError(k, weights(r), f"{trainer} seed {c.seed}: {cause}")
 
     for k in range(cfg.epochs):
         t_start = time.perf_counter()
@@ -356,10 +358,7 @@ def train_lockstep(
             run.end_epoch(float(losses[r]), finals)
             run.log.wall_ms.append(wall_ms)
 
-    return [
-        (OptimizerParams.from_flat(flat, layout.hidden), run.log)
-        for flat, run in zip(flats, states)
-    ]
+    return [(weights(r), run.log) for r, run in enumerate(states)]
 
 
 def train_ml2o(cfg: MetaConfig, dist: TaskDistribution):
@@ -373,7 +372,7 @@ def train_plain_l2o(cfg: MetaConfig, dist: TaskDistribution):
 
 
 def adapt_stack(
-    starts: list[OptimizerParams],
+    starts: list[ParamStack],
     dist_adapt: TaskDistribution,
     steps: int,
     alpha: float,
@@ -381,8 +380,8 @@ def adapt_stack(
     rng: RngStream,
     grad_mode: str = FULL_SECOND_ORDER,
     fresh_task_per_step: bool = True,
-) -> list[OptimizerParams | DivergenceError]:
-    """Adapt several starting weights on shared draws, as one stack.
+) -> list[ParamStack | DivergenceError]:
+    """Adapt several starting weights, each a stack of one, on shared draws as one stack.
 
     Each start takes the plain gradient steps of `adapt`; the adaptation
     tasks and starting iterates are drawn from `rng` once per step and
@@ -396,7 +395,7 @@ def adapt_stack(
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     mode = inner_mode(grad_mode)
-    out: list[OptimizerParams | DivergenceError] = list(starts)
+    out: list[ParamStack | DivergenceError] = list(starts)
     live = list(range(len(out)))
     task = None
     for s in range(steps):
@@ -420,7 +419,7 @@ def adapt_stack(
             new_flats = params.to_flat() - alpha * g
             for i, flat in zip(list(live), new_flats):
                 if np.all(np.isfinite(flat)):
-                    out[i] = out[i].with_flat(flat)
+                    out[i] = out[i].with_flat(flat[None])
                 else:
                     live.remove(i)
                     out[i] = DivergenceError(
@@ -431,7 +430,7 @@ def adapt_stack(
 
 
 def adapt(
-    params: OptimizerParams,
+    params: ParamStack,
     dist_adapt: TaskDistribution,
     steps: int,
     alpha: float,
@@ -439,7 +438,7 @@ def adapt(
     rng: RngStream,
     grad_mode: str = FULL_SECOND_ORDER,
     fresh_task_per_step: bool = True,
-) -> OptimizerParams:
+) -> ParamStack:
     """A few plain gradient steps on the unrolled loss over adaptation tasks.
 
     By default every step draws a fresh task (and a fresh starting iterate)

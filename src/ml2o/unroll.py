@@ -4,7 +4,7 @@
 `meta_grad` backpropagates the final loss through the whole trajectory by
 hand-written reverse mode.  Both run on a stack of B independent
 trajectories at once (`unroll_stack`, `meta_grad_stack`); the one-trajectory
-functions are stacks of one, and a slice's results are bit-identical to
+functions take a stack of one optimizer, and a slice's results are bit-identical to
 running it alone.  In ``full_second_order`` mode the path through
 the feature inputs (the task gradient and its momentum statistics, which
 themselves depend on the iterate) is kept alive via Hessian-vector products;
@@ -30,7 +30,6 @@ from .cell import (
     EPS,
     FEATURE_DIM,
     OUTPUT_SCALE,
-    OptimizerParams,
     ParamLayout,
     ParamStack,
     step,
@@ -242,7 +241,7 @@ def unroll_stack(
 
 
 def unroll(
-    params: OptimizerParams,
+    params: ParamStack,
     task: OptimizeeTask,
     theta0: np.ndarray,
     horizon: int,
@@ -251,8 +250,7 @@ def unroll(
     """Run `horizon` update steps from theta0 under frozen optimizer weights."""
     theta0 = _check_theta0(theta0, task)
     return unroll_stack(
-        ParamStack.of([params]), TaskStack([task]), theta0[None], horizon,
-        truncate_nonfinite=truncate_nonfinite,
+        params, TaskStack([task]), theta0[None], horizon, truncate_nonfinite=truncate_nonfinite
     ).trajectory(0)
 
 
@@ -374,7 +372,7 @@ def meta_grad_stack(
 
 
 def meta_grad_with_result(
-    params: OptimizerParams,
+    params: ParamStack,
     task: OptimizeeTask,
     theta0: np.ndarray,
     horizon: int,
@@ -382,14 +380,12 @@ def meta_grad_with_result(
 ) -> tuple[np.ndarray, UnrollResult]:
     """Reverse-mode gradient of the final unrolled loss, plus the trajectory."""
     theta0 = _check_theta0(theta0, task)
-    grads, result = meta_grad_stack(
-        ParamStack.of([params]), TaskStack([task]), theta0[None], horizon, mode
-    )
+    grads, result = meta_grad_stack(params, TaskStack([task]), theta0[None], horizon, mode)
     return grads[0], result.trajectory(0)
 
 
 def meta_grad(
-    params: OptimizerParams,
+    params: ParamStack,
     task: OptimizeeTask,
     theta0: np.ndarray,
     horizon: int,
@@ -401,7 +397,7 @@ def meta_grad(
 
 
 def maml_objective(
-    params: OptimizerParams,
+    params: ParamStack,
     task: OptimizeeTask,
     theta0: np.ndarray,
     horizon: int,
@@ -477,7 +473,7 @@ def maml_parts_stack(
 
 
 def _maml_parts(
-    params: OptimizerParams,
+    params: ParamStack,
     task: OptimizeeTask,
     theta0: np.ndarray,
     horizon: int,
@@ -488,14 +484,13 @@ def _maml_parts(
     """Shared meta-gradient plumbing: returns (grad, pre-step result, post-step loss)."""
     theta0 = _check_theta0(theta0, task)
     grads, res0, values = maml_parts_stack(
-        ParamStack.of([params]), TaskStack([task]), theta0[None], horizon,
-        alpha, mode, fd_epsilon,
+        params, TaskStack([task]), theta0[None], horizon, alpha, mode, fd_epsilon
     )
     return grads[0], res0.trajectory(0), float(values[0])
 
 
 def maml_grad(
-    params: OptimizerParams,
+    params: ParamStack,
     task: OptimizeeTask,
     theta0: np.ndarray,
     horizon: int,
@@ -515,7 +510,7 @@ def maml_grad(
 
 
 def jacobian_recursive(
-    params: OptimizerParams,
+    params: ParamStack,
     task: OptimizeeTask,
     theta0: np.ndarray,
     horizon: int,
@@ -530,6 +525,7 @@ def jacobian_recursive(
     `cell.step`, the derivatives from this function alone.  Intended for
     small instances only.
     """
+    params.check_single("jacobian_recursive")
     theta0 = np.asarray(theta0, dtype=np.float64)
     d = task.dim
     hid = params.hidden
@@ -543,9 +539,8 @@ def jacobian_recursive(
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
 
-    stack = ParamStack.of([params])
-    w = params.w
-    w_proj = params.w_proj
+    w = params.w[0]
+    w_proj = params.w_proj[0, :, 0]
     scale = OUTPUT_SCALE
     rows = layout.rows
     g_block = layout.gate_block
@@ -566,7 +561,7 @@ def jacobian_recursive(
     for _ in range(horizon):
         grad = task.grad(theta)
         j_g = task.hessian_matmul(theta, j_theta)
-        update, h, c, m, v, cache = step(stack, grad.reshape(1, d, 1), h, c, m, v)
+        update, h, c, m, v, cache = step(params, grad.reshape(1, d, 1), h, c, m, v)
         x, gi, gf, go, gq, c_prev, tau = (a[0] for a in cache)
         m2, v2 = m[0, :, 0], v[0, :, 0]
 

@@ -9,7 +9,6 @@ from ml2o.cell import (
     FEATURE_DIM,
     OUTPUT_SCALE,
     CheckpointError,
-    OptimizerParams,
     ParamLayout,
     ParamStack,
     init_params,
@@ -20,7 +19,8 @@ from ml2o.cell import (
     step,
 )
 from ml2o.numeric import RngStream
-from ml2o.unroll import unroll
+from ml2o.theory import input_sensitivity
+from ml2o.unroll import jacobian_recursive, unroll
 
 
 def step_one(params, grad, h=None, c=None, m=None, v=None):
@@ -34,9 +34,7 @@ def step_one(params, grad, h=None, c=None, m=None, v=None):
     m = np.zeros(d) if m is None else m
     v = np.zeros(d) if v is None else v
     col = lambda a: np.asarray(a, dtype=np.float64).reshape(1, d, 1)
-    update, h2, c2, m2, v2, cache = step(
-        ParamStack.of([params]), col(grad), h[None], c[None], col(m), col(v)
-    )
+    update, h2, c2, m2, v2, cache = step(params, col(grad), h[None], c[None], col(m), col(v))
     feats = cache[0][0, :, :FEATURE_DIM]
     return update[0, :, 0], h2[0], c2[0], m2[0, :, 0], v2[0, :, 0], feats
 
@@ -47,7 +45,7 @@ def test_param_layout_size_and_serialized_entries(rng, tmp_path):
     assert ParamLayout(20).size == 4 * (22 * 20 + 20) + 20 + 1
     assert ParamLayout(20).size == 1861
     params = init_params(20, rng)
-    assert params.n_params == 1861
+    assert params.size == 1 and params.layout.size == 1861
     path = tmp_path / "c.ckpt"
     save_checkpoint(params, path)
     raw = path.read_bytes()
@@ -76,8 +74,9 @@ def test_init_is_seed_deterministic():
 def test_init_bias_and_range():
     params = init_params(8, RngStream(1))
     h = 8
-    assert np.all(params.b[h : 2 * h] == 1.0)  # forget gate
-    assert np.all(params.b[:h] == 0.0) and np.all(params.b[2 * h :] == 0.0)
+    b = params.b[0, 0]
+    assert np.all(b[h : 2 * h] == 1.0)  # forget gate
+    assert np.all(b[:h] == 0.0) and np.all(b[2 * h :] == 0.0)
     s = 1.0 / np.sqrt(10)
     assert np.all(np.abs(params.w) <= s)
     assert np.all(params.w_proj == 0.0) and params.b_proj == 0.0
@@ -114,10 +113,10 @@ def test_step_closed_form_gates():
     # all gate weights zero, forget bias 1, fresh state: the cell emits zero
     # hidden state, so the update is exactly OUTPUT_SCALE * b_proj
     h = 4
-    w = np.zeros((2 + h, 4 * h))
-    b = np.zeros(4 * h)
-    b[h : 2 * h] = 1.0
-    params = OptimizerParams(w=w, b=b, w_proj=np.zeros(h), b_proj=0.25)
+    w = np.zeros((1, 2 + h, 4 * h))
+    b = np.zeros((1, 1, 4 * h))
+    b[..., h : 2 * h] = 1.0
+    params = ParamStack(w=w, b=b, w_proj=np.zeros((1, h, 1)), b_proj=np.full((1, 1, 1), 0.25))
     update, h2, c2, *_ = step_one(params, np.array([1.0, -2.0, 3.0]))
     assert np.allclose(update, 0.01 * 0.25)
     assert np.array_equal(h2, np.zeros((3, h)))
@@ -155,9 +154,50 @@ def test_coordinate_permutation_equivariance(rng):
 
 def test_flat_round_trip(rng):
     params = random_params(7, rng)
-    back = OptimizerParams.from_flat(params.to_flat(), 7)
+    back = ParamStack.from_flat(params.to_flat(), ParamLayout(7))
     assert np.array_equal(back.to_flat(), params.to_flat())
     assert np.array_equal(back.w, params.w)
+
+
+def test_stack_of_lone_optimizers_matches_per_optimizer_blocks(rng):
+    lone = [random_params(5, rng.child(f"p/{i}")) for i in range(3)]
+    stack = ParamStack.of(lone)
+    assert stack.size == 3 and stack.hidden == 5
+    # the blocks of a stack built by stacking each optimizer's own blocks
+    blocks = {
+        "w": np.stack([p.w[0] for p in lone]),
+        "b": np.stack([p.b[0, 0] for p in lone])[:, None, :],
+        "w_proj": np.stack([p.w_proj[0, :, 0] for p in lone])[:, :, None],
+        "b_proj": np.array([float(p.b_proj[0, 0, 0]) for p in lone]).reshape(3, 1, 1),
+    }
+    for name, want in blocks.items():
+        got = getattr(stack, name)
+        assert got.shape == want.shape and np.array_equal(got, want), name
+    assert np.array_equal(stack.to_flat(), np.concatenate([p.to_flat() for p in lone]))
+    # slices keep the stack axis and concatenate back in any order
+    again = ParamStack.of([stack.take([2]), stack.take(slice(0, 2))])
+    assert np.array_equal(again.to_flat(), stack.take([2, 0, 1]).to_flat())
+    with pytest.raises(ValueError, match="share hidden"):
+        ParamStack.of([lone[0], random_params(4, rng)])
+
+
+def test_lone_optimizer_readers_refuse_larger_stacks(rng, tmp_path):
+    pair = ParamStack.of([random_params(3, rng), random_params(3, rng)])
+    with pytest.raises(ValueError, match="stack of one optimizer, got 2"):
+        save_checkpoint(pair, tmp_path / "pair.ckpt")
+    assert not (tmp_path / "pair.ckpt").exists()
+    with pytest.raises(ValueError, match="stack of one optimizer, got 2"):
+        pair.digest()
+    task = make_quadratic(rng, 2)
+    with pytest.raises(ValueError, match="stack of one optimizer, got 2"):
+        jacobian_recursive(pair, task, np.zeros(2), 1)
+    with pytest.raises(ValueError, match="stack of one optimizer, got 2"):
+        input_sensitivity(pair)
+    with pytest.raises(ValueError, match="2 optimizers but 1 tasks"):
+        unroll(pair, task, np.zeros(2), 1)
+    # a slice of one is a lone optimizer again
+    save_checkpoint(pair.take([1]), tmp_path / "one.ckpt")
+    assert load_checkpoint(tmp_path / "one.ckpt").digest() == pair.take(slice(1, 2)).digest()
 
 
 def test_checkpoint_round_trip_bit_exact(rng, tmp_path):

@@ -17,7 +17,7 @@ from ml2o.cell import (
     random_params,
     save_checkpoint,
 )
-from ml2o import cli
+from ml2o import cli, harness
 from ml2o.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
 from ml2o.config import ConfigError, load_config
 from ml2o.harness import TrainingCache
@@ -97,6 +97,7 @@ def test_config_defaults_follow_reference_setup(tmp_path):
     assert cfg.n_seeds == 10
     assert cfg.sigmas == (10.0, 25.0, 50.0, 100.0, 200.0)
     assert cfg.horizon == 200
+    assert cfg.adapt_alpha is None  # the comparison adapts with [meta] alpha
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -361,6 +362,44 @@ def test_interpolate_summary_is_per_seed(tmp_path):
         doc = json.loads((out / "interpolation.json").read_text())
         assert [row["n"] for row in doc] == [n_seeds, n_seeds]
         assert all((row["half_width"] is None) == (n_seeds == 1) for row in doc)
+
+
+@pytest.mark.parametrize("n_seeds", ["0", "-1"])
+def test_nonpositive_seed_count_is_refused(tiny_config, tmp_path, capsys, n_seeds):
+    w = tmp_path / "w.ckpt"
+    save_checkpoint(random_params(4, RngStream(3).child("w")), w)
+    for cmd in (["compare"], ["interpolate", "--w1", str(w), "--w2", str(w)]):
+        out = tmp_path / f"{cmd[0]}{n_seeds}"
+        rc = main([*cmd, "--config", tiny_config, "--n-seeds", n_seeds, "--out", str(out)])
+        assert rc == EXIT_CONFIG, cmd
+        assert "n_seeds must be >= " in capsys.readouterr().err
+        assert os.listdir(out) == ["config.resolved.ini"]
+
+
+def test_empty_float_lists_are_refused_before_training(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained for an empty list")
+
+    monkeypatch.setattr(harness, "train_lockstep", no_training)
+    w = tmp_path / "w.ckpt"
+    save_checkpoint(random_params(4, RngStream(3).child("w")), w)
+    interpolate = ["interpolate", "--w1", str(w), "--w2", str(w)]
+    cases = [
+        (TINY, ["compare", "--sigmas", ","]),
+        (TINY.replace("sigmas = 10", "sigmas ="), ["compare"]),
+        (TINY, ["sweep", "--adapt-sigmas", ","]),
+        (TINY + "adapt_sigmas =\n", ["sweep"]),
+        (TINY, [*interpolate, "--alphas", ","]),
+        (TINY + "interp_alphas =\n", interpolate),
+    ]
+    for k, (text, cmd) in enumerate(cases):
+        config = tmp_path / f"exp{k}.ini"
+        config.write_text(text)
+        out = tmp_path / f"o{k}"
+        rc = main([*cmd, "--config", str(config), "--out", str(out)])
+        assert rc == EXIT_CONFIG, k
+        assert "is empty" in capsys.readouterr().err
+        assert os.listdir(out) == ["config.resolved.ini"]
 
 
 def test_interpolate_shape_mismatch_is_config_error(tiny_config, tmp_path, capsys):

@@ -13,7 +13,6 @@ import pytest
 
 from ml2o.cell import (
     CheckpointError,
-    ParamStack,
     init_params,
     load_checkpoint,
     load_checkpoint_metadata,
@@ -29,7 +28,7 @@ from test_cli import TINY
 def run_step(params) -> None:
     h = np.zeros((1, 3, params.hidden))
     col = np.zeros((1, 3, 1))
-    step(ParamStack.of([params]), col, h, h, col, col)
+    step(params, col, h, h, col, col)
 
 
 def loads_or_checkpoint_error(path) -> bool:

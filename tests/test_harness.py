@@ -1,13 +1,15 @@
 import importlib
 import json
 import math
+import os
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ml2o.cell import init_params, load_checkpoint_metadata, random_params
+from ml2o import harness
+from ml2o.cell import init_params, load_checkpoint, load_checkpoint_metadata, random_params
 from ml2o.harness import (
     DT,
     ML2O,
@@ -277,6 +279,27 @@ def test_training_cache_hits_are_identical(tmp_path):
     assert load_checkpoint_metadata(path) == f"trainer=plain key={key} {numeric_environment()}"
 
 
+def test_cache_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch):
+    meta = tiny_meta()
+    directory = str(tmp_path / "c")
+    real_save = harness.save_checkpoint
+    written = []
+
+    def save_then_other_writer_publishes(params, path, metadata=""):
+        real_save(params, path, metadata)
+        written.append(path)
+        if len(written) == 1:
+            # another command, training the same key, writes and publishes first
+            TrainingCache(directory).get_or_train_all([("plain", meta)], TRAIN_DIST)
+
+    monkeypatch.setattr(harness, "save_checkpoint", save_then_other_writer_publishes)
+    (params,) = TrainingCache(directory).get_or_train_all([("plain", meta)], TRAIN_DIST)
+    assert len(written) == 2 and written[0] != written[1]
+    name = f"plain-{TrainingCache._key('plain', meta, TRAIN_DIST)}.ckpt"
+    assert os.listdir(directory) == [name]
+    assert np.array_equal(load_checkpoint(os.path.join(directory, name)).to_flat(), params.to_flat())
+
+
 def test_parallel_jobs_do_not_change_results(tmp_path):
     # 3 seeds in 2 chunks: one chunk trains two seeds in lockstep, the other one
     meta = tiny_meta()
@@ -305,7 +328,7 @@ def test_parallel_jobs_do_not_change_results(tmp_path):
 def test_stacked_evaluation_truncates_one_slice_only(rng):
     calm = random_params(4, rng)
     # a huge projection throws the iterate to infinity at the first step
-    wild = replace(calm, w_proj=np.full(4, 1e300))
+    wild = replace(calm, w_proj=np.full((1, 4, 1), 1e300))
     stacked = evaluate_groups([EvalGroup(
         [("calm", "k", calm), ("wild", "k", wild), ("calm2", "k", calm)],
         TEST_DIST, 2, RngStream(8).child("test"),
@@ -347,7 +370,7 @@ def test_chunk_evaluation_matches_per_group_stacks(rng):
     # 3 groups of 3 variants x 5 tasks at dim 4: 180 rows, so the first
     # STACK_ROWS-row stack ends inside the third group, within one variant
     calm = random_params(4, rng)
-    wild = replace(calm, w_proj=np.full(4, 1e300))
+    wild = replace(calm, w_proj=np.full((1, 4, 1), 1e300))
     variants = [("calm", random_params(4, rng)), ("other", calm), ("wild", wild)]
     groups = [
         EvalGroup([(m, f"{sigma:g}", p) for m, p in variants],

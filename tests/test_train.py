@@ -226,7 +226,7 @@ def test_adapt_stack_matches_solo_adapt(rng, n_starts, fresh):
     dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=2.0)
     starts = [random_params(5, rng) for _ in range(n_starts)]
     # a huge projection throws the iterate to infinity in the first unroll
-    starts[n_starts // 2] = replace(starts[n_starts // 2], w_proj=np.full(5, 1e300))
+    starts[n_starts // 2] = replace(starts[n_starts // 2], w_proj=np.full((1, 5, 1), 1e300))
     stacked = adapt_stack(starts, dist, 4, 1e-4, 6, RngStream(1).child("a"),
                           fresh_task_per_step=fresh)
     assert len(stacked) == n_starts

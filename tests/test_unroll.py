@@ -154,7 +154,7 @@ def test_jacobian_recursive_base_case(rng):
     task = make_quadratic(rng, 2)
     params = random_params(3, rng)
     jac = jacobian_recursive(params, task, rng.gen.normal(size=2), 0)
-    assert jac.shape == (2, params.n_params)
+    assert jac.shape == (2, params.layout.size)
     assert np.all(jac == 0.0)
 
 
@@ -226,7 +226,7 @@ def test_stacked_kernel_slices_match_lone_runs(family, size):
     grads, res = meta_grad_stack(stack, TaskStack(tasks), theta0, 8)
     maml, _, values = maml_parts_stack(stack, TaskStack(tasks), theta0, 6, 1e-2, FD_HVP_META, None)
     for i in range(size):
-        lone = ParamStack.of([params[i]]), TaskStack([tasks[i]]), theta0[i : i + 1]
+        lone = params[i], TaskStack([tasks[i]]), theta0[i : i + 1]
         g_i, res_i = meta_grad_stack(*lone, 8)
         assert np.array_equal(grads[i], g_i[0])
         assert np.array_equal(res.losses[:, i], res_i.losses[:, 0])
