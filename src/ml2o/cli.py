@@ -121,7 +121,7 @@ def _run_table(args, cfg: ExperimentConfig, table_fn, stem: str, label: str, wid
         adapt_alpha=cfg.adapt_alpha,
         fresh_per_step=cfg.adapt_fresh_per_step,
         cache=TrainingCache(args.cache_dir),
-        jobs=args.jobs or cfg.jobs,
+        jobs=cfg.jobs if args.jobs is None else args.jobs,
     )
     table.write_records_csv(os.path.join(args.out, f"{stem}.csv"))
     table.write_json(os.path.join(args.out, f"{stem}.json"))

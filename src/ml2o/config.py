@@ -109,7 +109,7 @@ class ExperimentConfig:
     adapt_sigmas: tuple[float, ...]
     test_sigma: float
     interp_alphas: tuple[float, ...]
-    jobs: int
+    jobs: int  # 0: all cores
     raw: dict = field(default_factory=dict)
     explicit: set = field(default_factory=set)
 
@@ -236,7 +236,7 @@ def load_config(path: str) -> ExperimentConfig:
         adapt_sigmas=ev["adapt_sigmas"],
         test_sigma=ev["test_sigma"],
         interp_alphas=ev["interp_alphas"],
-        jobs=ev["jobs"] if ev["jobs"] > 0 else (os.cpu_count() or 1),
+        jobs=ev["jobs"],
         raw=raw,
         explicit=explicit,
     )

@@ -29,8 +29,8 @@ from scipy.special import stdtrit
 from .cell import ParamStack, init_params, load_checkpoint, save_checkpoint
 from .numeric import RngStream, numeric_environment
 from .tasks import NORMAL, TaskDistribution, TaskStack, sample_task, sample_theta0
-from .train import DivergenceError, MetaConfig, adapt_stack, train_lockstep
-from .unroll import unroll_stack
+from .train import AdaptGroup, DivergenceError, MetaConfig, adapt_groups, train_lockstep
+from .unroll import STACK_ROWS, unroll_stack
 
 __all__ = [
     "VANILLA",
@@ -66,10 +66,6 @@ METHOD_ORDER = (VANILLA, ML2O, DT, TL)
 
 # Log losses are clamped from below here so exact zeros stay well-defined.
 LOG_FLOOR = -40.0
-
-# Rows (slices x dim) per evaluation stack.  Per-slice cost stops falling
-# near 120 rows at dim 10 and rises beyond; at dim 2 it falls up to ~100.
-STACK_ROWS = 128
 
 
 def min_log_loss(losses: np.ndarray) -> float:
@@ -487,8 +483,8 @@ def _chunk_records(
 ) -> list[RunRecord]:
     """Train the chunk's cache misses in lockstep, then adapt and evaluate.
 
-    Adaptation runs one stack per (seed, column); evaluation runs every
-    (seed, column) group of the chunk together (`evaluate_groups`).
+    Adaptation runs every (seed, column) group of the chunk together
+    (`adapt_groups`), and so does evaluation (`evaluate_groups`).
     """
     p = protocol
     cfgs = [seed_config(p.meta, k) for k in seed_indices]
@@ -497,8 +493,8 @@ def _chunk_records(
     trained = {t: weights[i * len(cfgs) : (i + 1) * len(cfgs)] for i, t in enumerate(trainers)}
     adapted_methods = [m for m in p.methods if m != DT]  # direct transfer: no adaptation
 
-    diverged, groups = [], []  # per (seed, column)
-    for n, (seed_index, cfg) in enumerate(zip(seed_indices, cfgs)):
+    starts, adapt_work = [], []  # per seed; per (seed, column)
+    for n, cfg in enumerate(cfgs):
         start = {}
         if TL in p.methods or DT in p.methods:
             start[TL] = start[DT] = trained["plain"][n]
@@ -506,18 +502,30 @@ def _chunk_records(
             start[ML2O] = trained[ML2O][n]
         if VANILLA in p.methods:
             start[VANILLA] = init_params(cfg.hidden, RngStream(cfg.seed).child("vanilla-init"))
-        for col in p.columns:
-            adapted = adapt_stack(
+        starts.append(start)
+        adapt_work += [
+            AdaptGroup(
                 [start[m] for m in adapted_methods],
                 col.dist_adapt,
-                cfg.adapt_steps,
-                p.adapt_alpha,
-                cfg.unroll_len,
                 RngStream(cfg.seed).child("adapt"),
-                grad_mode=cfg.grad_mode,
-                fresh_task_per_step=p.fresh_per_step,
             )
-            final = {**start, **dict(zip(adapted_methods, adapted))}
+            for col in p.columns
+        ]
+    adapted = iter(
+        adapt_groups(
+            adapt_work,
+            p.meta.adapt_steps,
+            p.adapt_alpha,
+            p.meta.unroll_len,
+            grad_mode=p.meta.grad_mode,
+            fresh_task_per_step=p.fresh_per_step,
+        )
+    )
+
+    diverged, groups = [], []  # per (seed, column)
+    for seed_index, cfg, start in zip(seed_indices, cfgs, starts):
+        for col in p.columns:
+            final = {**start, **dict(zip(adapted_methods, next(adapted)))}
             variants, marked = [], []
             for method in p.methods:
                 params = final[method]
@@ -558,8 +566,9 @@ def _compare(
 ) -> ComparisonTable:
     """The `methods` x `columns` table over `n_seeds` paired seeds; see `compare_methods`.
 
-    The seeds are split into `jobs` contiguous chunks, one worker process
-    each; a single chunk runs in this process, with the caller's cache.
+    The seeds are split into `jobs` contiguous chunks (0: one per core), one
+    worker process each; a single chunk runs in this process, with the
+    caller's cache.
     Each chunk trains in lockstep, and every seed's records are the same
     whatever chunk it lands in, so `jobs` never changes a result.
     """
@@ -567,6 +576,8 @@ def _compare(
         raise ValueError(f"n_seeds must be >= 2, got {n_seeds}")
     if not columns:
         raise ValueError("the sigma list is empty: no column to evaluate")
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0 (0: all cores), got {jobs}")
     protocol = _Protocol(
         meta, dist_train, columns, methods, horizon, n_tasks,
         meta.alpha if adapt_alpha is None else adapt_alpha, fresh_per_step,
@@ -574,7 +585,7 @@ def _compare(
     cache = cache or TrainingCache()
     chunks = [
         [int(k) for k in chunk]
-        for chunk in np.array_split(np.arange(n_seeds), max(jobs, 1))
+        for chunk in np.array_split(np.arange(n_seeds), jobs or os.cpu_count() or 1)
         if chunk.size
     ]
     if len(chunks) == 1:
@@ -606,7 +617,8 @@ def compare_methods(
     are evaluated at each sigma (they must be normal-coefficient families);
     otherwise the configured distributions are used as-is, in one column.
     Seeds are independent, so `jobs > 1` splits them into that many chunks,
-    one process each, without changing any result.
+    one process each, without changing any result; `jobs=0` uses one chunk
+    per core.
     """
     if sigma_list is None:
         columns = (_Column(dist_test.label(), dist_adapt, dist_test),)

@@ -14,8 +14,9 @@ iterate are drawn.
 Runs of both trainers and several seeds train in lockstep
 (`train_lockstep`): each epoch stacks every run's unrolls into as few
 computations as the trainers' passes allow, and each run's result is
-bit-identical to training it alone.  Likewise `adapt_stack` adapts several
-starting weights on shared draws as one stack.
+bit-identical to training it alone.  Likewise `adapt_groups` adapts the
+starting weights of several groups, each group on its own draws, in
+row-bounded lockstep stacks.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .unroll import (
     FD_HVP_META,
     FULL_SECOND_ORDER,
     GRAD_MODES,
+    STACK_ROWS,
     NonFiniteGradientError,
     UnrollDivergedError,
     inner_mode,
@@ -49,7 +52,8 @@ __all__ = [
     "train_plain_l2o",
     "train_lockstep",
     "adapt",
-    "adapt_stack",
+    "AdaptGroup",
+    "adapt_groups",
     "sgd_schedule_lr",
 ]
 
@@ -371,61 +375,88 @@ def train_plain_l2o(cfg: MetaConfig, dist: TaskDistribution):
     return train_lockstep([(cfg, False)], dist)[0]
 
 
-def adapt_stack(
-    starts: list[ParamStack],
-    dist_adapt: TaskDistribution,
+class AdaptGroup(NamedTuple):
+    """Starting weights, each a stack of one, to adapt on shared draws from `rng`."""
+
+    starts: list[ParamStack]
+    dist_adapt: TaskDistribution
+    rng: RngStream
+
+
+def adapt_groups(
+    groups: list[AdaptGroup],
     steps: int,
     alpha: float,
     unroll_len: int,
-    rng: RngStream,
     grad_mode: str = FULL_SECOND_ORDER,
     fresh_task_per_step: bool = True,
-) -> list[ParamStack | DivergenceError]:
-    """Adapt several starting weights, each a stack of one, on shared draws as one stack.
+) -> list[list[ParamStack | DivergenceError]]:
+    """Adapt every group's starts on the group's own draws; returns each group's results.
 
-    Each start takes the plain gradient steps of `adapt`; the adaptation
-    tasks and starting iterates are drawn from `rng` once per step and
-    shared by every start.  Returns, per start, its adapted weights or the
-    `DivergenceError` that `adapt` would raise for it alone.  A start that
-    diverges leaves the stack, and the others redo that step without it, so
-    every result is bit-identical to adapting that start alone.
+    Each start takes the plain gradient steps of `adapt`.  Every step, each
+    group with a live start draws its adaptation task and then its starting
+    iterate from its `rng`, shared by its starts.  The groups must share the
+    task family and dimension, and each needs an `rng` of its own.  The live
+    starts of all groups run in lockstep, in stacks of at most STACK_ROWS
+    rows (slices x dim, at least one slice).  Returns, per start, its adapted
+    weights or the `DivergenceError` that `adapt` would raise for it alone.
+    A start that diverges leaves its stack, and the rest of that stack redo
+    that step without it, so every result is bit-identical to adapting that
+    start alone.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if len({id(g.rng) for g in groups}) != len(groups):
+        raise ValueError("adaptation groups share a random stream; each needs its own")
+    shapes = {(g.dist_adapt.family, g.dist_adapt.dim) for g in groups}
+    if len(shapes) > 1:
+        names = sorted({f"{g.dist_adapt.label()} (dim {g.dist_adapt.dim})" for g in groups})
+        raise ValueError(
+            f"adaptation groups must share task family and dim, got {', '.join(names)}"
+        )
     mode = inner_mode(grad_mode)
-    out: list[ParamStack | DivergenceError] = list(starts)
-    live = list(range(len(out)))
-    task = None
+    out: list[list[ParamStack | DivergenceError]] = [list(g.starts) for g in groups]
+    live = [(k, i) for k, g in enumerate(groups) for i in range(len(g.starts))]
+    tasks = [None] * len(groups)
     for s in range(steps):
         if not live:
             break
-        if fresh_task_per_step or task is None:
-            task = sample_task(dist_adapt, rng)
-        theta0 = sample_theta0(dist_adapt, rng)
-        while live:
-            n = len(live)
-            params = ParamStack.of([out[i] for i in live])
-            try:
-                g, _ = meta_grad_stack(
-                    params, TaskStack([task] * n), np.stack([theta0] * n), unroll_len, mode
-                )
-            except (UnrollDivergedError, NonFiniteGradientError) as exc:
-                i = live.pop(exc.index)
-                out[i] = DivergenceError(s, out[i], str(exc))
-                out[i].__cause__ = exc
-                continue
-            new_flats = params.to_flat() - alpha * g
-            for i, flat in zip(list(live), new_flats):
-                if np.all(np.isfinite(flat)):
-                    out[i] = out[i].with_flat(flat[None])
-                else:
-                    live.remove(i)
-                    out[i] = DivergenceError(
-                        s, out[i], "non-finite optimizer weights after an adaptation step"
+        draws = {}
+        for k in sorted({k for k, _ in live}):
+            g = groups[k]
+            if fresh_task_per_step or tasks[k] is None:
+                tasks[k] = sample_task(g.dist_adapt, g.rng)
+            draws[k] = (tasks[k], sample_theta0(g.dist_adapt, g.rng))
+        size = max(1, STACK_ROWS // groups[live[0][0]].dist_adapt.dim)
+        for lo in range(0, len(live), size):
+            stack = live[lo : lo + size]
+            while stack:
+                params = ParamStack.of([out[k][i] for k, i in stack])
+                try:
+                    grads, _ = meta_grad_stack(
+                        params,
+                        TaskStack([draws[k][0] for k, _ in stack]),
+                        np.stack([draws[k][1] for k, _ in stack]),
+                        unroll_len,
+                        mode,
                     )
-            break
+                except (UnrollDivergedError, NonFiniteGradientError) as exc:
+                    k, i = stack.pop(exc.index)
+                    out[k][i] = DivergenceError(s, out[k][i], str(exc))
+                    out[k][i].__cause__ = exc
+                    continue
+                new_flats = params.to_flat() - alpha * grads
+                for (k, i), flat in zip(stack, new_flats):
+                    if np.all(np.isfinite(flat)):
+                        out[k][i] = out[k][i].with_flat(flat[None])
+                    else:
+                        out[k][i] = DivergenceError(
+                            s, out[k][i], "non-finite optimizer weights after an adaptation step"
+                        )
+                break
+        live = [(k, i) for k, i in live if not isinstance(out[k][i], DivergenceError)]
     return out
 
 
@@ -446,8 +477,9 @@ def adapt(
     single task is drawn once and reused.  Raises `DivergenceError` with the
     last finite weights.
     """
-    (result,) = adapt_stack(
-        [params], dist_adapt, steps, alpha, unroll_len, rng, grad_mode, fresh_task_per_step
+    ((result,),) = adapt_groups(
+        [AdaptGroup([params], dist_adapt, rng)],
+        steps, alpha, unroll_len, grad_mode, fresh_task_per_step,
     )
     if isinstance(result, DivergenceError):
         raise result

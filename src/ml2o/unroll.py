@@ -42,6 +42,7 @@ __all__ = [
     "FIRST_ORDER_META",
     "FD_HVP_META",
     "GRAD_MODES",
+    "STACK_ROWS",
     "UnrollResult",
     "StackResult",
     "UnrollDivergedError",
@@ -150,6 +151,13 @@ def meta_mode(mode: str) -> str:
     if mode in TRAJECTORY_MODES:
         return FD_HVP_META
     raise ValueError(f"unknown gradient mode {mode!r}; expected one of {GRAD_MODES}")
+
+
+# Rows (slices x dim) per stack that a caller of the kernel builds from many
+# independent trajectories: evaluation and adaptation stacks alike.  Per-slice
+# cost of `_forward` stops falling near 120 rows at dim 10 and rises beyond;
+# at dim 2 it falls up to ~100.
+STACK_ROWS = 128
 
 
 def _forward(

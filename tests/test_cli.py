@@ -402,6 +402,38 @@ def test_empty_float_lists_are_refused_before_training(tmp_path, capsys, monkeyp
         assert os.listdir(out) == ["config.resolved.ini"]
 
 
+def test_worker_count_from_flag_or_config(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(harness, "train_lockstep", no_training)
+    cases = [
+        (TINY, ["compare", "--jobs", "-1"]),
+        (TINY, ["sweep", "--jobs", "-3"]),
+        (TINY.replace("jobs = 1", "jobs = -1"), ["compare"]),
+        (TINY.replace("jobs = 1", "jobs = -2"), ["sweep"]),
+    ]
+    for k, (text, cmd) in enumerate(cases):
+        config = tmp_path / f"exp{k}.ini"
+        config.write_text(text)
+        out = tmp_path / f"o{k}"
+        rc = main([*cmd, "--config", str(config), "--out", str(out)])
+        assert rc == EXIT_CONFIG, k
+        assert "jobs must be >= 0" in capsys.readouterr().err
+        assert os.listdir(out) == ["config.resolved.ini"]
+    # 0 means one chunk per core from the flag too: it does not fall back to
+    # the config's 1 (one core here, so the chunk runs in this process)
+    cores = []
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cores.append(1) or 1)
+    config = tmp_path / "exp.ini"
+    for text, cmd in ((TINY, ["compare", "--jobs", "0"]),
+                      (TINY.replace("jobs = 1", "jobs = 0"), ["compare"])):
+        config.write_text(text)
+        with pytest.raises(AssertionError, match="training started"):
+            main([*cmd, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert len(cores) == 2
+
+
 def test_interpolate_shape_mismatch_is_config_error(tiny_config, tmp_path, capsys):
     p1 = tmp_path / "w1.ckpt"
     p2 = tmp_path / "w2.ckpt"

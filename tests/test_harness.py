@@ -418,9 +418,12 @@ def test_compare_kernel_call_counts(tmp_path, monkeypatch):
         horizon=10, n_tasks=n_tasks, adapt_alpha=1e-6, cache=TrainingCache(),
     )
     # per epoch: both trainers' first pass, then ml2o's stepped pass and its
-    # finite-difference pair; then one 3-method stack per step and (seed, sigma)
+    # finite-difference pair; then per adaptation step one stack of the three
+    # adapted methods of every (seed, sigma), whose 48 rows fit in STACK_ROWS
     training = [2 * n_seeds, n_seeds, 2 * n_seeds] * meta.epochs
-    adaptation = [3] * (meta.adapt_steps * n_seeds * len(sigmas))
+    slices = n_seeds * len(sigmas) * 3
+    assert slices * ADAPT_DIST.dim <= STACK_ROWS
+    adaptation = [slices] * meta.adapt_steps
     assert reverse == training + adaptation
     rows = n_seeds * len(sigmas) * 4 * n_tasks * TEST_DIST.dim
     assert len(evaluation) == math.ceil(rows / STACK_ROWS) == 2

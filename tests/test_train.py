@@ -5,12 +5,14 @@ import pytest
 
 from ml2o.cell import random_params
 from ml2o.numeric import RngStream
-from ml2o.tasks import LASSO, MIXTURE, NORMAL, TaskDistribution
+from ml2o.tasks import LASSO, MIXTURE, NORMAL, QUADRATIC, TaskDistribution
+from ml2o import train
 from ml2o.train import (
+    AdaptGroup,
     DivergenceError,
     MetaConfig,
     adapt,
-    adapt_stack,
+    adapt_groups,
     sgd_schedule_lr,
     train_ml2o,
     train_plain_l2o,
@@ -222,27 +224,63 @@ def test_lockstep_training_rejects_mixed_configs():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("fresh", [True, False])
 @pytest.mark.parametrize("n_starts", [1, 3])
-def test_adapt_stack_matches_solo_adapt(rng, n_starts, fresh):
-    dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=2.0)
-    starts = [random_params(5, rng) for _ in range(n_starts)]
+def test_adapt_groups_match_solo_adapt(rng, monkeypatch, n_starts, fresh):
+    # five groups on their own seeds and sigmas, at dim 10: 12 slices a stack
+    dists = [TaskDistribution(kind=NORMAL, family=LASSO, dim=10, lam=0.005, sigma=1.0 + k)
+             for k in range(5)]
+    starts = [[random_params(5, rng) for _ in range(n_starts)] for _ in dists]
     # a huge projection throws the iterate to infinity in the first unroll
-    starts[n_starts // 2] = replace(starts[n_starts // 2], w_proj=np.full((1, 5, 1), 1e300))
-    stacked = adapt_stack(starts, dist, 4, 1e-4, 6, RngStream(1).child("a"),
-                          fresh_task_per_step=fresh)
-    assert len(stacked) == n_starts
-    for start, got in zip(starts, stacked):
-        try:
-            want = adapt(start, dist, 4, 1e-4, 6, RngStream(1).child("a"),
-                         fresh_task_per_step=fresh)
-        except DivergenceError as exc:
-            want = exc
-        if isinstance(want, DivergenceError):
-            assert isinstance(got, DivergenceError)
-            assert str(got) == str(want) and got.epoch == want.epoch == 0
-            assert np.array_equal(got.last_params.to_flat(), start.to_flat())
-        else:
-            assert np.array_equal(got.to_flat(), want.to_flat())
-    assert sum(isinstance(r, DivergenceError) for r in stacked) == 1
+    starts[0][n_starts // 2] = replace(starts[0][n_starts // 2], w_proj=np.full((1, 5, 1), 1e300))
+    sizes = []
+    real = train.meta_grad_stack
+
+    def counting(params, *args):
+        sizes.append(params.size)
+        return real(params, *args)
+
+    monkeypatch.setattr(train, "meta_grad_stack", counting)
+    groups = [AdaptGroup(s, d, RngStream(k + 1).child("a"))
+              for k, (s, d) in enumerate(zip(starts, dists))]
+    adapted = adapt_groups(groups, 4, 1e-4, 6, fresh_task_per_step=fresh)
+    monkeypatch.undo()
+    # the diverging start leaves the first stack, which redoes step 0; with
+    # three starts a group, later steps' first stack ends inside the last group
+    if n_starts == 3:
+        assert sizes == [12, 11, 3] + [12, 2] * 3
+    else:
+        assert sizes == [5, 4] + [4] * 3
+    assert [len(r) for r in adapted] == [n_starts] * len(dists)
+    for k, (group_starts, results) in enumerate(zip(starts, adapted)):
+        for start, got in zip(group_starts, results):
+            try:
+                want = adapt(start, dists[k], 4, 1e-4, 6, RngStream(k + 1).child("a"),
+                             fresh_task_per_step=fresh)
+            except DivergenceError as exc:
+                want = exc
+            if isinstance(want, DivergenceError):
+                assert isinstance(got, DivergenceError)
+                assert str(got) == str(want) and got.epoch == want.epoch == 0
+                assert np.array_equal(got.last_params.to_flat(), start.to_flat())
+            else:
+                assert np.array_equal(got.to_flat(), want.to_flat())
+    assert sum(isinstance(r, DivergenceError) for rs in adapted for r in rs) == 1
+
+
+def test_adapt_groups_refuse_groups_that_cannot_share_a_stack(rng):
+    params = random_params(5, rng)
+    dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=2.0)
+    shared = RngStream(1).child("a")
+    # interleaved draws from one stream would differ from each group's own
+    with pytest.raises(ValueError, match="share a random stream"):
+        adapt_groups([AdaptGroup([params], dist, shared), AdaptGroup([params], dist, shared)],
+                     2, 1e-4, 6)
+    for other in (replace(dist, family=QUADRATIC), replace(dist, dim=5),
+                  TaskDistribution(kind="rosenbrock")):
+        groups = [AdaptGroup([params], dist, RngStream(1)), AdaptGroup([params], other, RngStream(2))]
+        with pytest.raises(ValueError, match="must share task family and dim") as err:
+            adapt_groups(groups, 2, 1e-4, 6)
+        for d in (dist, other):
+            assert f"{d.label()} (dim {d.dim})" in str(err.value)
 
 
 @pytest.mark.parametrize(
