@@ -31,8 +31,8 @@ from .cell import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_float_list
 from .harness import (
+    ComparisonTable,
     TrainingCache,
-    _aggregate,
     adapt_sweep,
     blend_params,
     compare_methods,
@@ -54,8 +54,10 @@ EXIT_VERIFY = 4
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
-    cfg.echo(args.out)
+    try:
+        cfg.echo(args.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to --out {args.out}: {exc}") from exc
     return cfg
 
 
@@ -110,6 +112,10 @@ def _report_diverged(table) -> None:
 
 def _run_table(args, cfg: ExperimentConfig, table_fn, stem: str, label: str, width: int) -> int:
     """Run a comparison table, write `<stem>.csv`, `<stem>.json` and curves, print the cells."""
+    try:
+        cache = TrainingCache(args.cache_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --cache-dir {args.cache_dir}: {exc}") from exc
     table = table_fn(
         cfg.meta,
         cfg.dist_train,
@@ -120,7 +126,7 @@ def _run_table(args, cfg: ExperimentConfig, table_fn, stem: str, label: str, wid
         n_tasks=cfg.n_tasks,
         adapt_alpha=cfg.adapt_alpha,
         fresh_per_step=cfg.adapt_fresh_per_step,
-        cache=TrainingCache(args.cache_dir),
+        cache=cache,
         jobs=cfg.jobs if args.jobs is None else args.jobs,
     )
     table.write_records_csv(os.path.join(args.out, f"{stem}.csv"))
@@ -286,7 +292,7 @@ def cmd_interpolate(args) -> int:
         n_tasks=cfg.n_tasks,
     )
     # the statistic of `compare` and `sweep`: per-seed means over the tasks
-    table = _aggregate([r for records in by_alpha.values() for r in records])
+    table = ComparisonTable.from_records([r for records in by_alpha.values() for r in records])
     curve_dir = os.path.join(args.out, "curves")
     os.makedirs(curve_dir, exist_ok=True)
     summary = []

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .cell import ParamStack, init_params, load_checkpoint, save_checkpoint
-from .numeric import RngStream, numeric_environment
+from .numeric import RngStream, array_digest, numeric_environment
 from .tasks import NORMAL, TaskDistribution, TaskStack, sample_task, sample_theta0
 from .train import AdaptGroup, DivergenceError, MetaConfig, adapt_groups, train_lockstep
 from .unroll import STACK_ROWS, unroll_stack
@@ -45,7 +45,6 @@ __all__ = [
     "TrainingCache",
     "min_log_loss",
     "confidence_interval",
-    "STACK_ROWS",
     "EvalGroup",
     "evaluate",
     "evaluate_groups",
@@ -120,6 +119,31 @@ class ComparisonCell:
 class ComparisonTable:
     cells: list[ComparisonCell]
     records: list[RunRecord] = field(default_factory=list)
+
+    @classmethod
+    def from_records(cls, records: list[RunRecord]) -> "ComparisonTable":
+        """One cell per (method, key): mean and 95% half-width over `seed_values`.
+
+        A cell with one counted seed has a NaN half-width, one with none a
+        NaN mean; `n_diverged` counts the records that `seed_values` skips.
+        """
+        table = cls(
+            cells=[],
+            records=sorted(records, key=lambda r: (r.method, r.key, r.seed, r.task_index)),
+        )
+        n_diverged: dict[tuple[str, str], int] = {}  # in (method, key) order
+        for r in table.records:
+            n_diverged[r.method, r.key] = n_diverged.get((r.method, r.key), 0) + (not _counted(r))
+        for (method, key), n_bad in n_diverged.items():
+            values = list(table.seed_values(method, key).values())
+            if len(values) >= 2:
+                mean, half = confidence_interval(values)
+            elif len(values) == 1:
+                mean, half = values[0], math.nan
+            else:
+                mean, half = math.nan, math.nan
+            table.cells.append(ComparisonCell(method, key, mean, half, len(values), n_bad))
+        return table
 
     def cell(self, method: str, key) -> ComparisonCell:
         key = _column_key(key)
@@ -232,42 +256,6 @@ def _counted(r: RunRecord) -> bool:
     return not r.diverged and math.isfinite(r.min_log_loss)
 
 
-def _aggregate(records: list[RunRecord]) -> ComparisonTable:
-    records = sorted(
-        records, key=lambda r: (r.method, r.key, r.seed, r.task_index)
-    )
-    groups: dict[tuple[str, str], list[RunRecord]] = {}
-    for r in records:
-        groups.setdefault((r.method, r.key), []).append(r)
-    cells = []
-    for (method, key), group in sorted(groups.items()):
-        per_seed: dict[int, list[float]] = {}
-        n_diverged = 0
-        for r in group:
-            if not _counted(r):
-                n_diverged += 1
-                continue
-            per_seed.setdefault(r.seed, []).append(r.min_log_loss)
-        values = [float(np.mean(v)) for _, v in sorted(per_seed.items())]
-        if len(values) >= 2:
-            mean, half = confidence_interval(values)
-        elif len(values) == 1:
-            mean, half = values[0], math.nan
-        else:
-            mean, half = math.nan, math.nan
-        cells.append(
-            ComparisonCell(
-                method=method,
-                key=key,
-                mean=mean,
-                half_width=half,
-                n=len(values),
-                n_diverged=n_diverged,
-            )
-        )
-    return ComparisonTable(cells=cells, records=records)
-
-
 class EvalGroup(NamedTuple):
     """Frozen optimizers to evaluate on `n_tasks` shared test draws from `rng`.
 
@@ -328,10 +316,7 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
     results = iter(trajectories)
     for g, draws in zip(groups, group_draws):
         task_digests = [task.digest() for task, _ in draws]
-        theta0_digests = [
-            hashlib.blake2b(np.ascontiguousarray(theta0).tobytes(), digest_size=16).hexdigest()
-            for _, theta0 in draws
-        ]
+        theta0_digests = [array_digest(theta0) for _, theta0 in draws]
         records = []
         for method, key, params in g.variants:
             pdigest = params.digest()
@@ -578,9 +563,11 @@ def _compare(
         raise ValueError("the sigma list is empty: no column to evaluate")
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0 (0: all cores), got {jobs}")
+    alpha = meta.alpha if adapt_alpha is None else adapt_alpha
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"the adaptation step must be finite and >= 0, got {alpha}")
     protocol = _Protocol(
-        meta, dist_train, columns, methods, horizon, n_tasks,
-        meta.alpha if adapt_alpha is None else adapt_alpha, fresh_per_step,
+        meta, dist_train, columns, methods, horizon, n_tasks, alpha, fresh_per_step
     )
     cache = cache or TrainingCache()
     chunks = [
@@ -589,12 +576,12 @@ def _compare(
         if chunk.size
     ]
     if len(chunks) == 1:
-        return _aggregate(_chunk_records(protocol, cache, chunks[0]))
+        return ComparisonTable.from_records(_chunk_records(protocol, cache, chunks[0]))
     from concurrent.futures import ProcessPoolExecutor
 
     work = functools.partial(_worker_records, protocol, cache.directory)
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return _aggregate([r for part in pool.map(work, chunks) for r in part])
+        return ComparisonTable.from_records([r for part in pool.map(work, chunks) for r in part])
 
 
 def compare_methods(

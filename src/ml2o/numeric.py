@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "NumericEnvironment",
     "RngStream",
+    "array_digest",
     "central_diff",
     "gauss_sample",
     "numeric_environment",
@@ -92,6 +93,14 @@ def uniform_mixture_sample(
     idx = rng.gen.integers(0, len(ranges), size=n)
     u = rng.gen.random(n)
     return lows[idx] + u * (highs[idx] - lows[idx])
+
+
+def array_digest(*arrays) -> str:
+    """128-bit blake2b hex digest of the arrays' C-order bytes, in argument order."""
+    h = hashlib.blake2b(digest_size=16)
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 def central_diff(fn, x: np.ndarray, eps: float) -> np.ndarray:

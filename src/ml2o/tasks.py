@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,8 @@ class OptimizeeTask:
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
 
-    def _check_theta(self, theta: np.ndarray) -> np.ndarray:
+    def check_theta(self, theta: np.ndarray) -> np.ndarray:
+        """`theta` as a float64 array, refused unless it is one iterate of this task."""
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.dim,):
             raise ValueError(
@@ -86,7 +88,7 @@ class OptimizeeTask:
 
     def loss_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss and (sub)gradient at theta; see `TaskStack.loss_grad`."""
-        theta = self._check_theta(theta)
+        theta = self.check_theta(theta)
         loss, grad = TaskStack([self]).loss_grad(theta.reshape(1, -1, 1))
         return float(loss[0]), grad.reshape(-1)
 
@@ -98,7 +100,7 @@ class OptimizeeTask:
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Hessian-vector product; the l1 term contributes zero almost everywhere."""
-        theta = self._check_theta(theta)
+        theta = self.check_theta(theta)
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ValueError(f"v has shape {v.shape}, expected {(self.dim,)}")
@@ -106,7 +108,7 @@ class OptimizeeTask:
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """Dense Hessian; constant A^T A for lasso/quadratic."""
-        theta = self._check_theta(theta)
+        theta = self.check_theta(theta)
         if self.kind == ROSENBROCK:
             return _rosenbrock_hessian(theta[None])[0]
         return self.a.T @ self.a
@@ -212,9 +214,6 @@ class TaskStack:
             grad = grad + self.lam[:, None, None] * np.sign(theta)
         return loss, grad
 
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        return self.loss_grad(theta)[1]
-
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Hessian-vector products of columns; the l1 term contributes zero almost everywhere."""
         if self.kind == ROSENBROCK:
@@ -248,8 +247,8 @@ class TaskDistribution:
     def __post_init__(self):
         if self.kind not in _DIST_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == NORMAL and not self.sigma > 0:
-            raise ValueError(f"normal distribution requires sigma > 0, got {self.sigma}")
+        if self.kind == NORMAL and not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"normal distribution requires a finite sigma > 0, got {self.sigma}")
         if self.kind == ROSENBROCK_INIT:
             if self.family != ROSENBROCK:
                 object.__setattr__(self, "family", ROSENBROCK)

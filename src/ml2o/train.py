@@ -21,7 +21,7 @@ row-bounded lockstep stacks.
 
 from __future__ import annotations
 
-import hashlib
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cell import ParamStack, init_params
-from .numeric import RngStream
+from .numeric import RngStream, array_digest
 from .tasks import TaskDistribution, TaskStack, sample_task, sample_theta0
 from .unroll import (
     FD_HVP_META,
@@ -104,8 +104,16 @@ class MetaConfig:
     def __post_init__(self):
         if self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        for name in ("outer_lr", "sgd_beta", "sgd_mu", "fd_epsilon"):
+            value = getattr(self, name)  # fd_epsilon None: a step scaled to the weights
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not math.isfinite(self.curriculum_threshold):
+            raise ValueError(
+                f"curriculum_threshold must be finite, got {self.curriculum_threshold}"
+            )
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.epochs_per_task < 1:
@@ -128,13 +136,6 @@ class MetaConfig:
             raise ValueError(f"unknown outer rule {self.outer_rule!r}")
         if self.curriculum not in (CURRICULUM_FIXED, CURRICULUM_DOUBLING):
             raise ValueError(f"unknown curriculum {self.curriculum!r}")
-
-
-def _digest(arrays) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
 
 
 @dataclass
@@ -238,7 +239,7 @@ class _Run:
             self.block_id += 1
             self.block_first_loss = None
             self.log.task_switch_epochs.append(k)
-        self.log.theta0_digests.append(_digest(self.theta0s))
+        self.log.theta0_digests.append(array_digest(*self.theta0s))
 
     def end_epoch(self, loss: float, theta_finals: list[np.ndarray]) -> None:
         """Continue the block from where this epoch's unrolls ended."""
@@ -249,7 +250,7 @@ class _Run:
         self.last_loss = loss
         self.log.meta_losses.append(loss)
         self.log.task_ids.append(self.block_id)
-        self.log.theta_final_digests.append(_digest(theta_finals))
+        self.log.theta_final_digests.append(array_digest(*theta_finals))
 
 
 def train_lockstep(
@@ -406,7 +407,7 @@ def adapt_groups(
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if len({id(g.rng) for g in groups}) != len(groups):
         raise ValueError("adaptation groups share a random stream; each needs its own")

@@ -256,19 +256,10 @@ def unroll(
     truncate_nonfinite: bool = False,
 ) -> UnrollResult:
     """Run `horizon` update steps from theta0 under frozen optimizer weights."""
-    theta0 = _check_theta0(theta0, task)
+    theta0 = task.check_theta(theta0)
     return unroll_stack(
         params, TaskStack([task]), theta0[None], horizon, truncate_nonfinite=truncate_nonfinite
     ).trajectory(0)
-
-
-def _check_theta0(theta0: np.ndarray, task: OptimizeeTask) -> np.ndarray:
-    theta0 = np.asarray(theta0, dtype=np.float64)
-    if theta0.shape != (task.dim,):
-        raise ValueError(
-            f"theta0 has shape {theta0.shape}, expected {(task.dim,)}"
-        )
-    return theta0
 
 
 def _grad_block_name(index: int, layout: ParamLayout) -> str:
@@ -387,7 +378,7 @@ def meta_grad_with_result(
     mode: str = FULL_SECOND_ORDER,
 ) -> tuple[np.ndarray, UnrollResult]:
     """Reverse-mode gradient of the final unrolled loss, plus the trajectory."""
-    theta0 = _check_theta0(theta0, task)
+    theta0 = task.check_theta(theta0)
     grads, result = meta_grad_stack(params, TaskStack([task]), theta0[None], horizon, mode)
     return grads[0], result.trajectory(0)
 
@@ -490,7 +481,7 @@ def _maml_parts(
     fd_epsilon: float | None,
 ):
     """Shared meta-gradient plumbing: returns (grad, pre-step result, post-step loss)."""
-    theta0 = _check_theta0(theta0, task)
+    theta0 = task.check_theta(theta0)
     grads, res0, values = maml_parts_stack(
         params, TaskStack([task]), theta0[None], horizon, alpha, mode, fd_epsilon
     )

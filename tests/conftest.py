@@ -1,4 +1,3 @@
-import importlib
 import os
 import struct
 import zlib
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 
 import ml2o
+from ml2o import train, unroll
 from ml2o.numeric import RngStream
 from ml2o.tasks import QUADRATIC, OptimizeeTask
 
@@ -57,10 +57,7 @@ def poison_fd_minus_half(monkeypatch):
     itself and `maml_parts_stack` the other two, so both modules' names for
     the kernel are patched.
     """
-    # the package re-exports a function named `unroll` over the submodule
-    unroll_mod = importlib.import_module("ml2o.unroll")
-    train_mod = importlib.import_module("ml2o.train")
-    real = unroll_mod.meta_grad_stack
+    real = unroll.meta_grad_stack
 
     def install(rows):
         calls = []
@@ -72,8 +69,8 @@ def poison_fd_minus_half(monkeypatch):
                 theta0[[params.size // 2 + r for r in rows]] = np.nan
             return real(params, tasks, theta0, horizon, mode)
 
-        monkeypatch.setattr(unroll_mod, "meta_grad_stack", patched)
-        monkeypatch.setattr(train_mod, "meta_grad_stack", patched)
+        monkeypatch.setattr(unroll, "meta_grad_stack", patched)
+        monkeypatch.setattr(train, "meta_grad_stack", patched)
         return calls
 
     return install

@@ -376,11 +376,17 @@ def test_nonpositive_seed_count_is_refused(tiny_config, tmp_path, capsys, n_seed
         assert os.listdir(out) == ["config.resolved.ini"]
 
 
-def test_empty_float_lists_are_refused_before_training(tmp_path, capsys, monkeypatch):
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained for an empty list")
+@pytest.fixture
+def no_training(monkeypatch):
+    """Make every comparison fail the moment it would start training."""
 
-    monkeypatch.setattr(harness, "train_lockstep", no_training)
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(harness, "train_lockstep", refuse)
+
+
+def test_empty_float_lists_are_refused_before_training(tmp_path, capsys, no_training):
     w = tmp_path / "w.ckpt"
     save_checkpoint(random_params(4, RngStream(3).child("w")), w)
     interpolate = ["interpolate", "--w1", str(w), "--w2", str(w)]
@@ -402,11 +408,7 @@ def test_empty_float_lists_are_refused_before_training(tmp_path, capsys, monkeyp
         assert os.listdir(out) == ["config.resolved.ini"]
 
 
-def test_worker_count_from_flag_or_config(tmp_path, capsys, monkeypatch):
-    def no_training(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr(harness, "train_lockstep", no_training)
+def test_worker_count_from_flag_or_config(tmp_path, capsys, monkeypatch, no_training):
     cases = [
         (TINY, ["compare", "--jobs", "-1"]),
         (TINY, ["sweep", "--jobs", "-3"]),
@@ -432,6 +434,57 @@ def test_worker_count_from_flag_or_config(tmp_path, capsys, monkeypatch):
         with pytest.raises(AssertionError, match="training started"):
             main([*cmd, "--config", str(config), "--out", str(tmp_path / "o")])
     assert len(cores) == 2
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        pytest.param("[meta]\n", "[meta]\nsgd_mu = 0\n", "sgd_mu must be finite and > 0",
+                     id="sgd_mu=0"),
+        pytest.param("[meta]\n", "[meta]\nsgd_mu = -1\n", "sgd_mu must be finite and > 0",
+                     id="sgd_mu=-1"),
+        pytest.param("[meta]\n", "[meta]\nsgd_beta = 0\n", "sgd_beta must be finite and > 0",
+                     id="sgd_beta=0"),
+        pytest.param("outer_lr = 1e-3", "outer_lr = -1e-3", "outer_lr must be finite and > 0",
+                     id="outer_lr=-1e-3"),
+        pytest.param("outer_lr = 1e-3", "outer_lr = nan", "outer_lr must be finite and > 0",
+                     id="outer_lr=nan"),
+        pytest.param("[meta]\n", "[meta]\nfd_epsilon = 0\n", "fd_epsilon must be finite and > 0",
+                     id="fd_epsilon=0"),
+        pytest.param("alpha = 1e-4", "alpha = nan", "alpha must be finite and >= 0",
+                     id="meta-alpha=nan"),
+        pytest.param("[meta]\n", "[meta]\ncurriculum_threshold = nan\n",
+                     "curriculum_threshold must be finite", id="curriculum_threshold=nan"),
+        pytest.param("alpha = 1e-6", "alpha = -1", "adaptation step must be finite and >= 0",
+                     id="adapt-alpha=-1"),
+        pytest.param("alpha = 1e-6", "alpha = nan", "adaptation step must be finite and >= 0",
+                     id="adapt-alpha=nan"),
+        pytest.param("sigma = 10\ndim = 4\nsteps", "sigma = inf\ndim = 4\nsteps",
+                     "finite sigma > 0", id="adapt-sigma=inf"),
+    ],
+)
+def test_unusable_values_are_refused_before_training(tmp_path, capsys, no_training, old, new, message):
+    assert TINY.count(old) == 1
+    config = tmp_path / "exp.ini"
+    config.write_text(TINY.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["compare", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert (os.listdir(out) if out.exists() else []) in ([], ["config.resolved.ini"])
+
+
+def test_unusable_out_or_cache_dir_is_config_error(tiny_config, tmp_path, capsys, no_training):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for args in (
+        ["--out", str(blocker)],
+        ["--out", str(blocker / "x")],
+        ["--out", str(tmp_path / "o"), "--cache-dir", str(blocker)],
+    ):
+        assert main(["compare", "--config", tiny_config, *args]) == EXIT_CONFIG, args
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(blocker) in err, args
+    assert blocker.read_text() == ""
 
 
 def test_interpolate_shape_mismatch_is_config_error(tiny_config, tmp_path, capsys):

@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import os
@@ -16,11 +15,10 @@ from ml2o.harness import (
     TL,
     VANILLA,
     LOG_FLOOR,
-    STACK_ROWS,
+    ComparisonTable,
     EvalGroup,
     RunRecord,
     TrainingCache,
-    _aggregate,
     adapt_sweep,
     blend_params,
     compare_methods,
@@ -35,7 +33,7 @@ from ml2o.harness import (
 from ml2o.numeric import RngStream, numeric_environment
 from ml2o.tasks import LASSO, MIXTURE, NORMAL, QUADRATIC, OptimizeeTask, TaskDistribution
 from ml2o.train import MetaConfig
-from ml2o.unroll import unroll
+from ml2o.unroll import STACK_ROWS, unroll
 
 TRAIN_DIST = TaskDistribution(kind=MIXTURE, family=LASSO, dim=4, lam=0.005)
 ADAPT_DIST = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=10.0)
@@ -121,7 +119,7 @@ def test_seed_values_skip_what_the_cell_mean_skips():
             min_log_loss=value, task_digest="", theta0_digest="", params_digest="",
         )
 
-    table = _aggregate([record(0, 1.5), record(1, math.inf), record(2, 2.5)])
+    table = ComparisonTable.from_records([record(0, 1.5), record(1, math.inf), record(2, 2.5)])
     cell = table.cell(ML2O, 10.0)
     assert (cell.n, cell.n_diverged, cell.mean) == (2, 1, 2.0)
     assert table.seed_values(ML2O, 10.0) == {0: 1.5, 2: 2.5}
@@ -160,7 +158,7 @@ def test_aggregation_is_order_independent(tmp_path):
     )
     shuffled = list(table.records)
     random.Random(9).shuffle(shuffled)
-    again = _aggregate(shuffled)
+    again = ComparisonTable.from_records(shuffled)
     for c1, c2 in zip(table.cells, again.cells):
         assert (c1.method, c1.key, c1.mean, c1.half_width, c1.n) == (
             c2.method, c2.key, c2.mean, c2.half_width, c2.n
@@ -246,7 +244,9 @@ def test_undefined_statistics_write_strict_json_as_null(tmp_path):
             diverged=diverged,
         )
 
-    table = _aggregate([record(ML2O, 0, -3.25), record(TL, 0, 1.0, diverged=True)])
+    table = ComparisonTable.from_records(
+        [record(ML2O, 0, -3.25), record(TL, 0, 1.0, diverged=True)]
+    )
     path = tmp_path / "t.json"
     table.write_json(path)
 
@@ -397,9 +397,8 @@ def test_chunk_evaluation_matches_per_group_stacks(rng):
 def test_compare_kernel_call_counts(tmp_path, monkeypatch):
     # every phase of a chunk runs in lockstep: a fallback to per-seed,
     # per-trainer or per-method calls changes these counts
-    train_mod = importlib.import_module("ml2o.train")
-    unroll_mod = importlib.import_module("ml2o.unroll")
-    harness_mod = importlib.import_module("ml2o.harness")
+    from ml2o import train, unroll
+
     reverse, evaluation = [], []
 
     def counting(real, sizes):
@@ -408,9 +407,9 @@ def test_compare_kernel_call_counts(tmp_path, monkeypatch):
             return real(params, *args, **kwargs)
         return patched
 
-    for mod in (train_mod, unroll_mod):
-        monkeypatch.setattr(mod, "meta_grad_stack", counting(unroll_mod.meta_grad_stack, reverse))
-    monkeypatch.setattr(harness_mod, "unroll_stack", counting(unroll_mod.unroll_stack, evaluation))
+    for mod in (train, unroll):
+        monkeypatch.setattr(mod, "meta_grad_stack", counting(unroll.meta_grad_stack, reverse))
+    monkeypatch.setattr(harness, "unroll_stack", counting(unroll.unroll_stack, evaluation))
     meta = tiny_meta()
     n_seeds, sigmas, n_tasks = 2, [10.0, 30.0], 3
     compare_methods(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -155,8 +157,9 @@ def test_sample_task_mixture_entries_in_unit_interval(rng):
 
 
 def test_normal_distribution_requires_positive_sigma():
-    with pytest.raises(ValueError, match="sigma"):
-        TaskDistribution(kind=NORMAL, family=LASSO, dim=5, sigma=0.0)
+    for sigma in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            TaskDistribution(kind=NORMAL, family=LASSO, dim=5, sigma=sigma)
 
 
 def test_sample_task_normal_std():

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -281,6 +282,14 @@ def test_adapt_groups_refuse_groups_that_cannot_share_a_stack(rng):
             adapt_groups(groups, 2, 1e-4, 6)
         for d in (dist, other):
             assert f"{d.label()} (dim {d.dim})" in str(err.value)
+
+
+def test_adapt_groups_refuse_a_nan_step(rng):
+    params = random_params(5, rng)
+    dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=2.0)
+    for alpha in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            adapt_groups([AdaptGroup([params], dist, RngStream(1))], 2, alpha, 6)
 
 
 @pytest.mark.parametrize(
