@@ -251,6 +251,13 @@ def _column_key(value) -> str:
     return f"{value:g}"
 
 
+def _check_column_keys(keys: list[str]) -> None:
+    """Refuse two columns with one key: their records would merge into one column."""
+    for n, key in enumerate(keys):
+        if key in keys[:n]:
+            raise ValueError(f"two columns share the key {key!r}; values must differ in 6 digits")
+
+
 def _counted(r: RunRecord) -> bool:
     """Whether a record enters the statistics: not diverged, with a finite metric."""
     return not r.diverged and math.isfinite(r.min_log_loss)
@@ -308,7 +315,6 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
                 TaskStack([task for _, task, _ in stack]),
                 np.stack([theta0 for _, _, theta0 in stack]),
                 horizon,
-                truncate_nonfinite=True,
             )
             trajectories.extend(result.trajectory(i) for i in range(len(stack)))
 
@@ -561,6 +567,7 @@ def _compare(
         raise ValueError(f"n_seeds must be >= 2, got {n_seeds}")
     if not columns:
         raise ValueError("the sigma list is empty: no column to evaluate")
+    _check_column_keys([col.key for col in columns])
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0 (0: all cores), got {jobs}")
     alpha = meta.alpha if adapt_alpha is None else adapt_alpha
@@ -691,7 +698,8 @@ def interpolate_eval(
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     root = RngStream(root_seed)
-    blends = {f"{float(a):g}": blend_params(w1, w2, float(a)) for a in alpha_grid}
+    _check_column_keys([_column_key(float(a)) for a in alpha_grid])
+    blends = {_column_key(float(a)): blend_params(w1, w2, float(a)) for a in alpha_grid}
     if not blends:
         raise ValueError("the list of interpolation weights is empty")
     out: dict[str, list[RunRecord]] = {key: [] for key in blends}

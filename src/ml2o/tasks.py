@@ -249,6 +249,8 @@ class TaskDistribution:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.kind == NORMAL and not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"normal distribution requires a finite sigma > 0, got {self.sigma}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.kind == ROSENBROCK_INIT:
             if self.family != ROSENBROCK:
                 object.__setattr__(self, "family", ROSENBROCK)

@@ -306,22 +306,19 @@ def train_lockstep(
         g = np.empty((all_rows.size, layout.size))
         values = np.empty(all_rows.size)
         theta_final = np.empty(theta0.shape)
-        rows = all_rows  # the slices of the call in flight
+        rows = all_rows if fused else plain_rows  # the slices of the call in flight
         try:
-            first_pass = None
-            if fused:
-                g0, res0 = meta_grad_stack(params, tasks, theta0, cfg.unroll_len, FULL_SECOND_ORDER)
-                first_pass = (g0[meta_rows], res0.take(meta_rows))
-                g0, res0 = g0[plain_rows], res0.take(plain_rows)
-            elif plain_rows.size:
-                rows = plain_rows
-                g0, res0 = meta_grad_stack(
+            if rows.size:
+                _, res0 = meta_grad_stack(
                     params.take(rows), tasks.take(rows), theta0[rows], cfg.unroll_len, plain_mode
                 )
+                if (failure := res0.failure()) is not None:
+                    raise failure
             if plain_rows.size:
-                g[plain_rows] = g0
-                values[plain_rows] = res0.final_losses
-                theta_final[plain_rows] = res0.theta_final
+                res_p = res0.take(plain_rows) if fused else res0
+                g[plain_rows] = res_p.grads
+                values[plain_rows] = res_p.final_losses
+                theta_final[plain_rows] = res_p.theta_final
             if meta_rows.size:
                 rows = meta_rows
                 g[rows], res_m, values[rows] = maml_parts_stack(
@@ -332,7 +329,7 @@ def train_lockstep(
                     cfg.alpha,
                     meta_mode(cfg.grad_mode),
                     cfg.fd_epsilon,
-                    first_pass=first_pass,
+                    first_pass=res0.take(meta_rows) if fused else None,
                 )
                 theta_final[rows] = res_m.theta_final
         except (UnrollDivergedError, NonFiniteGradientError) as exc:
@@ -349,7 +346,8 @@ def train_lockstep(
         for r, loss in enumerate(losses):
             if not np.isfinite(loss):
                 raise diverged(k, r, f"meta-loss {float(loss)!r}")
-        new_flats = outer.update(flats, grads)
+        with np.errstate(all="ignore"):  # a non-finite row is reported below
+            new_flats = outer.update(flats, grads)
         for r, row in enumerate(new_flats):
             if not np.all(np.isfinite(row)):
                 raise diverged(
@@ -401,9 +399,9 @@ def adapt_groups(
     starts of all groups run in lockstep, in stacks of at most STACK_ROWS
     rows (slices x dim, at least one slice).  Returns, per start, its adapted
     weights or the `DivergenceError` that `adapt` would raise for it alone.
-    A start that diverges leaves its stack, and the rest of that stack redo
-    that step without it, so every result is bit-identical to adapting that
-    start alone.
+    A start that diverges is marked and drops out of later steps; no slice
+    reads another, so every result is bit-identical to adapting that start
+    alone.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -433,30 +431,24 @@ def adapt_groups(
         size = max(1, STACK_ROWS // groups[live[0][0]].dist_adapt.dim)
         for lo in range(0, len(live), size):
             stack = live[lo : lo + size]
-            while stack:
-                params = ParamStack.of([out[k][i] for k, i in stack])
-                try:
-                    grads, _ = meta_grad_stack(
-                        params,
-                        TaskStack([draws[k][0] for k, _ in stack]),
-                        np.stack([draws[k][1] for k, _ in stack]),
-                        unroll_len,
-                        mode,
-                    )
-                except (UnrollDivergedError, NonFiniteGradientError) as exc:
-                    k, i = stack.pop(exc.index)
-                    out[k][i] = DivergenceError(s, out[k][i], str(exc))
-                    out[k][i].__cause__ = exc
-                    continue
+            params = ParamStack.of([out[k][i] for k, i in stack])
+            grads, result = meta_grad_stack(
+                params,
+                TaskStack([draws[k][0] for k, _ in stack]),
+                np.stack([draws[k][1] for k, _ in stack]),
+                unroll_len,
+                mode,
+            )
+            with np.errstate(all="ignore"):  # a non-finite row is reported below
                 new_flats = params.to_flat() - alpha * grads
-                for (k, i), flat in zip(stack, new_flats):
-                    if np.all(np.isfinite(flat)):
-                        out[k][i] = out[k][i].with_flat(flat[None])
-                    else:
-                        out[k][i] = DivergenceError(
-                            s, out[k][i], "non-finite optimizer weights after an adaptation step"
-                        )
-                break
+            for j, ((k, i), flat) in enumerate(zip(stack, new_flats)):
+                failure = result.failure(j)
+                if failure is None and np.all(np.isfinite(flat)):
+                    out[k][i] = out[k][i].with_flat(flat[None])
+                    continue
+                cause = str(failure or "non-finite optimizer weights after an adaptation step")
+                out[k][i] = DivergenceError(s, out[k][i], cause)
+                out[k][i].__cause__ = failure
         live = [(k, i) for k, i in live if not isinstance(out[k][i], DivergenceError)]
     return out
 

@@ -11,6 +11,11 @@ themselves depend on the iterate) is kept alive via Hessian-vector products;
 ``detached_input`` cuts that path, which is the cheaper convention much of
 the practical literature trains with.
 
+A diverging slice is an outcome, not an exception: the stacked kernels run
+every slice to the end with numpy's floating-point warnings off, and
+`StackResult.failure` names the error of a slice's first non-finite value
+for the callers (the one-trajectory functions raise it) to act on.
+
 `jacobian_recursive` is an intentionally separate implementation of the same
 derivative: it accumulates the dense trajectory Jacobian d(theta_T)/d(weights)
 forward in time via the step-to-step recursion, using the cell's analytic
@@ -106,13 +111,18 @@ class UnrollResult:
 class StackResult:
     """Summary of B trajectories unrolled in lockstep.
 
-    `losses` is time-major, (T+1, B); past a slice's truncation step its
-    column holds NaN.  `truncated_at` is None when no slice was truncated.
+    `losses` is time-major, (T+1, B).  `truncated_at[i]` is the step of
+    slice i's first non-finite loss, and `theta_final[i]` its iterate there;
+    the column holds that loss at that step and whatever the slice went on
+    to compute after it.  `truncated_at` is None when every loss is finite.
+    `grads` and `layout` are set when the stack was differentiated.
     """
 
     theta_final: np.ndarray  # (B, dim)
     losses: np.ndarray  # (T+1, B)
     truncated_at: tuple[int | None, ...] | None = None
+    grads: np.ndarray | None = None  # (B, |weights|)
+    layout: ParamLayout | None = None
 
     @property
     def final_losses(self) -> np.ndarray:
@@ -122,7 +132,28 @@ class StackResult:
         """The slices at `index`, of a stack that no slice was truncated in."""
         if self.truncated_at is not None:
             raise ValueError("cannot take slices of a truncated stack")
-        return StackResult(self.theta_final[index], self.losses[:, index])
+        grads = None if self.grads is None else self.grads[index]
+        return StackResult(self.theta_final[index], self.losses[:, index], None, grads, self.layout)
+
+    def failure(self, index: int | None = None) -> RuntimeError | None:
+        """The error that aborting at the first non-finite value raises, or None.
+
+        Looks at slice `index`, or at the whole stack when it is None: the
+        earliest non-finite loss step, then the lowest slice, then the first
+        non-finite gradient entry in flat order.
+        """
+        rows = range(self.losses.shape[1]) if index is None else range(index, index + 1)
+        cut = self.truncated_at or ()
+        stops = [(t, i) for i, t in enumerate(cut) if t is not None and i in rows]
+        if stops:
+            t, i = min(stops)
+            return UnrollDivergedError(t, float(self.losses[t, i]), i)
+        if self.grads is not None:
+            bad = np.argwhere(~np.isfinite(self.grads[rows.start : rows.stop]))
+            if bad.size:
+                i, j = (int(k) for k in bad[0])
+                return NonFiniteGradientError(_grad_block_name(j, self.layout), rows[i])
+        return None
 
     def trajectory(self, i: int) -> UnrollResult:
         stop = None if self.truncated_at is None else self.truncated_at[i]
@@ -160,6 +191,7 @@ def meta_mode(mode: str) -> str:
 STACK_ROWS = 128
 
 
+@np.errstate(all="ignore")
 def _forward(
     params: ParamStack,
     tasks: TaskStack,
@@ -167,14 +199,13 @@ def _forward(
     horizon: int,
     *,
     keep_tape: bool,
-    truncate_nonfinite: bool = False,
 ):
     """Unroll B trajectories in lockstep: slice i runs params[i] on tasks[i] from theta0[i].
 
-    Without `truncate_nonfinite` the first non-finite loss raises; with it,
-    the slice stops there and the others run on without it.  Returns
-    (result, tape, grad): `grad` holds the task gradients at the last
-    iterates of the slices still running, (live B, dim, 1).
+    Every slice runs to the last step, whatever its losses; a non-finite
+    loss is recorded in the result (see `StackResult`), never raised, and
+    the other slices are unaffected.  Returns (result, tape, grad): `grad`
+    holds the task gradients at the last iterates, (B, dim, 1).
     """
     n, d = params.size, tasks.dim
     theta0 = np.asarray(theta0, dtype=np.float64)
@@ -185,39 +216,26 @@ def _forward(
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     hid = params.hidden
-    losses = np.full((horizon + 1, n), np.nan)
+    losses = np.empty((horizon + 1, n))
     tape = [] if keep_tape else None
     truncated_at = [None] * n
-    live = np.arange(n)  # stack slices still running
-    theta_final = theta0.reshape(n, d, 1).copy()
+    stopped = {}  # slice -> its iterate at its first non-finite loss
 
     # iterates, gradients and moments are columns (B, dim, 1)
-    theta = theta_final.copy()
+    theta = theta0.reshape(n, d, 1).copy()
     h = np.zeros((n, d, hid))
     c = np.zeros((n, d, hid))
     m = np.zeros((n, d, 1))
     v = np.zeros((n, d, 1))
     for t in range(horizon + 1):
         loss, grad = tasks.loss_grad(theta)
+        losses[t] = loss
         finite = np.isfinite(loss)
         if not finite.all():
-            if not truncate_nonfinite:
-                bad = int(np.flatnonzero(~finite)[0])
-                raise UnrollDivergedError(t, float(loss[bad]), int(live[bad]))
-            stopped = live[~finite]
-            for i in stopped:
-                truncated_at[i] = t
-            theta_final[stopped] = theta[~finite]
-            live = live[finite]
-            if not live.size:
-                break
-            params, tasks = params.take(finite), tasks.take(finite)
-            loss, grad = loss[finite], grad[finite]
-            theta, h, c, m, v = theta[finite], h[finite], c[finite], m[finite], v[finite]
-        if live.size == n:
-            losses[t] = loss
-        else:
-            losses[t, live] = loss
+            for i in np.flatnonzero(~finite):
+                if truncated_at[i] is None:
+                    truncated_at[i] = t
+                    stopped[i] = theta[i, :, 0]
         if t == horizon:
             break
         update, h, c, m, v, cache = step(params, grad, h, c, m, v)
@@ -225,11 +243,11 @@ def _forward(
             tape.append((theta, grad, m, v, cache, h))
         theta = theta + update
 
-    theta_final[live] = theta
-    truncated = None if live.size == n else tuple(truncated_at)
-    result = StackResult(
-        theta_final=theta_final.reshape(n, d), losses=losses, truncated_at=truncated
-    )
+    theta_final = theta.reshape(n, d)
+    for i, theta_i in stopped.items():
+        theta_final[i] = theta_i
+    truncated = tuple(truncated_at) if stopped else None
+    result = StackResult(theta_final=theta_final, losses=losses, truncated_at=truncated)
     return result, tape, grad
 
 
@@ -238,13 +256,9 @@ def unroll_stack(
     tasks: TaskStack,
     theta0: np.ndarray,
     horizon: int,
-    truncate_nonfinite: bool = False,
 ) -> StackResult:
     """Run `horizon` update steps on every slice of the stack under frozen weights."""
-    result, _, _ = _forward(
-        params, tasks, theta0, horizon, keep_tape=False,
-        truncate_nonfinite=truncate_nonfinite,
-    )
+    result, _, _ = _forward(params, tasks, theta0, horizon, keep_tape=False)
     return result
 
 
@@ -255,11 +269,15 @@ def unroll(
     horizon: int,
     truncate_nonfinite: bool = False,
 ) -> UnrollResult:
-    """Run `horizon` update steps from theta0 under frozen optimizer weights."""
+    """Run `horizon` update steps from theta0 under frozen optimizer weights.
+
+    A non-finite loss raises, or with `truncate_nonfinite` ends the curve.
+    """
     theta0 = task.check_theta(theta0)
-    return unroll_stack(
-        params, TaskStack([task]), theta0[None], horizon, truncate_nonfinite=truncate_nonfinite
-    ).trajectory(0)
+    result = unroll_stack(params, TaskStack([task]), theta0[None], horizon)
+    if not truncate_nonfinite and (failure := result.failure()) is not None:
+        raise failure
+    return result.trajectory(0)
 
 
 def _grad_block_name(index: int, layout: ParamLayout) -> str:
@@ -274,6 +292,7 @@ def _grad_block_name(index: int, layout: ParamLayout) -> str:
     return "w_proj" if index < layout.hidden else "b_proj"
 
 
+@np.errstate(all="ignore")
 def meta_grad_stack(
     params: ParamStack,
     tasks: TaskStack,
@@ -284,7 +303,8 @@ def meta_grad_stack(
     """Reverse-mode gradients (B, |weights|) of each slice's final unrolled loss.
 
     Slice i's gradient is the one `meta_grad` gives for params[i], tasks[i]
-    and theta0[i] alone, bit for bit.
+    and theta0[i] alone, bit for bit.  Nothing is raised: the result holds
+    the gradients too, for `StackResult.failure` to report.
     """
     if mode not in TRAJECTORY_MODES:
         raise ValueError(
@@ -292,7 +312,6 @@ def meta_grad_stack(
         )
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1 for gradients, got {horizon}")
-    # no slice is truncated, so the last gradients are those at theta_final
     result, tape, dtheta = _forward(params, tasks, theta0, horizon, keep_tape=True)
 
     n, d = params.size, tasks.dim
@@ -361,13 +380,9 @@ def meta_grad_stack(
             dtheta = dtheta + tasks.hvp(theta_t, dg)
         # theta identity path: dtheta carries over unchanged otherwise
 
-    layout = params.layout
-    flat = layout.pack(dW, db, dw_proj.reshape(n, hid), db_proj.reshape(n))
-    bad = ~np.isfinite(flat)
-    if bad.any():
-        i, j = (int(k[0]) for k in np.nonzero(bad))
-        raise NonFiniteGradientError(_grad_block_name(j, layout), i)
-    return flat, result
+    result.layout = params.layout
+    result.grads = result.layout.pack(dW, db, dw_proj.reshape(n, hid), db_proj.reshape(n))
+    return result.grads, result
 
 
 def meta_grad_with_result(
@@ -380,6 +395,8 @@ def meta_grad_with_result(
     """Reverse-mode gradient of the final unrolled loss, plus the trajectory."""
     theta0 = task.check_theta(theta0)
     grads, result = meta_grad_stack(params, TaskStack([task]), theta0[None], horizon, mode)
+    if (failure := result.failure()) is not None:
+        raise failure
     return grads[0], result.trajectory(0)
 
 
@@ -423,15 +440,16 @@ def maml_parts_stack(
     alpha: float,
     mode: str,
     fd_epsilon: float | None,
-    first_pass: tuple[np.ndarray, StackResult] | None = None,
+    first_pass: StackResult | None = None,
 ) -> tuple[np.ndarray, StackResult, np.ndarray]:
     """Meta-gradients of B slices: (grads, pre-step result, post-step losses).
 
     The two finite-difference gradients of ``fd_hvp_meta`` run as one
-    stack of 2B slices.  `first_pass` is the (grads, result) that
+    stack of 2B slices.  `first_pass` is the result that
     ``meta_grad_stack(params, tasks, theta0, horizon, FULL_SECOND_ORDER)``
     returned, when the caller has already run it (as part of a larger
-    stack); it is then not run again.
+    stack); it is then not run again.  Raises the failure of the earliest of
+    its stacks that has one, naming the input slice.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
@@ -439,14 +457,17 @@ def maml_parts_stack(
         raise ValueError(
             f"maml_grad mode must be one of {META_MODES}, got {mode!r}"
         )
-    if first_pass is None:
-        first_pass = meta_grad_stack(params, tasks, theta0, horizon, FULL_SECOND_ORDER)
-    g0, res0 = first_pass
+    res0 = first_pass or meta_grad_stack(params, tasks, theta0, horizon, FULL_SECOND_ORDER)[1]
+    g0 = res0.grads
+    if (failure := res0.failure()) is not None:
+        raise failure
     if alpha == 0.0:
         return g0, res0, res0.final_losses
     flat = params.to_flat()
     adapted = params.with_flat(flat - alpha * g0)
     v, res1 = meta_grad_stack(adapted, tasks, theta0, horizon, FULL_SECOND_ORDER)
+    if (failure := res1.failure()) is not None:
+        raise failure
     if mode == FIRST_ORDER_META:
         return v, res0, res1.final_losses
     if fd_epsilon is not None:
@@ -454,18 +475,17 @@ def maml_parts_stack(
     else:
         eps = 1e-4 * (1.0 + np.max(np.abs(flat), axis=1, keepdims=True))
     pair = np.r_[0 : params.size, 0 : params.size]
-    try:
-        g_pm, _ = meta_grad_stack(
-            params.take(pair).with_flat(np.concatenate([flat + eps * v, flat - eps * v])),
-            tasks.take(pair),
-            np.asarray(theta0, dtype=np.float64)[pair],
-            horizon,
-            FULL_SECOND_ORDER,
-        )
-    except (UnrollDivergedError, NonFiniteGradientError) as exc:
+    g_pm, res_pm = meta_grad_stack(
+        params.take(pair).with_flat(np.concatenate([flat + eps * v, flat - eps * v])),
+        tasks.take(pair),
+        np.asarray(theta0, dtype=np.float64)[pair],
+        horizon,
+        FULL_SECOND_ORDER,
+    )
+    if (failure := res_pm.failure()) is not None:
         # slice B + i of the pair is the minus half of input slice i
-        exc.index %= params.size
-        raise
+        failure.index %= params.size
+        raise failure
     gp, gm = g_pm[: params.size], g_pm[params.size :]
     hv = (gp - gm) / (2.0 * eps)
     return v - alpha * hv, res0, res1.final_losses

@@ -196,7 +196,6 @@ def test_meta_train_rerun_is_byte_identical(tiny_config, tmp_path):
     assert read_no_wall(out1 / "trainlog.csv") == read_no_wall(out2 / "trainlog.csv")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_meta_train_divergence_exit_code(tmp_path, capsys):
     path = tmp_path / "explode.ini"
     path.write_text(
@@ -212,7 +211,6 @@ def test_meta_train_divergence_exit_code(tmp_path, capsys):
     assert metadata.endswith(f" {numeric_environment()}")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_compare_divergence_exit_code_with_and_without_workers(tmp_path, capsys):
     path = tmp_path / "explode.ini"
     path.write_text(
@@ -225,7 +223,6 @@ def test_compare_divergence_exit_code_with_and_without_workers(tmp_path, capsys)
         assert "diverged at epoch" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_compare_reports_first_adaptation_divergence_reason(tmp_path, capsys):
     path = tmp_path / "explode.ini"
     path.write_text(TINY.replace("alpha = 1e-6", "alpha = 1e150"))
@@ -461,6 +458,12 @@ def test_worker_count_from_flag_or_config(tmp_path, capsys, monkeypatch, no_trai
                      id="adapt-alpha=nan"),
         pytest.param("sigma = 10\ndim = 4\nsteps", "sigma = inf\ndim = 4\nsteps",
                      "finite sigma > 0", id="adapt-sigma=inf"),
+        pytest.param("dist = mixture\ndim = 4", "dist = mixture\ndim = 4\nlam = -1",
+                     "[train] lam must be finite and >= 0", id="train-lam=-1"),
+        pytest.param("dim = 4\nsteps", "dim = 4\nlam = nan\nsteps",
+                     "[adapt] lam must be finite and >= 0", id="adapt-lam=nan"),
+        pytest.param("dim = 4\nhorizon", "dim = 4\nlam = inf\nhorizon",
+                     "[test] lam must be finite and >= 0", id="test-lam=inf"),
     ],
 )
 def test_unusable_values_are_refused_before_training(tmp_path, capsys, no_training, old, new, message):
@@ -471,6 +474,24 @@ def test_unusable_values_are_refused_before_training(tmp_path, capsys, no_traini
     assert main(["compare", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert (os.listdir(out) if out.exists() else []) in ([], ["config.resolved.ini"])
+
+
+def test_repeated_column_keys_are_refused_before_training(tmp_path, capsys, no_training):
+    # values equal in 6 significant digits would merge into one column
+    w = tmp_path / "w.ckpt"
+    save_checkpoint(random_params(4, RngStream(3).child("w")), w)
+    cases = [
+        (["compare", "--sigmas", "10,10.0000001"], "'10'"),
+        (["sweep", "--adapt-sigmas", "5,5.0000001"], "'5'"),
+        (["interpolate", "--w1", str(w), "--w2", str(w), "--alphas", "0.1,0.1000001"], "'0.1'"),
+    ]
+    config = tmp_path / "exp.ini"
+    config.write_text(TINY)
+    for k, (cmd, key) in enumerate(cases):
+        out = tmp_path / f"o{k}"
+        assert main([*cmd, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG, cmd
+        assert f"two columns share the key {key}" in capsys.readouterr().err
+        assert os.listdir(out) == ["config.resolved.ini"]
 
 
 def test_unusable_out_or_cache_dir_is_config_error(tiny_config, tmp_path, capsys, no_training):

@@ -102,7 +102,6 @@ def test_evaluate_is_deterministic(rng):
         assert ra.min_log_loss == rb.min_log_loss
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_evaluate_truncates_on_nonfinite(rng):
     params = random_params(4, rng, proj_scale=2.0)
     absurd = TaskDistribution(kind=NORMAL, family=QUADRATIC, dim=3, sigma=1e160)
@@ -324,7 +323,6 @@ def test_parallel_jobs_do_not_change_results(tmp_path):
             assert np.array_equal(a.losses, b.losses)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_stacked_evaluation_truncates_one_slice_only(rng):
     calm = random_params(4, rng)
     # a huge projection throws the iterate to infinity at the first step
@@ -346,7 +344,18 @@ def test_stacked_evaluation_truncates_one_slice_only(rng):
             assert got.task_digest == want.task_digest
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_evaluation_keeps_a_stack_that_diverges_all_at_once(rng):
+    # every slice turns non-finite at the same step: nothing is left running
+    # there, and each record is truncated all the same
+    wild = replace(random_params(4, rng), w_proj=np.full((1, 4, 1), 1e300))
+    records = evaluate_groups([EvalGroup([("wild", "k", wild)], TEST_DIST, 3,
+                                         RngStream(8).child("test"))], 6)[0]
+    assert len(records) == 3
+    for r in records:
+        assert r.truncated_at == 1 and r.losses.shape == (1,)
+        assert np.isfinite(r.losses[0])
+
+
 def test_divergent_method_marks_cell_without_aborting(tmp_path):
     # an absurd adaptation step blows up the fresh-init method; the others
     # must still be evaluated and aggregated normally
@@ -365,7 +374,6 @@ def test_divergent_method_marks_cell_without_aborting(tmp_path):
         assert math.isfinite(cell.mean)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_chunk_evaluation_matches_per_group_stacks(rng):
     # 3 groups of 3 variants x 5 tasks at dim 4: 180 rows, so the first
     # STACK_ROWS-row stack ends inside the third group, within one variant

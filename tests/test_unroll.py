@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_quadratic, rel_error
+from dataclasses import replace
+
 from ml2o.cell import ParamStack, init_params, random_params
 from ml2o.numeric import RngStream, central_diff
 from ml2o.tasks import QUADRATIC, OptimizeeTask, TaskDistribution, TaskStack, sample_task, sample_theta0
@@ -10,6 +12,8 @@ from ml2o.unroll import (
     FD_HVP_META,
     FIRST_ORDER_META,
     FULL_SECOND_ORDER,
+    NonFiniteGradientError,
+    StackResult,
     UnrollDivergedError,
     jacobian_recursive,
     maml_grad,
@@ -50,7 +54,6 @@ def test_unroll_curve_length_and_finiteness(rng):
     assert np.all(np.isfinite(res.losses))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_unroll_reports_divergence_step():
     huge = OptimizeeTask(
         kind=QUADRATIC, dim=2, a=np.full((2, 2), 1e160), b=np.zeros(2)
@@ -237,3 +240,37 @@ def test_stacked_kernel_slices_match_lone_runs(family, size):
         g_one, r_one = meta_grad_with_result(params[i], tasks[i], theta0[i], 8)
         assert np.array_equal(g_one, grads[i])
         assert np.array_equal(r_one.losses, res.losses[:, i])
+
+
+def test_diverging_slices_run_on_and_report_what_aborting_raised(rng):
+    # slice 2 starts non-finite, slice 1 is thrown to infinity by its first
+    # update, slice 0 stays finite and is computed as it is alone
+    tasks = [make_quadratic(rng, 3) for _ in range(3)]
+    calm = random_params(4, rng)
+    wild = replace(calm, w_proj=np.full((1, 4, 1), 1e300))
+    theta0 = rng.gen.normal(size=(3, 3))
+    theta0[2] = np.nan
+    grads, res = meta_grad_stack(ParamStack.of([calm, wild, wild]), TaskStack(tasks), theta0, 6)
+    assert res.truncated_at == (None, 1, 0)
+    # a truncated slice's final iterate is the one its first non-finite loss was taken at
+    cut = unroll(wild, tasks[1], theta0[1], 6, truncate_nonfinite=True)
+    assert cut.truncated_at == 1 and np.array_equal(res.theta_final[1], cut.theta_final)
+    assert np.isnan(res.theta_final[2]).all()
+    first = res.failure()
+    assert isinstance(first, UnrollDivergedError) and (first.step, first.index) == (0, 2)
+    assert (res.failure(1).step, res.failure(1).index) == (1, 1)
+    assert res.failure(0) is None
+    g_alone, res_alone = meta_grad_stack(calm, TaskStack(tasks[:1]), theta0[:1], 6)
+    assert np.array_equal(grads[0], g_alone[0])
+    assert np.array_equal(res.losses[:, 0], res_alone.losses[:, 0])
+    with pytest.raises(UnrollDivergedError, match="at unroll step 1"):
+        meta_grad_with_result(wild, tasks[1], theta0[1], 6)
+
+    # with every loss finite, the first non-finite gradient entry in flat order
+    bad = np.zeros_like(grads)
+    bad[2, 0] = bad[1, calm.layout.proj_base] = np.inf
+    res = StackResult(theta0, np.zeros((7, 3)), grads=bad, layout=calm.layout)
+    first = res.failure()
+    assert isinstance(first, NonFiniteGradientError) and (first.block, first.index) == ("w_proj", 1)
+    assert (res.failure(2).block, res.failure(2).index) == ("W_input", 2)
+    assert res.failure(0) is None
