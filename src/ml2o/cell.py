@@ -25,7 +25,6 @@ import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .numeric import RngStream
 
@@ -250,6 +249,29 @@ class ParamStack:
         return h.hexdigest()
 
 
+def logistic_gates(act: np.ndarray, hidden: int) -> np.ndarray:
+    """The input, forget and output gates of activations act (B, dim, 4*hidden).
+
+    Returns them gate-major, (3, B, dim, hidden), so that each gate is
+    contiguous: 1/(1+exp(-a)) of the first three hidden-wide blocks, bit for
+    bit scipy's `expit`.  numpy runs `exp` through its scalar libm loop only
+    for a reversed 1-D input written to a fresh array; a forward input, a
+    reversed output or a reversed view of more dimensions (which numpy flips
+    back) takes SIMD loops whose bits change with the CPU.  Overflow is not
+    reported, as `expit` never reported it.  Guarded by
+    tests/test_cell.py::test_gates_are_expit_bit_for_bit.
+    """
+    b, d = act.shape[:2]
+    gates = np.empty((3, b, d, hidden))
+    np.negative(act[:, :, : 3 * hidden].reshape(b, d, 3, hidden).transpose(2, 0, 1, 3), out=gates)
+    flat = gates.reshape(-1)
+    with np.errstate(over="ignore"):
+        e = np.exp(flat[::-1])
+    e += 1.0
+    np.divide(1.0, e[::-1], out=flat)
+    return gates
+
+
 def cell_forward(params: ParamStack, z: np.ndarray, h: np.ndarray, c: np.ndarray):
     """One recurrent step for all coordinates of all B trajectories at once.
 
@@ -259,9 +281,7 @@ def cell_forward(params: ParamStack, z: np.ndarray, h: np.ndarray, c: np.ndarray
     hid = params.hidden
     x = np.concatenate([z, h], axis=2)
     act = x @ params.w + params.b
-    gi = expit(act[:, :, :hid])
-    gf = expit(act[:, :, hid : 2 * hid])
-    go = expit(act[:, :, 2 * hid : 3 * hid])
+    gi, gf, go = logistic_gates(act, hid)
     gq = np.tanh(act[:, :, 3 * hid :])
     c2 = gf * c + gi * gq
     tau = np.tanh(c2)

@@ -388,10 +388,10 @@ def entry() -> None:
     """Console-script shim: run `main`, then exit with its code.
 
     Interpreter shutdown runs full collections over the tens of thousands of
-    objects that importing numpy and scipy created, about 0.1 s per command;
-    frozen objects are skipped.  Freezing after `main` returns keeps the
-    collector's default behaviour for the command itself and for every caller
-    of `main`, and exits normally: atexit handlers and stream flushes run.
+    objects that importing numpy created; frozen objects are skipped.
+    Freezing after `main` returns keeps the collector's default behaviour for
+    the command itself and for every caller of `main`, and exits normally:
+    atexit handlers and stream flushes run.
     """
     rc = main()
     gc.freeze()

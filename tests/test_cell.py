@@ -1,19 +1,25 @@
 import hashlib
 import struct
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from conftest import make_quadratic, write_checkpoint
+from conftest import child_env, make_quadratic, write_checkpoint
 from ml2o.cell import (
     FEATURE_DIM,
     OUTPUT_SCALE,
     CheckpointError,
     ParamLayout,
     ParamStack,
+    cell_forward,
     init_params,
     load_checkpoint,
     load_checkpoint_metadata,
+    logistic_gates,
     random_params,
     save_checkpoint,
     step,
@@ -121,6 +127,87 @@ def test_step_closed_form_gates():
     assert np.allclose(update, 0.01 * 0.25)
     assert np.array_equal(h2, np.zeros((3, h)))
     assert np.array_equal(c2, np.zeros((3, h)))
+
+
+# The gates' edge cases: signed zero and infinity, NaN, the smallest and the
+# largest subnormal, the last finite and the first infinite exp(-a) (709.78,
+# 709.79), and an exp(-a) that underflows to zero (745.2), of either sign.
+GATE_EDGES = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+              -2.2250738585072009e-308, 709.78, -709.78, 709.79, -709.79, 745.2, -745.2)
+
+
+def wide_activations(b, d, hid, seed=0):
+    """Activations (b, d, 4*hid): the gate edge cases, then normals of widths 1 to 800."""
+    gen = np.random.default_rng(seed)
+    size = b * d * 4 * hid
+    act = gen.normal(size=size) * gen.choice([1.0, 10.0, 100.0, 800.0], size=size)
+    n = min(len(GATE_EDGES), size)
+    act[gen.permutation(size)[:n]] = GATE_EDGES[:n]
+    return act.reshape(b, d, 4 * hid)
+
+
+def expit_gates(act, hid):
+    return [expit(act[:, :, k * hid : (k + 1) * hid]) for k in range(3)]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+@pytest.mark.parametrize("b", [1, 4, 12, 64])
+def test_gates_are_expit_bit_for_bit(b, d):
+    hid = 20
+    act = wide_activations(b, d, hid)
+    gates = logistic_gates(act, hid)
+    for got, want in zip(gates, expit_gates(act, hid)):
+        assert got.flags.c_contiguous
+        assert same_bits(got, want)
+    # the same through the cell, on the activations its cache implies
+    params = ParamStack.of([random_params(hid, RngStream(s)) for s in range(b)])
+    gen = np.random.default_rng(1)
+    z = gen.normal(scale=300.0, size=(b, d, FEATURE_DIM))
+    h, c = gen.uniform(-1, 1, size=(2, b, d, hid))
+    _, _, (x, gi, gf, go, *_) = cell_forward(params, z, h, c)
+    for got, want in zip((gi, gf, go), expit_gates(x @ params.w + params.b, hid)):
+        assert got.flags.c_contiguous
+        assert same_bits(got, want)
+
+
+GATES_IN_CHILD = """
+import hashlib, sys
+import numpy as np
+from ml2o.cell import logistic_gates
+act = np.frombuffer(sys.stdin.buffer.read()).reshape(12, 10, 80)
+print(hashlib.blake2b(logistic_gates(act, 20).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("features", ["X86_V4", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"])
+def test_gates_do_not_depend_on_simd_dispatch(features):
+    # np.exp on a contiguous array changes bits when these targets are
+    # disabled; the gates must not, as scipy's expit does not
+    act = wide_activations(12, 10, 20)
+    want = hashlib.blake2b(np.stack(expit_gates(act, 20)).tobytes()).hexdigest()
+    child = subprocess.run(
+        [sys.executable, "-c", GATES_IN_CHILD], input=act.tobytes(),
+        env=child_env(NPY_DISABLE_CPU_FEATURES=features),
+        capture_output=True, timeout=60, check=True,
+    )
+    assert child.stdout.decode().split() == [want]
+
+
+def test_gates_raise_no_overflow_warning(rng):
+    # np.exp warns on overflow, expit never did; nothing here sets errstate,
+    # and the zero features and state make the activations the biases
+    hid = 4
+    params = random_params(hid, rng)
+    params.b[0, 0, : 3 * hid] = np.tile([800.0, -800.0], 3 * hid // 2)
+    zeros = np.zeros((1, 2, hid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, (_, *gates, _, _, _) = cell_forward(params, zeros[..., :FEATURE_DIM], zeros, zeros)
+    assert np.array_equal(np.concatenate(gates, axis=2), np.tile([1.0, 0.0], (1, 2, 3 * hid // 2)))
 
 
 def test_shared_weights_give_identical_updates_for_identical_histories(rng):

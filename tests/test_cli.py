@@ -589,3 +589,26 @@ def test_module_run_missing_config_exits_2(tmp_path):
     assert child.returncode == EXIT_CONFIG
     assert child.stderr.startswith("config error: ")
     assert "nope.ini" in child.stderr
+
+
+IMPORTS_NO_SCIPY = """
+import sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import ml2o.cli
+assert scipy_modules() == [], scipy_modules()
+rc = ml2o.cli.main(sys.argv[1:])
+assert rc == 0, rc
+assert scipy_modules() == [], scipy_modules()
+"""
+
+
+def test_commands_do_not_import_scipy(tiny_config, tmp_path):
+    # scipy is only a reference for the tests and the t-quantile past the table
+    child = subprocess.run(
+        [sys.executable, "-c", IMPORTS_NO_SCIPY, "compare", "--config", tiny_config,
+         "--n-seeds", "2", "--jobs", "1", "--out", str(tmp_path / "out"),
+         "--cache-dir", str(tmp_path / "cache")],
+        env=child_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr

@@ -2,11 +2,15 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
+from conftest import child_env
 from ml2o import harness
 from ml2o.cell import init_params, load_checkpoint, load_checkpoint_metadata, random_params
 from ml2o.harness import (
@@ -15,6 +19,7 @@ from ml2o.harness import (
     TL,
     VANILLA,
     LOG_FLOOR,
+    T975,
     ComparisonTable,
     EvalGroup,
     RunRecord,
@@ -73,6 +78,36 @@ def test_confidence_interval_two_points_matches_cauchy_quantile():
     mean, half = confidence_interval([-1.0, 1.0])
     assert mean == 0.0
     assert half == pytest.approx(math.tan(math.pi * 0.475), rel=1e-9)
+
+
+def test_t_table_is_stdtrit_bit_for_bit():
+    assert len(T975) == 100
+    for df, t in enumerate(T975, start=1):
+        assert t.hex() == float(stdtrit(df, 0.975)).hex()
+
+
+def test_confidence_interval_equals_the_scipy_formula():
+    gen = RngStream(31).gen
+    for n in (2, 10, 101, 102):  # 102 is past the table
+        x = gen.normal(size=n)
+        want = float(stdtrit(n - 1, 0.975) * float(x.std(ddof=1)) / math.sqrt(n))
+        assert confidence_interval(x) == (float(x.mean()), want)
+
+
+TABLE_THEN_FALLBACK = """
+import sys
+from ml2o.harness import confidence_interval
+confidence_interval([0.0, 1.0] * 50 + [2.0])
+assert "scipy" not in sys.modules
+confidence_interval([0.0, 1.0] * 51)
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_only_past_the_table_imports_scipy():
+    child = subprocess.run([sys.executable, "-c", TABLE_THEN_FALLBACK], env=child_env(),
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
 
 
 def test_confidence_interval_rejects_singletons():
