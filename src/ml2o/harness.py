@@ -29,7 +29,7 @@ from .cell import ParamStack, init_params, load_checkpoint, save_checkpoint
 from .numeric import RngStream, array_digest, numeric_environment
 from .tasks import NORMAL, TaskDistribution, TaskStack, sample_task, sample_theta0
 from .train import AdaptGroup, DivergenceError, MetaConfig, adapt_groups, train_lockstep
-from .unroll import STACK_ROWS, unroll_stack
+from .unroll import DETACHED_INPUT, STACK_ROWS, unroll_stack
 
 __all__ = [
     "VANILLA",
@@ -421,6 +421,11 @@ class TrainingCache:
             # the plain trainer never reads the inner-step knobs
             fields.pop("alpha", None)
             fields.pop("fd_epsilon", None)
+        elif cfg.grad_mode == DETACHED_INPUT:
+            # ml2o's stepped pass and finite-difference pair were once second
+            # order under this mode, so checkpoints cached then hold other
+            # weights; this field keeps them from being served
+            fields["detached_all_passes"] = True
         doc = {
             "trainer": trainer,
             "cfg": fields,

@@ -1,22 +1,22 @@
 """Meta-training loops and test-time adaptation for the learned optimizer.
 
-Two trainers share one loop skeleton.  The plain trainer updates the weights
-with the gradient of the unrolled loss; the meta-adaptive trainer first takes
-one virtual inner step on the same task and differentiates the loss at the
-stepped weights, so training favors initializations that improve quickly
-under adaptation.  With an inner step of zero the two are the same algorithm,
-bit for bit, which the tests pin down.
+There is one trainer.  The meta-adaptive trainer takes one virtual inner
+step of size alpha on the optimizer weights, on the same task, and updates
+the weights with the gradient of the unrolled loss at the stepped weights,
+so training favors initializations that improve quickly under adaptation.
+The plain trainer, which follows the gradient of the unrolled loss itself,
+is that trainer at alpha 0, bit for bit in every gradient mode; the tests
+pin this down.
 
 Within a block of `S` epochs the optimizee iterate continues where the last
 epoch's unroll ended; at block boundaries a fresh task and a fresh random
 iterate are drawn.
 
 Runs of both trainers and several seeds train in lockstep
-(`train_lockstep`): each epoch stacks every run's unrolls into as few
-computations as the trainers' passes allow, and each run's result is
-bit-identical to training it alone.  Likewise `adapt_groups` adapts the
-starting weights of several groups, each group on its own draws, in
-row-bounded lockstep stacks.
+(`train_lockstep`): each epoch is one `maml_parts_stack` call over every
+run's unrolls, and each run's result is bit-identical to training it alone.
+Likewise `adapt_groups` adapts the starting weights of several groups, each
+group on its own draws, in row-bounded lockstep stacks.
 """
 
 from __future__ import annotations
@@ -260,13 +260,11 @@ def train_lockstep(
 
     Returns (weights, log) per run, the weights a stack of one.  The configs
     may differ only in their seed; the flag picks the meta-adaptive or the
-    plain trainer.  Every epoch runs all runs' `tasks_per_update` unrolls as
-    one stack.  When the plain trainer's gradient mode is
-    ``full_second_order`` (the first pass of the meta-adaptive trainer
-    always is), the plain slices and the first pass of the meta-adaptive
-    slices are that one stack; only the meta-adaptive slices go on to the
-    pass at the stepped weights and the finite-difference pair.  Each run keeps its own random streams, blocks,
-    curriculum and outer-rule row, so its result is bit-identical to
+    plain trainer.  Every epoch is one `maml_parts_stack` call over all runs'
+    `tasks_per_update` unrolls, with the inner step `alpha` on the
+    meta-adaptive slices and 0 on the plain ones: the plain trainer is the
+    meta-adaptive one at alpha 0.  Each run keeps its own random streams,
+    blocks, curriculum and outer-rule row, so its result is bit-identical to
     training it alone.  Raises `DivergenceError`, naming the trainer and the
     seed, for the first run that diverges.
     """
@@ -281,12 +279,7 @@ def train_lockstep(
     flats = np.concatenate([r.params.to_flat() for r in states])  # one row per run
     outer = _make_outer(cfg, flats.shape)
     # slice r * n_tasks + j is run r on its task j
-    adaptive = np.repeat([meta for _, meta in runs], n_tasks)
-    all_rows = np.arange(adaptive.size)
-    meta_rows = np.flatnonzero(adaptive)
-    plain_rows = np.flatnonzero(~adaptive)
-    plain_mode = inner_mode(cfg.grad_mode)
-    fused = plain_mode == FULL_SECOND_ORDER
+    alpha = np.repeat([cfg.alpha if meta else 0.0 for _, meta in runs], n_tasks)
 
     def weights(r: int) -> ParamStack:
         return ParamStack.from_flat(flats[r : r + 1], layout)
@@ -303,37 +296,13 @@ def train_lockstep(
         params = ParamStack.from_flat(np.repeat(flats, n_tasks, axis=0), layout)
         tasks = TaskStack([t for run in states for t in run.tasks])
         theta0 = np.stack([th for run in states for th in run.theta0s])
-        g = np.empty((all_rows.size, layout.size))
-        values = np.empty(all_rows.size)
-        theta_final = np.empty(theta0.shape)
-        rows = all_rows if fused else plain_rows  # the slices of the call in flight
         try:
-            if rows.size:
-                _, res0 = meta_grad_stack(
-                    params.take(rows), tasks.take(rows), theta0[rows], cfg.unroll_len, plain_mode
-                )
-                if (failure := res0.failure()) is not None:
-                    raise failure
-            if plain_rows.size:
-                res_p = res0.take(plain_rows) if fused else res0
-                g[plain_rows] = res_p.grads
-                values[plain_rows] = res_p.final_losses
-                theta_final[plain_rows] = res_p.theta_final
-            if meta_rows.size:
-                rows = meta_rows
-                g[rows], res_m, values[rows] = maml_parts_stack(
-                    params.take(rows),
-                    tasks.take(rows),
-                    theta0[rows],
-                    cfg.unroll_len,
-                    cfg.alpha,
-                    meta_mode(cfg.grad_mode),
-                    cfg.fd_epsilon,
-                    first_pass=res0.take(meta_rows) if fused else None,
-                )
-                theta_final[rows] = res_m.theta_final
+            g, res0, values = maml_parts_stack(
+                params, tasks, theta0, cfg.unroll_len, alpha,
+                meta_mode(cfg.grad_mode), cfg.fd_epsilon, inner_mode(cfg.grad_mode),
+            )
         except (UnrollDivergedError, NonFiniteGradientError) as exc:
-            raise diverged(k, int(rows[exc.index]) // n_tasks, str(exc)) from exc
+            raise diverged(k, exc.index // n_tasks, str(exc)) from exc
 
         # sum each run's tasks in task order, as a loop over them would
         grads = np.zeros_like(flats)
@@ -357,7 +326,7 @@ def train_lockstep(
 
         wall_ms = (time.perf_counter() - t_start) * 1e3
         for r, run in enumerate(states):
-            finals = list(theta_final[r * n_tasks : (r + 1) * n_tasks])
+            finals = list(res0.theta_final[r * n_tasks : (r + 1) * n_tasks])
             run.end_epoch(float(losses[r]), finals)
             run.log.wall_ms.append(wall_ms)
 
@@ -432,7 +401,7 @@ def adapt_groups(
         for lo in range(0, len(live), size):
             stack = live[lo : lo + size]
             params = ParamStack.of([out[k][i] for k, i in stack])
-            grads, result = meta_grad_stack(
+            result = meta_grad_stack(
                 params,
                 TaskStack([draws[k][0] for k, _ in stack]),
                 np.stack([draws[k][1] for k, _ in stack]),
@@ -440,7 +409,7 @@ def adapt_groups(
                 mode,
             )
             with np.errstate(all="ignore"):  # a non-finite row is reported below
-                new_flats = params.to_flat() - alpha * grads
+                new_flats = params.to_flat() - alpha * result.grads
             for j, ((k, i), flat) in enumerate(zip(stack, new_flats)):
                 failure = result.failure(j)
                 if failure is None and np.all(np.isfinite(flat)):

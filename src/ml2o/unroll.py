@@ -128,13 +128,6 @@ class StackResult:
     def final_losses(self) -> np.ndarray:
         return self.losses[-1]
 
-    def take(self, index) -> "StackResult":
-        """The slices at `index`, of a stack that no slice was truncated in."""
-        if self.truncated_at is not None:
-            raise ValueError("cannot take slices of a truncated stack")
-        grads = None if self.grads is None else self.grads[index]
-        return StackResult(self.theta_final[index], self.losses[:, index], None, grads, self.layout)
-
     def failure(self, index: int | None = None) -> RuntimeError | None:
         """The error that aborting at the first non-finite value raises, or None.
 
@@ -299,12 +292,12 @@ def meta_grad_stack(
     theta0: np.ndarray,
     horizon: int,
     mode: str = FULL_SECOND_ORDER,
-) -> tuple[np.ndarray, StackResult]:
+) -> StackResult:
     """Reverse-mode gradients (B, |weights|) of each slice's final unrolled loss.
 
-    Slice i's gradient is the one `meta_grad` gives for params[i], tasks[i]
-    and theta0[i] alone, bit for bit.  Nothing is raised: the result holds
-    the gradients too, for `StackResult.failure` to report.
+    The gradients are the result's `grads`; slice i's is the one `meta_grad`
+    gives for params[i], tasks[i] and theta0[i] alone, bit for bit.  Nothing
+    is raised: `StackResult.failure` reports non-finite losses and gradients.
     """
     if mode not in TRAJECTORY_MODES:
         raise ValueError(
@@ -382,7 +375,7 @@ def meta_grad_stack(
 
     result.layout = params.layout
     result.grads = result.layout.pack(dW, db, dw_proj.reshape(n, hid), db_proj.reshape(n))
-    return result.grads, result
+    return result
 
 
 def meta_grad_with_result(
@@ -394,10 +387,10 @@ def meta_grad_with_result(
 ) -> tuple[np.ndarray, UnrollResult]:
     """Reverse-mode gradient of the final unrolled loss, plus the trajectory."""
     theta0 = task.check_theta(theta0)
-    grads, result = meta_grad_stack(params, TaskStack([task]), theta0[None], horizon, mode)
+    result = meta_grad_stack(params, TaskStack([task]), theta0[None], horizon, mode)
     if (failure := result.failure()) is not None:
         raise failure
-    return grads[0], result.trajectory(0)
+    return result.grads[0], result.trajectory(0)
 
 
 def meta_grad(
@@ -423,8 +416,8 @@ def maml_objective(
 
     The inner step and the re-unroll use the same task and the same theta0.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
     g, res = meta_grad_with_result(params, task, theta0, horizon, FULL_SECOND_ORDER)
     if alpha == 0.0:
         return res.final_loss
@@ -437,58 +430,69 @@ def maml_parts_stack(
     tasks: TaskStack,
     theta0: np.ndarray,
     horizon: int,
-    alpha: float,
+    alpha: float | np.ndarray,
     mode: str,
     fd_epsilon: float | None,
-    first_pass: StackResult | None = None,
+    inner: str = FULL_SECOND_ORDER,
 ) -> tuple[np.ndarray, StackResult, np.ndarray]:
     """Meta-gradients of B slices: (grads, pre-step result, post-step losses).
 
-    The two finite-difference gradients of ``fd_hvp_meta`` run as one
-    stack of 2B slices.  `first_pass` is the result that
-    ``meta_grad_stack(params, tasks, theta0, horizon, FULL_SECOND_ORDER)``
-    returned, when the caller has already run it (as part of a larger
-    stack); it is then not run again.  Raises the failure of the earliest of
-    its stacks that has one, naming the input slice.
+    Slice i takes the inner step alpha[i] on its weights (a scalar alpha
+    applies to every slice).  Every pass differentiates the trajectory in
+    mode `inner`.  The first pass covers all B slices, and a slice at alpha 0
+    returns its gradient and final loss, so plain training is this call at
+    alpha 0.  Only the slices with alpha > 0 go on to the pass at the stepped
+    weights and, under ``fd_hvp_meta``, to the finite-difference pair, whose
+    two halves run as one stack.  Raises the failure of the earliest of its
+    stacks that has one, naming the input slice.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if mode not in META_MODES:
         raise ValueError(
             f"maml_grad mode must be one of {META_MODES}, got {mode!r}"
         )
-    res0 = first_pass or meta_grad_stack(params, tasks, theta0, horizon, FULL_SECOND_ORDER)[1]
-    g0 = res0.grads
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=np.float64), (params.size,))
+    if (bad := alpha[~(alpha >= 0)]).size:
+        raise ValueError(f"alpha must be >= 0, got {bad[0]}")
+    res0 = meta_grad_stack(params, tasks, theta0, horizon, inner)
     if (failure := res0.failure()) is not None:
         raise failure
-    if alpha == 0.0:
-        return g0, res0, res0.final_losses
+    grads, values = res0.grads.copy(), res0.final_losses.copy()
+    rows = np.flatnonzero(alpha)
+    if not rows.size:
+        return grads, res0, values
+    step = alpha[rows, None]
+    params, tasks = params.take(rows), tasks.take(rows)
+    theta0 = np.asarray(theta0, dtype=np.float64)[rows]
     flat = params.to_flat()
-    adapted = params.with_flat(flat - alpha * g0)
-    v, res1 = meta_grad_stack(adapted, tasks, theta0, horizon, FULL_SECOND_ORDER)
-    if (failure := res1.failure()) is not None:
-        raise failure
-    if mode == FIRST_ORDER_META:
-        return v, res0, res1.final_losses
-    if fd_epsilon is not None:
-        eps = np.full((params.size, 1), fd_epsilon, dtype=np.float64)
-    else:
-        eps = 1e-4 * (1.0 + np.max(np.abs(flat), axis=1, keepdims=True))
-    pair = np.r_[0 : params.size, 0 : params.size]
-    g_pm, res_pm = meta_grad_stack(
-        params.take(pair).with_flat(np.concatenate([flat + eps * v, flat - eps * v])),
-        tasks.take(pair),
-        np.asarray(theta0, dtype=np.float64)[pair],
-        horizon,
-        FULL_SECOND_ORDER,
+    res1 = meta_grad_stack(
+        params.with_flat(flat - step * res0.grads[rows]), tasks, theta0, horizon, inner
     )
-    if (failure := res_pm.failure()) is not None:
-        # slice B + i of the pair is the minus half of input slice i
-        failure.index %= params.size
+    if (failure := res1.failure()) is not None:
+        failure.index = int(rows[failure.index])
         raise failure
-    gp, gm = g_pm[: params.size], g_pm[params.size :]
-    hv = (gp - gm) / (2.0 * eps)
-    return v - alpha * hv, res0, res1.final_losses
+    values[rows] = res1.final_losses
+    v = res1.grads
+    if mode == FD_HVP_META:
+        if fd_epsilon is not None:
+            eps = np.full((rows.size, 1), fd_epsilon, dtype=np.float64)
+        else:
+            eps = 1e-4 * (1.0 + np.max(np.abs(flat), axis=1, keepdims=True))
+        pair = np.r_[0 : rows.size, 0 : rows.size]
+        res_pm = meta_grad_stack(
+            params.take(pair).with_flat(np.concatenate([flat + eps * v, flat - eps * v])),
+            tasks.take(pair),
+            theta0[pair],
+            horizon,
+            inner,
+        )
+        if (failure := res_pm.failure()) is not None:
+            # slice m + i of the pair is the minus half of stepped slice i
+            failure.index = int(rows[failure.index % rows.size])
+            raise failure
+        gp, gm = res_pm.grads[: rows.size], res_pm.grads[rows.size :]
+        v = v - step * ((gp - gm) / (2.0 * eps))
+    grads[rows] = v
+    return grads, res0, values
 
 
 def _maml_parts(

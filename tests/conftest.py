@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ml2o
-from ml2o import train, unroll
+from ml2o import unroll
 from ml2o.numeric import RngStream
 from ml2o.tasks import QUADRATIC, OptimizeeTask
 
@@ -53,9 +53,8 @@ def poison_fd_minus_half(monkeypatch):
     With alpha > 0 under fd_hvp_meta, every third stacked meta-gradient call
     is the +/- pair, whose second half holds the minus perturbations.  The
     returned function takes the rows to poison and returns the list of stack
-    sizes seen, one per call.  Training makes the first of the three calls
-    itself and `maml_parts_stack` the other two, so both modules' names for
-    the kernel are patched.
+    sizes seen, one per call.  All three calls come from `maml_parts_stack`,
+    which training makes once per epoch.
     """
     real = unroll.meta_grad_stack
 
@@ -70,7 +69,6 @@ def poison_fd_minus_half(monkeypatch):
             return real(params, tasks, theta0, horizon, mode)
 
         monkeypatch.setattr(unroll, "meta_grad_stack", patched)
-        monkeypatch.setattr(train, "meta_grad_stack", patched)
         return calls
 
     return install

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,6 +143,18 @@ def test_cache_keys_are_pinned(tiny_config):
     assert keys == {
         "plain": "6f48a3eca64c2117f288cb4c64540ee1",
         "ml2o": "76a21f1c57c1e3dac7a944f69e409fd0",
+    }
+
+
+def test_cache_key_of_detached_ml2o_is_new(tiny_config):
+    # ml2o trains other weights under detached_input than it once did, so its
+    # key moves; plain's, and every other mode's, stay where they were
+    cfg = load_config(tiny_config)
+    detached = replace(cfg.meta, grad_mode="detached_input")
+    keys = {t: TrainingCache._key(t, detached, cfg.dist_train) for t in ("plain", "ml2o")}
+    assert keys == {
+        "plain": "58808e6e9d0a4990fd6bfd0f411cf390",
+        "ml2o": "30685abb5ce1a57449ad96bd2bb4cec1",
     }
 
 

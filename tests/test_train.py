@@ -7,7 +7,7 @@ import pytest
 from ml2o.cell import random_params
 from ml2o.numeric import RngStream
 from ml2o.tasks import LASSO, MIXTURE, NORMAL, QUADRATIC, TaskDistribution
-from ml2o import train
+from ml2o import train, unroll
 from ml2o.train import (
     AdaptGroup,
     DivergenceError,
@@ -20,6 +20,7 @@ from ml2o.train import (
     train_lockstep,
 )
 from ml2o.harness import seed_config
+from ml2o.unroll import DETACHED_INPUT, FD_HVP_META, FULL_SECOND_ORDER, GRAD_MODES
 
 TRAIN_DIST = TaskDistribution(kind=MIXTURE, family=LASSO, dim=6, lam=0.005)
 
@@ -53,13 +54,43 @@ def test_config_validation():
         MetaConfig(hidden=0)
 
 
-def test_alpha_zero_collapses_to_plain_training():
-    cfg = tiny_cfg(alpha=0.0, epochs=50, epochs_per_task=5)
+@pytest.mark.parametrize("grad_mode", GRAD_MODES)
+def test_alpha_zero_collapses_to_plain_training(grad_mode):
+    cfg = tiny_cfg(alpha=0.0, epochs=50, epochs_per_task=5, grad_mode=grad_mode)
     p1, log1 = train_ml2o(cfg, TRAIN_DIST)
     p2, log2 = train_plain_l2o(cfg, TRAIN_DIST)
     assert np.array_equal(p1.to_flat(), p2.to_flat())
     assert log1.meta_losses == log2.meta_losses
     assert log1.theta_final_digests == log2.theta_final_digests
+
+
+def test_detached_input_reaches_every_ml2o_pass():
+    # the trajectory mode cuts the feature path in the stepped pass and the
+    # finite-difference pair too, so ml2o's weights leave the second-order run's
+    cfg = tiny_cfg(seed=3, epochs=20)
+    detached, _ = train_ml2o(replace(cfg, grad_mode=DETACHED_INPUT), TRAIN_DIST)
+    second_order, _ = train_ml2o(replace(cfg, grad_mode=FD_HVP_META), TRAIN_DIST)
+    assert not np.array_equal(detached.to_flat(), second_order.to_flat())
+    # and full_second_order selects the same training as fd_hvp_meta
+    full, _ = train_ml2o(replace(cfg, grad_mode=FULL_SECOND_ORDER), TRAIN_DIST)
+    assert np.array_equal(full.to_flat(), second_order.to_flat())
+
+
+def test_detached_input_runs_both_trainers_in_one_first_pass(monkeypatch):
+    cfg = tiny_cfg(epochs=3, tasks_per_update=2, grad_mode=DETACHED_INPUT)
+    sizes = []
+    real = unroll.meta_grad_stack
+
+    def counting(params, *args):
+        sizes.append(params.size)
+        return real(params, *args)
+
+    monkeypatch.setattr(unroll, "meta_grad_stack", counting)
+    train_lockstep([(cfg, True), (cfg, False)], TRAIN_DIST)
+    # as in the default mode: the first pass over both trainers' slices, then
+    # ml2o's stepped pass and its finite-difference pair
+    n = cfg.tasks_per_update
+    assert sizes == [2 * n, n, 2 * n] * cfg.epochs
 
 
 def test_block_continuation_is_bit_exact():

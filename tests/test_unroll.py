@@ -125,6 +125,31 @@ def test_maml_grad_alpha_zero_equals_meta_grad_bitwise(rng):
         )
 
 
+def test_maml_objective_and_grad_refuse_a_bad_inner_step(rng):
+    # a NaN step is bad input, not a diverging unroll
+    task = make_quadratic(rng, 3)
+    params = random_params(4, rng)
+    theta0 = rng.gen.normal(size=3)
+    for alpha in (-1e-3, float("nan")):
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            maml_objective(params, task, theta0, 5, alpha)
+        for mode in (FIRST_ORDER_META, FD_HVP_META):
+            with pytest.raises(ValueError, match="alpha must be >= 0"):
+                maml_grad(params, task, theta0, 5, alpha, mode)
+
+
+def test_maml_parts_failure_names_the_input_slice(rng):
+    # slice 0 takes no inner step; slice 1, the only stepped slice, diverges
+    # at its stepped weights
+    tasks = TaskStack([make_quadratic(rng, 3) for _ in range(2)])
+    stack = ParamStack.of([random_params(4, rng) for _ in range(2)])
+    theta0 = rng.gen.normal(size=(2, 3))
+    alphas = np.array([0.0, 1e300])
+    with pytest.raises((UnrollDivergedError, NonFiniteGradientError)) as err:
+        maml_parts_stack(stack, tasks, theta0, 5, alphas, FD_HVP_META, None)
+    assert err.value.index == 1
+
+
 def test_maml_grad_fd_hvp_matches_objective_finite_differences(rng):
     for _ in range(3):
         task = make_quadratic(rng, 3)
@@ -226,16 +251,25 @@ def test_stacked_kernel_slices_match_lone_runs(family, size):
     theta0 = np.stack([sample_theta0(dist, rng) for _ in range(size)])
     params = [random_params(4, rng.child(f"p/{i}")) for i in range(size)]
     stack = ParamStack.of(params)
-    grads, res = meta_grad_stack(stack, TaskStack(tasks), theta0, 8)
+    res = meta_grad_stack(stack, TaskStack(tasks), theta0, 8)
+    grads = res.grads
     maml, _, values = maml_parts_stack(stack, TaskStack(tasks), theta0, 6, 1e-2, FD_HVP_META, None)
+    # a per-slice inner step: slices at 0 skip the stepped pass and the pair
+    alphas = np.where(np.arange(size) % 2, 0.0, 1e-2)
+    mixed, _, mixed_values = maml_parts_stack(
+        stack, TaskStack(tasks), theta0, 6, alphas, FD_HVP_META, None
+    )
     for i in range(size):
         lone = params[i], TaskStack([tasks[i]]), theta0[i : i + 1]
-        g_i, res_i = meta_grad_stack(*lone, 8)
+        res_i = meta_grad_stack(*lone, 8)
+        g_i = res_i.grads
         assert np.array_equal(grads[i], g_i[0])
         assert np.array_equal(res.losses[:, i], res_i.losses[:, 0])
         assert np.array_equal(res.theta_final[i], res_i.theta_final[0])
         m_i, _, v_i = maml_parts_stack(*lone, 6, 1e-2, FD_HVP_META, None)
         assert np.array_equal(maml[i], m_i[0]) and values[i] == v_i[0]
+        m_i, _, v_i = maml_parts_stack(*lone, 6, alphas[i], FD_HVP_META, None)
+        assert np.array_equal(mixed[i], m_i[0]) and mixed_values[i] == v_i[0]
         # and the single-trajectory entry points are B=1 calls of the same kernel
         g_one, r_one = meta_grad_with_result(params[i], tasks[i], theta0[i], 8)
         assert np.array_equal(g_one, grads[i])
@@ -250,7 +284,8 @@ def test_diverging_slices_run_on_and_report_what_aborting_raised(rng):
     wild = replace(calm, w_proj=np.full((1, 4, 1), 1e300))
     theta0 = rng.gen.normal(size=(3, 3))
     theta0[2] = np.nan
-    grads, res = meta_grad_stack(ParamStack.of([calm, wild, wild]), TaskStack(tasks), theta0, 6)
+    res = meta_grad_stack(ParamStack.of([calm, wild, wild]), TaskStack(tasks), theta0, 6)
+    grads = res.grads
     assert res.truncated_at == (None, 1, 0)
     # a truncated slice's final iterate is the one its first non-finite loss was taken at
     cut = unroll(wild, tasks[1], theta0[1], 6, truncate_nonfinite=True)
@@ -260,8 +295,8 @@ def test_diverging_slices_run_on_and_report_what_aborting_raised(rng):
     assert isinstance(first, UnrollDivergedError) and (first.step, first.index) == (0, 2)
     assert (res.failure(1).step, res.failure(1).index) == (1, 1)
     assert res.failure(0) is None
-    g_alone, res_alone = meta_grad_stack(calm, TaskStack(tasks[:1]), theta0[:1], 6)
-    assert np.array_equal(grads[0], g_alone[0])
+    res_alone = meta_grad_stack(calm, TaskStack(tasks[:1]), theta0[:1], 6)
+    assert np.array_equal(grads[0], res_alone.grads[0])
     assert np.array_equal(res.losses[:, 0], res_alone.losses[:, 0])
     with pytest.raises(UnrollDivergedError, match="at unroll step 1"):
         meta_grad_with_result(wild, tasks[1], theta0[1], 6)
