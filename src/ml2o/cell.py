@@ -272,22 +272,27 @@ def logistic_gates(act: np.ndarray, hidden: int) -> np.ndarray:
     return gates
 
 
-def cell_forward(params: ParamStack, z: np.ndarray, h: np.ndarray, c: np.ndarray):
+def cell_forward(params: ParamStack, x: np.ndarray, c: np.ndarray, bias: np.ndarray | None = None):
     """One recurrent step for all coordinates of all B trajectories at once.
 
-    z is (B, dim, FEATURE_DIM), h and c are (B, dim, hidden).  Returns
-    (h', c', cache); the cache holds what the backward pass needs.
+    x holds the features and the hidden state side by side, (B, dim,
+    FEATURE_DIM + hidden); c is (B, dim, hidden).  `bias` is params.b, or the
+    same spread over the dim axis, (B, dim, 4*hidden), by a caller that steps
+    many times (the sum is the same; a spread bias adds without broadcasting).
+    Returns (h', c', cache); the cache (x, gates, gq, c, tau) holds what the
+    backward pass needs, with the input, forget and output gates as one
+    gate-major (3, B, dim, hidden) array.
     """
     hid = params.hidden
-    x = np.concatenate([z, h], axis=2)
-    act = x @ params.w + params.b
-    gi, gf, go = logistic_gates(act, hid)
+    act = x @ params.w
+    act += params.b if bias is None else bias
+    gates = logistic_gates(act, hid)
+    gi, gf, go = gates
     gq = np.tanh(act[:, :, 3 * hid :])
     c2 = gf * c + gi * gq
     tau = np.tanh(c2)
     h2 = go * tau
-    cache = (x, gi, gf, go, gq, c, tau)
-    return h2, c2, cache
+    return h2, c2, (x, gates, gq, c, tau)
 
 
 def predict_update(params: ParamStack, h2: np.ndarray) -> np.ndarray:
@@ -296,18 +301,24 @@ def predict_update(params: ParamStack, h2: np.ndarray) -> np.ndarray:
 
 
 def step(
-    params: ParamStack, grad: np.ndarray, h: np.ndarray, c: np.ndarray, m: np.ndarray, v: np.ndarray
+    params: ParamStack,
+    grad: np.ndarray,
+    h: np.ndarray,
+    c: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    bias: np.ndarray | None = None,
 ):
     """One update-rule step of B trajectories: features -> cell -> update.
 
-    grad, m and v are columns (B, dim, 1), h and c are (B, dim, hidden).  The
-    features are [raw gradient | normalized momentum].  Returns
-    (update, h', c', m', v', cache): the update columns to add to the
-    iterates, the advanced state, and the cell's cache, whose first entry
-    holds the features and h side by side.
+    grad, m and v are columns (B, dim, 1), h and c are (B, dim, hidden); see
+    `cell_forward` for `bias`.  The features are [raw gradient | normalized
+    momentum].  Returns (update, h', c', m', v', cache): the update columns to
+    add to the iterates, the advanced state, and the cell's cache, whose
+    first entry holds the features and h side by side.
     """
     m2, v2, nm = moment_update(m, v, grad)
-    h2, c2, cache = cell_forward(params, np.concatenate([grad, nm], axis=2), h, c)
+    h2, c2, cache = cell_forward(params, np.concatenate([grad, nm, h], axis=2), c, bias)
     return predict_update(params, h2), h2, c2, m2, v2, cache
 
 

@@ -181,17 +181,32 @@ class TaskStack:
         self.tasks = tasks
         self.kind, self.dim = kinds.pop()
         if self.kind != ROSENBROCK:
-            self.a = np.stack([t.a for t in tasks])
-            self.a_t = self.a.swapaxes(1, 2)
-            self.b = np.stack([t.b for t in tasks])[:, :, None]
-            self.lam = np.array([t.lam for t in tasks], dtype=np.float64)
+            self._set_coefficients(
+                np.stack([t.a for t in tasks]),
+                np.stack([t.b for t in tasks])[:, :, None],
+                np.array([t.lam for t in tasks], dtype=np.float64),
+            )
+
+    def _set_coefficients(self, a: np.ndarray, b: np.ndarray, lam: np.ndarray) -> None:
+        self.a = a
+        self.a_t = a.swapaxes(1, 2)
+        self.b = b
+        self.lam = lam
+        self.lam_col = lam[:, None, None]
 
     @property
     def size(self) -> int:
         return len(self.tasks)
 
     def take(self, index) -> "TaskStack":
-        return TaskStack([self.tasks[i] for i in np.arange(self.size)[index]])
+        """The slices `index` picks, in its order, as a stack of their own."""
+        rows = np.arange(self.size)[index]
+        stack = object.__new__(TaskStack)
+        stack.tasks = [self.tasks[i] for i in rows]
+        stack.kind, stack.dim = self.kind, self.dim
+        if self.kind != ROSENBROCK:
+            stack._set_coefficients(self.a[rows], self.b[rows], self.lam[rows])
+        return stack
 
     def loss_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Losses (B,) and (sub)gradient columns; sign(0) = 0 for the l1 term."""
@@ -211,7 +226,7 @@ class TaskStack:
         grad = self.a_t @ r
         if self.kind == LASSO:
             loss = loss + self.lam * np.abs(theta).sum(axis=(1, 2))
-            grad = grad + self.lam[:, None, None] * np.sign(theta)
+            grad = grad + self.lam_col * np.sign(theta)
         return loss, grad
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -207,7 +207,8 @@ def input_sensitivity(
     c = np.zeros((1, 1, params.hidden))
 
     def update_for(z):
-        h2, _, _ = cell_forward(params, z.reshape(1, 1, FEATURE_DIM), h, c)
+        x = np.concatenate([z.reshape(1, 1, FEATURE_DIM), h], axis=2)
+        h2, _, _ = cell_forward(params, x, c)
         return float(predict_update(params, h2)[0, 0, 0])
 
     best = 0.0

@@ -218,10 +218,11 @@ class _Run:
         self.tasks = []
         self.theta0s = []
 
-    def begin_epoch(self, k: int) -> None:
-        """Draw a fresh block of tasks when the current one is used up."""
+    def begin_epoch(self, k: int) -> bool:
+        """Draw a fresh block of tasks when the current one is used up; True if it did."""
         cfg = self.cfg
-        if self.epochs_in_block >= self.block_len:
+        drew = self.epochs_in_block >= self.block_len
+        if drew:
             if (
                 cfg.curriculum == CURRICULUM_DOUBLING
                 and self.block_first_loss is not None
@@ -240,6 +241,7 @@ class _Run:
             self.block_first_loss = None
             self.log.task_switch_epochs.append(k)
         self.log.theta0_digests.append(array_digest(*self.theta0s))
+        return drew
 
     def end_epoch(self, loss: float, theta_finals: list[np.ndarray]) -> None:
         """Continue the block from where this epoch's unrolls ended."""
@@ -291,10 +293,10 @@ def train_lockstep(
 
     for k in range(cfg.epochs):
         t_start = time.perf_counter()
-        for run in states:
-            run.begin_epoch(k)
+        # every run begins its epoch; the stack changes only when one drew a block
+        if any([run.begin_epoch(k) for run in states]):
+            tasks = TaskStack([t for run in states for t in run.tasks])
         params = ParamStack.from_flat(np.repeat(flats, n_tasks, axis=0), layout)
-        tasks = TaskStack([t for run in states for t in run.tasks])
         theta0 = np.stack([th for run in states for th in run.theta0s])
         try:
             g, res0, values = maml_parts_stack(

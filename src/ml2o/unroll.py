@@ -141,7 +141,7 @@ class StackResult:
         if stops:
             t, i = min(stops)
             return UnrollDivergedError(t, float(self.losses[t, i]), i)
-        if self.grads is not None:
+        if self.grads is not None and not np.isfinite(self.grads).all():
             bad = np.argwhere(~np.isfinite(self.grads[rows.start : rows.stop]))
             if bad.size:
                 i, j = (int(k) for k in bad[0])
@@ -197,8 +197,13 @@ def _forward(
 
     Every slice runs to the last step, whatever its losses; a non-finite
     loss is recorded in the result (see `StackResult`), never raised, and
-    the other slices are unaffected.  Returns (result, tape, grad): `grad`
-    holds the task gradients at the last iterates, (B, dim, 1).
+    the other slices are unaffected.  The losses are checked for finiteness
+    once, after the last step, against the iterates recorded on the way.
+    Returns (result, tape, grad): `grad` holds the task gradients at the
+    last iterates, (B, dim, 1).  With `keep_tape`, tape[t] is step t's
+    (theta, grad, m', v', cache, h'): its iterate and task gradient, the
+    moments and hidden state it produced, and the cell's cache (see
+    `cell.cell_forward`).
     """
     n, d = params.size, tasks.dim
     theta0 = np.asarray(theta0, dtype=np.float64)
@@ -211,8 +216,9 @@ def _forward(
     hid = params.hidden
     losses = np.empty((horizon + 1, n))
     tape = [] if keep_tape else None
-    truncated_at = [None] * n
-    stopped = {}  # slice -> its iterate at its first non-finite loss
+    thetas = []
+    # spread once, so that every step adds the bias in place without broadcasting
+    bias = np.repeat(params.b, d, axis=1)
 
     # iterates, gradients and moments are columns (B, dim, 1)
     theta = theta0.reshape(n, d, 1).copy()
@@ -223,23 +229,23 @@ def _forward(
     for t in range(horizon + 1):
         loss, grad = tasks.loss_grad(theta)
         losses[t] = loss
-        finite = np.isfinite(loss)
-        if not finite.all():
-            for i in np.flatnonzero(~finite):
-                if truncated_at[i] is None:
-                    truncated_at[i] = t
-                    stopped[i] = theta[i, :, 0]
+        thetas.append(theta)
         if t == horizon:
             break
-        update, h, c, m, v, cache = step(params, grad, h, c, m, v)
+        update, h, c, m, v, cache = step(params, grad, h, c, m, v, bias)
         if keep_tape:
             tape.append((theta, grad, m, v, cache, h))
         theta = theta + update
 
     theta_final = theta.reshape(n, d)
-    for i, theta_i in stopped.items():
-        theta_final[i] = theta_i
-    truncated = tuple(truncated_at) if stopped else None
+    truncated = None
+    bad = ~np.isfinite(losses)
+    if bad.any():
+        first = bad.argmax(axis=0)
+        stopped = bad.any(axis=0)
+        truncated = tuple(int(t) if s else None for t, s in zip(first, stopped))
+        for i in np.flatnonzero(stopped):
+            theta_final[i] = thetas[first[i]][i, :, 0]
     result = StackResult(theta_final=theta_final, losses=losses, truncated_at=truncated)
     return result, tape, grad
 
@@ -298,6 +304,14 @@ def meta_grad_stack(
     The gradients are the result's `grads`; slice i's is the one `meta_grad`
     gives for params[i], tasks[i] and theta0[i] alone, bit for bit.  Nothing
     is raised: `StackResult.failure` reports non-finite losses and gradients.
+
+    The sweep reads `_forward`'s tape back to front.  What depends on the
+    forward alone is taken once per call: the momentum feature's column
+    factors over the stacked (T, B, dim, 1) moments, and the projection
+    weights' gradient, one stacked product of the hidden states and the
+    iterate adjoints summed over steps in sweep order.  Each step writes the
+    input, forget and output gates' adjoints gate-major, like the cache's
+    gates, and places them into the activation adjoint with one copy.
     """
     if mode not in TRAJECTORY_MODES:
         raise ValueError(
@@ -315,63 +329,75 @@ def meta_grad_stack(
     second_order = mode == FULL_SECOND_ORDER
 
     dW = np.zeros_like(params.w)
-    db = np.zeros((n, 4 * hid))
-    dw_proj = np.zeros((n, hid, 1))
     db_proj = np.zeros((n, 1, 1))
+    # per-step terms of the bias and projection gradients, in sweep order
+    db_steps = np.empty((horizon, n, 4 * hid))
+    hs, dthetas = [], []
 
     dh = np.zeros((n, d, hid))
     dc = np.zeros((n, d, hid))
     dm = np.zeros((n, d, 1))
     dv = np.zeros((n, d, 1))
+    da = np.empty((n, d, 4 * hid))
+    da_gates = da.reshape(n, d, 4, hid)
+    dgates = np.empty((3, n, d, hid))
 
-    for t in range(horizon - 1, -1, -1):
-        theta_t, g_t, m2, v2, cache, h2 = tape[t]
-        x, gi, gf, go, gq, c_prev, tau = cache
+    if second_order:
+        # d(normalized momentum)/d(m, v) factors of every step: nm = m / (s + EPS), s = sqrt(v)
+        v_all = np.concatenate([v2 for _, _, _, v2, _, _ in tape]).reshape(horizon, n, d, 1)
+        s = np.sqrt(v_all)
+        denom = s + EPS
+        pos = v_all > 0.0
+        safe_s = np.where(pos, s, 1.0)
+        dv_denom = denom * denom * 2.0 * safe_s
+
+    for k, t in enumerate(range(horizon - 1, -1, -1)):
+        # popping frees each step's tape once the sweep has read it
+        theta_t, g_t, m2, _, cache, h2 = tape.pop()
+        x, gates, gq, c_prev, tau = cache
+        gi, gf, go = gates
 
         # update projection: u = scale * (h2 @ w_proj + b_proj)
-        dw_proj += scale * (h2.swapaxes(1, 2) @ dtheta)
-        db_proj += scale * dtheta.sum(axis=1, keepdims=True)
+        hs.append(h2)
+        dthetas.append(dtheta)
+        # per step: a sum over stacked adjoints would reduce the rows in another order
+        db_proj += scale * np.add.reduce(dtheta, axis=1, keepdims=True)
         dh_full = dh + scale * dtheta * w_proj_row
 
         # cell
-        dgo = dh_full * tau
-        dtau = dh_full * go
-        dc_full = dc + dtau * (1.0 - tau * tau)
-        dgf = dc_full * c_prev
-        dgi = dc_full * gq
+        dc_full = dc + dh_full * go * (1.0 - tau * tau)
+        np.multiply(dc_full, gq, out=dgates[0])
+        np.multiply(dc_full, c_prev, out=dgates[1])
+        np.multiply(dh_full, tau, out=dgates[2])
         dgq = dc_full * gi
         dc = dc_full * gf
 
-        da = np.concatenate(
-            [
-                dgi * gi * (1.0 - gi),
-                dgf * gf * (1.0 - gf),
-                dgo * go * (1.0 - go),
-                dgq * (1.0 - gq * gq),
-            ],
-            axis=2,
-        )
+        dgates *= gates
+        dgates *= 1.0 - gates
+        da_gates[:, :, :3] = dgates.transpose(1, 2, 0, 3)
+        np.multiply(dgq, 1.0 - gq * gq, out=da_gates[:, :, 3])
         dW += x.swapaxes(1, 2) @ da
-        db += da.sum(axis=1)
+        da.sum(axis=1, out=db_steps[k])
         dx = da @ w_t
         dh = dx[:, :, FEATURE_DIM:]
 
         if second_order:
-            dg = dx[:, :, 0:1].copy()
             dnm = dx[:, :, 1:2]
-            s = np.sqrt(v2)
-            denom = s + EPS
-            dm_full = dm + dnm / denom
-            pos = v2 > 0.0
-            safe_s = np.where(pos, s, 1.0)
-            dv_full = dv + np.where(
-                pos, -dnm * m2 / (denom * denom * 2.0 * safe_s), 0.0
+            dm_full = dm + dnm / denom[t]
+            dv_full = dv + np.where(pos[t], -dnm * m2 / dv_denom[t], 0.0)
+            dg = dx[:, :, 0:1] + (
+                dm_full * (1.0 - BETA1) + dv_full * 2.0 * g_t * (1.0 - BETA2)
             )
-            dg += dm_full * (1.0 - BETA1) + dv_full * 2.0 * g_t * (1.0 - BETA2)
             dm = dm_full * BETA1
             dv = dv_full * BETA2
             dtheta = dtheta + tasks.hvp(theta_t, dg)
         # theta identity path: dtheta carries over unchanged otherwise
+
+    # each sum starts from +0.0, as accumulating into zeros did, so a -0.0 term sums alike
+    h_all = np.concatenate(hs).reshape(horizon, n, d, hid)
+    dtheta_all = np.concatenate(dthetas).reshape(horizon, n, d, 1)
+    dw_proj = np.add.reduce(scale * (h_all.swapaxes(2, 3) @ dtheta_all), axis=0, initial=0.0)
+    db = np.add.reduce(db_steps, axis=0, initial=0.0)
 
     result.layout = params.layout
     result.grads = result.layout.pack(dW, db, dw_proj.reshape(n, hid), db_proj.reshape(n))
@@ -585,7 +611,9 @@ def jacobian_recursive(
         grad = task.grad(theta)
         j_g = task.hessian_matmul(theta, j_theta)
         update, h, c, m, v, cache = step(params, grad.reshape(1, d, 1), h, c, m, v)
-        x, gi, gf, go, gq, c_prev, tau = (a[0] for a in cache)
+        # drop the stack axis of one, which precedes (dim, columns) in every entry
+        x, gates, gq, c_prev, tau = (a[..., 0, :, :] for a in cache)
+        gi, gf, go = gates
         m2, v2 = m[0, :, 0], v[0, :, 0]
 
         j_m2 = BETA1 * j_m + (1.0 - BETA1) * j_g

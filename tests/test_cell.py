@@ -168,8 +168,8 @@ def test_gates_are_expit_bit_for_bit(b, d):
     gen = np.random.default_rng(1)
     z = gen.normal(scale=300.0, size=(b, d, FEATURE_DIM))
     h, c = gen.uniform(-1, 1, size=(2, b, d, hid))
-    _, _, (x, gi, gf, go, *_) = cell_forward(params, z, h, c)
-    for got, want in zip((gi, gf, go), expit_gates(x @ params.w + params.b, hid)):
+    _, _, (x, gates, *_) = cell_forward(params, np.concatenate([z, h], axis=2), c)
+    for got, want in zip(gates, expit_gates(x @ params.w + params.b, hid)):
         assert got.flags.c_contiguous
         assert same_bits(got, want)
 
@@ -203,10 +203,10 @@ def test_gates_raise_no_overflow_warning(rng):
     hid = 4
     params = random_params(hid, rng)
     params.b[0, 0, : 3 * hid] = np.tile([800.0, -800.0], 3 * hid // 2)
-    zeros = np.zeros((1, 2, hid))
+    zeros = np.zeros((1, 2, FEATURE_DIM + hid))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, _, (_, *gates, _, _, _) = cell_forward(params, zeros[..., :FEATURE_DIM], zeros, zeros)
+        _, _, (_, gates, *_) = cell_forward(params, zeros, zeros[..., :hid])
     assert np.array_equal(np.concatenate(gates, axis=2), np.tile([1.0, 0.0], (1, 2, 3 * hid // 2)))
 
 

@@ -23,6 +23,8 @@ from ml2o.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
 from ml2o.config import ConfigError, load_config
 from ml2o.harness import TrainingCache
 from ml2o.numeric import RngStream, numeric_environment
+from ml2o.train import train_lockstep
+from ml2o.unroll import DETACHED_INPUT, FD_HVP_META, FIRST_ORDER_META, FULL_SECOND_ORDER, GRAD_MODES
 
 TINY = """
 [meta]
@@ -156,6 +158,33 @@ def test_cache_key_of_detached_ml2o_is_new(tiny_config):
         "plain": "58808e6e9d0a4990fd6bfd0f411cf390",
         "ml2o": "30685abb5ce1a57449ad96bd2bb4cec1",
     }
+
+
+def test_cache_keys_of_equivalent_modes_are_shared(tiny_config):
+    # plain reads only the trajectory mode, and ml2o runs full_second_order as
+    # fd_hvp_meta: modes that train the same weights share the default's key
+    cfg = load_config(tiny_config)
+    trained = {}
+    for mode in GRAD_MODES:
+        meta = replace(cfg.meta, grad_mode=mode)
+        for trainer in ("plain", "ml2o"):
+            key = TrainingCache._key(trainer, meta, cfg.dist_train)
+            (params, _), = train_lockstep([(meta, trainer == "ml2o")], cfg.dist_train)
+            trained.setdefault(key, set()).add((trainer, mode, params.digest()))
+    shared = {key: {(t, m) for t, m, _ in runs} for key, runs in trained.items()}
+    assert shared == {
+        "6f48a3eca64c2117f288cb4c64540ee1": {
+            ("plain", FULL_SECOND_ORDER), ("plain", FD_HVP_META), ("plain", FIRST_ORDER_META),
+        },
+        "76a21f1c57c1e3dac7a944f69e409fd0": {("ml2o", FULL_SECOND_ORDER), ("ml2o", FD_HVP_META)},
+        TrainingCache._key(
+            "ml2o", replace(cfg.meta, grad_mode=FIRST_ORDER_META), cfg.dist_train
+        ): {("ml2o", FIRST_ORDER_META)},
+        "58808e6e9d0a4990fd6bfd0f411cf390": {("plain", DETACHED_INPUT)},
+        "30685abb5ce1a57449ad96bd2bb4cec1": {("ml2o", DETACHED_INPUT)},
+    }
+    # and each key's runs trained the same weights
+    assert all(len({d for _, _, d in runs}) == 1 for runs in trained.values())
 
 
 def test_config_rejects_non_utf8_file(tmp_path, capsys):

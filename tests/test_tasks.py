@@ -14,6 +14,7 @@ from ml2o.tasks import (
     ROSENBROCK_INIT,
     OptimizeeTask,
     TaskDistribution,
+    TaskStack,
     sample_task,
     sample_theta0,
 )
@@ -135,6 +136,26 @@ def test_hvp_is_symmetric_operator(rng):
         left = float(v @ t.hvp(theta, u))
         right = float(u @ t.hvp(theta, v))
         assert abs(left - right) <= 1e-10 * max(abs(left), 1.0)
+
+
+@pytest.mark.parametrize("dist", [
+    TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.05, sigma=2.0),
+    TaskDistribution(kind=ROSENBROCK_INIT),
+])
+def test_task_stack_take_equals_a_fresh_stack(rng, dist):
+    # `take` indexes the stacked coefficients instead of stacking the tasks again
+    tasks = [sample_task(dist, rng) for _ in range(5)]
+    rows = [3, 0, 3]
+    taken = TaskStack(tasks).take(rows)
+    fresh = TaskStack([tasks[i] for i in rows])
+    assert taken.tasks == fresh.tasks and (taken.kind, taken.dim) == (fresh.kind, fresh.dim)
+    theta = rng.gen.normal(size=(3, dist.dim, 1))
+    v = rng.gen.normal(size=(3, dist.dim, 1))
+    for got, want in zip(
+        (*taken.loss_grad(theta), taken.hvp(theta, v)),
+        (*fresh.loss_grad(theta), fresh.hvp(theta, v)),
+    ):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_losses_nonnegative(rng):

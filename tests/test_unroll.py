@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from ml2o.unroll import (
     meta_grad_stack,
     meta_grad_with_result,
     unroll,
+    unroll_stack,
 )
 
 
@@ -309,3 +312,80 @@ def test_diverging_slices_run_on_and_report_what_aborting_raised(rng):
     assert isinstance(first, NonFiniteGradientError) and (first.block, first.index) == ("w_proj", 1)
     assert (res.failure(2).block, res.failure(2).index) == ("W_input", 2)
     assert res.failure(0) is None
+
+
+KERNEL_DISTS = {
+    "lasso": (TaskDistribution(kind="mixture", family="lasso", dim=10, lam=0.005), 2e154),
+    "rosenbrock": (TaskDistribution(kind="rosenbrock"), 5e77),
+}
+
+# blake2b of the kernels' outputs (below) on the fixed stacks of
+# `test_kernel_bytes_are_pinned`.  Like the desk digests, these bits belong to
+# the code plus the host's numeric environment (BLAS kernel, SIMD dispatch).
+KERNEL_DIGESTS = {
+    # meta_grad_stack under full_second_order and detached_input, unroll_stack,
+    # then maml_parts_stack under fd_hvp_meta
+    ("lasso", 1): (
+        "40d9f940f07598da", "26f555d2e66b911e", "a64bdb28b48e43f2", "b9bce2cb454427ff",
+    ),
+    ("lasso", 2): (
+        "4e3b9655d7c69486", "bde2f872b71841e5", "49052b19eaa4f9ad", "f47df34bdc6b4496",
+    ),
+    ("lasso", 4): (
+        "bb4a371b4159039e", "85456f0d7ec81b2c", "644528551e08ccd8", "4e4d979738f72557",
+    ),
+    ("lasso", 12): (
+        "45d9363f970d3d70", "c6c12820678ddf81", "85208b1e30273fe7", "a27210e1f4049fba",
+    ),
+    ("rosenbrock", 1): (
+        "b30b1e9cb5742325", "1e7ebaa9f2c21d18", "1f55bd23b53e8f5e", "78cb54387f22f403",
+    ),
+    ("rosenbrock", 2): (
+        "b13e192bc7d2f013", "ea9692929f89fd1b", "ed472085018ac52b", "6de114659be89b1b",
+    ),
+    ("rosenbrock", 4): (
+        "6faa95c07e1d5b28", "d180cb892c2a2a3e", "fc4460f6b688575b", "841e006432a05624",
+    ),
+    ("rosenbrock", 12): (
+        "562e7b9ee3635f3a", "6e19ed6c3aaada60", "b8e649d594841d19", "2bbe20f7883bc6d2",
+    ),
+}
+
+
+def kernel_digest(*parts) -> str:
+    h = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_DISTS))
+@pytest.mark.parametrize("size", [1, 2, 4, 12])
+def test_kernel_bytes_are_pinned(family, size):
+    # a reordered sum or product anywhere in the forward or the reverse sweep
+    # moves a digest; so does a change to what a diverging slice computes
+    dist, blowup = KERNEL_DISTS[family]
+    rng = RngStream(77).child(f"{family}/{size}")
+    params = [random_params(20, rng.child(f"p/{i}")) for i in range(size)]
+    if size > 1:
+        # the last slice's large constant update overflows its loss mid-horizon
+        params[-1] = replace(params[-1], b_proj=np.full((1, 1, 1), blowup))
+    stack = ParamStack.of(params)
+    tasks = TaskStack([sample_task(dist, rng) for _ in range(size)])
+    theta0 = np.stack([sample_theta0(dist, rng) for _ in range(size)])
+    got = []
+    for mode in (FULL_SECOND_ORDER, DETACHED_INPUT):
+        res = meta_grad_stack(stack, tasks, theta0, 12, mode)
+        cut = res.truncated_at or (None,) * size
+        assert cut[:-1] == (None,) * (size - 1)
+        assert cut[-1] is None if size == 1 else 3 <= cut[-1] <= 9
+        got.append(kernel_digest(res.grads, res.losses, res.theta_final, res.truncated_at))
+    res = unroll_stack(stack, tasks, theta0, 12)
+    got.append(kernel_digest(res.losses, res.theta_final, res.truncated_at))
+    # the finite-difference pair of the finite slices magnifies a last-bit change
+    rows = list(range(max(size - 1, 1)))
+    grads, _, values = maml_parts_stack(
+        stack.take(rows), tasks.take(rows), theta0[rows], 12, 1e-3, FD_HVP_META, None
+    )
+    got.append(kernel_digest(grads, values))
+    assert tuple(got) == KERNEL_DIGESTS[family, size]
