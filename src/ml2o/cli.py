@@ -42,7 +42,6 @@ from .harness import (
 )
 from .numeric import RngStream, central_diff, numeric_environment
 from .tasks import NORMAL, QUADRATIC, OptimizeeTask, sample_task
-from .theory import default_growth_report, measure_gaps
 from .train import DivergenceError, train_ml2o, train_plain_l2o
 from .unroll import jacobian_recursive, meta_grad, unroll
 
@@ -229,6 +228,8 @@ def _verify_worst_case(cfg: ExperimentConfig, out_dir: str, suite: str) -> int:
 
 
 def _verify_gaps(cfg: ExperimentConfig, out_dir: str) -> int:
+    from .theory import measure_gaps  # only `verify` reads ml2o.theory
+
     seed = cfg.meta.seed
     d1, d2 = cfg.dist_adapt, cfg.dist_test
     if d1.dim != d2.dim:
@@ -256,6 +257,8 @@ def _verify_gaps(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def _verify_growth(cfg: ExperimentConfig, out_dir: str) -> int:
+    from .theory import default_growth_report  # only `verify` reads ml2o.theory
+
     report = default_growth_report(cfg.meta.seed)
     report.write_csv(os.path.join(out_dir, "growth.csv"))
     write_json(os.path.join(out_dir, "growth.json"), report.to_json_dict())

@@ -29,7 +29,14 @@ from .cell import ParamStack, init_params, load_checkpoint, save_checkpoint
 from .numeric import RngStream, array_digest, numeric_environment
 from .tasks import NORMAL, TaskDistribution, TaskStack, sample_task, sample_theta0
 from .train import AdaptGroup, DivergenceError, MetaConfig, adapt_groups, train_lockstep
-from .unroll import DETACHED_INPUT, FD_HVP_META, FULL_SECOND_ORDER, STACK_ROWS, unroll_stack
+from .unroll import (
+    DETACHED_INPUT,
+    FD_HVP_META,
+    FIRST_ORDER_META,
+    FULL_SECOND_ORDER,
+    STACK_ROWS,
+    unroll_stack,
+)
 
 __all__ = [
     "VANILLA",
@@ -426,6 +433,9 @@ class TrainingCache:
             fields.pop("fd_epsilon", None)
             if cfg.grad_mode != DETACHED_INPUT:
                 fields["grad_mode"] = FD_HVP_META
+        elif cfg.grad_mode == FIRST_ORDER_META:
+            # the first-order meta-gradient takes no finite difference
+            fields.pop("fd_epsilon", None)
         elif cfg.grad_mode == DETACHED_INPUT:
             # ml2o's stepped pass and finite-difference pair were once second
             # order under this mode, so checkpoints cached then hold other

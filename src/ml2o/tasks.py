@@ -168,7 +168,9 @@ class TaskStack:
     Iterates and gradients are columns (B, dim, 1), slice i belonging to
     task i.  Each slice is computed with exactly the floating-point
     operations a lone task would use (the matrix products run per slice), so
-    stacking never changes a result.
+    stacking never changes a result.  `grad` serves an unroll step by step;
+    `losses` takes a whole trajectory of iterates at once, so an unroll
+    computes its loss curve once, after the loop.
     """
 
     def __init__(self, tasks):
@@ -209,25 +211,41 @@ class TaskStack:
         return stack
 
     def loss_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Losses (B,) and (sub)gradient columns; sign(0) = 0 for the l1 term."""
-        n = theta.shape[0]
+        """Losses (B,) and (sub)gradient columns at iterate columns theta (B, dim, 1)."""
+        return self.losses(theta[None])[0], self.grad(theta)
+
+    def grad(self, theta: np.ndarray) -> np.ndarray:
+        """(Sub)gradient columns (B, dim, 1) at theta (B, dim, 1); sign(0) = 0 for the l1 term."""
         if self.kind == ROSENBROCK:
             x, y = theta[:, 0, 0], theta[:, 1, 0]
             gap = y - x * x
-            # float_power is libm pow, as `** 2` on a float64 scalar is; the
-            # array `** 2` squares instead and can differ in the last bit
-            loss = np.float_power(x - 1.0, 2) + 100.0 * gap * gap
-            grad = np.empty((n, 2, 1))
+            grad = np.empty((theta.shape[0], 2, 1))
             grad[:, 0, 0] = 2.0 * (x - 1.0) - 400.0 * x * gap
             grad[:, 1, 0] = 200.0 * gap
-            return loss, grad
-        r = self.a @ theta - self.b
-        loss = 0.5 * (r.reshape(n, 1, self.dim) @ r).reshape(n)
-        grad = self.a_t @ r
+            return grad
+        grad = self.a_t @ (self.a @ theta - self.b)
         if self.kind == LASSO:
-            loss = loss + self.lam * np.abs(theta).sum(axis=(1, 2))
             grad = grad + self.lam_col * np.sign(theta)
-        return loss, grad
+        return grad
+
+    def losses(self, thetas: np.ndarray) -> np.ndarray:
+        """Losses (T, B) at iterate columns thetas (T, B, dim, 1), such as a whole trajectory.
+
+        Entry [t, i] is task i's loss at thetas[t, i], bit for bit what a
+        lone task computes there.
+        """
+        if self.kind == ROSENBROCK:
+            x, y = thetas[:, :, 0, 0], thetas[:, :, 1, 0]
+            gap = y - x * x
+            # float_power is libm pow, as `** 2` on a float64 scalar is; the
+            # array `** 2` squares instead and can differ in the last bit
+            return np.float_power(x - 1.0, 2) + 100.0 * gap * gap
+        t, n = thetas.shape[:2]
+        r = self.a @ thetas - self.b
+        loss = 0.5 * (r.reshape(t, n, 1, self.dim) @ r).reshape(t, n)
+        if self.kind == LASSO:
+            loss = loss + self.lam * np.abs(thetas).sum(axis=(2, 3))
+        return loss
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Hessian-vector products of columns; the l1 term contributes zero almost everywhere."""

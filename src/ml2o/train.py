@@ -164,21 +164,38 @@ def sgd_schedule_lr(k: int, beta: float, mu: float) -> float:
 
 
 class _AdamOuter:
-    """Adam on a block of weight vectors; each row keeps its own moments."""
+    """Adam on a block of weight vectors; each row keeps its own moments.
+
+    The moments are updated in place and the step is formed in two reused
+    buffers, with the operations of
+    m = 0.9 m + 0.1 g, v = 0.999 v + (0.001 g) g and
+    flat - lr m_hat / (sqrt(v_hat) + 1e-8), in that order.
+    """
 
     def __init__(self, shape, lr: float):
         self.lr = lr
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
+        self._num = np.empty(shape)
+        self._den = np.empty(shape)
         self.t = 0
 
     def update(self, flat: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
-        self.m = 0.9 * self.m + 0.1 * grad
-        self.v = 0.999 * self.v + 0.001 * grad * grad
-        m_hat = self.m / (1.0 - 0.9**self.t)
-        v_hat = self.v / (1.0 - 0.999**self.t)
-        return flat - self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        num, den = self._num, self._den
+        self.m *= 0.9
+        self.m += np.multiply(grad, 0.1, out=num)
+        self.v *= 0.999
+        np.multiply(grad, 0.001, out=num)
+        num *= grad
+        self.v += num
+        np.divide(self.m, 1.0 - 0.9**self.t, out=num)  # m_hat
+        num *= self.lr
+        np.divide(self.v, 1.0 - 0.999**self.t, out=den)  # v_hat
+        np.sqrt(den, out=den)
+        den += 1e-8
+        num /= den
+        return flat - num
 
 
 class _SgdScheduleOuter:
@@ -314,16 +331,15 @@ def train_lockstep(
             loss_sum += values[j::n_tasks]
         grads /= n_tasks
         losses = loss_sum / n_tasks
-        for r, loss in enumerate(losses):
-            if not np.isfinite(loss):
-                raise diverged(k, r, f"meta-loss {float(loss)!r}")
+        if (bad := np.flatnonzero(~np.isfinite(losses))).size:
+            r = int(bad[0])
+            raise diverged(k, r, f"meta-loss {float(losses[r])!r}")
         with np.errstate(all="ignore"):  # a non-finite row is reported below
             new_flats = outer.update(flats, grads)
-        for r, row in enumerate(new_flats):
-            if not np.all(np.isfinite(row)):
-                raise diverged(
-                    k, r, "non-finite optimizer weights after the outer update"
-                )
+        if (bad := np.flatnonzero(~np.isfinite(new_flats).all(axis=1))).size:
+            raise diverged(
+                k, int(bad[0]), "non-finite optimizer weights after the outer update"
+            )
         flats = new_flats
 
         wall_ms = (time.perf_counter() - t_start) * 1e3

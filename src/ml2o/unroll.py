@@ -178,9 +178,10 @@ def meta_mode(mode: str) -> str:
 
 
 # Rows (slices x dim) per stack that a caller of the kernel builds from many
-# independent trajectories: evaluation and adaptation stacks alike.  Per-slice
-# cost of `_forward` stops falling near 120 rows at dim 10 and rises beyond;
-# at dim 2 it falls up to ~100.
+# independent trajectories: evaluation and adaptation stacks alike.  At dim 10
+# the per-slice cost of an untaped `_forward` still falls slowly past 128
+# rows (about 9% less by 512), that of a taped adaptation stack barely; at
+# dim 2 it falls up to ~100.
 STACK_ROWS = 128
 
 
@@ -197,13 +198,15 @@ def _forward(
 
     Every slice runs to the last step, whatever its losses; a non-finite
     loss is recorded in the result (see `StackResult`), never raised, and
-    the other slices are unaffected.  The losses are checked for finiteness
-    once, after the last step, against the iterates recorded on the way.
-    Returns (result, tape, grad): `grad` holds the task gradients at the
-    last iterates, (B, dim, 1).  With `keep_tape`, tape[t] is step t's
+    the other slices are unaffected.  The loop takes only the task gradient
+    at each step and writes the iterates into one (T+1, B, dim, 1) buffer;
+    the loss curve is computed from that buffer after the last step, in one
+    `TaskStack.losses` call, and checked for finiteness there.  Returns
+    (result, tape, grad).  With `keep_tape`, `grad` holds the task gradients
+    at the last iterates, (B, dim, 1), and tape[t] is step t's
     (theta, grad, m', v', cache, h'): its iterate and task gradient, the
     moments and hidden state it produced, and the cell's cache (see
-    `cell.cell_forward`).
+    `cell.cell_forward`).  Without it both are None.
     """
     n, d = params.size, tasks.dim
     theta0 = np.asarray(theta0, dtype=np.float64)
@@ -214,30 +217,28 @@ def _forward(
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     hid = params.hidden
-    losses = np.empty((horizon + 1, n))
     tape = [] if keep_tape else None
-    thetas = []
     # spread once, so that every step adds the bias in place without broadcasting
     bias = np.repeat(params.b, d, axis=1)
 
     # iterates, gradients and moments are columns (B, dim, 1)
-    theta = theta0.reshape(n, d, 1).copy()
+    thetas = np.empty((horizon + 1, n, d, 1))
+    thetas[0] = theta0.reshape(n, d, 1)
     h = np.zeros((n, d, hid))
     c = np.zeros((n, d, hid))
     m = np.zeros((n, d, 1))
     v = np.zeros((n, d, 1))
-    for t in range(horizon + 1):
-        loss, grad = tasks.loss_grad(theta)
-        losses[t] = loss
-        thetas.append(theta)
-        if t == horizon:
-            break
+    for t in range(horizon):
+        theta = thetas[t]
+        grad = tasks.grad(theta)
         update, h, c, m, v, cache = step(params, grad, h, c, m, v, bias)
         if keep_tape:
             tape.append((theta, grad, m, v, cache, h))
-        theta = theta + update
+        np.add(theta, update, out=thetas[t + 1])
+    grad = tasks.grad(thetas[horizon]) if keep_tape else None
 
-    theta_final = theta.reshape(n, d)
+    losses = tasks.losses(thetas)
+    theta_final = thetas[horizon, :, :, 0].copy()
     truncated = None
     bad = ~np.isfinite(losses)
     if bad.any():
@@ -245,7 +246,7 @@ def _forward(
         stopped = bad.any(axis=0)
         truncated = tuple(int(t) if s else None for t, s in zip(first, stopped))
         for i in np.flatnonzero(stopped):
-            theta_final[i] = thetas[first[i]][i, :, 0]
+            theta_final[i] = thetas[first[i], i, :, 0]
     result = StackResult(theta_final=theta_final, losses=losses, truncated_at=truncated)
     return result, tape, grad
 
@@ -256,7 +257,12 @@ def unroll_stack(
     theta0: np.ndarray,
     horizon: int,
 ) -> StackResult:
-    """Run `horizon` update steps on every slice of the stack under frozen weights."""
+    """Run `horizon` update steps on every slice of the stack under frozen weights.
+
+    The steps take only task gradients; the (T+1, B) loss curve is computed
+    after the loop from the stacked iterates, and no gradient is taken at
+    the last iterate.
+    """
     result, _, _ = _forward(params, tasks, theta0, horizon, keep_tape=False)
     return result
 
@@ -487,11 +493,12 @@ def maml_parts_stack(
     if not rows.size:
         return grads, res0, values
     step = alpha[rows, None]
-    params, tasks = params.take(rows), tasks.take(rows)
-    theta0 = np.asarray(theta0, dtype=np.float64)[rows]
-    flat = params.to_flat()
+    layout = params.layout
+    flat = params.to_flat()[rows]
+    theta0 = np.asarray(theta0, dtype=np.float64)
     res1 = meta_grad_stack(
-        params.with_flat(flat - step * res0.grads[rows]), tasks, theta0, horizon, inner
+        ParamStack.from_flat(flat - step * res0.grads[rows], layout),
+        tasks.take(rows), theta0[rows], horizon, inner,
     )
     if (failure := res1.failure()) is not None:
         failure.index = int(rows[failure.index])
@@ -503,13 +510,10 @@ def maml_parts_stack(
             eps = np.full((rows.size, 1), fd_epsilon, dtype=np.float64)
         else:
             eps = 1e-4 * (1.0 + np.max(np.abs(flat), axis=1, keepdims=True))
-        pair = np.r_[0 : rows.size, 0 : rows.size]
+        pair = np.concatenate([rows, rows])
         res_pm = meta_grad_stack(
-            params.take(pair).with_flat(np.concatenate([flat + eps * v, flat - eps * v])),
-            tasks.take(pair),
-            theta0[pair],
-            horizon,
-            inner,
+            ParamStack.from_flat(np.concatenate([flat + eps * v, flat - eps * v]), layout),
+            tasks.take(pair), theta0[pair], horizon, inner,
         )
         if (failure := res_pm.failure()) is not None:
             # slice m + i of the pair is the minus half of stepped slice i

@@ -187,6 +187,18 @@ def test_cache_keys_of_equivalent_modes_are_shared(tiny_config):
     assert all(len({d for _, _, d in runs}) == 1 for runs in trained.values())
 
 
+def test_cache_key_of_first_order_ml2o_ignores_fd_epsilon(tiny_config):
+    # the first-order meta-gradient takes no finite difference, so the step
+    # size cannot change the weights and must not split the cache
+    cfg = load_config(tiny_config)
+    trained = set()
+    for eps in (None, 1e-3):
+        meta = replace(cfg.meta, grad_mode=FIRST_ORDER_META, fd_epsilon=eps)
+        (params, _), = train_lockstep([(meta, True)], cfg.dist_train)
+        trained.add((TrainingCache._key("ml2o", meta, cfg.dist_train), params.digest()))
+    assert len(trained) == 1
+
+
 def test_config_rejects_non_utf8_file(tmp_path, capsys):
     path = tmp_path / "latin1.ini"
     path.write_bytes("[meta]\n# caf\u00e9\nseed = 4\n".encode("latin-1"))
@@ -633,24 +645,36 @@ def test_module_run_missing_config_exits_2(tmp_path):
     assert "nope.ini" in child.stderr
 
 
-IMPORTS_NO_SCIPY = """
+IMPORTS_NONE_OF = """
 import sys
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+package = sys.argv[1]
+def loaded():
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 import ml2o.cli
-assert scipy_modules() == [], scipy_modules()
-rc = ml2o.cli.main(sys.argv[1:])
+assert loaded() == [], loaded()
+rc = ml2o.cli.main(sys.argv[2:])
 assert rc == 0, rc
-assert scipy_modules() == [], scipy_modules()
+assert loaded() == [], loaded()
 """
 
 
-def test_commands_do_not_import_scipy(tiny_config, tmp_path):
-    # scipy is only a reference for the tests and the t-quantile past the table
-    child = subprocess.run(
-        [sys.executable, "-c", IMPORTS_NO_SCIPY, "compare", "--config", tiny_config,
+def run_tiny_compare_without(package: str, tiny_config, tmp_path):
+    """Import `ml2o.cli` and run a tiny `compare` in a child that must never load `package`."""
+    return subprocess.run(
+        [sys.executable, "-c", IMPORTS_NONE_OF, package, "compare", "--config", tiny_config,
          "--n-seeds", "2", "--jobs", "1", "--out", str(tmp_path / "out"),
          "--cache-dir", str(tmp_path / "cache")],
         env=child_env(), capture_output=True, text=True, timeout=300,
     )
+
+
+def test_commands_do_not_import_scipy(tiny_config, tmp_path):
+    # scipy is only a reference for the tests and the t-quantile past the table
+    child = run_tiny_compare_without("scipy", tiny_config, tmp_path)
+    assert child.returncode == 0, child.stderr
+
+
+def test_commands_do_not_import_theory(tiny_config, tmp_path):
+    # only `verify` reads the theory diagnostics; other commands skip their import
+    child = run_tiny_compare_without("ml2o.theory", tiny_config, tmp_path)
     assert child.returncode == 0, child.stderr

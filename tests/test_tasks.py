@@ -158,6 +158,68 @@ def test_task_stack_take_equals_a_fresh_stack(rng, dist):
         assert got.tobytes() == want.tobytes()
 
 
+def step_loss(task: OptimizeeTask, theta: np.ndarray) -> float:
+    """The loss an unroll took of a lone task at each step, formula by formula."""
+    col = theta.reshape(1, task.dim, 1)
+    if task.kind == ROSENBROCK:
+        x, y = col[:, 0, 0], col[:, 1, 0]
+        gap = y - x * x
+        return float((np.float_power(x - 1.0, 2) + 100.0 * gap * gap)[0])
+    r = task.a[None] @ col - task.b[None, :, None]
+    loss = 0.5 * (r.reshape(1, 1, task.dim) @ r).reshape(1)
+    if task.kind == LASSO:
+        loss = loss + np.array([task.lam]) * np.abs(col).sum(axis=(1, 2))
+    return float(loss[0])
+
+
+def awkward_iterates(rng, steps: int, size: int, dim: int) -> np.ndarray:
+    """Iterates (steps, size, dim, 1): draws over six decades, with rows 1-7
+    holding signed zeros, +-inf, NaN, overflowing and subnormal entries."""
+    scale = 10.0 ** rng.gen.uniform(-3.0, 3.0, size=(steps, size, 1, 1))
+    thetas = rng.gen.normal(size=(steps, size, dim, 1)) * scale
+    thetas[1] = np.where(rng.gen.random((size, dim, 1)) < 0.5, 0.0, -0.0)
+    for t, value in enumerate((np.inf, -np.inf, np.nan), start=2):
+        thetas[t, :, rng.gen.integers(dim)] = value
+    thetas[5] *= 1e160  # r^T r and the banana terms overflow
+    thetas[6] *= 1e100
+    thetas[7] = 5e-324
+    return thetas
+
+
+@pytest.mark.parametrize("size", [1, 3, 12])
+@pytest.mark.parametrize("kind, dim", [
+    (LASSO, 1), (LASSO, 2), (LASSO, 7), (LASSO, 10),
+    (QUADRATIC, 1), (QUADRATIC, 2), (QUADRATIC, 7), (QUADRATIC, 10),
+    (ROSENBROCK, 2),
+])
+def test_stacked_losses_are_the_lone_step_losses_bit_for_bit(kind, dim, size):
+    # an unroll takes its loss curve in one `losses` call after the loop; each
+    # entry must be the loss a lone task computes at that iterate
+    rng = RngStream(31).child(f"{kind}/{dim}/{size}")
+    if kind == ROSENBROCK:
+        tasks = [OptimizeeTask(kind=ROSENBROCK, dim=2)] * size
+    else:
+        family = LASSO if kind == LASSO else QUADRATIC
+        dist = TaskDistribution(kind=NORMAL, family=family, dim=dim, lam=0.05, sigma=2.0)
+        tasks = [sample_task(dist, rng) for _ in range(size)]
+    stack = TaskStack(tasks)
+    # (x - 1)^2 as an array square differs from libm pow in ~0.1% of inputs,
+    # so the banana function gets enough draws to show it
+    steps = 1000 if kind == ROSENBROCK else 64
+    thetas = awkward_iterates(rng, steps, size, dim)
+    with np.errstate(all="ignore"):
+        losses = stack.losses(thetas)
+        assert losses.shape == (steps, size)
+        for t in range(steps):
+            grads = stack.grad(thetas[t])
+            for i, task in enumerate(tasks):
+                loss, grad = task.loss_grad(thetas[t, i, :, 0])
+                want = np.float64(step_loss(task, thetas[t, i]))
+                assert losses[t, i].tobytes() == want.tobytes() == np.float64(loss).tobytes()
+                assert grads[i, :, 0].tobytes() == grad.tobytes()
+    assert not np.isfinite(losses[2:6]).any() and np.isfinite(losses[[1, 7]]).all()
+
+
 def test_losses_nonnegative(rng):
     tasks = [
         make_quadratic(rng, 4),

@@ -314,8 +314,13 @@ def test_diverging_slices_run_on_and_report_what_aborting_raised(rng):
     assert res.failure(0) is None
 
 
+# (distribution, constant update of the diverging slice); at dim 1 the update
+# is divided by the lone coefficient |a|, whose draw sets the overflow step
 KERNEL_DISTS = {
     "lasso": (TaskDistribution(kind="mixture", family="lasso", dim=10, lam=0.005), 2e154),
+    "lasso-d1": (TaskDistribution(kind="mixture", family="lasso", dim=1, lam=0.005), 2e155),
+    "lasso-d7": (TaskDistribution(kind="mixture", family="lasso", dim=7, lam=0.005), 5e154),
+    "quadratic": (TaskDistribution(kind="mixture", family="quadratic", dim=10), 2e154),
     "rosenbrock": (TaskDistribution(kind="rosenbrock"), 5e77),
 }
 
@@ -336,6 +341,42 @@ KERNEL_DIGESTS = {
     ),
     ("lasso", 12): (
         "45d9363f970d3d70", "c6c12820678ddf81", "85208b1e30273fe7", "a27210e1f4049fba",
+    ),
+    ("lasso-d1", 1): (
+        "43a9b83f826b4991", "bb6d758691c7b5f2", "6ddd8f16d9bd656b", "5815529c8fe49849",
+    ),
+    ("lasso-d1", 2): (
+        "cb8962dcb8519969", "3938c37b60232f7d", "01c2b427d0b5ef11", "e9cb7940bafc2edc",
+    ),
+    ("lasso-d1", 4): (
+        "9925c9af8b3434ac", "1e0dc8821721807b", "7a078798a4af086f", "9497d2861b75d733",
+    ),
+    ("lasso-d1", 12): (
+        "3a51f79831e4de1b", "5068ec6349f71c61", "6f100c06ff447272", "85b8eb73087d7eca",
+    ),
+    ("lasso-d7", 1): (
+        "eb2922f7934f7e5c", "0e943061bc954cf4", "1c03fa8af8930ada", "3b3b3196b198d720",
+    ),
+    ("lasso-d7", 2): (
+        "81b17abb5d72e5d0", "793b083b531d7fd3", "20b83080153c58f4", "e5cbd59154d3af96",
+    ),
+    ("lasso-d7", 4): (
+        "4d3a6332cf1ff218", "0b468aded0d6446f", "5c68add8c8b75c9c", "79c5eff7498224ef",
+    ),
+    ("lasso-d7", 12): (
+        "bc712c2f85738cdd", "ae6d74231091bcdb", "9ed10703b15e90ec", "02377ab9d441923a",
+    ),
+    ("quadratic", 1): (
+        "e6b6913332296a91", "8bbb37e3cb22445b", "4b6e8929466e61c3", "b234f9cbb1406adb",
+    ),
+    ("quadratic", 2): (
+        "aee6c4aa488739ff", "7c903b0f54247f1a", "56fb4b7ee0f25c7c", "df21ae5d2bfd8f53",
+    ),
+    ("quadratic", 4): (
+        "9c7b41dbf818ff98", "595d7a4cdd9dc4c9", "32230c96387aac91", "2edccbc6cba5f90e",
+    ),
+    ("quadratic", 12): (
+        "655405341690c731", "a81961d971324d42", "f1b01e3dfc748ccd", "5727422144eceda3",
     ),
     ("rosenbrock", 1): (
         "b30b1e9cb5742325", "1e7ebaa9f2c21d18", "1f55bd23b53e8f5e", "78cb54387f22f403",
@@ -367,12 +408,14 @@ def test_kernel_bytes_are_pinned(family, size):
     dist, blowup = KERNEL_DISTS[family]
     rng = RngStream(77).child(f"{family}/{size}")
     params = [random_params(20, rng.child(f"p/{i}")) for i in range(size)]
-    if size > 1:
-        # the last slice's large constant update overflows its loss mid-horizon
-        params[-1] = replace(params[-1], b_proj=np.full((1, 1, 1), blowup))
-    stack = ParamStack.of(params)
     tasks = TaskStack([sample_task(dist, rng) for _ in range(size)])
     theta0 = np.stack([sample_theta0(dist, rng) for _ in range(size)])
+    if size > 1:
+        # the last slice's large constant update overflows its loss mid-horizon
+        if dist.dim == 1:
+            blowup /= abs(tasks.a[-1, 0, 0])
+        params[-1] = replace(params[-1], b_proj=np.full((1, 1, 1), blowup))
+    stack = ParamStack.of(params)
     got = []
     for mode in (FULL_SECOND_ORDER, DETACHED_INPUT):
         res = meta_grad_stack(stack, tasks, theta0, 12, mode)
