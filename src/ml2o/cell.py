@@ -6,7 +6,7 @@ Adam-normalized momentum) and emitting a scalar update.  Because weights are
 shared across coordinates the optimizer is dimension-agnostic: the same
 parameters drive a 2-d Rosenbrock task and a 100-d regression task.
 
-Flat parameter layout (the order used for gradients and checkpoints):
+Flat parameter layout (the order of `ParamStack.flat`, gradients and checkpoints):
 
     W_in, W_forget, W_out_gate, W_cand   each (FEATURE_DIM+hidden, hidden), row-major
     b_in, b_forget, b_out_gate, b_cand   each (hidden,)
@@ -22,7 +22,8 @@ import hashlib
 import os
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,35 +60,35 @@ class CheckpointError(Exception):
 
 @dataclass(frozen=True)
 class ParamLayout:
-    """Index arithmetic for the flat parameter vector, and packing to and from it.
+    """Index arithmetic for the flat parameter vector.
 
-    `pack` and `unpack` work on any number of leading (stack) axes; they only
-    move values, so a round trip is bit-exact.
+    `pack` writes blocks into flat vectors; a `ParamStack` derives its
+    blocks from its flat vectors.  Both only move values, so they are exact.
     """
 
     hidden: int
 
-    @property
+    @cached_property
     def rows(self) -> int:
         return FEATURE_DIM + self.hidden
 
-    @property
+    @cached_property
     def gate_block(self) -> int:
         return self.rows * self.hidden
 
-    @property
+    @cached_property
     def bias_base(self) -> int:
         return 4 * self.gate_block
 
-    @property
+    @cached_property
     def proj_base(self) -> int:
         return self.bias_base + 4 * self.hidden
 
-    @property
+    @cached_property
     def b_proj_index(self) -> int:
         return self.proj_base + self.hidden
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.b_proj_index + 1
 
@@ -100,20 +101,14 @@ class ParamLayout:
             axis=-1,
         )
 
-    def unpack(self, flat, lead: tuple[int, ...]):
-        """Flat vectors of shape lead + (size,) -> (w, b, w_proj, b_proj) copies."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (*lead, self.size):
-            raise ValueError(
-                f"flat vector has shape {flat.shape}, expected {(*lead, self.size)} "
-                f"for hidden={self.hidden}"
-            )
-        hid = self.hidden
-        gates = flat[..., : self.bias_base].reshape(*lead, 4, self.rows, hid)
-        w = gates.swapaxes(-3, -2).reshape(*lead, self.rows, 4 * hid)
-        b = flat[..., self.bias_base : self.proj_base].copy()
-        w_proj = flat[..., self.proj_base : self.b_proj_index].copy()
-        return w, b, w_proj, flat[..., self.b_proj_index].copy()
+    def block_name(self, index: int) -> str:
+        """The name of the block that holds flat entry `index`."""
+        if index < self.bias_base:
+            return ("W_input", "W_forget", "W_out_gate", "W_cand")[index // self.gate_block]
+        if index < self.proj_base:
+            gate = (index - self.bias_base) // self.hidden
+            return ("b_input", "b_forget", "b_out_gate", "b_cand")[gate]
+        return "w_proj" if index < self.b_proj_index else "b_proj"
 
 
 def init_params(hidden: int, rng: RngStream) -> ParamStack:
@@ -125,16 +120,13 @@ def init_params(hidden: int, rng: RngStream) -> ParamStack:
     """
     if hidden < 1:
         raise ValueError(f"hidden must be >= 1, got {hidden}")
-    rows = FEATURE_DIM + hidden
-    s = 1.0 / np.sqrt(rows)
-    w = np.empty((1, rows, 4 * hidden))
-    for gate in range(4):
-        w[0, :, gate * hidden : (gate + 1) * hidden] = rng.gen.uniform(
-            -s, s, size=(rows, hidden)
-        )
-    b = np.zeros((1, 1, 4 * hidden))
-    b[..., hidden : 2 * hidden] = 1.0  # forget gate
-    return ParamStack(w=w, b=b, w_proj=np.zeros((1, hidden, 1)), b_proj=np.zeros((1, 1, 1)))
+    layout = ParamLayout(hidden)
+    s = 1.0 / np.sqrt(layout.rows)
+    flat = np.zeros((1, layout.size))
+    # the four gates' (rows, hidden) matrices in flat order, drawn as one
+    flat[0, : layout.bias_base] = rng.gen.uniform(-s, s, size=layout.bias_base)
+    flat[0, layout.bias_base + hidden : layout.bias_base + 2 * hidden] = 1.0  # forget gate
+    return ParamStack(flat, hidden)
 
 
 def random_params(hidden: int, rng: RngStream, proj_scale: float = 0.5) -> ParamStack:
@@ -143,11 +135,10 @@ def random_params(hidden: int, rng: RngStream, proj_scale: float = 0.5) -> Param
     Unlike `init_params` the output projection is nonzero, so every
     parameter block influences the unrolled loss.
     """
-    base = init_params(hidden, rng)
+    flat = init_params(hidden, rng).flat.copy()
     s = proj_scale / np.sqrt(hidden)
-    w_proj = rng.gen.uniform(-s, s, size=(1, hidden, 1))
-    b_proj = rng.gen.uniform(-s, s, size=(1, 1, 1))
-    return replace(base, w_proj=w_proj, b_proj=b_proj)
+    flat[0, ParamLayout(hidden).proj_base :] = rng.gen.uniform(-s, s, size=hidden + 1)
+    return ParamStack(flat, hidden)
 
 
 def moment_update(
@@ -162,78 +153,66 @@ def moment_update(
 
 @dataclass(frozen=True)
 class ParamStack:
-    """All trainable weights of B optimizers, stacked on a leading axis.
+    """All trainable weights of B optimizers: their flat vectors, one row each.
 
-    A lone optimizer is a stack of size 1.  `w` holds the four gate weight
-    matrices side by side, columns ordered [input | forget | output-gate |
-    candidate]; `b` holds the biases in the same order.  Slice i runs
-    trajectory i of a lockstep unroll.  Every stacked operation on it
-    computes each slice with exactly the floating-point operations of a lone
-    optimizer, so a slice's results do not depend on its neighbours.  The
+    A lone optimizer is a stack of size 1.  `flat` (B, |weights|) is the
+    only store, in the flat parameter order; the kernel's blocks are derived
+    from it on first read and cached, as C-contiguous copies.  `w` holds the
+    four gate weight matrices side by side, columns ordered [input | forget |
+    output-gate | candidate]; `b` holds the biases in the same order.  The
     blocks carry singleton axes so that they broadcast against the kernel's
-    (B, dim, ...) arrays as they are.  An integer index drops the stack axis,
-    so take slices with `take([i])`.
+    (B, dim, ...) arrays as they are.  Slice i runs trajectory i of a
+    lockstep unroll.  Every stacked operation on it computes each slice with
+    exactly the floating-point operations of a lone optimizer, so a slice's
+    results do not depend on its neighbours.
     """
 
-    w: np.ndarray  # (B, FEATURE_DIM + hidden, 4*hidden)
-    b: np.ndarray  # (B, 1, 4*hidden)
-    w_proj: np.ndarray  # (B, hidden, 1)
-    b_proj: np.ndarray  # (B, 1, 1)
+    flat: np.ndarray  # (B, |weights|)
+    hidden: int
+
+    def __post_init__(self):
+        flat = np.asarray(self.flat, dtype=np.float64).view()
+        flat.flags.writeable = False  # the cached blocks must stay what `flat` holds
+        size = self.layout.size
+        if flat.ndim != 2 or flat.shape[1] != size:
+            raise ValueError(
+                f"flat vectors have shape {flat.shape}, expected (B, {size}) "
+                f"for hidden={self.hidden}"
+            )
+        object.__setattr__(self, "flat", flat)
 
     @property
     def size(self) -> int:
-        return self.w.shape[0]
+        return self.flat.shape[0]
 
-    @property
-    def hidden(self) -> int:
-        return self.w_proj.shape[1]
-
-    @property
+    @cached_property
     def layout(self) -> ParamLayout:
         return ParamLayout(self.hidden)
+
+    @cached_property
+    def w(self) -> np.ndarray:  # (B, FEATURE_DIM + hidden, 4*hidden)
+        n, rows, hid = self.size, self.layout.rows, self.hidden
+        gates = self.flat[:, : self.layout.bias_base].reshape(n, 4, rows, hid)
+        return gates.swapaxes(1, 2).reshape(n, rows, 4 * hid)
+
+    @cached_property
+    def b(self) -> np.ndarray:  # (B, 1, 4*hidden)
+        return self.flat[:, None, self.layout.bias_base : self.layout.proj_base].copy()
+
+    @cached_property
+    def w_proj(self) -> np.ndarray:  # (B, hidden, 1)
+        return self.flat[:, self.layout.proj_base : self.layout.b_proj_index, None].copy()
+
+    @cached_property
+    def b_proj(self) -> np.ndarray:  # (B, 1, 1)
+        return self.flat[:, None, self.layout.b_proj_index :].copy()
 
     @classmethod
     def of(cls, stacks: list["ParamStack"]) -> "ParamStack":
         """The slices of `stacks`, in order, as one stack."""
         if len({s.hidden for s in stacks}) != 1:
             raise ValueError("stacked optimizers must share hidden")
-        return cls(
-            w=np.concatenate([s.w for s in stacks]),
-            b=np.concatenate([s.b for s in stacks]),
-            w_proj=np.concatenate([s.w_proj for s in stacks]),
-            b_proj=np.concatenate([s.b_proj for s in stacks]),
-        )
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, layout: ParamLayout) -> "ParamStack":
-        """Stack from flat vectors (B, |weights|)."""
-        flat = np.asarray(flat, dtype=np.float64)
-        n = flat.shape[0]
-        w, b, w_proj, b_proj = layout.unpack(flat, (n,))
-        return cls(
-            w=w,
-            b=b.reshape(n, 1, -1),
-            w_proj=w_proj.reshape(n, -1, 1),
-            b_proj=b_proj.reshape(n, 1, 1),
-        )
-
-    def to_flat(self) -> np.ndarray:
-        """Flat vectors (B, |weights|); a stack of one holds the bytes of one vector."""
-        n = self.size
-        return self.layout.pack(
-            self.w, self.b.reshape(n, -1), self.w_proj.reshape(n, -1), self.b_proj.reshape(n)
-        )
-
-    def with_flat(self, flat: np.ndarray) -> "ParamStack":
-        return ParamStack.from_flat(flat, self.layout)
-
-    def take(self, index) -> "ParamStack":
-        return ParamStack(
-            w=self.w[index],
-            b=self.b[index],
-            w_proj=self.w_proj[index],
-            b_proj=self.b_proj[index],
-        )
+        return cls(np.concatenate([s.flat for s in stacks]), stacks[0].hidden)
 
     def check_single(self, what: str) -> None:
         """Refuse a stack that is not one optimizer, for `what` that reads only one."""
@@ -245,7 +224,7 @@ class ParamStack:
         self.check_single("digest")
         h = hashlib.blake2b(digest_size=16)
         h.update(struct.pack("<IId", self.hidden, FEATURE_DIM, OUTPUT_SCALE))
-        h.update(np.ascontiguousarray(self.to_flat()).tobytes())
+        h.update(np.ascontiguousarray(self.flat).tobytes())
         return h.hexdigest()
 
 
@@ -331,7 +310,7 @@ def save_checkpoint(params: ParamStack, path, metadata: str = "") -> None:
     u32 CRC-32 of the payload bytes.
     """
     params.check_single("save_checkpoint")
-    payload = np.ascontiguousarray(params.to_flat(), dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(params.flat, dtype="<f8").tobytes()
     meta = metadata.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -409,7 +388,7 @@ def load_checkpoint(path) -> ParamStack:
         if crc != zlib.crc32(payload):
             raise CheckpointError("corrupt checkpoint: payload checksum mismatch")
         flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return ParamStack.from_flat(flat[None], ParamLayout(hidden))
+    return ParamStack(flat[None], hidden)
 
 
 def load_checkpoint_metadata(path) -> str:

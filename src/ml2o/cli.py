@@ -25,6 +25,7 @@ import numpy as np
 from .cell import (
     FEATURE_DIM,
     CheckpointError,
+    ParamStack,
     load_checkpoint,
     random_params,
     save_checkpoint,
@@ -142,9 +143,13 @@ def _run_table(args, cfg: ExperimentConfig, table_fn, stem: str, label: str, wid
 
 def cmd_compare(args) -> int:
     cfg = _load(args)
+    normal = cfg.dist_test.kind == NORMAL
+    if args.sigmas is not None and not normal:
+        raise ConfigError(
+            f"--sigmas needs a normal test distribution, got [test] dist = {cfg.dist_test.kind}"
+        )
     sigmas = cfg.sigmas if args.sigmas is None else parse_float_list(args.sigmas)
-    sigma_list = sigmas if cfg.dist_test.kind == NORMAL else None
-    table_fn = functools.partial(compare_methods, sigma_list=sigma_list)
+    table_fn = functools.partial(compare_methods, sigma_list=sigmas if normal else None)
     return _run_table(args, cfg, table_fn, "comparison", "key", 12)
 
 
@@ -167,8 +172,8 @@ def _rel_error(got: np.ndarray, want: np.ndarray) -> float:
 def _grad_error(params, task, theta0, horizon) -> float:
     """Reverse-mode meta-gradient against central differences of the unrolled loss."""
     fd = central_diff(
-        lambda flat: unroll(params.with_flat(flat), task, theta0, horizon).final_loss,
-        params.to_flat(),
+        lambda flat: unroll(ParamStack(flat, params.hidden), task, theta0, horizon).final_loss,
+        params.flat,
         1e-5,
     )
     return _rel_error(meta_grad(params, task, theta0, horizon), fd)
@@ -218,7 +223,7 @@ def _verify_worst_case(cfg: ExperimentConfig, out_dir: str, suite: str) -> int:
             "rel_error": worst[0],
             "task": json.loads(task.to_json()),
             "theta0": theta0.tolist(),
-            "params_flat": params.to_flat()[0].tolist(),
+            "params_flat": params.flat[0].tolist(),
             "hidden": params.hidden,
             "feature_dim": FEATURE_DIM,
             "horizon": horizon,

@@ -12,7 +12,7 @@ import configparser
 import os
 from dataclasses import dataclass, field
 
-from .tasks import LASSO, MIXTURE, NORMAL, QUADRATIC, ROSENBROCK_INIT, TaskDistribution
+from .tasks import LASSO, MIXTURE, NORMAL, QUADRATIC, ROSENBROCK, ROSENBROCK_INIT, TaskDistribution
 from .train import MetaConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_float_list"]
@@ -130,7 +130,7 @@ class ExperimentConfig:
         return path
 
 
-def _dist_from(section: dict, name: str) -> TaskDistribution:
+def _dist_from(section: dict, name: str, explicit: set) -> TaskDistribution:
     kind = section["dist"]
     if kind not in (MIXTURE, NORMAL, ROSENBROCK_INIT):
         raise ConfigError(
@@ -138,6 +138,9 @@ def _dist_from(section: dict, name: str) -> TaskDistribution:
         )
     family = section["family"]
     if kind == ROSENBROCK_INIT:
+        for key in ("family", "dim", "lam", "sigma"):
+            if (name, key) in explicit and not (key == "family" and family == ROSENBROCK):
+                raise ConfigError(f"[{name}] {key} is not read by dist = rosenbrock; remove it")
         return TaskDistribution(kind=kind)
     if family not in (LASSO, QUADRATIC):
         raise ConfigError(
@@ -224,9 +227,9 @@ def load_config(path: str) -> ExperimentConfig:
     ev = values["eval"]
     cfg = ExperimentConfig(
         meta=meta,
-        dist_train=_dist_from(values["train"], "train"),
-        dist_adapt=_dist_from(values["adapt"], "adapt"),
-        dist_test=_dist_from(values["test"], "test"),
+        dist_train=_dist_from(values["train"], "train", explicit),
+        dist_adapt=_dist_from(values["adapt"], "adapt", explicit),
+        dist_test=_dist_from(values["test"], "test", explicit),
         adapt_alpha=values["adapt"]["alpha"],
         adapt_fresh_per_step=values["adapt"]["fresh_task_per_step"],
         horizon=values["test"]["horizon"],

@@ -34,7 +34,7 @@ from .unroll import (
     FD_HVP_META,
     FIRST_ORDER_META,
     FULL_SECOND_ORDER,
-    STACK_ROWS,
+    row_stacks,
     unroll_stack,
 )
 
@@ -324,9 +324,9 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
     Each group takes its `n_tasks` draws from its `rng` once and shares them
     by all its variants.  The groups must share the test task family and
     dimension.  The variant x task trajectories of all groups run in
-    lockstep, in stacks of at most STACK_ROWS rows (slices x dim, at least
-    one slice).  A non-finite loss truncates that trajectory's curve at
-    that step instead of aborting; the other trajectories are unaffected.
+    lockstep, in the row-bounded stacks of `row_stacks`.  A non-finite loss
+    truncates that trajectory's curve at that step instead of aborting; the
+    other trajectories are unaffected.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -349,9 +349,7 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
     ]
     trajectories = []
     if slices:
-        size = max(1, STACK_ROWS // slices[0][1].dim)
-        for lo in range(0, len(slices), size):
-            stack = slices[lo : lo + size]
+        for stack in row_stacks(slices, slices[0][1].dim):
             result = unroll_stack(
                 ParamStack.of([params for params, _, _ in stack]),
                 TaskStack([task for _, task, _ in stack]),
@@ -734,7 +732,7 @@ def blend_params(w1: ParamStack, w2: ParamStack, alpha: float) -> ParamStack:
         return w1
     if alpha == 0.0:
         return w2
-    return w1.with_flat(alpha * w1.to_flat() + (1.0 - alpha) * w2.to_flat())
+    return ParamStack(alpha * w1.flat + (1.0 - alpha) * w2.flat, w1.hidden)
 
 
 def interpolate_eval(

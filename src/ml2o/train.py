@@ -35,13 +35,13 @@ from .unroll import (
     FD_HVP_META,
     FULL_SECOND_ORDER,
     GRAD_MODES,
-    STACK_ROWS,
     NonFiniteGradientError,
     UnrollDivergedError,
     inner_mode,
     maml_parts_stack,
     meta_grad_stack,
     meta_mode,
+    row_stacks,
 )
 
 __all__ = [
@@ -294,14 +294,13 @@ def train_lockstep(
         raise ValueError("lockstep training needs configs that differ only in seed")
     states = [_Run(c, dist) for c, _ in runs]
     n_tasks = cfg.tasks_per_update
-    layout = states[0].params.layout
-    flats = np.concatenate([r.params.to_flat() for r in states])  # one row per run
+    flats = np.concatenate([r.params.flat for r in states])  # one row per run
     outer = _make_outer(cfg, flats.shape)
     # slice r * n_tasks + j is run r on its task j
     alpha = np.repeat([cfg.alpha if meta else 0.0 for _, meta in runs], n_tasks)
 
     def weights(r: int) -> ParamStack:
-        return ParamStack.from_flat(flats[r : r + 1], layout)
+        return ParamStack(flats[r : r + 1], cfg.hidden)
 
     def diverged(k: int, r: int, cause: str) -> DivergenceError:
         c, meta = runs[r]
@@ -313,7 +312,7 @@ def train_lockstep(
         # every run begins its epoch; the stack changes only when one drew a block
         if any([run.begin_epoch(k) for run in states]):
             tasks = TaskStack([t for run in states for t in run.tasks])
-        params = ParamStack.from_flat(np.repeat(flats, n_tasks, axis=0), layout)
+        params = ParamStack(np.repeat(flats, n_tasks, axis=0), cfg.hidden)
         theta0 = np.stack([th for run in states for th in run.theta0s])
         try:
             g, res0, values = maml_parts_stack(
@@ -383,12 +382,11 @@ def adapt_groups(
     group with a live start draws its adaptation task and then its starting
     iterate from its `rng`, shared by its starts.  The groups must share the
     task family and dimension, and each needs an `rng` of its own.  The live
-    starts of all groups run in lockstep, in stacks of at most STACK_ROWS
-    rows (slices x dim, at least one slice).  Returns, per start, its adapted
-    weights or the `DivergenceError` that `adapt` would raise for it alone.
-    A start that diverges is marked and drops out of later steps; no slice
-    reads another, so every result is bit-identical to adapting that start
-    alone.
+    starts of all groups run in lockstep, in the row-bounded stacks of
+    `row_stacks`.  Returns, per start, its adapted weights or the
+    `DivergenceError` that `adapt` would raise for it alone.  A start that
+    diverges is marked and drops out of later steps; no slice reads another,
+    so every result is bit-identical to adapting that start alone.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -415,9 +413,7 @@ def adapt_groups(
             if fresh_task_per_step or tasks[k] is None:
                 tasks[k] = sample_task(g.dist_adapt, g.rng)
             draws[k] = (tasks[k], sample_theta0(g.dist_adapt, g.rng))
-        size = max(1, STACK_ROWS // groups[live[0][0]].dist_adapt.dim)
-        for lo in range(0, len(live), size):
-            stack = live[lo : lo + size]
+        for stack in row_stacks(live, groups[live[0][0]].dist_adapt.dim):
             params = ParamStack.of([out[k][i] for k, i in stack])
             result = meta_grad_stack(
                 params,
@@ -427,11 +423,11 @@ def adapt_groups(
                 mode,
             )
             with np.errstate(all="ignore"):  # a non-finite row is reported below
-                new_flats = params.to_flat() - alpha * result.grads
-            for j, ((k, i), flat) in enumerate(zip(stack, new_flats)):
+                new_flats = params.flat - alpha * result.grads
+            for j, (k, i) in enumerate(stack):
                 failure = result.failure(j)
-                if failure is None and np.all(np.isfinite(flat)):
-                    out[k][i] = out[k][i].with_flat(flat[None])
+                if failure is None and np.all(np.isfinite(new_flats[j])):
+                    out[k][i] = ParamStack(new_flats[j : j + 1], params.hidden)
                     continue
                 cause = str(failure or "non-finite optimizer weights after an adaptation step")
                 out[k][i] = DivergenceError(s, out[k][i], cause)

@@ -48,6 +48,7 @@ __all__ = [
     "FD_HVP_META",
     "GRAD_MODES",
     "STACK_ROWS",
+    "row_stacks",
     "UnrollResult",
     "StackResult",
     "UnrollDivergedError",
@@ -145,7 +146,7 @@ class StackResult:
             bad = np.argwhere(~np.isfinite(self.grads[rows.start : rows.stop]))
             if bad.size:
                 i, j = (int(k) for k in bad[0])
-                return NonFiniteGradientError(_grad_block_name(j, self.layout), rows[i])
+                return NonFiniteGradientError(self.layout.block_name(j), rows[i])
         return None
 
     def trajectory(self, i: int) -> UnrollResult:
@@ -183,6 +184,13 @@ def meta_mode(mode: str) -> str:
 # rows (about 9% less by 512), that of a taped adaptation stack barely; at
 # dim 2 it falls up to ~100.
 STACK_ROWS = 128
+
+
+def row_stacks(slices: list, dim: int):
+    """`slices`, in order, in runs of at most STACK_ROWS rows (slices x dim, at least one slice)."""
+    size = max(1, STACK_ROWS // dim)
+    for lo in range(0, len(slices), size):
+        yield slices[lo : lo + size]
 
 
 @np.errstate(all="ignore")
@@ -283,18 +291,6 @@ def unroll(
     if not truncate_nonfinite and (failure := result.failure()) is not None:
         raise failure
     return result.trajectory(0)
-
-
-def _grad_block_name(index: int, layout: ParamLayout) -> str:
-    names = ("W_input", "W_forget", "W_out_gate", "W_cand")
-    g = layout.gate_block
-    if index < 4 * g:
-        return names[index // g]
-    index -= 4 * g
-    if index < 4 * layout.hidden:
-        return ("b_input", "b_forget", "b_out_gate", "b_cand")[index // layout.hidden]
-    index -= 4 * layout.hidden
-    return "w_proj" if index < layout.hidden else "b_proj"
 
 
 @np.errstate(all="ignore")
@@ -453,7 +449,7 @@ def maml_objective(
     g, res = meta_grad_with_result(params, task, theta0, horizon, FULL_SECOND_ORDER)
     if alpha == 0.0:
         return res.final_loss
-    adapted = params.with_flat(params.to_flat() - alpha * g)
+    adapted = ParamStack(params.flat - alpha * g, params.hidden)
     return unroll(adapted, task, theta0, horizon).final_loss
 
 
@@ -493,11 +489,10 @@ def maml_parts_stack(
     if not rows.size:
         return grads, res0, values
     step = alpha[rows, None]
-    layout = params.layout
-    flat = params.to_flat()[rows]
+    flat = params.flat[rows]
     theta0 = np.asarray(theta0, dtype=np.float64)
     res1 = meta_grad_stack(
-        ParamStack.from_flat(flat - step * res0.grads[rows], layout),
+        ParamStack(flat - step * res0.grads[rows], params.hidden),
         tasks.take(rows), theta0[rows], horizon, inner,
     )
     if (failure := res1.failure()) is not None:
@@ -512,7 +507,7 @@ def maml_parts_stack(
             eps = 1e-4 * (1.0 + np.max(np.abs(flat), axis=1, keepdims=True))
         pair = np.concatenate([rows, rows])
         res_pm = meta_grad_stack(
-            ParamStack.from_flat(np.concatenate([flat + eps * v, flat - eps * v]), layout),
+            ParamStack(np.concatenate([flat + eps * v, flat - eps * v]), params.hidden),
             tasks.take(pair), theta0[pair], horizon, inner,
         )
         if (failure := res_pm.failure()) is not None:
@@ -582,7 +577,7 @@ def jacobian_recursive(
     theta0 = np.asarray(theta0, dtype=np.float64)
     d = task.dim
     hid = params.hidden
-    layout = ParamLayout(hid)
+    layout = params.layout
     p = layout.size
     if d * p > JACOBIAN_SIZE_LIMIT:
         raise ValueError(

@@ -7,6 +7,7 @@ import pytest
 
 import ml2o
 from ml2o import unroll
+from ml2o.cell import ParamStack
 from ml2o.numeric import RngStream
 from ml2o.tasks import QUADRATIC, OptimizeeTask
 
@@ -33,6 +34,16 @@ def write_checkpoint(path, hidden: int, feature_dim: int, output_scale: float = 
         + struct.pack("<Q", count) + payload + struct.pack("<I", zlib.crc32(payload))
     )
     return path
+
+
+def with_proj(params: ParamStack, w_proj: float | None = None, b_proj: float | None = None):
+    """`params` with every output projection weight, or its bias, set to one value."""
+    flat, layout = params.flat.copy(), params.layout
+    if w_proj is not None:
+        flat[:, layout.proj_base : layout.b_proj_index] = w_proj
+    if b_proj is not None:
+        flat[:, layout.b_proj_index] = b_proj
+    return ParamStack(flat, params.hidden)
 
 
 def child_env(**overrides) -> dict:

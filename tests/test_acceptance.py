@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import make_quadratic, rel_error
-from ml2o.cell import random_params, save_checkpoint
+from ml2o.cell import ParamStack, random_params, save_checkpoint
 from ml2o.cli import EXIT_OK, main
 from ml2o.config import load_config
 from ml2o.harness import (
@@ -62,8 +62,8 @@ def test_criterion_1_gradient_matches_finite_differences():
         theta0 = rng.gen.normal(size=3)
         g = meta_grad(params, task, theta0, 5)
         fd = central_diff(
-            lambda f: unroll(params.with_flat(f), task, theta0, 5).final_loss,
-            params.to_flat(),
+            lambda f: unroll(ParamStack(f, params.hidden), task, theta0, 5).final_loss,
+            params.flat,
             1e-5,
         )
         worst = max(worst, rel_error(g, fd))
@@ -99,8 +99,8 @@ def test_criterion_3_meta_gradient_correctness():
         theta0 = rng.gen.normal(size=3)
         g = maml_grad(params, task, theta0, 5, alpha, FD_HVP_META)
         fd = central_diff(
-            lambda f: maml_objective(params.with_flat(f), task, theta0, 5, alpha),
-            params.to_flat(),
+            lambda f: maml_objective(ParamStack(f, params.hidden), task, theta0, 5, alpha),
+            params.flat,
             1e-5,
         )
         worst = max(worst, rel_error(g, fd))
@@ -131,7 +131,7 @@ def test_criterion_4_alpha_zero_trainer_degeneracy():
     meta = replace(cfg.meta, alpha=0.0, epochs=50)
     p1, log1 = train_ml2o(meta, cfg.dist_train)
     p2, log2 = train_plain_l2o(meta, cfg.dist_train)
-    same_params = np.array_equal(p1.to_flat(), p2.to_flat())
+    same_params = np.array_equal(p1.flat, p2.flat)
     same_losses = log1.meta_losses == log2.meta_losses
     same_iterates = (
         log1.theta0_digests == log2.theta0_digests

@@ -61,6 +61,13 @@ def test_param_layout_size_and_serialized_entries(rng, tmp_path):
     assert count == ParamLayout(20).size
     assert output_scale == OUTPUT_SCALE == 0.01
     assert len(raw) == 36 + meta_len + 8 * count + 4
+    # the block of every flat entry, as gradient errors name it
+    layout = ParamLayout(3)  # each gate 5 x 3 weights and 3 biases
+    gates = ("input", "forget", "out_gate", "cand")
+    assert [layout.block_name(j) for j in range(layout.size)] == (
+        [f"W_{g}" for g in gates for _ in range(15)] + [f"b_{g}" for g in gates for _ in range(3)]
+        + ["w_proj"] * 3 + ["b_proj"]
+    )
 
 
 def test_init_zero_projection_means_zero_update(rng):
@@ -74,7 +81,7 @@ def test_init_zero_projection_means_zero_update(rng):
 def test_init_is_seed_deterministic():
     a = init_params(5, RngStream(3).child("i"))
     b = init_params(5, RngStream(3).child("i"))
-    assert np.array_equal(a.to_flat(), b.to_flat())
+    assert np.array_equal(a.flat, b.flat)
 
 
 def test_init_bias_and_range():
@@ -119,10 +126,11 @@ def test_step_closed_form_gates():
     # all gate weights zero, forget bias 1, fresh state: the cell emits zero
     # hidden state, so the update is exactly OUTPUT_SCALE * b_proj
     h = 4
-    w = np.zeros((1, 2 + h, 4 * h))
-    b = np.zeros((1, 1, 4 * h))
-    b[..., h : 2 * h] = 1.0
-    params = ParamStack(w=w, b=b, w_proj=np.zeros((1, h, 1)), b_proj=np.full((1, 1, 1), 0.25))
+    layout = ParamLayout(h)
+    flat = np.zeros((1, layout.size))
+    flat[0, layout.bias_base + h : layout.bias_base + 2 * h] = 1.0
+    flat[0, layout.b_proj_index] = 0.25
+    params = ParamStack(flat, h)
     update, h2, c2, *_ = step_one(params, np.array([1.0, -2.0, 3.0]))
     assert np.allclose(update, 0.01 * 0.25)
     assert np.array_equal(h2, np.zeros((3, h)))
@@ -241,9 +249,21 @@ def test_coordinate_permutation_equivariance(rng):
 
 def test_flat_round_trip(rng):
     params = random_params(7, rng)
-    back = ParamStack.from_flat(params.to_flat(), ParamLayout(7))
-    assert np.array_equal(back.to_flat(), params.to_flat())
+    back = ParamStack(params.flat, 7)
+    assert np.array_equal(back.flat, params.flat)
     assert np.array_equal(back.w, params.w)
+    # packing the derived blocks gives the flat vectors back
+    n = params.size
+    packed = params.layout.pack(
+        params.w, params.b.reshape(n, -1), params.w_proj.reshape(n, -1), params.b_proj.reshape(n)
+    )
+    assert np.array_equal(packed, params.flat)
+    with pytest.raises(ValueError, match=r"expected \(B, 288\) for hidden=7"):
+        ParamStack(params.flat[:, :-1], 7)
+    with pytest.raises(ValueError, match="expected"):
+        ParamStack(params.flat[0], 7)
+    with pytest.raises(ValueError, match="read-only"):
+        back.flat[0, 0] = 1.0  # the blocks are cached, so the store cannot change
 
 
 def test_stack_of_lone_optimizers_matches_per_optimizer_blocks(rng):
@@ -260,10 +280,28 @@ def test_stack_of_lone_optimizers_matches_per_optimizer_blocks(rng):
     for name, want in blocks.items():
         got = getattr(stack, name)
         assert got.shape == want.shape and np.array_equal(got, want), name
-    assert np.array_equal(stack.to_flat(), np.concatenate([p.to_flat() for p in lone]))
+    assert np.array_equal(stack.flat, np.concatenate([p.flat for p in lone]))
+    # a stack built from flat vectors: each gate's (rows, hidden) matrix, the
+    # biases and the projection, read at their places in the flat order
+    layout = ParamLayout(5)
+    flat = RngStream(11).gen.normal(size=(3, layout.size))
+    built = ParamStack(flat, 5)
+    g = layout.gate_block
+    want = {
+        "w": np.concatenate(
+            [flat[:, k * g : (k + 1) * g].reshape(3, layout.rows, 5) for k in range(4)], axis=2
+        ),
+        "b": flat[:, None, layout.bias_base : layout.proj_base],
+        "w_proj": flat[:, layout.proj_base : layout.b_proj_index, None],
+        "b_proj": flat[:, None, layout.b_proj_index :],
+    }
+    for name, block in want.items():
+        got = getattr(built, name)
+        assert got.shape == block.shape and got.tobytes() == block.tobytes(), name
+        assert got.flags.c_contiguous and not np.shares_memory(got, flat), name
     # slices keep the stack axis and concatenate back in any order
-    again = ParamStack.of([stack.take([2]), stack.take(slice(0, 2))])
-    assert np.array_equal(again.to_flat(), stack.take([2, 0, 1]).to_flat())
+    again = ParamStack.of([ParamStack(stack.flat[[2]], 5), ParamStack(stack.flat[0:2], 5)])
+    assert np.array_equal(again.flat, stack.flat[[2, 0, 1]])
     with pytest.raises(ValueError, match="share hidden"):
         ParamStack.of([lone[0], random_params(4, rng)])
 
@@ -283,8 +321,8 @@ def test_lone_optimizer_readers_refuse_larger_stacks(rng, tmp_path):
     with pytest.raises(ValueError, match="2 optimizers but 1 tasks"):
         unroll(pair, task, np.zeros(2), 1)
     # a slice of one is a lone optimizer again
-    save_checkpoint(pair.take([1]), tmp_path / "one.ckpt")
-    assert load_checkpoint(tmp_path / "one.ckpt").digest() == pair.take(slice(1, 2)).digest()
+    save_checkpoint(ParamStack(pair.flat[[1]], 3), tmp_path / "one.ckpt")
+    assert load_checkpoint(tmp_path / "one.ckpt").digest() == ParamStack(pair.flat[1:2], 3).digest()
 
 
 def test_checkpoint_round_trip_bit_exact(rng, tmp_path):
@@ -292,7 +330,7 @@ def test_checkpoint_round_trip_bit_exact(rng, tmp_path):
     path = tmp_path / "w.ckpt"
     save_checkpoint(params, path, metadata="unit-test")
     loaded = load_checkpoint(path)
-    assert np.array_equal(loaded.to_flat(), params.to_flat())
+    assert np.array_equal(loaded.flat, params.flat)
     assert load_checkpoint_metadata(path) == "unit-test"
 
 
@@ -379,6 +417,16 @@ def test_checkpoint_bytes_and_digest_are_pinned(tmp_path):
     raw = path.read_bytes()
     assert hashlib.blake2b(raw, digest_size=16).hexdigest() == "42e25eaec11696ffed6a59692818c16f"
     assert params.digest() == "92a6d5dad35b2cdfe358420dac2c4238"
+
+
+def test_random_params_bytes_and_digest_are_pinned():
+    # the order in which init_params and random_params draw into the flat vector
+    params = random_params(4, RngStream(7))
+    assert params.flat.shape == (1, ParamLayout(4).size) == (1, 117)
+    assert hashlib.sha256(params.flat.astype("<f8").tobytes()).hexdigest() == (
+        "0a384d2394c55fd9d9e8238583cdec645b28919037384855a1417e385eba90be"
+    )
+    assert params.digest() == "c069342168aa38b2a805d34b0be927ad"
 
 
 def test_checkpoint_metadata_must_be_utf8(rng, tmp_path):

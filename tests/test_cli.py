@@ -62,6 +62,9 @@ n_tasks = 1
 sigmas = 10
 jobs = 1
 """
+# the distribution keys of TINY's adaptation and test sections
+TINY_ADAPT = "[adapt]\nfamily = lasso\ndist = normal\nsigma = 10\ndim = 4\n"
+TINY_TEST = "[test]\nfamily = lasso\ndist = normal\nsigma = 10\ndim = 4\n"
 
 
 @pytest.fixture
@@ -259,7 +262,7 @@ def test_meta_train_divergence_exit_code(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_DIVERGED
     last = load_checkpoint(tmp_path / "o" / "checkpoint_last_good.ckpt")
-    assert np.all(np.isfinite(last.to_flat()))
+    assert np.all(np.isfinite(last.flat))
     metadata = load_checkpoint_metadata(tmp_path / "o" / "checkpoint_last_good.ckpt")
     assert metadata.startswith("diverged-at-epoch=")
     assert metadata.endswith(f" {numeric_environment()}")
@@ -518,6 +521,15 @@ def test_worker_count_from_flag_or_config(tmp_path, capsys, monkeypatch, no_trai
                      "[adapt] lam must be finite and >= 0", id="adapt-lam=nan"),
         pytest.param("dim = 4\nhorizon", "dim = 4\nlam = inf\nhorizon",
                      "[test] lam must be finite and >= 0", id="test-lam=inf"),
+        # a rosenbrock distribution reads none of these keys, so they cannot be set
+        pytest.param(TINY_TEST, "[test]\ndist = rosenbrock\nfamily = lasso\n",
+                     "[test] family is not read by dist = rosenbrock", id="rosenbrock-family"),
+        pytest.param(TINY_TEST, "[test]\ndist = rosenbrock\ndim = 7\n",
+                     "[test] dim is not read by dist = rosenbrock", id="rosenbrock-dim"),
+        pytest.param(TINY_TEST, "[test]\ndist = rosenbrock\nlam = 3\n",
+                     "[test] lam is not read by dist = rosenbrock", id="rosenbrock-lam"),
+        pytest.param(TINY_ADAPT, "[adapt]\ndist = rosenbrock\nfamily = rosenbrock\nsigma = 10\n",
+                     "[adapt] sigma is not read by dist = rosenbrock", id="rosenbrock-sigma"),
     ],
 )
 def test_unusable_values_are_refused_before_training(tmp_path, capsys, no_training, old, new, message):
@@ -528,6 +540,22 @@ def test_unusable_values_are_refused_before_training(tmp_path, capsys, no_traini
     assert main(["compare", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert (os.listdir(out) if out.exists() else []) in ([], ["config.resolved.ini"])
+
+
+def test_sigmas_flag_needs_a_normal_test_distribution(tmp_path, capsys, no_training):
+    rosenbrock = "dist = rosenbrock\nfamily = rosenbrock\n"
+    config = tmp_path / "exp.ini"
+    config.write_text(
+        TINY.replace(TINY_ADAPT, "[adapt]\n" + rosenbrock).replace(TINY_TEST, "[test]\n" + rosenbrock)
+    )
+    out = tmp_path / "o"
+    rc = main(["compare", "--config", str(config), "--out", str(out), "--sigmas", "1,2,3"])
+    assert rc == EXIT_CONFIG
+    assert "--sigmas needs a normal test distribution" in capsys.readouterr().err
+    assert os.listdir(out) == ["config.resolved.ini"]
+    # without the flag the config's default sigmas load, and training starts
+    with pytest.raises(AssertionError, match="training started"):
+        main(["compare", "--config", str(config), "--out", str(out)])
 
 
 def test_repeated_column_keys_are_refused_before_training(tmp_path, capsys, no_training):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import stdtrit
 
-from conftest import child_env
+from conftest import child_env, with_proj
 from ml2o import harness
 from ml2o.cell import init_params, load_checkpoint, load_checkpoint_metadata, random_params
 from ml2o.harness import (
@@ -305,7 +305,7 @@ def test_training_cache_hits_are_identical(tmp_path):
     p1 = cache1.get_or_train("plain", meta, TRAIN_DIST)
     cache2 = TrainingCache(str(tmp_path / "c"))  # cold memo, warm disk
     p2 = cache2.get_or_train("plain", meta, TRAIN_DIST)
-    assert np.array_equal(p1.to_flat(), p2.to_flat())
+    assert np.array_equal(p1.flat, p2.flat)
     # the file records the numeric environment it was trained in
     (path,) = (tmp_path / "c").glob("plain-*.ckpt")
     key = TrainingCache._key("plain", meta, TRAIN_DIST)
@@ -331,7 +331,7 @@ def test_cache_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch)
     assert len(written) == 2 and written[0] != written[1]
     name = f"plain-{TrainingCache._key('plain', meta, TRAIN_DIST)}.ckpt"
     assert os.listdir(directory) == [name]
-    assert np.array_equal(load_checkpoint(os.path.join(directory, name)).to_flat(), params.to_flat())
+    assert np.array_equal(load_checkpoint(os.path.join(directory, name)).flat, params.flat)
 
 
 def test_parallel_jobs_do_not_change_results(tmp_path):
@@ -361,7 +361,7 @@ def test_parallel_jobs_do_not_change_results(tmp_path):
 def test_stacked_evaluation_truncates_one_slice_only(rng):
     calm = random_params(4, rng)
     # a huge projection throws the iterate to infinity at the first step
-    wild = replace(calm, w_proj=np.full((1, 4, 1), 1e300))
+    wild = with_proj(calm, w_proj=1e300)
     stacked = evaluate_groups([EvalGroup(
         [("calm", "k", calm), ("wild", "k", wild), ("calm2", "k", calm)],
         TEST_DIST, 2, RngStream(8).child("test"),
@@ -382,7 +382,7 @@ def test_stacked_evaluation_truncates_one_slice_only(rng):
 def test_stacked_evaluation_keeps_a_stack_that_diverges_all_at_once(rng):
     # every slice turns non-finite at the same step: nothing is left running
     # there, and each record is truncated all the same
-    wild = replace(random_params(4, rng), w_proj=np.full((1, 4, 1), 1e300))
+    wild = with_proj(random_params(4, rng), w_proj=1e300)
     records = evaluate_groups([EvalGroup([("wild", "k", wild)], TEST_DIST, 3,
                                          RngStream(8).child("test"))], 6)[0]
     assert len(records) == 3
@@ -413,7 +413,7 @@ def test_chunk_evaluation_matches_per_group_stacks(rng):
     # 3 groups of 3 variants x 5 tasks at dim 4: 180 rows, so the first
     # STACK_ROWS-row stack ends inside the third group, within one variant
     calm = random_params(4, rng)
-    wild = replace(calm, w_proj=np.full((1, 4, 1), 1e300))
+    wild = with_proj(calm, w_proj=1e300)
     variants = [("calm", random_params(4, rng)), ("other", calm), ("wild", wild)]
     groups = [
         EvalGroup([(m, f"{sigma:g}", p) for m, p in variants],

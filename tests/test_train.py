@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import with_proj
 from ml2o.cell import random_params
 from ml2o.numeric import RngStream
 from ml2o.tasks import LASSO, MIXTURE, NORMAL, QUADRATIC, TaskDistribution
@@ -59,7 +60,7 @@ def test_alpha_zero_collapses_to_plain_training(grad_mode):
     cfg = tiny_cfg(alpha=0.0, epochs=50, epochs_per_task=5, grad_mode=grad_mode)
     p1, log1 = train_ml2o(cfg, TRAIN_DIST)
     p2, log2 = train_plain_l2o(cfg, TRAIN_DIST)
-    assert np.array_equal(p1.to_flat(), p2.to_flat())
+    assert np.array_equal(p1.flat, p2.flat)
     assert log1.meta_losses == log2.meta_losses
     assert log1.theta_final_digests == log2.theta_final_digests
 
@@ -70,10 +71,10 @@ def test_detached_input_reaches_every_ml2o_pass():
     cfg = tiny_cfg(seed=3, epochs=20)
     detached, _ = train_ml2o(replace(cfg, grad_mode=DETACHED_INPUT), TRAIN_DIST)
     second_order, _ = train_ml2o(replace(cfg, grad_mode=FD_HVP_META), TRAIN_DIST)
-    assert not np.array_equal(detached.to_flat(), second_order.to_flat())
+    assert not np.array_equal(detached.flat, second_order.flat)
     # and full_second_order selects the same training as fd_hvp_meta
     full, _ = train_ml2o(replace(cfg, grad_mode=FULL_SECOND_ORDER), TRAIN_DIST)
-    assert np.array_equal(full.to_flat(), second_order.to_flat())
+    assert np.array_equal(full.flat, second_order.flat)
 
 
 def test_detached_input_runs_both_trainers_in_one_first_pass(monkeypatch):
@@ -122,7 +123,7 @@ def test_training_is_seed_deterministic():
     cfg = tiny_cfg()
     a, _ = train_ml2o(cfg, TRAIN_DIST)
     b, _ = train_ml2o(cfg, TRAIN_DIST)
-    assert np.array_equal(a.to_flat(), b.to_flat())
+    assert np.array_equal(a.flat, b.flat)
 
 
 def test_log_has_exactly_one_row_per_epoch(tmp_path):
@@ -140,14 +141,14 @@ def test_log_has_exactly_one_row_per_epoch(tmp_path):
 def test_tasks_per_update_batches_gradients():
     cfg = tiny_cfg(tasks_per_update=3, epochs=6, epochs_per_task=3)
     params, log = train_ml2o(cfg, TRAIN_DIST)
-    assert np.all(np.isfinite(params.to_flat()))
+    assert np.all(np.isfinite(params.flat))
     assert len(log.meta_losses) == 6
 
 
 def test_sgd_schedule_outer_rule_runs():
     cfg = tiny_cfg(outer_rule="sgd_schedule", sgd_beta=1e-4, sgd_mu=1.0)
     params, _ = train_plain_l2o(cfg, TRAIN_DIST)
-    assert np.all(np.isfinite(params.to_flat()))
+    assert np.all(np.isfinite(params.flat))
 
 
 def test_desk_scale_smoke_meta_loss_halves():
@@ -171,7 +172,7 @@ def test_adapt_zero_steps_returns_params_unchanged(rng):
     params = random_params(5, rng)
     dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=2.0)
     out = adapt(params, dist, 0, 1e-3, 6, RngStream(1).child("a"))
-    assert np.array_equal(out.to_flat(), params.to_flat())
+    assert np.array_equal(out.flat, params.flat)
 
 
 def test_adapt_is_deterministic(rng):
@@ -179,9 +180,9 @@ def test_adapt_is_deterministic(rng):
     dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=2.0)
     a = adapt(params, dist, 5, 1e-4, 6, RngStream(1).child("a"))
     b = adapt(params, dist, 5, 1e-4, 6, RngStream(1).child("a"))
-    assert np.array_equal(a.to_flat(), b.to_flat())
+    assert np.array_equal(a.flat, b.flat)
     c = adapt(params, dist, 5, 1e-4, 6, RngStream(2).child("a"))
-    assert not np.array_equal(a.to_flat(), c.to_flat())
+    assert not np.array_equal(a.flat, c.flat)
 
 
 def test_adapt_single_task_mode_differs_from_fresh(rng):
@@ -190,7 +191,7 @@ def test_adapt_single_task_mode_differs_from_fresh(rng):
     fresh = adapt(params, dist, 4, 1e-4, 6, RngStream(1).child("a"))
     single = adapt(params, dist, 4, 1e-4, 6, RngStream(1).child("a"),
                    fresh_task_per_step=False)
-    assert not np.array_equal(fresh.to_flat(), single.to_flat())
+    assert not np.array_equal(fresh.flat, single.flat)
 
 
 def test_adapt_divergence_raises(rng):
@@ -205,7 +206,7 @@ def test_training_divergence_carries_epoch_and_weights():
     with pytest.raises(DivergenceError) as err:
         train_plain_l2o(cfg, TRAIN_DIST)
     assert err.value.epoch >= 0
-    assert np.all(np.isfinite(err.value.last_params.to_flat()))
+    assert np.all(np.isfinite(err.value.last_params.flat))
 
 
 def test_divergence_in_fd_minus_half_names_its_seed(poison_fd_minus_half):
@@ -239,7 +240,7 @@ def test_lockstep_training_matches_solo_runs(outer_rule):
         assert len({tuple(log.task_switch_epochs) for _, log in together}) > 1
         for cfg, (params, log) in zip(cfgs, together):
             solo, solo_log = solo_fn(cfg, TRAIN_DIST)
-            assert np.array_equal(params.to_flat(), solo.to_flat())
+            assert np.array_equal(params.flat, solo.flat)
             assert log.meta_losses == solo_log.meta_losses
             assert log.task_switch_epochs == solo_log.task_switch_epochs
             assert log.theta0_digests == solo_log.theta0_digests
@@ -259,7 +260,7 @@ def test_adapt_groups_match_solo_adapt(rng, monkeypatch, n_starts, fresh):
              for k in range(5)]
     starts = [[random_params(5, rng) for _ in range(n_starts)] for _ in dists]
     # a huge projection throws the iterate to infinity in the first unroll
-    starts[0][n_starts // 2] = replace(starts[0][n_starts // 2], w_proj=np.full((1, 5, 1), 1e300))
+    starts[0][n_starts // 2] = with_proj(starts[0][n_starts // 2], w_proj=1e300)
     sizes = []
     real = train.meta_grad_stack
 
@@ -290,9 +291,9 @@ def test_adapt_groups_match_solo_adapt(rng, monkeypatch, n_starts, fresh):
             if isinstance(want, DivergenceError):
                 assert isinstance(got, DivergenceError)
                 assert str(got) == str(want) and got.epoch == want.epoch == 0
-                assert np.array_equal(got.last_params.to_flat(), start.to_flat())
+                assert np.array_equal(got.last_params.flat, start.flat)
             else:
-                assert np.array_equal(got.to_flat(), want.to_flat())
+                assert np.array_equal(got.flat, want.flat)
     assert sum(isinstance(r, DivergenceError) for rs in adapted for r in rs) == 1
 
 
@@ -335,7 +336,7 @@ def test_fused_training_matches_solo_runs(grad_mode, alpha):
     together = train_lockstep(runs, TRAIN_DIST)
     for (cfg, meta_adaptive), (params, log) in zip(runs, together):
         solo, solo_log = (train_ml2o if meta_adaptive else train_plain_l2o)(cfg, TRAIN_DIST)
-        assert np.array_equal(params.to_flat(), solo.to_flat())
+        assert np.array_equal(params.flat, solo.flat)
         assert log.meta_losses == solo_log.meta_losses
         assert log.task_switch_epochs == solo_log.task_switch_epochs
         assert log.theta_final_digests == solo_log.theta_final_digests

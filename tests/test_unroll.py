@@ -3,8 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import make_quadratic, rel_error
-from dataclasses import replace
+from conftest import make_quadratic, rel_error, with_proj
 
 from ml2o.cell import ParamStack, init_params, random_params
 from ml2o.numeric import RngStream, central_diff
@@ -78,7 +77,7 @@ def test_meta_grad_matches_finite_differences(rng):
         theta0 = rng.gen.normal(size=3)
         g = meta_grad(params, task, theta0, 5)
         fd = central_diff(
-            lambda f: unroll(params.with_flat(f), task, theta0, 5).final_loss, params.to_flat(), 1e-5
+            lambda f: unroll(ParamStack(f, params.hidden), task, theta0, 5).final_loss, params.flat, 1e-5
         )
         assert rel_error(g, fd) <= 1e-4
 
@@ -161,8 +160,8 @@ def test_maml_grad_fd_hvp_matches_objective_finite_differences(rng):
         alpha = 0.01
         g = maml_grad(params, task, theta0, 5, alpha, FD_HVP_META)
         fd = central_diff(
-            lambda f: maml_objective(params.with_flat(f), task, theta0, 5, alpha),
-            params.to_flat(),
+            lambda f: maml_objective(ParamStack(f, params.hidden), task, theta0, 5, alpha),
+            params.flat,
             1e-5,
         )
         assert rel_error(g, fd) <= 1e-3
@@ -195,7 +194,7 @@ def test_jacobian_recursive_matches_fd_columns(rng):
     theta0 = rng.gen.normal(size=2)
     jac = jacobian_recursive(params, task, theta0, 3)
     fd = central_diff(
-        lambda f: unroll(params.with_flat(f), task, theta0, 3).theta_final, params.to_flat(), 1e-5
+        lambda f: unroll(ParamStack(f, params.hidden), task, theta0, 3).theta_final, params.flat, 1e-5
     )
     assert fd.shape == jac.shape
     assert np.linalg.norm(jac - fd) / max(np.linalg.norm(fd), 1e-300) <= 1e-5
@@ -284,7 +283,7 @@ def test_diverging_slices_run_on_and_report_what_aborting_raised(rng):
     # update, slice 0 stays finite and is computed as it is alone
     tasks = [make_quadratic(rng, 3) for _ in range(3)]
     calm = random_params(4, rng)
-    wild = replace(calm, w_proj=np.full((1, 4, 1), 1e300))
+    wild = with_proj(calm, w_proj=1e300)
     theta0 = rng.gen.normal(size=(3, 3))
     theta0[2] = np.nan
     res = meta_grad_stack(ParamStack.of([calm, wild, wild]), TaskStack(tasks), theta0, 6)
@@ -414,7 +413,7 @@ def test_kernel_bytes_are_pinned(family, size):
         # the last slice's large constant update overflows its loss mid-horizon
         if dist.dim == 1:
             blowup /= abs(tasks.a[-1, 0, 0])
-        params[-1] = replace(params[-1], b_proj=np.full((1, 1, 1), blowup))
+        params[-1] = with_proj(params[-1], b_proj=blowup)
     stack = ParamStack.of(params)
     got = []
     for mode in (FULL_SECOND_ORDER, DETACHED_INPUT):
@@ -428,7 +427,7 @@ def test_kernel_bytes_are_pinned(family, size):
     # the finite-difference pair of the finite slices magnifies a last-bit change
     rows = list(range(max(size - 1, 1)))
     grads, _, values = maml_parts_stack(
-        stack.take(rows), tasks.take(rows), theta0[rows], 12, 1e-3, FD_HVP_META, None
+        ParamStack(stack.flat[rows], stack.hidden), tasks.take(rows), theta0[rows], 12, 1e-3, FD_HVP_META, None
     )
     got.append(kernel_digest(grads, values))
     assert tuple(got) == KERNEL_DIGESTS[family, size]
