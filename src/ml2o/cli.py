@@ -43,7 +43,7 @@ from .harness import (
 )
 from .numeric import RngStream, central_diff, numeric_environment
 from .tasks import NORMAL, QUADRATIC, OptimizeeTask, sample_task
-from .train import DivergenceError, train_ml2o, train_plain_l2o
+from .train import DivergenceError, train_ml2o, train_plain_l2o, training_fields
 from .unroll import jacobian_recursive, meta_grad, unroll
 
 EXIT_OK = 0
@@ -63,11 +63,15 @@ def _load(args) -> ExperimentConfig:
 
 def cmd_meta_train(args) -> int:
     cfg = _load(args)
-    if args.method == "plain" and ("meta", "alpha") in cfg.explicit:
-        print(
-            "warning: [meta] alpha is ignored by plain training", file=sys.stderr
-        )
-    trainer = train_ml2o if args.method == "ml2o" else train_plain_l2o
+    meta_adaptive = args.method == "ml2o"
+    # the [meta] keys that this run's training does not read
+    unread = vars(cfg.meta).keys() - training_fields(cfg.meta, meta_adaptive).keys()
+    under = f" under grad_mode = {cfg.meta.grad_mode}" if meta_adaptive else ""
+    for key in sorted(unread):
+        if ("meta", key) in cfg.explicit:
+            print(f"warning: [meta] {key} is ignored by {args.method} training{under}",
+                  file=sys.stderr)
+    trainer = train_ml2o if meta_adaptive else train_plain_l2o
     ckpt_path = os.path.join(args.out, f"checkpoint_{args.method}.ckpt")
     try:
         params, log = trainer(cfg.meta, cfg.dist_train)

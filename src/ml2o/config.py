@@ -12,7 +12,15 @@ import configparser
 import os
 from dataclasses import dataclass, field
 
-from .tasks import LASSO, MIXTURE, NORMAL, QUADRATIC, ROSENBROCK, ROSENBROCK_INIT, TaskDistribution
+from .tasks import (
+    LASSO,
+    MIXTURE,
+    NORMAL,
+    QUADRATIC,
+    ROSENBROCK_INIT,
+    TaskDistribution,
+    unread_fields,
+)
 from .train import MetaConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_float_list"]
@@ -131,29 +139,19 @@ class ExperimentConfig:
 
 
 def _dist_from(section: dict, name: str, explicit: set) -> TaskDistribution:
-    kind = section["dist"]
+    kind, family = section["dist"], section["family"]
     if kind not in (MIXTURE, NORMAL, ROSENBROCK_INIT):
-        raise ConfigError(
-            f"[{name}] dist must be mixture, normal or rosenbrock, got {kind!r}"
-        )
-    family = section["family"]
+        raise ConfigError(f"[{name}] dist must be mixture, normal or rosenbrock, got {kind!r}")
+    if kind != ROSENBROCK_INIT and family not in (LASSO, QUADRATIC):
+        raise ConfigError(f"[{name}] family must be lasso or quadratic, got {family!r}")
+    for key, reason in unread_fields(kind, family).items():
+        if (name, key) in explicit:
+            raise ConfigError(f"[{name}] {key} is not read by {reason}; remove it")
     if kind == ROSENBROCK_INIT:
-        for key in ("family", "dim", "lam", "sigma"):
-            if (name, key) in explicit and not (key == "family" and family == ROSENBROCK):
-                raise ConfigError(f"[{name}] {key} is not read by dist = rosenbrock; remove it")
         return TaskDistribution(kind=kind)
-    if family not in (LASSO, QUADRATIC):
-        raise ConfigError(
-            f"[{name}] family must be lasso or quadratic, got {family!r}"
-        )
+    fields = {k: section[k] for k in ("family", "dim", "lam", "sigma")}
     try:
-        return TaskDistribution(
-            kind=kind,
-            family=family,
-            dim=section["dim"],
-            lam=section["lam"],
-            sigma=section["sigma"],
-        )
+        return TaskDistribution(kind=kind, **fields)
     except ValueError as exc:
         raise ConfigError(f"[{name}] {exc}") from exc
 
@@ -201,30 +199,13 @@ def load_config(path: str) -> ExperimentConfig:
                 ) from exc
             raw[section][key] = text.strip()
 
-    m = values["meta"]
+    # [meta] keys are MetaConfig's field names, save `outer` for `outer_rule`
+    meta_fields = {"outer_rule" if k == "outer" else k: v for k, v in values["meta"].items()}
     try:
-        meta = MetaConfig(
-            seed=m["seed"],
-            hidden=m["hidden"],
-            unroll_len=m["unroll_len"],
-            epochs=m["epochs"],
-            epochs_per_task=m["epochs_per_task"],
-            alpha=m["alpha"],
-            outer_rule=m["outer"],
-            outer_lr=m["outer_lr"],
-            sgd_beta=m["sgd_beta"],
-            sgd_mu=m["sgd_mu"],
-            adapt_steps=values["adapt"]["steps"],
-            grad_mode=m["grad_mode"],
-            fd_epsilon=m["fd_epsilon"],
-            tasks_per_update=m["tasks_per_update"],
-            curriculum=m["curriculum"],
-            curriculum_threshold=m["curriculum_threshold"],
-        )
+        meta = MetaConfig(**meta_fields, adapt_steps=values["adapt"]["steps"])
     except ValueError as exc:
         raise ConfigError(f"[meta] {exc}") from exc
 
-    ev = values["eval"]
     cfg = ExperimentConfig(
         meta=meta,
         dist_train=_dist_from(values["train"], "train", explicit),
@@ -233,13 +214,7 @@ def load_config(path: str) -> ExperimentConfig:
         adapt_alpha=values["adapt"]["alpha"],
         adapt_fresh_per_step=values["adapt"]["fresh_task_per_step"],
         horizon=values["test"]["horizon"],
-        n_seeds=ev["n_seeds"],
-        n_tasks=ev["n_tasks"],
-        sigmas=ev["sigmas"],
-        adapt_sigmas=ev["adapt_sigmas"],
-        test_sigma=ev["test_sigma"],
-        interp_alphas=ev["interp_alphas"],
-        jobs=ev["jobs"],
+        **values["eval"],
         raw=raw,
         explicit=explicit,
     )

@@ -28,15 +28,15 @@ import numpy as np
 from .cell import ParamStack, init_params, load_checkpoint, save_checkpoint
 from .numeric import RngStream, array_digest, numeric_environment
 from .tasks import NORMAL, TaskDistribution, TaskStack, sample_task, sample_theta0
-from .train import AdaptGroup, DivergenceError, MetaConfig, adapt_groups, train_lockstep
-from .unroll import (
-    DETACHED_INPUT,
-    FD_HVP_META,
-    FIRST_ORDER_META,
-    FULL_SECOND_ORDER,
-    row_stacks,
-    unroll_stack,
+from .train import (
+    AdaptGroup,
+    DivergenceError,
+    MetaConfig,
+    adapt_groups,
+    train_lockstep,
+    training_fields,
 )
+from .unroll import row_stacks, unroll_stack
 
 __all__ = [
     "VANILLA",
@@ -419,31 +419,9 @@ class TrainingCache:
 
     @staticmethod
     def _key(trainer: str, cfg: MetaConfig, dist: TaskDistribution) -> str:
-        fields = {k: getattr(cfg, k) for k in sorted(vars(cfg))}
-        # a former config field, hashed still so that existing keys stay valid
-        fields["feature_dim"] = 2
-        # modes that select the default mode's training share its key: plain
-        # reads only the trajectory mode, and ml2o runs full_second_order as
-        # fd_hvp_meta
-        if trainer != ML2O:
-            # the plain trainer never reads the inner-step knobs
-            fields.pop("alpha", None)
-            fields.pop("fd_epsilon", None)
-            if cfg.grad_mode != DETACHED_INPUT:
-                fields["grad_mode"] = FD_HVP_META
-        elif cfg.grad_mode == FIRST_ORDER_META:
-            # the first-order meta-gradient takes no finite difference
-            fields.pop("fd_epsilon", None)
-        elif cfg.grad_mode == DETACHED_INPUT:
-            # ml2o's stepped pass and finite-difference pair were once second
-            # order under this mode, so checkpoints cached then hold other
-            # weights; this field keeps them from being served
-            fields["detached_all_passes"] = True
-        elif cfg.grad_mode == FULL_SECOND_ORDER:
-            fields["grad_mode"] = FD_HVP_META
         doc = {
             "trainer": trainer,
-            "cfg": fields,
+            "cfg": training_fields(cfg, trainer == ML2O),
             "dist": {k: getattr(dist, k) for k in sorted(vars(dist))},
         }
         blob = json.dumps(doc, sort_keys=True, default=str)

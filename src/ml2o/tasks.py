@@ -34,6 +34,7 @@ __all__ = [
     "TaskDistribution",
     "sample_task",
     "sample_theta0",
+    "unread_fields",
 ]
 
 LASSO = "lasso"
@@ -183,18 +184,11 @@ class TaskStack:
         self.tasks = tasks
         self.kind, self.dim = kinds.pop()
         if self.kind != ROSENBROCK:
-            self._set_coefficients(
-                np.stack([t.a for t in tasks]),
-                np.stack([t.b for t in tasks])[:, :, None],
-                np.array([t.lam for t in tasks], dtype=np.float64),
-            )
-
-    def _set_coefficients(self, a: np.ndarray, b: np.ndarray, lam: np.ndarray) -> None:
-        self.a = a
-        self.a_t = a.swapaxes(1, 2)
-        self.b = b
-        self.lam = lam
-        self.lam_col = lam[:, None, None]
+            self.a = np.stack([t.a for t in tasks])
+            self.a_t = self.a.swapaxes(1, 2)
+            self.b = np.stack([t.b for t in tasks])[:, :, None]
+            self.lam = np.array([t.lam for t in tasks], dtype=np.float64)
+            self.lam_col = self.lam[:, None, None]
 
     @property
     def size(self) -> int:
@@ -202,13 +196,7 @@ class TaskStack:
 
     def take(self, index) -> "TaskStack":
         """The slices `index` picks, in its order, as a stack of their own."""
-        rows = np.arange(self.size)[index]
-        stack = object.__new__(TaskStack)
-        stack.tasks = [self.tasks[i] for i in rows]
-        stack.kind, stack.dim = self.kind, self.dim
-        if self.kind != ROSENBROCK:
-            stack._set_coefficients(self.a[rows], self.b[rows], self.lam[rows])
-        return stack
+        return TaskStack([self.tasks[i] for i in np.arange(self.size)[index]])
 
     def loss_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Losses (B,) and (sub)gradient columns at iterate columns theta (B, dim, 1)."""
@@ -319,6 +307,23 @@ def sample_task(dist: TaskDistribution, rng: RngStream) -> OptimizeeTask:
     return OptimizeeTask(
         kind=dist.family, dim=d, a=a, b=b, lam=lam, provenance=dist.label()
     )
+
+
+def unread_fields(kind: str, family: str) -> dict[str, str]:
+    """The `TaskDistribution` fields that `sample_task` ignores under (kind, family).
+
+    Maps each field to the setting that makes it unread.
+    """
+    if kind == ROSENBROCK_INIT:
+        # `family = rosenbrock` names the task drawn, so only another family is unread
+        keys = ("family",) * (family != ROSENBROCK) + ("dim", "lam", "sigma")
+        return dict.fromkeys(keys, "dist = rosenbrock, the one fixed 2-d task")
+    unread = {}
+    if kind == MIXTURE:
+        unread["sigma"] = "dist = mixture, whose ranges are fixed"
+    if family == QUADRATIC:
+        unread["lam"] = "family = quadratic, which has no l1 term"
+    return unread
 
 
 def sample_theta0(dist: TaskDistribution, rng: RngStream) -> np.ndarray:

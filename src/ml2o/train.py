@@ -32,6 +32,7 @@ from .cell import ParamStack, init_params
 from .numeric import RngStream, array_digest
 from .tasks import TaskDistribution, TaskStack, sample_task, sample_theta0
 from .unroll import (
+    DETACHED_INPUT,
     FD_HVP_META,
     FULL_SECOND_ORDER,
     GRAD_MODES,
@@ -51,6 +52,7 @@ __all__ = [
     "train_ml2o",
     "train_plain_l2o",
     "train_lockstep",
+    "training_fields",
     "adapt",
     "AdaptGroup",
     "adapt_groups",
@@ -348,6 +350,32 @@ def train_lockstep(
             run.log.wall_ms.append(wall_ms)
 
     return [(weights(r), run.log) for r, run in enumerate(states)]
+
+
+def training_fields(cfg: MetaConfig, meta_adaptive: bool) -> dict:
+    """The fields of `cfg` that decide what `train_lockstep` learns, to key a cache by.
+
+    `grad_mode` becomes the one mode that names what the trainer reads: the
+    trajectory mode unless it is the default, else the meta mode (plain reads
+    none).  Plain drops `alpha`; `fd_epsilon` stays only where the
+    finite-difference pair runs.  `adapt_steps` stays although no trainer
+    reads it, since dropping it moves every key.
+    """
+    # feature_dim: a former field, hashed still so that existing keys stay valid
+    fields = dict(vars(cfg), feature_dim=2)
+    inner = inner_mode(cfg.grad_mode)
+    meta = meta_mode(cfg.grad_mode) if meta_adaptive else FD_HVP_META
+    fields["grad_mode"] = inner if inner != FULL_SECOND_ORDER else meta
+    if not meta_adaptive:
+        del fields["alpha"]
+    if not (meta_adaptive and meta == FD_HVP_META):
+        del fields["fd_epsilon"]
+    if meta_adaptive and inner == DETACHED_INPUT:
+        # ml2o's stepped pass and finite-difference pair were once second
+        # order under this mode, so checkpoints cached then hold other
+        # weights; this field keeps them from being served
+        fields["detached_all_passes"] = True
+    return fields
 
 
 def train_ml2o(cfg: MetaConfig, dist: TaskDistribution):

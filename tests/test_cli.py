@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import struct
@@ -23,6 +24,7 @@ from ml2o.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
 from ml2o.config import ConfigError, load_config
 from ml2o.harness import TrainingCache
 from ml2o.numeric import RngStream, numeric_environment
+from ml2o.tasks import NORMAL, QUADRATIC, ROSENBROCK_INIT, TaskDistribution
 from ml2o.train import train_lockstep
 from ml2o.unroll import DETACHED_INPUT, FD_HVP_META, FIRST_ORDER_META, FULL_SECOND_ORDER, GRAD_MODES
 
@@ -190,6 +192,33 @@ def test_cache_keys_of_equivalent_modes_are_shared(tiny_config):
     assert all(len({d for _, _, d in runs}) == 1 for runs in trained.values())
 
 
+def test_cache_key_grid_is_pinned(tiny_config):
+    # 4 modes x 2 trainers x fd_epsilon x alpha x outer rule x 3 distributions:
+    # 192 keys (72 distinct), hashed together, so that no refactor of the key
+    # moves one of them unseen
+    cfg = load_config(tiny_config)
+    dists = (
+        cfg.dist_train,
+        TaskDistribution(NORMAL, QUADRATIC, dim=4, sigma=10.0),
+        TaskDistribution(ROSENBROCK_INIT),
+    )
+    keys = [
+        TrainingCache._key(
+            trainer, replace(cfg.meta, grad_mode=mode, fd_epsilon=eps, alpha=alpha, outer_rule=rule),
+            dist,
+        )
+        for mode in GRAD_MODES
+        for trainer in ("plain", "ml2o")
+        for eps in (None, 1e-3)
+        for alpha in (1e-4, 1e-2)
+        for rule in ("adam", "sgd_schedule")
+        for dist in dists
+    ]
+    assert (len(keys), len(set(keys))) == (192, 72)
+    digest = hashlib.blake2b("\n".join(keys).encode(), digest_size=16).hexdigest()
+    assert digest == "10b802315439977bc9c9851a207a1ce9"
+
+
 def test_cache_key_of_first_order_ml2o_ignores_fd_epsilon(tiny_config):
     # the first-order meta-gradient takes no finite difference, so the step
     # size cannot change the weights and must not split the cache
@@ -240,6 +269,28 @@ def test_meta_train_warns_alpha_ignored_for_plain(tiny_config, tmp_path, capsys)
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_OK
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "method, mode, warning",
+    [
+        ("plain", FD_HVP_META, "[meta] fd_epsilon is ignored by plain training"),
+        ("ml2o", FIRST_ORDER_META,
+         "[meta] fd_epsilon is ignored by ml2o training under grad_mode = first_order_meta"),
+        ("ml2o", FD_HVP_META, None),  # the finite-difference pair reads it
+    ],
+)
+def test_meta_train_warns_fd_epsilon_ignored(tmp_path, capsys, method, mode, warning):
+    config = tmp_path / "exp.ini"
+    config.write_text(TINY.replace("[meta]\n", f"[meta]\nfd_epsilon = 1e-3\ngrad_mode = {mode}\n"))
+    rc = main(["meta-train", "--config", str(config), "--method", method,
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_OK
+    err = capsys.readouterr().err
+    if warning is None:
+        assert "warning" not in err
+    else:
+        assert f"warning: {warning}\n" in err
 
 
 def test_meta_train_rerun_is_byte_identical(tiny_config, tmp_path):
@@ -530,6 +581,17 @@ def test_worker_count_from_flag_or_config(tmp_path, capsys, monkeypatch, no_trai
                      "[test] lam is not read by dist = rosenbrock", id="rosenbrock-lam"),
         pytest.param(TINY_ADAPT, "[adapt]\ndist = rosenbrock\nfamily = rosenbrock\nsigma = 10\n",
                      "[adapt] sigma is not read by dist = rosenbrock", id="rosenbrock-sigma"),
+        # nor does a mixture read sigma, or a quadratic family lam
+        pytest.param("dist = mixture\ndim = 4", "dist = mixture\ndim = 4\nsigma = 5",
+                     "[train] sigma is not read by dist = mixture", id="mixture-sigma"),
+        pytest.param(TINY_TEST, TINY_TEST.replace("lasso", "quadratic") + "lam = 0.1\n",
+                     "[test] lam is not read by family = quadratic", id="normal-quadratic-lam"),
+        pytest.param("family = lasso\ndist = mixture\ndim = 4",
+                     "family = quadratic\ndist = mixture\ndim = 4\nsigma = 5",
+                     "[train] sigma is not read by dist = mixture", id="mixture-quadratic-sigma"),
+        pytest.param("family = lasso\ndist = mixture\ndim = 4",
+                     "family = quadratic\ndist = mixture\ndim = 4\nlam = 0.1",
+                     "[train] lam is not read by family = quadratic", id="mixture-quadratic-lam"),
     ],
 )
 def test_unusable_values_are_refused_before_training(tmp_path, capsys, no_training, old, new, message):
