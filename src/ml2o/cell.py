@@ -22,6 +22,7 @@ import hashlib
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -372,9 +373,23 @@ def _read_header(fh) -> tuple[int, str]:
     return hidden, metadata
 
 
+@contextmanager
+def _checkpoint_file(path):
+    """The checkpoint at `path`, open for reading; every `CheckpointError` names `path`."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"{os.fspath(path)}: cannot open: {exc.strerror}") from exc
+    with fh:
+        try:
+            yield fh
+        except CheckpointError as exc:
+            raise CheckpointError(f"{os.fspath(path)}: {exc}") from exc
+
+
 def load_checkpoint(path) -> ParamStack:
     """Read a checkpoint written by `save_checkpoint` as a stack of one; see it for the layout."""
-    with open(path, "rb") as fh:
+    with _checkpoint_file(path) as fh:
         hidden, _ = _read_header(fh)
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "payload count"))
         expected = ParamLayout(hidden).size
@@ -393,5 +408,5 @@ def load_checkpoint(path) -> ParamStack:
 
 def load_checkpoint_metadata(path) -> str:
     """Return the metadata string stored in a checkpoint."""
-    with open(path, "rb") as fh:
+    with _checkpoint_file(path) as fh:
         return _read_header(fh)[1]

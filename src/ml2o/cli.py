@@ -14,11 +14,11 @@ directory before doing any work, and never writes outside that directory.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -52,13 +52,33 @@ EXIT_DIVERGED = 3
 EXIT_VERIFY = 4
 
 
+# flag -> (ExperimentConfig field, parser); lists parse after the echo, like config values
+_OVERRIDES = {
+    "n_seeds": ("n_seeds", int),
+    "jobs": ("jobs", int),
+    "test_sigma": ("test_sigma", float),
+    "sigmas": ("sigmas", parse_float_list),
+    "adapt_sigmas": ("adapt_sigmas", parse_float_list),
+    "alphas": ("interp_alphas", parse_float_list),
+}
+
+
 def _load(args) -> ExperimentConfig:
+    """The config file, echoed into --out, with each flag the command was given applied."""
     cfg = load_config(args.config)
     try:
         cfg.echo(args.out)
     except OSError as exc:
         raise ConfigError(f"cannot write to --out {args.out}: {exc}") from exc
-    return cfg
+    if getattr(args, "sigmas", None) is not None and cfg.dist_test.kind != NORMAL:
+        raise ConfigError(
+            f"--sigmas needs a normal test distribution, got [test] dist = {cfg.dist_test.kind}"
+        )
+    return replace(cfg, **{
+        name: parse(getattr(args, flag))
+        for flag, (name, parse) in _OVERRIDES.items()
+        if getattr(args, flag, None) is not None
+    })
 
 
 def cmd_meta_train(args) -> int:
@@ -114,25 +134,14 @@ def _report_diverged(table) -> None:
             )
 
 
-def _run_table(args, cfg: ExperimentConfig, table_fn, stem: str, label: str, width: int) -> int:
-    """Run a comparison table, write `<stem>.csv`, `<stem>.json` and curves, print the cells."""
+def _run_table(args, table_fn, stem: str, label: str, width: int) -> int:
+    """Run `table_fn(cfg, cache)`, write `<stem>.csv`, `<stem>.json` and curves, print the cells."""
+    cfg = _load(args)
     try:
         cache = TrainingCache(args.cache_dir)
     except OSError as exc:
         raise ConfigError(f"cannot use --cache-dir {args.cache_dir}: {exc}") from exc
-    table = table_fn(
-        cfg.meta,
-        cfg.dist_train,
-        cfg.dist_adapt,
-        cfg.dist_test,
-        n_seeds=cfg.n_seeds if args.n_seeds is None else args.n_seeds,
-        horizon=cfg.horizon,
-        n_tasks=cfg.n_tasks,
-        adapt_alpha=cfg.adapt_alpha,
-        fresh_per_step=cfg.adapt_fresh_per_step,
-        cache=cache,
-        jobs=cfg.jobs if args.jobs is None else args.jobs,
-    )
+    table = table_fn(cfg, cache)
     table.write_records_csv(os.path.join(args.out, f"{stem}.csv"))
     table.write_json(os.path.join(args.out, f"{stem}.json"))
     table.write_curves(os.path.join(args.out, "curves"))
@@ -146,27 +155,11 @@ def _run_table(args, cfg: ExperimentConfig, table_fn, stem: str, label: str, wid
 
 
 def cmd_compare(args) -> int:
-    cfg = _load(args)
-    normal = cfg.dist_test.kind == NORMAL
-    if args.sigmas is not None and not normal:
-        raise ConfigError(
-            f"--sigmas needs a normal test distribution, got [test] dist = {cfg.dist_test.kind}"
-        )
-    sigmas = cfg.sigmas if args.sigmas is None else parse_float_list(args.sigmas)
-    table_fn = functools.partial(compare_methods, sigma_list=sigmas if normal else None)
-    return _run_table(args, cfg, table_fn, "comparison", "key", 12)
+    return _run_table(args, compare_methods, "comparison", "key", 12)
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    table_fn = functools.partial(
-        adapt_sweep,
-        adapt_sigmas=(
-            cfg.adapt_sigmas if args.adapt_sigmas is None else parse_float_list(args.adapt_sigmas)
-        ),
-        test_sigma=cfg.test_sigma if args.test_sigma is None else args.test_sigma,
-    )
-    return _run_table(args, cfg, table_fn, "sweep", "adapt_sigma", 8)
+    return _run_table(args, adapt_sweep, "sweep", "adapt_sigma", 8)
 
 
 def _rel_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -292,14 +285,13 @@ def cmd_interpolate(args) -> int:
     w1 = load_checkpoint(args.w1)
     w2 = load_checkpoint(args.w2)
     blend_params(w1, w2, 0.5)  # shape check up front
-    alphas = cfg.interp_alphas if args.alphas is None else parse_float_list(args.alphas)
     by_alpha = interpolate_eval(
         w1,
         w2,
-        alphas,
+        cfg.interp_alphas,
         cfg.dist_test,
         cfg.horizon,
-        n_seeds=cfg.n_seeds if args.n_seeds is None else args.n_seeds,
+        n_seeds=cfg.n_seeds,
         root_seed=cfg.meta.seed,
         n_tasks=cfg.n_tasks,
     )

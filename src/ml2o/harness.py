@@ -20,12 +20,16 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .cell import ParamStack, init_params, load_checkpoint, save_checkpoint
+from .cell import (
+    ParamStack, init_params, load_checkpoint, load_checkpoint_metadata, save_checkpoint
+)
+from .config import ExperimentConfig
 from .numeric import RngStream, array_digest, numeric_environment
 from .tasks import NORMAL, TaskDistribution, TaskStack, sample_task, sample_theta0
 from .train import (
@@ -407,8 +411,9 @@ def evaluate(
 class TrainingCache:
     """Deterministic memo for trained weights, optionally backed by a directory.
 
-    Training is a pure function of (trainer, config, distribution); caching
-    never changes results, it only avoids repeating identical runs.
+    Training is a pure function of (trainer, config, distribution) in one numeric
+    environment, so caching never changes its results there; a file trained in
+    another environment, or an unrecorded one, is served with a stderr warning.
     """
 
     def __init__(self, directory: str | None = None):
@@ -438,6 +443,16 @@ class TrainingCache:
             if path is None or not os.path.exists(path):
                 return False
             self._memo[key] = load_checkpoint(path)
+            # other SIMD paths or BLAS cores change the last bits: serve, but say so
+            here = str(numeric_environment())
+            metadata = load_checkpoint_metadata(path).split()
+            recorded = " ".join(t for t in metadata if t.startswith(("simd=", "blas=")))
+            if recorded != here:
+                print(
+                    f"warning: cached {path} was trained under "
+                    f"{recorded or 'an unrecorded numeric environment'}, this process runs {here}",
+                    file=sys.stderr,
+                )
         return True
 
     def get_or_train(
@@ -488,70 +503,50 @@ class _Column:
     dist_test: TaskDistribution
 
 
-@dataclass(frozen=True)
-class _Protocol:
-    """Everything a chunk of seeds needs to produce its records."""
-
-    meta: MetaConfig
-    dist_train: TaskDistribution
-    columns: tuple[_Column, ...]
-    methods: tuple[str, ...]
-    horizon: int
-    n_tasks: int
-    adapt_alpha: float
-    fresh_per_step: bool
-
-
 def _chunk_records(
-    protocol: _Protocol, cache: TrainingCache, seed_indices: list[int]
+    cfg: ExperimentConfig, columns, methods, cache: TrainingCache, seed_indices: list[int]
 ) -> list[RunRecord]:
     """Train the chunk's cache misses in lockstep, then adapt and evaluate.
 
     Adaptation runs every (seed, column) group of the chunk together
     (`adapt_groups`), and so does evaluation (`evaluate_groups`).
     """
-    p = protocol
-    cfgs = [seed_config(p.meta, k) for k in seed_indices]
-    trainers = [t for t, uses in (("plain", {DT, TL}), (ML2O, {ML2O})) if uses & set(p.methods)]
-    weights = cache.get_or_train_all([(t, cfg) for t in trainers for cfg in cfgs], p.dist_train)
-    trained = {t: weights[i * len(cfgs) : (i + 1) * len(cfgs)] for i, t in enumerate(trainers)}
-    adapted_methods = [m for m in p.methods if m != DT]  # direct transfer: no adaptation
+    metas = [seed_config(cfg.meta, k) for k in seed_indices]
+    trainers = [t for t, uses in (("plain", {DT, TL}), (ML2O, {ML2O})) if uses & set(methods)]
+    requests = [(t, meta) for t in trainers for meta in metas]
+    weights = cache.get_or_train_all(requests, cfg.dist_train)
+    trained = {t: weights[i * len(metas) : (i + 1) * len(metas)] for i, t in enumerate(trainers)}
+    adapted_methods = [m for m in methods if m != DT]  # direct transfer: no adaptation
 
     starts, adapt_work = [], []  # per seed; per (seed, column)
-    for n, cfg in enumerate(cfgs):
+    for n, meta in enumerate(metas):
         start = {}
-        if TL in p.methods or DT in p.methods:
+        if TL in methods or DT in methods:
             start[TL] = start[DT] = trained["plain"][n]
-        if ML2O in p.methods:
+        if ML2O in methods:
             start[ML2O] = trained[ML2O][n]
-        if VANILLA in p.methods:
-            start[VANILLA] = init_params(cfg.hidden, RngStream(cfg.seed).child("vanilla-init"))
+        if VANILLA in methods:
+            start[VANILLA] = init_params(meta.hidden, RngStream(meta.seed).child("vanilla-init"))
         starts.append(start)
         adapt_work += [
             AdaptGroup(
                 [start[m] for m in adapted_methods],
                 col.dist_adapt,
-                RngStream(cfg.seed).child("adapt"),
+                RngStream(meta.seed).child("adapt"),
             )
-            for col in p.columns
+            for col in columns
         ]
-    adapted = iter(
-        adapt_groups(
-            adapt_work,
-            p.meta.adapt_steps,
-            p.adapt_alpha,
-            p.meta.unroll_len,
-            grad_mode=p.meta.grad_mode,
-            fresh_task_per_step=p.fresh_per_step,
-        )
-    )
+    adapted = iter(adapt_groups(
+        adapt_work, cfg.meta.adapt_steps, cfg.adapt_alpha, cfg.meta.unroll_len,
+        grad_mode=cfg.meta.grad_mode, fresh_task_per_step=cfg.adapt_fresh_per_step,
+    ))
 
     diverged, groups = [], []  # per (seed, column)
-    for seed_index, cfg, start in zip(seed_indices, cfgs, starts):
-        for col in p.columns:
+    for seed_index, meta, start in zip(seed_indices, metas, starts):
+        for col in columns:
             final = {**start, **dict(zip(adapted_methods, next(adapted)))}
             variants, marked = [], []
-            for method in p.methods:
+            for method in methods:
                 params = final[method]
                 if not isinstance(params, DivergenceError):
                     variants.append((method, col.key, params))
@@ -574,130 +569,88 @@ def _chunk_records(
                     )
                 )
             diverged.append(marked)
-            test_rng = RngStream(cfg.seed).child("test")
-            groups.append(EvalGroup(variants, col.dist_test, p.n_tasks, test_rng, seed_index))
-    evaluated = evaluate_groups(groups, p.horizon)
+            test_rng = RngStream(meta.seed).child("test")
+            groups.append(EvalGroup(variants, col.dist_test, cfg.n_tasks, test_rng, seed_index))
+    evaluated = evaluate_groups(groups, cfg.horizon)
     return [r for marked, records in zip(diverged, evaluated) for r in marked + records]
 
 
-def _worker_records(protocol: _Protocol, cache_dir: str | None, seed_indices: list[int]):
-    return _chunk_records(protocol, TrainingCache(cache_dir), seed_indices)
+def _worker_records(cfg, columns, methods, cache_dir, seed_indices):
+    return _chunk_records(cfg, columns, methods, TrainingCache(cache_dir), seed_indices)
 
 
-def _compare(
-    meta, dist_train, columns, methods, n_seeds, horizon, n_tasks,
-    adapt_alpha, fresh_per_step, cache, jobs,
-) -> ComparisonTable:
-    """The `methods` x `columns` table over `n_seeds` paired seeds; see `compare_methods`.
+def _compare(cfg: ExperimentConfig, columns, methods, cache) -> ComparisonTable:
+    """The `methods` x `columns` table over `cfg.n_seeds` paired seeds; see `compare_methods`.
 
-    The seeds are split into `jobs` contiguous chunks (0: one per core), one
-    worker process each; a single chunk runs in this process, with the
+    The seeds are split into `cfg.jobs` contiguous chunks (0: one per core),
+    one worker process each; a single chunk runs in this process, with the
     caller's cache.
     Each chunk trains in lockstep, and every seed's records are the same
     whatever chunk it lands in, so `jobs` never changes a result.
     """
-    if n_seeds < 2:
-        raise ValueError(f"n_seeds must be >= 2, got {n_seeds}")
+    if cfg.n_seeds < 2:
+        raise ValueError(f"n_seeds must be >= 2, got {cfg.n_seeds}")
     if not columns:
         raise ValueError("the sigma list is empty: no column to evaluate")
     _check_column_keys([col.key for col in columns])
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0 (0: all cores), got {jobs}")
-    alpha = meta.alpha if adapt_alpha is None else adapt_alpha
+    if cfg.jobs < 0:
+        raise ValueError(f"jobs must be >= 0 (0: all cores), got {cfg.jobs}")
+    alpha = cfg.meta.alpha if cfg.adapt_alpha is None else cfg.adapt_alpha
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"the adaptation step must be finite and >= 0, got {alpha}")
-    protocol = _Protocol(
-        meta, dist_train, columns, methods, horizon, n_tasks, alpha, fresh_per_step
-    )
+    cfg = replace(cfg, adapt_alpha=alpha)
     cache = cache or TrainingCache()
     chunks = [
         [int(k) for k in chunk]
-        for chunk in np.array_split(np.arange(n_seeds), jobs or os.cpu_count() or 1)
+        for chunk in np.array_split(np.arange(cfg.n_seeds), cfg.jobs or os.cpu_count() or 1)
         if chunk.size
     ]
     if len(chunks) == 1:
-        return ComparisonTable.from_records(_chunk_records(protocol, cache, chunks[0]))
+        return ComparisonTable.from_records(_chunk_records(cfg, columns, methods, cache, chunks[0]))
     from concurrent.futures import ProcessPoolExecutor
 
-    work = functools.partial(_worker_records, protocol, cache.directory)
+    work = functools.partial(_worker_records, cfg, columns, methods, cache.directory)
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         return ComparisonTable.from_records([r for part in pool.map(work, chunks) for r in part])
 
 
-def compare_methods(
-    meta: MetaConfig,
-    dist_train: TaskDistribution,
-    dist_adapt: TaskDistribution,
-    dist_test: TaskDistribution,
-    sigma_list=None,
-    n_seeds: int = 10,
-    horizon: int = 200,
-    n_tasks: int = 1,
-    adapt_alpha: float | None = None,
-    fresh_per_step: bool = True,
-    cache: TrainingCache | None = None,
-    jobs: int = 1,
-) -> ComparisonTable:
-    """Four-method comparison, optionally sweeping the test/adapt sigma.
+def compare_methods(cfg: ExperimentConfig, cache: TrainingCache | None = None) -> ComparisonTable:
+    """The four-method comparison that `cfg` describes.
 
-    When `sigma_list` is given, both the adaptation and test distributions
-    are evaluated at each sigma (they must be normal-coefficient families);
-    otherwise the configured distributions are used as-is, in one column.
-    Seeds are independent, so `jobs > 1` splits them into that many chunks,
-    one process each, without changing any result; `jobs=0` uses one chunk
-    per core.
+    A normal test distribution gives one column per `cfg.sigmas`, with both
+    the adaptation and the test distribution at that sigma; any other gives
+    one column, keyed by its label, with the configured distributions.
+    `cfg.jobs` splits the seeds into chunks, one process each (0: one per
+    core), without changing any result.
     """
-    if sigma_list is None:
-        columns = (_Column(dist_test.label(), dist_adapt, dist_test),)
+    adapt, test = cfg.dist_adapt, cfg.dist_test
+    if test.kind != NORMAL:
+        columns = (_Column(test.label(), adapt, test),)
+    elif adapt.kind != NORMAL:
+        raise ValueError("sigma sweeps need normal adapt/test distributions")
     else:
-        if dist_adapt.kind != NORMAL or dist_test.kind != NORMAL:
-            raise ValueError("sigma sweeps need normal adapt/test distributions")
         columns = tuple(
-            _Column(
-                _column_key(float(sigma)),
-                replace(dist_adapt, sigma=float(sigma)),
-                replace(dist_test, sigma=float(sigma)),
-            )
-            for sigma in sigma_list
+            _Column(_column_key(sigma), replace(adapt, sigma=sigma), replace(test, sigma=sigma))
+            for sigma in map(float, cfg.sigmas)
         )
-    return _compare(
-        meta, dist_train, columns, METHOD_ORDER, n_seeds, horizon, n_tasks,
-        adapt_alpha, fresh_per_step, cache, jobs,
-    )
+    return _compare(cfg, columns, METHOD_ORDER, cache)
 
 
-def adapt_sweep(
-    meta: MetaConfig,
-    dist_train: TaskDistribution,
-    dist_adapt: TaskDistribution,
-    dist_test: TaskDistribution,
-    adapt_sigmas,
-    test_sigma: float,
-    n_seeds: int = 10,
-    horizon: int = 200,
-    n_tasks: int = 1,
-    adapt_alpha: float | None = None,
-    fresh_per_step: bool = True,
-    cache: TrainingCache | None = None,
-    jobs: int = 1,
-) -> ComparisonTable:
-    """Vary the adaptation distribution's sigma at a fixed test sigma.
+def adapt_sweep(cfg: ExperimentConfig, cache: TrainingCache | None = None) -> ComparisonTable:
+    """Vary the adaptation distribution's sigma over `cfg.adapt_sigmas` at `cfg.test_sigma`.
 
     Only the two adapted transfer methods are reported; columns are keyed by
     the adaptation sigma.  With adapt sigma equal to the test sigma this
     reproduces the corresponding `compare_methods` numbers exactly.
     """
-    if dist_adapt.kind != NORMAL or dist_test.kind != NORMAL:
+    if cfg.dist_adapt.kind != NORMAL or cfg.dist_test.kind != NORMAL:
         raise ValueError("the adaptation sweep needs normal adapt/test distributions")
-    dist_test_fixed = replace(dist_test, sigma=float(test_sigma))
+    test = replace(cfg.dist_test, sigma=float(cfg.test_sigma))
     columns = tuple(
-        _Column(_column_key(float(sig)), replace(dist_adapt, sigma=float(sig)), dist_test_fixed)
-        for sig in adapt_sigmas
+        _Column(_column_key(sigma), replace(cfg.dist_adapt, sigma=sigma), test)
+        for sigma in map(float, cfg.adapt_sigmas)
     )
-    return _compare(
-        meta, dist_train, columns, (TL, ML2O), n_seeds, horizon, n_tasks,
-        adapt_alpha, fresh_per_step, cache, jobs,
-    )
+    return _compare(cfg, columns, (TL, ML2O), cache)
 
 
 def blend_params(w1: ParamStack, w2: ParamStack, alpha: float) -> ParamStack:

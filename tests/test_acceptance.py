@@ -7,6 +7,7 @@ Trained checkpoints are shared across criteria through a session cache.
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -149,19 +150,7 @@ def test_criterion_4_alpha_zero_trainer_degeneracy():
 
 def test_criterion_5_desk_scale_method_ordering(cache):
     cfg = load_config(str(CONFIG_DIR / "lasso_desk.ini"))
-    table = compare_methods(
-        cfg.meta,
-        cfg.dist_train,
-        cfg.dist_adapt,
-        cfg.dist_test,
-        sigma_list=[100.0],
-        n_seeds=cfg.n_seeds,
-        horizon=cfg.horizon,
-        n_tasks=cfg.n_tasks,
-        adapt_alpha=cfg.adapt_alpha,
-        fresh_per_step=cfg.adapt_fresh_per_step,
-        cache=cache,
-    )
+    table = compare_methods(replace(cfg, sigmas=(100.0,), jobs=1), cache)
     means = {m: table.cell(m, 100.0).mean for m in (VANILLA, ML2O, DT, TL)}
     order_ok = means[ML2O] < means[TL] < means[DT] < means[VANILLA]
     sv_m = table.seed_values(ML2O, 100.0)
@@ -191,19 +180,7 @@ def step500_means(table):
 
 def test_criterion_6_rosenbrock_transfer_ordering(cache):
     cfg = load_config(str(CONFIG_DIR / "rosenbrock_desk.ini"))
-    table = compare_methods(
-        cfg.meta,
-        cfg.dist_train,
-        cfg.dist_adapt,
-        cfg.dist_test,
-        sigma_list=None,
-        n_seeds=cfg.n_seeds,
-        horizon=cfg.horizon,
-        n_tasks=cfg.n_tasks,
-        adapt_alpha=cfg.adapt_alpha,
-        fresh_per_step=cfg.adapt_fresh_per_step,
-        cache=cache,
-    )
+    table = compare_methods(replace(cfg, jobs=1), cache)
     means = step500_means(table)
     ok = means[ML2O] < means[DT] < means[TL] < means[VANILLA]
     report(
@@ -218,20 +195,7 @@ def test_criterion_6_rosenbrock_transfer_ordering(cache):
 
 def test_criterion_7_training_like_adaptation_generalizes(cache):
     cfg = load_config(str(CONFIG_DIR / "sweep_desk.ini"))
-    table = adapt_sweep(
-        cfg.meta,
-        cfg.dist_train,
-        cfg.dist_adapt,
-        cfg.dist_test,
-        adapt_sigmas=[10.0, 100.0],
-        test_sigma=100.0,
-        n_seeds=cfg.n_seeds,
-        horizon=cfg.horizon,
-        n_tasks=cfg.n_tasks,
-        adapt_alpha=cfg.adapt_alpha,
-        fresh_per_step=cfg.adapt_fresh_per_step,
-        cache=cache,
-    )
+    table = adapt_sweep(replace(cfg, adapt_sigmas=(10.0, 100.0), test_sigma=100.0, jobs=1), cache)
     near = table.cell(ML2O, 10.0).mean
     far = table.cell(ML2O, 100.0).mean
     ok = near <= far

@@ -379,6 +379,63 @@ def test_compare_rerun_byte_identical(tiny_config, tmp_path):
     assert (outs[0] / "comparison.json").read_bytes() == (outs[1] / "comparison.json").read_bytes()
 
 
+def test_library_call_is_the_command(tiny_config, tmp_path):
+    # a flag overrides the config field of its name, and the command is then
+    # the library call on the overridden config
+    out = tmp_path / "o"
+    rc = main(["compare", "--config", tiny_config, "--sigmas", "10", "--n-seeds", "2",
+               "--jobs", "1", "--out", str(out)])
+    assert rc == EXIT_OK
+    cfg = replace(load_config(tiny_config), sigmas=(10.0,), n_seeds=2, jobs=1)
+    table = harness.compare_methods(cfg)
+    written = harness.read_comparison_json(out / "comparison.json")
+    assert written.to_json_dict() == table.to_json_dict()
+    table.write_records_csv(tmp_path / "library.csv")
+    assert (tmp_path / "library.csv").read_bytes() == (out / "comparison.csv").read_bytes()
+
+
+def compare_on_cache(tiny_config, out, cache, jobs="1"):
+    return main(["compare", "--config", tiny_config, "--jobs", jobs, "--out", str(out),
+                 "--cache-dir", str(cache)])
+
+
+def test_cache_hit_from_this_environment_is_silent(tiny_config, tmp_path, capfd):
+    assert compare_on_cache(tiny_config, tmp_path / "cold", tmp_path / "cache") == EXIT_OK
+    capfd.readouterr()
+    assert compare_on_cache(tiny_config, tmp_path / "warm", tmp_path / "cache") == EXIT_OK
+    assert capfd.readouterr().err == ""
+    for name in ("comparison.json", "comparison.csv"):
+        assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cache_hit_from_another_environment_warns_and_serves(tiny_config, tmp_path, capfd, jobs):
+    home = tmp_path / "home"
+    assert compare_on_cache(tiny_config, tmp_path / "here", home) == EXIT_OK
+    names = sorted(p.name for p in home.iterdir())
+    assert len(names) == 4  # 2 seeds x 2 trainers
+    for env, said in (("simd=none blas=Haswell", "simd=none blas=Haswell"),
+                      ("", "an unrecorded numeric environment")):
+        # the same weights under the same keys, recorded as trained elsewhere
+        cache = tmp_path / f"cache-{said}"
+        cache.mkdir()
+        for name in names:
+            trainer, key = name.removesuffix(".ckpt").split("-")
+            save_checkpoint(load_checkpoint(home / name), cache / name,
+                            metadata=f"trainer={trainer} key={key} {env}".strip())
+        capfd.readouterr()
+        out = tmp_path / f"out-{said}"
+        assert compare_on_cache(tiny_config, out, cache, jobs) == EXIT_OK
+        warnings = sorted(capfd.readouterr().err.splitlines())  # workers print in any order
+        assert warnings == [
+            f"warning: cached {cache / name} was trained under {said}, "
+            f"this process runs {numeric_environment()}"
+            for name in names
+        ]
+        for name in ("comparison.json", "comparison.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
 def test_sweep_smoke(tiny_config, tmp_path):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--config", tiny_config, "--out", str(out),
@@ -620,6 +677,27 @@ def test_sigmas_flag_needs_a_normal_test_distribution(tmp_path, capsys, no_train
         main(["compare", "--config", str(config), "--out", str(out)])
 
 
+def test_unparsable_list_flags_are_refused_before_training(tmp_path, capsys, no_training):
+    w = tmp_path / "w.ckpt"
+    save_checkpoint(random_params(4, RngStream(3).child("w")), w)
+    cases = [
+        (TINY, ["compare", "--sigmas", "abc"], "could not convert"),
+        (TINY, ["sweep", "--adapt-sigmas", "abc"], "could not convert"),
+        (TINY, ["interpolate", "--w1", str(w), "--w2", str(w), "--alphas", "abc"],
+         "could not convert"),
+        # the distribution check comes first: the flag is refused, not its value
+        (TINY.replace(TINY_TEST, "[test]\ndist = rosenbrock\n"), ["compare", "--sigmas", "abc"],
+         "--sigmas needs a normal test distribution"),
+    ]
+    for k, (text, cmd, message) in enumerate(cases):
+        config = tmp_path / f"exp{k}.ini"
+        config.write_text(text)
+        out = tmp_path / f"o{k}"
+        assert main([*cmd, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG, cmd
+        assert message in capsys.readouterr().err, cmd
+        assert os.listdir(out) == ["config.resolved.ini"]
+
+
 def test_repeated_column_keys_are_refused_before_training(tmp_path, capsys, no_training):
     # values equal in 6 significant digits would merge into one column
     w = tmp_path / "w.ckpt"
@@ -692,6 +770,40 @@ def test_zero_size_checkpoint_is_config_error(tiny_config, tmp_path, capsys):
                "--w2", str(bad), "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_checkpoint_errors_name_the_file(tiny_config, tmp_path, capsys, no_training):
+    # 7 bytes of junk under the cache key of the first file a comparison reads,
+    # and as --w2: each error says which file it was
+    cfg = load_config(tiny_config)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    key = TrainingCache._key("plain", harness.seed_config(cfg.meta, 0), cfg.dist_train)
+    junk = cache / f"plain-{key}.ckpt"
+    junk.write_bytes(b"garbage")
+    bad_magic = "corrupt checkpoint: bad magic b'garb', expected b'ML2O'"
+    for read in (load_checkpoint, load_checkpoint_metadata):
+        with pytest.raises(CheckpointError) as exc:
+            read(junk)
+        assert str(exc.value) == f"{junk}: {bad_magic}"
+    rc = main(["compare", "--config", tiny_config, "--out", str(tmp_path / "o"),
+               "--cache-dir", str(cache)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"checkpoint error: {junk}: {bad_magic}\n"
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(random_params(4, RngStream(1)), good)
+    rc = main(["interpolate", "--config", tiny_config, "--w1", str(good), "--w2", str(junk),
+               "--out", str(tmp_path / "i")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"checkpoint error: {junk}: {bad_magic}\n"
+    # a file that cannot be opened is a checkpoint error too, not a traceback
+    missing = tmp_path / "missing.ckpt"
+    rc = main(["interpolate", "--config", tiny_config, "--w1", str(missing), "--w2", str(good),
+               "--out", str(tmp_path / "i")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"checkpoint error: {missing}: cannot open: No such file or directory\n"
+    )
 
 
 def test_commands_write_only_inside_out_dir(tiny_config, tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from scipy.special import stdtrit
 from conftest import child_env, with_proj
 from ml2o import harness
 from ml2o.cell import init_params, load_checkpoint, load_checkpoint_metadata, random_params
+from ml2o.config import ExperimentConfig
 from ml2o.harness import (
     DT,
     ML2O,
@@ -52,6 +53,17 @@ def tiny_meta(**kw):
     )
     base.update(kw)
     return MetaConfig(**base)
+
+
+def experiment(**kw):
+    """A comparison of `tiny_meta()` on the tiny distributions; `kw` overrides its fields."""
+    base = dict(
+        meta=tiny_meta(), dist_train=TRAIN_DIST, dist_adapt=ADAPT_DIST, dist_test=TEST_DIST,
+        adapt_alpha=1e-6, adapt_fresh_per_step=True, horizon=10, n_seeds=2, n_tasks=1,
+        sigmas=(10.0,), adapt_sigmas=(10.0,), test_sigma=10.0, interp_alphas=(), jobs=1,
+    )
+    base.update(kw)
+    return ExperimentConfig(**base)
 
 
 def test_min_log_loss_floor_for_exact_zero():
@@ -162,11 +174,7 @@ def test_seed_values_skip_what_the_cell_mean_skips():
 def test_comparison_protocol_pairing_and_shared_checkpoint(tmp_path):
     meta = tiny_meta()
     cache = TrainingCache(str(tmp_path / "cache"))
-    table = compare_methods(
-        meta, TRAIN_DIST, ADAPT_DIST, TEST_DIST,
-        sigma_list=[10.0], n_seeds=2, horizon=15, n_tasks=2,
-        adapt_alpha=1e-6, cache=cache,
-    )
+    table = compare_methods(experiment(meta=meta, horizon=15, n_tasks=2), cache)
     by_ms = {}
     for r in table.records:
         by_ms.setdefault((r.seed, r.method), []).append(r)
@@ -184,11 +192,8 @@ def test_comparison_protocol_pairing_and_shared_checkpoint(tmp_path):
 
 
 def test_aggregation_is_order_independent(tmp_path):
-    meta = tiny_meta()
     table = compare_methods(
-        meta, TRAIN_DIST, ADAPT_DIST, TEST_DIST,
-        sigma_list=[10.0], n_seeds=3, horizon=10, n_tasks=2,
-        adapt_alpha=1e-6, cache=TrainingCache(str(tmp_path / "c")),
+        experiment(n_seeds=3, n_tasks=2), TrainingCache(str(tmp_path / "c"))
     )
     shuffled = list(table.records)
     random.Random(9).shuffle(shuffled)
@@ -200,18 +205,10 @@ def test_aggregation_is_order_independent(tmp_path):
 
 
 def test_sweep_degenerates_to_comparison_cells(tmp_path):
-    meta = tiny_meta()
+    cfg = experiment(horizon=12)
     cache = TrainingCache(str(tmp_path / "cache"))
-    comp = compare_methods(
-        meta, TRAIN_DIST, ADAPT_DIST, TEST_DIST,
-        sigma_list=[10.0], n_seeds=2, horizon=12, n_tasks=1,
-        adapt_alpha=1e-6, cache=cache,
-    )
-    sweep = adapt_sweep(
-        meta, TRAIN_DIST, ADAPT_DIST, TEST_DIST,
-        adapt_sigmas=[10.0], test_sigma=10.0, n_seeds=2, horizon=12, n_tasks=1,
-        adapt_alpha=1e-6, cache=cache,
-    )
+    comp = compare_methods(cfg, cache)
+    sweep = adapt_sweep(cfg, cache)
     for method in (TL, ML2O):
         a = comp.cell(method, 10.0)
         b = sweep.cell(method, 10.0)
@@ -250,12 +247,7 @@ def test_blend_rejects_shape_mismatch(rng):
 
 
 def test_table_json_round_trips_bit_exact(tmp_path):
-    meta = tiny_meta()
-    table = compare_methods(
-        meta, TRAIN_DIST, ADAPT_DIST, TEST_DIST,
-        sigma_list=[10.0], n_seeds=2, horizon=10, n_tasks=1,
-        adapt_alpha=1e-6, cache=TrainingCache(str(tmp_path / "c")),
-    )
+    table = compare_methods(experiment(), TrainingCache(str(tmp_path / "c")))
     path = tmp_path / "t.json"
     table.write_json(path)
     back = read_comparison_json(path)
@@ -336,22 +328,13 @@ def test_cache_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch)
 
 def test_parallel_jobs_do_not_change_results(tmp_path):
     # 3 seeds in 2 chunks: one chunk trains two seeds in lockstep, the other one
-    meta = tiny_meta()
-    common = dict(n_seeds=3, horizon=10, n_tasks=1, adapt_alpha=1e-6)
-    tables = {
-        jobs: (
-            compare_methods(
-                meta, TRAIN_DIST, ADAPT_DIST, TEST_DIST, sigma_list=[10.0],
-                cache=TrainingCache(str(tmp_path / f"c{jobs}")), jobs=jobs, **common,
-            ),
-            adapt_sweep(
-                meta, TRAIN_DIST, ADAPT_DIST, TEST_DIST, adapt_sigmas=[10.0, 30.0],
-                test_sigma=10.0, cache=TrainingCache(str(tmp_path / f"s{jobs}")),
-                jobs=jobs, **common,
-            ),
+    tables = {}
+    for jobs in (1, 2):
+        cfg = experiment(n_seeds=3, adapt_sigmas=(10.0, 30.0), jobs=jobs)
+        tables[jobs] = (
+            compare_methods(cfg, TrainingCache(str(tmp_path / f"c{jobs}"))),
+            adapt_sweep(cfg, TrainingCache(str(tmp_path / f"s{jobs}"))),
         )
-        for jobs in (1, 2)
-    }
     for serial, parallel in zip(tables[1], tables[2]):
         assert serial.to_json_dict() == parallel.to_json_dict()
         for a, b in zip(serial.records, parallel.records):
@@ -394,13 +377,7 @@ def test_stacked_evaluation_keeps_a_stack_that_diverges_all_at_once(rng):
 def test_divergent_method_marks_cell_without_aborting(tmp_path):
     # an absurd adaptation step blows up the fresh-init method; the others
     # must still be evaluated and aggregated normally
-    meta = tiny_meta()
-    table = compare_methods(
-        meta, TRAIN_DIST, ADAPT_DIST, TEST_DIST,
-        sigma_list=[10.0], n_seeds=2, horizon=10, n_tasks=1,
-        adapt_alpha=1e150,
-        cache=TrainingCache(str(tmp_path / "c")),
-    )
+    table = compare_methods(experiment(adapt_alpha=1e150), TrainingCache(str(tmp_path / "c")))
     vanilla = table.cell(VANILLA, 10.0)
     assert vanilla.n_diverged == 2 and vanilla.n == 0 and math.isnan(vanilla.mean)
     for method in (DT, TL, ML2O):
@@ -454,10 +431,9 @@ def test_compare_kernel_call_counts(tmp_path, monkeypatch):
         monkeypatch.setattr(mod, "meta_grad_stack", counting(unroll.meta_grad_stack, reverse))
     monkeypatch.setattr(harness, "unroll_stack", counting(unroll.unroll_stack, evaluation))
     meta = tiny_meta()
-    n_seeds, sigmas, n_tasks = 2, [10.0, 30.0], 3
+    n_seeds, sigmas, n_tasks = 2, (10.0, 30.0), 3
     compare_methods(
-        meta, TRAIN_DIST, ADAPT_DIST, TEST_DIST, sigma_list=sigmas, n_seeds=n_seeds,
-        horizon=10, n_tasks=n_tasks, adapt_alpha=1e-6, cache=TrainingCache(),
+        experiment(meta=meta, n_seeds=n_seeds, n_tasks=n_tasks, sigmas=sigmas), TrainingCache()
     )
     # per epoch: both trainers' first pass, then ml2o's stepped pass and its
     # finite-difference pair; then per adaptation step one stack of the three
