@@ -402,6 +402,9 @@ def load_checkpoint(path) -> ParamStack:
         (crc,) = struct.unpack("<I", _read_exact(fh, 4, "checksum"))
         if crc != zlib.crc32(payload):
             raise CheckpointError("corrupt checkpoint: payload checksum mismatch")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left:
+            raise CheckpointError(f"corrupt checkpoint: {left} bytes after the checksum")
         flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return ParamStack(flat[None], hidden)
 

@@ -32,10 +32,8 @@ from .cell import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_float_list
 from .harness import (
-    ComparisonTable,
     TrainingCache,
     adapt_sweep,
-    blend_params,
     compare_methods,
     interpolate_eval,
     write_curve,
@@ -282,40 +280,21 @@ def cmd_verify(args) -> int:
 
 def cmd_interpolate(args) -> int:
     cfg = _load(args)
-    w1 = load_checkpoint(args.w1)
-    w2 = load_checkpoint(args.w2)
-    blend_params(w1, w2, 0.5)  # shape check up front
-    by_alpha = interpolate_eval(
-        w1,
-        w2,
-        cfg.interp_alphas,
-        cfg.dist_test,
-        cfg.horizon,
-        n_seeds=cfg.n_seeds,
-        root_seed=cfg.meta.seed,
-        n_tasks=cfg.n_tasks,
-    )
-    # the statistic of `compare` and `sweep`: per-seed means over the tasks
-    table = ComparisonTable.from_records([r for records in by_alpha.values() for r in records])
+    table = interpolate_eval(cfg, load_checkpoint(args.w1), load_checkpoint(args.w2))
     curve_dir = os.path.join(args.out, "curves")
     os.makedirs(curve_dir, exist_ok=True)
-    summary = []
-    for key in sorted(by_alpha, key=float):
-        records = by_alpha[key]
-        cell = table.cell("blend", key)
-        summary.append(
-            {
-                "alpha": float(key),
-                "mean_min_log_loss": cell.mean,
-                "half_width": cell.half_width,
-                "n": cell.n,
-                "params_digest": records[0].params_digest,
-            }
-        )
-        for r in records:
-            name = f"curve_alpha{key}_seed{r.seed}_task{r.task_index}.csv"
-            write_curve(os.path.join(curve_dir, name), r.losses)
-        print(f"alpha={key:>6s} mean={cell.mean:9.4f} +-{cell.half_width:7.4f} (n={cell.n})")
+    digests = {}
+    for r in table.records:
+        digests[r.key] = r.params_digest
+        name = f"curve_alpha{r.key}_seed{r.seed}_task{r.task_index}.csv"
+        write_curve(os.path.join(curve_dir, name), r.losses)
+    summary = []  # the statistic of `compare` and `sweep`: per-seed means over the tasks
+    for cell in sorted(table.cells, key=lambda c: float(c.key)):
+        summary.append({
+            "alpha": float(cell.key), "mean_min_log_loss": cell.mean,
+            "half_width": cell.half_width, "n": cell.n, "params_digest": digests[cell.key],
+        })
+        print(f"alpha={cell.key:>6s} mean={cell.mean:9.4f} +-{cell.half_width:7.4f} (n={cell.n})")
     write_json(os.path.join(args.out, "interpolation.json"), summary)
     return EXIT_OK
 

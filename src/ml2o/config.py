@@ -117,7 +117,7 @@ class ExperimentConfig:
     adapt_sigmas: tuple[float, ...]
     test_sigma: float
     interp_alphas: tuple[float, ...]
-    jobs: int  # 0: all cores
+    jobs: int  # 0: one per core this process may run on
     raw: dict = field(default_factory=dict)
     explicit: set = field(default_factory=set)
 

@@ -579,12 +579,19 @@ def _worker_records(cfg, columns, methods, cache_dir, seed_indices):
     return _chunk_records(cfg, columns, methods, TrainingCache(cache_dir), seed_indices)
 
 
+def _usable_cores() -> int:
+    """How many cores this process may run on (its affinity set, where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _compare(cfg: ExperimentConfig, columns, methods, cache) -> ComparisonTable:
     """The `methods` x `columns` table over `cfg.n_seeds` paired seeds; see `compare_methods`.
 
-    The seeds are split into `cfg.jobs` contiguous chunks (0: one per core),
-    one worker process each; a single chunk runs in this process, with the
-    caller's cache.
+    The seeds are split into `cfg.jobs` contiguous chunks (0: one per core
+    this process may run on), one worker process each; a single chunk runs
+    in this process, with the caller's cache.
     Each chunk trains in lockstep, and every seed's records are the same
     whatever chunk it lands in, so `jobs` never changes a result.
     """
@@ -602,7 +609,7 @@ def _compare(cfg: ExperimentConfig, columns, methods, cache) -> ComparisonTable:
     cache = cache or TrainingCache()
     chunks = [
         [int(k) for k in chunk]
-        for chunk in np.array_split(np.arange(cfg.n_seeds), cfg.jobs or os.cpu_count() or 1)
+        for chunk in np.array_split(np.arange(cfg.n_seeds), cfg.jobs or _usable_cores())
         if chunk.size
     ]
     if len(chunks) == 1:
@@ -617,20 +624,24 @@ def _compare(cfg: ExperimentConfig, columns, methods, cache) -> ComparisonTable:
 def compare_methods(cfg: ExperimentConfig, cache: TrainingCache | None = None) -> ComparisonTable:
     """The four-method comparison that `cfg` describes.
 
-    A normal test distribution gives one column per `cfg.sigmas`, with both
-    the adaptation and the test distribution at that sigma; any other gives
-    one column, keyed by its label, with the configured distributions.
+    A normal test distribution gives one column per `cfg.sigmas`, with the
+    test distribution at that sigma, and the adaptation distribution too when
+    it is normal (one without a sigma stays as configured); any other test
+    distribution gives one column, keyed by its label, with the configured
+    distributions.
     `cfg.jobs` splits the seeds into chunks, one process each (0: one per
-    core), without changing any result.
+    core this process may use), without changing any result.
     """
     adapt, test = cfg.dist_adapt, cfg.dist_test
     if test.kind != NORMAL:
         columns = (_Column(test.label(), adapt, test),)
-    elif adapt.kind != NORMAL:
-        raise ValueError("sigma sweeps need normal adapt/test distributions")
     else:
         columns = tuple(
-            _Column(_column_key(sigma), replace(adapt, sigma=sigma), replace(test, sigma=sigma))
+            _Column(
+                _column_key(sigma),
+                replace(adapt, sigma=sigma) if adapt.kind == NORMAL else adapt,
+                replace(test, sigma=sigma),
+            )
             for sigma in map(float, cfg.sigmas)
         )
     return _compare(cfg, columns, METHOD_ORDER, cache)
@@ -666,40 +677,26 @@ def blend_params(w1: ParamStack, w2: ParamStack, alpha: float) -> ParamStack:
     return ParamStack(alpha * w1.flat + (1.0 - alpha) * w2.flat, w1.hidden)
 
 
-def interpolate_eval(
-    w1: ParamStack,
-    w2: ParamStack,
-    alpha_grid,
-    dist_test: TaskDistribution,
-    horizon: int,
-    n_seeds: int,
-    root_seed: int = 0,
-    n_tasks: int = 1,
-) -> dict[str, list[RunRecord]]:
-    """Evaluate linear blends of two weight vectors on shared test draws.
+def interpolate_eval(cfg: ExperimentConfig, w1: ParamStack, w2: ParamStack) -> ComparisonTable:
+    """Evaluate the blends of `blend_params` at `cfg.interp_alphas`, one column each.
 
-    Every blend sees exactly the same test tasks and starting iterates, so
-    the curves are comparable point by point across the grid.
+    Every blend sees the same test draws, so the curves are comparable point
+    by point across the grid; seed k's draws are those of seed k of
+    `compare_methods` at the same test distribution.
     """
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    root = RngStream(root_seed)
-    _check_column_keys([_column_key(float(a)) for a in alpha_grid])
-    blends = {_column_key(float(a)): blend_params(w1, w2, float(a)) for a in alpha_grid}
-    if not blends:
-        raise ValueError("the list of interpolation weights is empty")
-    out: dict[str, list[RunRecord]] = {key: [] for key in blends}
-    groups = [
-        EvalGroup(
-            [("blend", key, params) for key, params in blends.items()],
-            dist_test,
-            n_tasks,
-            RngStream(root.derive_seed(f"seed/{seed_index}")).child("test"),
-            seed_index,
-        )
-        for seed_index in range(n_seeds)
+    if cfg.n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {cfg.n_seeds}")
+    keys = [_column_key(float(a)) for a in cfg.interp_alphas]
+    _check_column_keys(keys)
+    variants = [
+        ("blend", key, blend_params(w1, w2, float(a))) for key, a in zip(keys, cfg.interp_alphas)
     ]
-    for records in evaluate_groups(groups, horizon):
-        for r in records:
-            out[r.key].append(r)
-    return out
+    if not variants:
+        raise ValueError("the list of interpolation weights is empty")
+    metas = [seed_config(cfg.meta, k) for k in range(cfg.n_seeds)]
+    groups = [
+        EvalGroup(variants, cfg.dist_test, cfg.n_tasks, RngStream(meta.seed).child("test"), k)
+        for k, meta in enumerate(metas)
+    ]
+    evaluated = evaluate_groups(groups, cfg.horizon)
+    return ComparisonTable.from_records([r for records in evaluated for r in records])

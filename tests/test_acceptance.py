@@ -213,7 +213,14 @@ def test_criterion_8_interpolation_endpoints_bit_exact(tmp_path):
     w1 = random_params(4, rng.child("w1"))
     w2 = random_params(4, rng.child("w2"))
     dist = TaskDistribution(kind="normal", family="lasso", dim=4, lam=0.005, sigma=10.0)
-    by_alpha = interpolate_eval(w1, w2, [0.0, 1.0], dist, 20, n_seeds=3, root_seed=7)
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(
+        "[meta]\nseed = 7\nhidden = 4\nunroll_len = 5\nepochs = 4\n"
+        "[test]\nfamily = lasso\ndist = normal\nsigma = 10\ndim = 4\nhorizon = 20\n"
+        "[eval]\nn_seeds = 3\n"
+    )
+    table = interpolate_eval(replace(load_config(str(cfg_path)), interp_alphas=(0.0, 1.0)), w1, w2)
+    by_alpha = {key: [r for r in table.records if r.key == key] for key in ("0", "1")}
     direct = {
         1.0: [
             evaluate(w1, dist, 20, 1, RngStream(RngStream(7).derive_seed(f"seed/{k}")).child("test"))[0]
@@ -231,12 +238,6 @@ def test_criterion_8_interpolation_endpoints_bit_exact(tmp_path):
             ok = ok and got.params_digest == ref.params_digest
 
     # and through the CLI surface
-    cfg_path = tmp_path / "exp.ini"
-    cfg_path.write_text(
-        "[meta]\nseed = 7\nhidden = 4\nunroll_len = 5\nepochs = 4\n"
-        "[test]\nfamily = lasso\ndist = normal\nsigma = 10\ndim = 4\nhorizon = 20\n"
-        "[eval]\nn_seeds = 3\n"
-    )
     p1, p2 = tmp_path / "w1.ckpt", tmp_path / "w2.ckpt"
     save_checkpoint(w1, p1)
     save_checkpoint(w2, p2)

@@ -526,6 +526,31 @@ def test_interpolate_summary_is_per_seed(tmp_path):
         assert all((row["half_width"] is None) == (n_seeds == 1) for row in doc)
 
 
+def test_interpolate_output_bytes_are_pinned(tmp_path, capsys):
+    # like the desk digests, these bits belong to the numeric environment
+    config = tmp_path / "exp.ini"
+    config.write_text(TINY.replace("n_tasks = 1", "n_tasks = 2"))
+    for name in ("w1", "w2"):
+        save_checkpoint(random_params(4, RngStream(3).child(name)), tmp_path / f"{name}.ckpt")
+    out = tmp_path / "interp"
+    rc = main(["interpolate", "--config", str(config), "--w1", str(tmp_path / "w1.ckpt"),
+               "--w2", str(tmp_path / "w2.ckpt"), "--alphas", "0,0.3,1", "--n-seeds", "3",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+
+    def digest(*chunks: bytes) -> str:
+        h = hashlib.blake2b(digest_size=16)
+        for chunk in chunks:
+            h.update(chunk)
+        return h.hexdigest()
+
+    curves = sorted((out / "curves").iterdir())
+    assert len(curves) == 3 * 3 * 2
+    assert digest((out / "interpolation.json").read_bytes()) == "bad5a58cead81fb53f11c41b658694ec"
+    assert digest(*(p.name.encode() + p.read_bytes() for p in curves)) == "6c180f71ca40a3bae04d78471ba5c940"
+    assert digest(capsys.readouterr().out.encode()) == "25e4db46062b383bbb683df16f8584af"
+
+
 @pytest.mark.parametrize("n_seeds", ["0", "-1"])
 def test_nonpositive_seed_count_is_refused(tiny_config, tmp_path, capsys, n_seeds):
     w = tmp_path / "w.ckpt"
@@ -588,7 +613,7 @@ def test_worker_count_from_flag_or_config(tmp_path, capsys, monkeypatch, no_trai
     # 0 means one chunk per core from the flag too: it does not fall back to
     # the config's 1 (one core here, so the chunk runs in this process)
     cores = []
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: cores.append(1) or 1)
+    monkeypatch.setattr(harness, "_usable_cores", lambda: cores.append(1) or 1)
     config = tmp_path / "exp.ini"
     for text, cmd in ((TINY, ["compare", "--jobs", "0"]),
                       (TINY.replace("jobs = 1", "jobs = 0"), ["compare"])):
@@ -596,6 +621,16 @@ def test_worker_count_from_flag_or_config(tmp_path, capsys, monkeypatch, no_trai
         with pytest.raises(AssertionError, match="training started"):
             main([*cmd, "--config", str(config), "--out", str(tmp_path / "o")])
     assert len(cores) == 2
+
+
+def test_jobs_zero_counts_the_cores_this_process_may_use(monkeypatch):
+    # pinned to one core of eight, one chunk runs: not eight processes on that core
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert harness._usable_cores() == 1
+    # where the platform has no affinity set, every core counts
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    assert harness._usable_cores() == 8
 
 
 @pytest.mark.parametrize(
@@ -675,6 +710,37 @@ def test_sigmas_flag_needs_a_normal_test_distribution(tmp_path, capsys, no_train
     # without the flag the config's default sigmas load, and training starts
     with pytest.raises(AssertionError, match="training started"):
         main(["compare", "--config", str(config), "--out", str(out)])
+
+
+def test_compare_keeps_a_sigmaless_adaptation_distribution(tmp_path, capsys):
+    # a mixture has no sigma: every column adapts on it as configured, so each
+    # method adapts each seed to the same weights in both columns
+    config = tmp_path / "exp.ini"
+    config.write_text(TINY.replace(TINY_ADAPT, "[adapt]\nfamily = lasso\ndist = mixture\ndim = 4\n"))
+    out = tmp_path / "o"
+    rc = main(["compare", "--config", str(config), "--sigmas", "10,100", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().err == ""
+    table = harness.compare_methods(replace(load_config(str(config)), sigmas=(10.0, 100.0)))
+    table.write_json(tmp_path / "library.json")
+    assert (tmp_path / "library.json").read_bytes() == (out / "comparison.json").read_bytes()
+    assert {r.key for r in table.records} == {"10", "100"}
+    digests = {}
+    for r in table.records:
+        digests.setdefault((r.method, r.seed), set()).add(r.params_digest)
+    assert len(digests) == 4 * 2 and all(len(d) == 1 for d in digests.values())
+
+
+def test_interpolate_seeds_use_the_test_draws_of_compare(tiny_config):
+    cfg = replace(load_config(tiny_config), n_tasks=2, interp_alphas=(0.0, 0.5, 1.0))
+    compared = harness.compare_methods(cfg)
+    draws = {(r.seed, r.task_index, r.task_digest, r.theta0_digest) for r in compared.records}
+    assert len(draws) == cfg.n_seeds * cfg.n_tasks
+    w1, w2 = (random_params(4, RngStream(3).child(name)) for name in ("w1", "w2"))
+    interpolated = harness.interpolate_eval(cfg, w1, w2)
+    assert len(interpolated.records) == 12
+    for r in interpolated.records:
+        assert (r.seed, r.task_index, r.task_digest, r.theta0_digest) in draws
 
 
 def test_unparsable_list_flags_are_refused_before_training(tmp_path, capsys, no_training):
@@ -804,6 +870,21 @@ def test_checkpoint_errors_name_the_file(tiny_config, tmp_path, capsys, no_train
     assert capsys.readouterr().err == (
         f"checkpoint error: {missing}: cannot open: No such file or directory\n"
     )
+
+
+def test_bytes_after_the_checksum_are_refused(tiny_config, tmp_path, capsys):
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(random_params(4, RngStream(1)), good)
+    padded = tmp_path / "padded.ckpt"
+    padded.write_bytes(good.read_bytes() + b"x" * 16)
+    out = tmp_path / "o"
+    rc = main(["interpolate", "--config", tiny_config, "--w1", str(good), "--w2", str(padded),
+               "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"checkpoint error: {padded}: corrupt checkpoint: 16 bytes after the checksum\n"
+    )
+    assert os.listdir(out) == ["config.resolved.ini"]
 
 
 def test_commands_write_only_inside_out_dir(tiny_config, tmp_path, monkeypatch):

@@ -88,6 +88,17 @@ def test_fuzz_checkpoint_absurd_headers(checkpoint_bytes, tmp_path):
         assert not loads_or_checkpoint_error(path), (offset, value)
 
 
+def test_fuzz_checkpoint_appended_bytes(checkpoint_bytes, tmp_path):
+    # whatever follows the checksum is refused, not ignored
+    rnd = random.Random(20261019)
+    path = tmp_path / "a.ckpt"
+    for n in (1, 4, 16, 4096):
+        path.write_bytes(checkpoint_bytes + bytes(rnd.randrange(256) for _ in range(n)))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: corrupt checkpoint: {n} bytes after the checksum"
+
+
 def config_mutants(rnd: random.Random, n: int):
     """Mutated copies of the tiny test config, as bytes."""
     lines = TINY.strip("\n").split("\n")

@@ -218,7 +218,9 @@ def test_sweep_degenerates_to_comparison_cells(tmp_path):
 def test_interpolation_endpoints_bit_exact(rng):
     w1 = random_params(4, rng)
     w2 = random_params(4, rng)
-    out = interpolate_eval(w1, w2, [0.0, 0.5, 1.0], TEST_DIST, 15, n_seeds=2, root_seed=3)
+    cfg = experiment(meta=tiny_meta(seed=3), horizon=15, interp_alphas=(0.0, 0.5, 1.0))
+    table = interpolate_eval(cfg, w1, w2)
+    out = {key: [r for r in table.records if r.key == key] for key in ("0", "0.5", "1")}
     direct_w1 = [
         evaluate(w1, TEST_DIST, 15, 1, RngStream(RngStream(3).derive_seed(f"seed/{k}")).child("test"))
         for k in range(2)
@@ -231,7 +233,9 @@ def test_interpolation_endpoints_bit_exact(rng):
 
 def test_interpolation_idempotent_blend(rng):
     w = random_params(4, rng)
-    out = interpolate_eval(w, w, [0.0, 0.25, 1.0], TEST_DIST, 10, n_seeds=2, root_seed=3)
+    cfg = experiment(meta=tiny_meta(seed=3), interp_alphas=(0.0, 0.25, 1.0))
+    table = interpolate_eval(cfg, w, w)
+    out = {key: [r for r in table.records if r.key == key] for key in ("0", "0.25", "1")}
     base = [r.min_log_loss for r in out["0"]]
     for key in ("0.25", "1"):
         assert [r.min_log_loss for r in out[key]] == base
