@@ -18,7 +18,7 @@ import gc
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -50,7 +50,7 @@ EXIT_DIVERGED = 3
 EXIT_VERIFY = 4
 
 
-# flag -> (ExperimentConfig field, parser); lists parse after the echo, like config values
+# flag -> ([eval] key, also the ExperimentConfig field, parser); lists parse after the echo
 _OVERRIDES = {
     "n_seeds": ("n_seeds", int),
     "jobs": ("jobs", int),
@@ -62,21 +62,23 @@ _OVERRIDES = {
 
 
 def _load(args) -> ExperimentConfig:
-    """The config file, echoed into --out, with each flag the command was given applied."""
+    """The config file with each flag the command was given applied, echoed into --out."""
     cfg = load_config(args.config)
+    given = {
+        name: (parse, getattr(args, flag))
+        for flag, (name, parse) in _OVERRIDES.items()
+        if getattr(args, flag, None) is not None
+    }
+    cfg.raw["eval"].update({name: str(value) for name, (_, value) in given.items()})
     try:
         cfg.echo(args.out)
     except OSError as exc:
         raise ConfigError(f"cannot write to --out {args.out}: {exc}") from exc
-    if getattr(args, "sigmas", None) is not None and cfg.dist_test.kind != NORMAL:
+    if "sigmas" in given and cfg.dist_test.kind != NORMAL:
         raise ConfigError(
             f"--sigmas needs a normal test distribution, got [test] dist = {cfg.dist_test.kind}"
         )
-    return replace(cfg, **{
-        name: parse(getattr(args, flag))
-        for flag, (name, parse) in _OVERRIDES.items()
-        if getattr(args, flag, None) is not None
-    })
+    return replace(cfg, **{name: parse(value) for name, (parse, value) in given.items()})
 
 
 def cmd_meta_train(args) -> int:
@@ -248,7 +250,7 @@ def _verify_gaps(cfg: ExperimentConfig, out_dir: str) -> int:
         rng=RngStream(seed).child("gaps-probes"),
     )
     path = os.path.join(out_dir, "gaps.json")
-    write_json(path, report.to_json_dict())
+    write_json(path, asdict(report))
     print(
         f"gaps: grad_gap={report.grad_gap:.6g} hess_gap={report.hess_gap:.6g} "
         f"(radius {report.probe_radius:g}, {report.n_probes} probes) -> {path}"

@@ -199,6 +199,8 @@ def load_config(path: str) -> ExperimentConfig:
                 ) from exc
             raw[section][key] = text.strip()
 
+    if values["adapt"]["steps"] < 0:
+        raise ConfigError(f"[adapt] steps must be >= 0, got {values['adapt']['steps']}")
     # [meta] keys are MetaConfig's field names, save `outer` for `outer_rule`
     meta_fields = {"outer_rule" if k == "outer" else k: v for k, v in values["meta"].items()}
     try:
@@ -206,6 +208,10 @@ def load_config(path: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"[meta] {exc}") from exc
 
+    # the echo leaves out the keys that no sampler reads, which a config may not set
+    for name in ("train", "adapt", "test"):
+        for key in unread_fields(values[name]["dist"], values[name]["family"]):
+            del raw[name][key]
     cfg = ExperimentConfig(
         meta=meta,
         dist_train=_dist_from(values["train"], "train", explicit),
@@ -220,8 +226,8 @@ def load_config(path: str) -> ExperimentConfig:
     )
     if cfg.horizon < 1:
         raise ConfigError(f"[test] horizon must be >= 1, got {cfg.horizon}")
-    if cfg.n_seeds < 2:
-        raise ConfigError(f"[eval] n_seeds must be >= 2, got {cfg.n_seeds}")
+    if cfg.n_seeds < 1:
+        raise ConfigError(f"[eval] n_seeds must be >= 1, got {cfg.n_seeds}")
     if cfg.n_tasks < 1:
         raise ConfigError(f"[eval] n_tasks must be >= 1, got {cfg.n_tasks}")
     return cfg

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -211,17 +211,7 @@ class ComparisonTable:
         return {
             "methods": sorted({c.method for c in self.cells}),
             "columns": sorted({c.key for c in self.cells}),
-            "cells": [
-                {
-                    "method": c.method,
-                    "key": c.key,
-                    "mean": c.mean,
-                    "half_width": c.half_width,
-                    "n": c.n,
-                    "n_diverged": c.n_diverged,
-                }
-                for c in self.cells
-            ],
+            "cells": [asdict(c) for c in self.cells],
         }
 
     def write_json(self, path) -> None:
@@ -252,7 +242,9 @@ def write_curve(path, losses) -> None:
 
 
 def _nulls(value):
-    """`value` with every non-finite float replaced by None, which JSON writes as null."""
+    """`value` with arrays as lists and non-finite floats as None, which JSON writes as null."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
@@ -269,23 +261,12 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _float_or_nan(value) -> float:
-    return math.nan if value is None else value
-
-
 def read_comparison_json(path) -> ComparisonTable:
     """Read a table written by `ComparisonTable.write_json`; null reads as NaN."""
     with open(path) as fh:
         doc = json.load(fh)
     cells = [
-        ComparisonCell(
-            method=c["method"],
-            key=c["key"],
-            mean=_float_or_nan(c["mean"]),
-            half_width=_float_or_nan(c["half_width"]),
-            n=c["n"],
-            n_diverged=c["n_diverged"],
-        )
+        ComparisonCell(**{k: math.nan if v is None else v for k, v in c.items()})
         for c in doc["cells"]
     ]
     return ComparisonTable(cells=cells)
@@ -447,11 +428,10 @@ class TrainingCache:
             here = str(numeric_environment())
             metadata = load_checkpoint_metadata(path).split()
             recorded = " ".join(t for t in metadata if t.startswith(("simd=", "blas=")))
-            if recorded != here:
-                print(
+            if recorded != here:  # one write, so that workers' lines never interleave
+                sys.stderr.write(
                     f"warning: cached {path} was trained under "
-                    f"{recorded or 'an unrecorded numeric environment'}, this process runs {here}",
-                    file=sys.stderr,
+                    f"{recorded or 'an unrecorded numeric environment'}, this process runs {here}\n"
                 )
         return True
 

@@ -11,7 +11,7 @@ reported, never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ __all__ = [
     "GapReport",
     "LipschitzProfile",
     "GrowthReport",
-    "power_iteration_norm",
+    "grad_lipschitz",
     "gradient_gap_at",
     "measure_gaps",
     "input_sensitivity",
@@ -56,14 +56,6 @@ class GapReport:
     n_probes: int
     probe_radius: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "grad_gap": self.grad_gap,
-            "hess_gap": self.hess_gap,
-            "n_probes": self.n_probes,
-            "probe_radius": self.probe_radius,
-        }
-
 
 @dataclass
 class LipschitzProfile:
@@ -80,16 +72,6 @@ class LipschitzProfile:
     amplification: float
     domain_radius: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "grad_lipschitz": self.grad_lipschitz,
-            "hess_lipschitz": self.hess_lipschitz,
-            "loss_lipschitz": self.loss_lipschitz,
-            "input_sensitivity": self.input_sensitivity,
-            "amplification": self.amplification,
-            "domain_radius": self.domain_radius,
-        }
-
 
 @dataclass
 class GrowthReport:
@@ -105,15 +87,8 @@ class GrowthReport:
     hess_gap: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "horizons": list(self.horizons),
-            "mean_gaps": self.mean_gaps.tolist(),
-            "reference": self.reference.tolist(),
-            "nondecreasing_fraction": self.nondecreasing_fraction,
-            "amplification": self.amplification,
-            "grad_gap": self.grad_gap,
-            "hess_gap": self.hess_gap,
-        }
+        """Every field but the per-pair gaps."""
+        return {k: v for k, v in asdict(self).items() if k != "pair_gaps"}
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -122,22 +97,9 @@ class GrowthReport:
                 fh.write(f"{t},{g:.17g},{r:.17g}\n")
 
 
-def power_iteration_norm(task: OptimizeeTask, iters: int = 5000, tol: float = 1e-14) -> float:
-    """Largest eigenvalue of a quadratic/lasso task's A^T A by power iteration."""
-    v = RngStream(0).child("power-iteration").gen.normal(size=task.dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = task.a.T @ (task.a @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        new_lam = float(v @ w)
-        v = w / norm
-        if abs(new_lam - lam) <= tol * max(abs(new_lam), 1e-300):
-            return new_lam
-        lam = new_lam
-    return lam
+def grad_lipschitz(task: OptimizeeTask) -> float:
+    """Largest eigenvalue of a quadratic/lasso task's A^T A."""
+    return float(np.linalg.eigvalsh(task.a.T @ task.a)[-1])
 
 
 def gradient_gap_at(task1: OptimizeeTask, task2: OptimizeeTask, theta: np.ndarray) -> float:
@@ -228,7 +190,7 @@ def quadratic_lipschitz_profile(
     """Curvature constants of a quadratic task over a ball of a given radius."""
     if task.kind != QUADRATIC:
         raise ValueError(f"lipschitz profile is defined for quadratic tasks, got {task.kind}")
-    grad_l = power_iteration_norm(task)
+    grad_l = grad_lipschitz(task)
     loss_l = grad_l * domain_radius + float(np.linalg.norm(task.a.T @ task.b))
     m1 = input_sensitivity(params)
     return LipschitzProfile(
@@ -288,7 +250,7 @@ def gradient_gap_growth(
         )
         grad_gaps[p] = gaps.grad_gap
         hess_gaps[p] = gaps.hess_gap
-        lmax = max(power_iteration_norm(task1), power_iteration_norm(task2))
+        lmax = max(grad_lipschitz(task1), grad_lipschitz(task2))
         q = 1.0 + m1 * lmax
         amplifications[p] = q
         for j, t in enumerate(horizons):

@@ -436,6 +436,37 @@ def test_cache_hit_from_another_environment_warns_and_serves(tiny_config, tmp_pa
             assert (out / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
+def test_cache_warning_is_one_write(tmp_path, monkeypatch):
+    # workers share stderr: a line written in two pieces can interleave with another's
+    path = tmp_path / "plain-k.ckpt"
+    save_checkpoint(random_params(4, RngStream(3).child("w")), path, metadata="trainer=plain")
+
+    class Writes(list):
+        def write(self, text):
+            self.append(text)
+
+    writes = Writes()
+    monkeypatch.setattr(sys, "stderr", writes)
+    assert TrainingCache(str(tmp_path))._cached("plain", "k")
+    assert writes == [
+        f"warning: cached {path} was trained under an unrecorded numeric environment, "
+        f"this process runs {numeric_environment()}\n"
+    ]
+
+
+def test_echo_alone_reruns_a_command_given_flags(tiny_config, tmp_path):
+    # the echo holds each flag's value, and no key that a config may not set
+    # (TINY's mixture reads no [train] sigma)
+    flagged, echoed = tmp_path / "flagged", tmp_path / "echoed"
+    rc = main(["compare", "--config", tiny_config, "--sigmas", "7", "--n-seeds", "3",
+               "--out", str(flagged)])
+    assert rc == EXIT_OK
+    echo = flagged / "config.resolved.ini"
+    assert main(["compare", "--config", str(echo), "--out", str(echoed)]) == EXIT_OK
+    for name in ("comparison.json", "comparison.csv", "config.resolved.ini"):
+        assert (echoed / name).read_bytes() == (flagged / name).read_bytes()
+
+
 def test_sweep_smoke(tiny_config, tmp_path):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--config", tiny_config, "--out", str(out),
@@ -492,6 +523,27 @@ def test_verify_growth_writes_report(tiny_config, tmp_path):
     assert (out / "growth.csv").exists()
     doc = json.loads((out / "growth.json").read_text())
     assert doc["nondecreasing_fraction"] >= 0.9
+
+
+def test_verify_report_values_are_pinned(tiny_config, tmp_path):
+    # like the desk digests, these bits belong to the numeric environment;
+    # the growth reference is shape-only, so it is pinned to 1e-12 relative
+    for suite in ("gaps", "growth"):
+        rc = main(["verify", "--config", tiny_config, "--suite", suite, "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+    gaps = (tmp_path / "gaps.json").read_bytes()
+    assert hashlib.blake2b(gaps, digest_size=16).hexdigest() == "43e43f4e484dbff2b24d3823b025f236"
+    doc = json.loads((tmp_path / "growth.json").read_text())
+    rows = [line.split(",") for line in (tmp_path / "growth.csv").read_text().splitlines()]
+    assert rows[0] == ["horizon", "mean_gap", "reference"]
+    reference = doc.pop("reference")
+    assert [float(r[2]) for r in rows[1:]] == reference
+    kept = json.dumps(doc, sort_keys=True) + "".join(f"{r[0]},{r[1]}\n" for r in rows)
+    assert hashlib.blake2b(kept.encode(), digest_size=16).hexdigest() == "e8ec4590104de0684692998bda735ccb"
+    assert reference == pytest.approx([
+        1.0410793890719954, 1.2822733751316358, 1.533701328220715,
+        2.0687524517528346, 2.9577770550428637, 4.32276490845433,
+    ], rel=1e-12, abs=0)
 
 
 def test_interpolate_identical_checkpoints_flat(tiny_config, tmp_path):
@@ -563,6 +615,16 @@ def test_nonpositive_seed_count_is_refused(tiny_config, tmp_path, capsys, n_seed
         assert os.listdir(out) == ["config.resolved.ini"]
 
 
+def test_negative_adaptation_steps_name_their_key(tiny_config, tmp_path, capsys):
+    config = tmp_path / "steps.ini"
+    config.write_text(TINY.replace("steps = 2", "steps = -1"))
+    assert main(["compare", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: [adapt] steps must be >= 0, got -1\n"
+    # library callers that build MetaConfig themselves are still refused
+    with pytest.raises(ValueError, match="adapt_steps must be >= 0, got -1"):
+        replace(load_config(tiny_config).meta, adapt_steps=-1)
+
+
 @pytest.fixture
 def no_training(monkeypatch):
     """Make every comparison fail the moment it would start training."""
@@ -593,6 +655,26 @@ def test_empty_float_lists_are_refused_before_training(tmp_path, capsys, no_trai
         assert rc == EXIT_CONFIG, k
         assert "is empty" in capsys.readouterr().err
         assert os.listdir(out) == ["config.resolved.ini"]
+
+
+def test_one_seed_from_the_file_or_the_flag(tiny_config, tmp_path, capsys, no_training):
+    # one rule for both: a file may ask for one seed, which `interpolate` runs
+    # and `compare` refuses after the echo, like `--n-seeds 1`
+    config = tmp_path / "one.ini"
+    config.write_text(TINY.replace("n_seeds = 2", "n_seeds = 1"))
+    w = tmp_path / "w.ckpt"
+    save_checkpoint(random_params(4, RngStream(3).child("w")), w)
+    interpolate = ["interpolate", "--w1", str(w), "--w2", str(w), "--alphas", "0,1"]
+    assert main([*interpolate, "--config", str(config), "--out", str(tmp_path / "f")]) == EXIT_OK
+    assert main([*interpolate, "--config", tiny_config, "--n-seeds", "1",
+                 "--out", str(tmp_path / "g")]) == EXIT_OK
+    written = [(tmp_path / d / "interpolation.json").read_bytes() for d in ("f", "g")]
+    assert written[0] == written[1]
+    capsys.readouterr()
+    out = tmp_path / "c"
+    assert main(["compare", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: n_seeds must be >= 2, got 1\n"
+    assert os.listdir(out) == ["config.resolved.ini"]
 
 
 def test_worker_count_from_flag_or_config(tmp_path, capsys, monkeypatch, no_training):

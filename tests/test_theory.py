@@ -11,7 +11,6 @@ from ml2o.theory import (
     gradient_gap_growth,
     input_sensitivity,
     measure_gaps,
-    power_iteration_norm,
     quadratic_lipschitz_profile,
 )
 from ml2o.unroll import meta_grad
@@ -53,14 +52,6 @@ def test_measured_gap_below_spectral_bound(rng):
         spectral = float(np.linalg.norm(m, 2))
         offset = float(np.linalg.norm(t1.a.T @ t1.b - t2.a.T @ t2.b))
         assert report.grad_gap <= spectral * radius + offset + 1e-9
-
-
-def test_power_iteration_matches_dense_eigensolver(rng):
-    for d in (2, 5, 10):
-        t = make_quadratic(rng, d)
-        lam = power_iteration_norm(t)
-        dense = float(np.linalg.eigvalsh(t.a.T @ t.a).max())
-        assert abs(lam - dense) <= 1e-8 * dense
 
 
 def test_lipschitz_profile_identity_and_diagonal(rng):
