@@ -100,25 +100,16 @@ class OptimizeeTask:
         return self.loss_grad(theta)[1]
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Hessian-vector product; the l1 term contributes zero almost everywhere."""
+        """Hessian times a vector (dim,) or a column block (dim, k), as one product.
+
+        The l1 term contributes zero almost everywhere.
+        """
         theta = self.check_theta(theta)
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dim,):
-            raise ValueError(f"v has shape {v.shape}, expected {(self.dim,)}")
-        return TaskStack([self]).hvp(theta.reshape(1, -1, 1), v.reshape(1, -1, 1)).reshape(-1)
-
-    def hessian(self, theta: np.ndarray) -> np.ndarray:
-        """Dense Hessian; constant A^T A for lasso/quadratic."""
-        theta = self.check_theta(theta)
-        if self.kind == ROSENBROCK:
-            return _rosenbrock_hessian(theta[None])[0]
-        return self.a.T @ self.a
-
-    def hessian_matmul(self, theta: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Hessian times a (dim, k) matrix, column by column in one shot."""
-        if self.kind == ROSENBROCK:
-            return self.hessian(theta) @ m
-        return self.a.T @ (self.a @ m)
+        if v.shape[:1] != (self.dim,) or v.ndim > 2:
+            raise ValueError(f"v has shape {v.shape}, expected {(self.dim,)} or ({self.dim}, k)")
+        cols = v.reshape(1, self.dim, v.size // self.dim)
+        return TaskStack([self]).hvp(theta.reshape(1, -1, 1), cols).reshape(v.shape)
 
     def to_json(self) -> str:
         doc = {
@@ -236,7 +227,7 @@ class TaskStack:
         return loss
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Hessian-vector products of columns; the l1 term contributes zero almost everywhere."""
+        """Hessian times column blocks v (B, dim, k); the l1 term contributes zero almost everywhere."""
         if self.kind == ROSENBROCK:
             return _rosenbrock_hessian(theta[:, :, 0]) @ v
         return self.a_t @ (self.a @ v)

@@ -1,11 +1,10 @@
 """Measured counterparts of the quantities the generalization analysis uses.
 
-Task-pair gaps (max gradient / Hessian discrepancy over a probed ball),
-Lipschitz profiles of quadratic tasks, and the growth of the unrolled-loss
-gradient gap with the unroll horizon.  These are diagnostics: maxima are
-taken over finite probe sets with a stated radius, and the growth reference
-curve is shape-only (its absolute constants are not recoverable), so it is
-reported, never asserted.
+Task-pair gaps (max gradient / Hessian discrepancy over a probed ball) and
+the growth of the unrolled-loss gradient gap with the unroll horizon.  These
+are diagnostics: maxima are taken over finite probe sets with a stated
+radius, and the growth reference curve is shape-only (its absolute
+constants are not recoverable), so it is reported, never asserted.
 """
 
 from __future__ import annotations
@@ -35,13 +34,11 @@ from .unroll import meta_grad
 
 __all__ = [
     "GapReport",
-    "LipschitzProfile",
     "GrowthReport",
     "grad_lipschitz",
     "gradient_gap_at",
     "measure_gaps",
     "input_sensitivity",
-    "quadratic_lipschitz_profile",
     "gradient_gap_growth",
     "default_growth_report",
 ]
@@ -58,29 +55,13 @@ class GapReport:
 
 
 @dataclass
-class LipschitzProfile:
-    """Curvature summary of one quadratic task plus the update rule's gain.
-
-    `amplification` is 1 + input_sensitivity * grad_lipschitz: the per-step
-    factor by which task differences can compound through an unroll.
-    """
-
-    grad_lipschitz: float  # largest eigenvalue of A^T A
-    hess_lipschitz: float  # exactly 0 for quadratics
-    loss_lipschitz: float  # bound on ||grad|| over the stated ball
-    input_sensitivity: float  # probed Lipschitz constant of the update in its input
-    amplification: float
-    domain_radius: float
-
-
-@dataclass
 class GrowthReport:
     """Measured unrolled-gradient gap per horizon, with a shape reference."""
 
     horizons: list[int]
     mean_gaps: np.ndarray
     reference: np.ndarray  # scaled to match mean_gaps at the first horizon
-    pair_gaps: np.ndarray  # (n_pairs, len(horizons))
+    pair_gaps: np.ndarray  # (n_probes, len(horizons))
     nondecreasing_fraction: float
     amplification: float
     grad_gap: float
@@ -150,21 +131,15 @@ def measure_gaps(
     )
 
 
-def input_sensitivity(
-    params: ParamStack,
-    n_pairs: int = 256,
-    z_scale: float = 3.0,
-    rng: RngStream | None = None,
-) -> float:
+def input_sensitivity(params: ParamStack) -> float:
     """Probed Lipschitz constant of the one-step update in its feature input.
 
-    Probes a fresh-state single coordinate with Gaussian feature pairs; no
-    closed form exists for the recurrent cell, so this is an empirical
-    lower bound.
+    Probes a fresh-state single coordinate with 256 pairs of N(0, 3^2)
+    feature draws from a fixed stream; no closed form exists for the
+    recurrent cell, so this is an empirical lower bound.
     """
     params.check_single("input_sensitivity")
-    if rng is None:
-        rng = RngStream(0).child("input-sensitivity")
+    rng = RngStream(0).child("input-sensitivity")
     h = np.zeros((1, 1, params.hidden))
     c = np.zeros((1, 1, params.hidden))
 
@@ -174,33 +149,14 @@ def input_sensitivity(
         return float(predict_update(params, h2)[0, 0, 0])
 
     best = 0.0
-    for _ in range(n_pairs):
-        z1 = rng.gen.normal(scale=z_scale, size=FEATURE_DIM)
-        z2 = rng.gen.normal(scale=z_scale, size=FEATURE_DIM)
+    for _ in range(256):
+        z1 = rng.gen.normal(scale=3.0, size=FEATURE_DIM)
+        z2 = rng.gen.normal(scale=3.0, size=FEATURE_DIM)
         dz = np.linalg.norm(z1 - z2)
         if dz < 1e-12:
             continue
         best = max(best, abs(update_for(z1) - update_for(z2)) / dz)
     return best
-
-
-def quadratic_lipschitz_profile(
-    task: OptimizeeTask, domain_radius: float, params: ParamStack
-) -> LipschitzProfile:
-    """Curvature constants of a quadratic task over a ball of a given radius."""
-    if task.kind != QUADRATIC:
-        raise ValueError(f"lipschitz profile is defined for quadratic tasks, got {task.kind}")
-    grad_l = grad_lipschitz(task)
-    loss_l = grad_l * domain_radius + float(np.linalg.norm(task.a.T @ task.b))
-    m1 = input_sensitivity(params)
-    return LipschitzProfile(
-        grad_lipschitz=grad_l,
-        hess_lipschitz=0.0,
-        loss_lipschitz=loss_l,
-        input_sensitivity=m1,
-        amplification=1.0 + m1 * grad_l,
-        domain_radius=domain_radius,
-    )
 
 
 def gradient_gap_growth(
@@ -209,8 +165,6 @@ def gradient_gap_growth(
     horizons,
     n_probes: int,
     rng: RngStream,
-    gap_probe_radius: float | None = None,
-    gap_probes: int = 64,
 ) -> GrowthReport:
     """How the unrolled-loss gradient gap between two task sources grows with T.
 
@@ -218,7 +172,8 @@ def gradient_gap_growth(
     gap is the norm of the difference of the weight gradients of the two
     unrolled losses.  The reference curve T*Q^(T-1)*hess_gap + Q^(2T-1)*grad_gap
     is built from measured constants and scaled to the first measured point;
-    it conveys shape only.
+    it conveys shape only.  Each pair's gaps take 64 probes of the ball of
+    radius 2*sqrt(dim).
     """
     horizons = list(horizons)
     if not horizons:
@@ -228,8 +183,6 @@ def gradient_gap_growth(
     dist1, dist2 = dist_pair
     if dist1.dim != dist2.dim:
         raise ValueError("distributions must share a dimension")
-    if gap_probe_radius is None:
-        gap_probe_radius = 2.0 * math.sqrt(dist1.dim)
 
     m1 = input_sensitivity(params)
     pair_gaps = np.zeros((n_probes, len(horizons)))
@@ -245,9 +198,7 @@ def gradient_gap_growth(
             g1 = meta_grad(params, task1, theta0, t)
             g2 = meta_grad(params, task2, theta0, t)
             pair_gaps[p, j] = np.linalg.norm(g1 - g2)
-        gaps = measure_gaps(
-            task1, task2, gap_probe_radius, gap_probes, rng.child(f"gaps/{p}")
-        )
+        gaps = measure_gaps(task1, task2, 2.0 * math.sqrt(dist1.dim), 64, rng.child(f"gaps/{p}"))
         grad_gaps[p] = gaps.grad_gap
         hess_gaps[p] = gaps.hess_gap
         lmax = max(grad_lipschitz(task1), grad_lipschitz(task2))

@@ -19,8 +19,9 @@ for the callers (the one-trajectory functions raise it) to act on.
 `jacobian_recursive` is an intentionally separate implementation of the same
 derivative: it accumulates the dense trajectory Jacobian d(theta_T)/d(weights)
 forward in time via the step-to-step recursion, using the cell's analytic
-input- and parameter-Jacobians.  The two routes share no differentiation code,
-so agreement between them is a real check, not a tautology.
+input- and parameter-Jacobians.  The two routes share the task's Hessian
+product (`TaskStack.hvp`) but no code that differentiates the unroll, so
+agreement between them is a real check, not a tautology.
 """
 
 from __future__ import annotations
@@ -280,15 +281,15 @@ def unroll(
     task: OptimizeeTask,
     theta0: np.ndarray,
     horizon: int,
-    truncate_nonfinite: bool = False,
 ) -> UnrollResult:
     """Run `horizon` update steps from theta0 under frozen optimizer weights.
 
-    A non-finite loss raises, or with `truncate_nonfinite` ends the curve.
+    A non-finite loss raises; `unroll_stack(...).trajectory(0)` gives the
+    curve cut before it instead.
     """
     theta0 = task.check_theta(theta0)
     result = unroll_stack(params, TaskStack([task]), theta0[None], horizon)
-    if not truncate_nonfinite and (failure := result.failure()) is not None:
+    if (failure := result.failure()) is not None:
         raise failure
     return result.trajectory(0)
 
@@ -608,7 +609,7 @@ def jacobian_recursive(
 
     for _ in range(horizon):
         grad = task.grad(theta)
-        j_g = task.hessian_matmul(theta, j_theta)
+        j_g = task.hvp(theta, j_theta)
         update, h, c, m, v, cache = step(params, grad.reshape(1, d, 1), h, c, m, v)
         # drop the stack axis of one, which precedes (dim, columns) in every entry
         x, gates, gq, c_prev, tau = (a[..., 0, :, :] for a in cache)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -136,6 +137,38 @@ def test_hvp_is_symmetric_operator(rng):
         left = float(v @ t.hvp(theta, u))
         right = float(u @ t.hvp(theta, v))
         assert abs(left - right) <= 1e-10 * max(abs(left), 1.0)
+
+
+HVP_BLOCK_DISTS = {
+    "lasso": TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.05, sigma=1.0),
+    "quadratic": TaskDistribution(kind=NORMAL, family=QUADRATIC, dim=3, sigma=1.0),
+    "rosenbrock": TaskDistribution(kind=ROSENBROCK_INIT),
+}
+
+
+@pytest.mark.parametrize("family, want", [
+    # blake2b of the block product: the bytes of A^T (A m), or of the dense
+    # 2x2 banana Hessian times m, which `jacobian_recursive` is pinned to
+    ("lasso", "4c221aedcc0b00de"),
+    ("quadratic", "44fea19528fc296c"),
+    ("rosenbrock", "5bcbf4c7ba43e779"),
+])
+def test_hvp_on_a_column_block(family, want):
+    dist = HVP_BLOCK_DISTS[family]
+    rng = RngStream(31).child(family)
+    task = sample_task(dist, rng)
+    theta = sample_theta0(dist, rng)
+    block = rng.gen.normal(size=(dist.dim, 7))
+    got = task.hvp(theta, block)
+    assert got.shape == block.shape
+    assert hashlib.blake2b(got.tobytes(), digest_size=8).hexdigest() == want
+    # one product per block, one per column: the same values, not the same bits
+    cols = np.stack([task.hvp(theta, block[:, j]) for j in range(block.shape[1])], axis=1)
+    assert np.linalg.norm(got - cols) <= 1e-12 * np.linalg.norm(cols)
+    d = dist.dim
+    for bad in (np.zeros(d + 1), np.zeros((d + 1, 2)), np.zeros((d, 2, 1)), np.zeros(())):
+        with pytest.raises(ValueError, match="v has shape"):
+            task.hvp(theta, bad)
 
 
 @pytest.mark.parametrize("dist", [

@@ -7,11 +7,11 @@ from ml2o.numeric import RngStream
 from ml2o.tasks import NORMAL, QUADRATIC, OptimizeeTask, TaskDistribution
 from ml2o.theory import (
     default_growth_report,
+    grad_lipschitz,
     gradient_gap_at,
     gradient_gap_growth,
     input_sensitivity,
     measure_gaps,
-    quadratic_lipschitz_profile,
 )
 from ml2o.unroll import meta_grad
 
@@ -54,23 +54,11 @@ def test_measured_gap_below_spectral_bound(rng):
         assert report.grad_gap <= spectral * radius + offset + 1e-9
 
 
-def test_lipschitz_profile_identity_and_diagonal(rng):
-    params = random_params(4, rng)
+def test_grad_lipschitz_identity_and_diagonal():
     t_eye = OptimizeeTask(kind=QUADRATIC, dim=3, a=np.eye(3), b=np.zeros(3))
-    prof = quadratic_lipschitz_profile(t_eye, 2.0, params)
-    assert prof.grad_lipschitz == pytest.approx(1.0, rel=1e-10)
-    assert prof.hess_lipschitz == 0.0
+    assert grad_lipschitz(t_eye) == pytest.approx(1.0, rel=1e-10)
     t_diag = OptimizeeTask(kind=QUADRATIC, dim=2, a=np.diag([3.0, 1.0]), b=np.zeros(2))
-    prof = quadratic_lipschitz_profile(t_diag, 1.0, params)
-    assert prof.grad_lipschitz == pytest.approx(9.0, rel=1e-10)
-    assert prof.amplification == pytest.approx(1.0 + prof.input_sensitivity * 9.0)
-
-
-def test_lipschitz_profile_rejects_non_quadratic(rng):
-    params = random_params(4, rng)
-    t = OptimizeeTask(kind="rosenbrock", dim=2)
-    with pytest.raises(ValueError):
-        quadratic_lipschitz_profile(t, 1.0, params)
+    assert grad_lipschitz(t_diag) == pytest.approx(9.0, rel=1e-10)
 
 
 def test_input_sensitivity_positive_and_deterministic(rng):

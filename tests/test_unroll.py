@@ -65,7 +65,7 @@ def test_unroll_reports_divergence_step():
     with pytest.raises(UnrollDivergedError) as err:
         unroll(params, huge, theta0, 5)
     assert err.value.step >= 1
-    res = unroll(params, huge, theta0, 5, truncate_nonfinite=True)
+    res = unroll_stack(params, TaskStack([huge]), theta0[None], 5).trajectory(0)
     assert res.truncated_at == err.value.step
     assert res.losses.shape == (err.value.step,)
 
@@ -212,6 +212,24 @@ def test_jacobian_chain_rule_reproduces_meta_grad(rng):
         assert rel_error(chained, direct) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "family, want",
+    [("quadratic", "39a19368a47da0c5"), ("rosenbrock", "e9bdd9beaee14347")],
+)
+def test_jacobian_recursive_bytes_are_pinned(family, want):
+    # blake2b of the dense Jacobian; each step's input path runs through the
+    # task Hessian applied to the (dim, |weights|) Jacobian block, so a
+    # reordered Hessian product moves it
+    dist = STACK_DISTS[family]
+    rng = RngStream(59).child(family)
+    task = sample_task(dist, rng)
+    theta0 = sample_theta0(dist, rng)
+    params = random_params(4, rng.child("p"))
+    jac = jacobian_recursive(params, task, theta0, 6)
+    assert jac.shape == (dist.dim, params.layout.size)
+    assert hashlib.blake2b(jac.tobytes(), digest_size=8).hexdigest() == want
+
+
 def test_jacobian_guards_against_large_instances(rng):
     task = make_quadratic(rng, 10)
     params = random_params(20, rng)
@@ -290,7 +308,7 @@ def test_diverging_slices_run_on_and_report_what_aborting_raised(rng):
     grads = res.grads
     assert res.truncated_at == (None, 1, 0)
     # a truncated slice's final iterate is the one its first non-finite loss was taken at
-    cut = unroll(wild, tasks[1], theta0[1], 6, truncate_nonfinite=True)
+    cut = unroll_stack(wild, TaskStack(tasks[1:2]), theta0[1:2], 6).trajectory(0)
     assert cut.truncated_at == 1 and np.array_equal(res.theta_final[1], cut.theta_final)
     assert np.isnan(res.theta_final[2]).all()
     first = res.failure()
