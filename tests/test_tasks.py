@@ -297,6 +297,30 @@ def test_sample_theta0_contract(rng):
     assert abs(big.mean()) < 0.02
 
 
+DRAW_LAW_DISTS = [
+    TaskDistribution(kind=MIXTURE, family=LASSO, dim=6, lam=0.005),
+    TaskDistribution(kind=MIXTURE, family=QUADRATIC, dim=4),
+    TaskDistribution(kind=NORMAL, family=LASSO, dim=5, lam=0.01, sigma=100.0),
+    TaskDistribution(kind=NORMAL, family=QUADRATIC, dim=3, sigma=2.0),
+    TaskDistribution(kind=ROSENBROCK_INIT),
+]
+
+
+def test_draw_law_is_pinned():
+    # every method of a comparison sees these draws, so their bytes are the
+    # paired-draw contract: 7 (task, theta0) pairs per kind, interleaved on
+    # one stream as the trainers and the harness take them
+    h = hashlib.blake2b(digest_size=16)
+    for dist in DRAW_LAW_DISTS:
+        rng = RngStream(26).child(dist.label())
+        for _ in range(7):
+            task = sample_task(dist, rng)
+            theta0 = sample_theta0(dist, rng)
+            h.update(task.to_json().encode())
+            h.update(theta0.tobytes())
+    assert h.hexdigest() == "7bd4e310e2b49f415caddbc50ce2b54c"
+
+
 def test_task_json_round_trip_bit_exact(rng):
     dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=6, lam=0.005, sigma=2.0)
     t = sample_task(dist, rng)
