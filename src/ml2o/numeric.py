@@ -1,10 +1,12 @@
-"""Seeded, splittable random streams and the samplers built on them.
+"""Seeded, splittable random streams, array digests, finite differences and
+the numeric environment.
 
 Everything downstream (task sampling, parameter init, evaluation seeds)
 draws from :class:`RngStream`, a counter-based generator whose children
 are derived by hashing labels into fresh Philox keys.  Deriving a child
 never consumes draws from the parent, so the draw order of one module
-cannot perturb another.
+cannot perturb another.  The laws of the draws live with their users:
+`tasks.sample_task` holds the task law.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ __all__ = [
     "RngStream",
     "array_digest",
     "central_diff",
-    "gauss_sample",
     "numeric_environment",
-    "uniform_mixture_sample",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -61,38 +61,6 @@ class RngStream:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(key={self.key.hex()})"
-
-
-def gauss_sample(rng: RngStream, n: int, mean: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-    """Draw n i.i.d. N(mean, sigma^2) values from the stream."""
-    if n < 0:
-        raise ValueError(f"gauss_sample: n must be nonnegative, got {n}")
-    if sigma < 0:
-        raise ValueError(f"gauss_sample: sigma must be nonnegative, got {sigma}")
-    return rng.gen.normal(loc=mean, scale=sigma, size=n)
-
-
-def uniform_mixture_sample(
-    rng: RngStream, n: int, ranges: tuple[tuple[float, float], ...]
-) -> np.ndarray:
-    """Sample each entry by picking one (lo, hi) range uniformly, then U(lo, hi).
-
-    Draw order is fixed: n range indices first, then n uniforms.
-    """
-    if n < 0:
-        raise ValueError(f"uniform_mixture_sample: n must be nonnegative, got {n}")
-    if len(ranges) == 0:
-        raise ValueError("uniform_mixture_sample: empty range list")
-    lows = np.array([r[0] for r in ranges], dtype=np.float64)
-    highs = np.array([r[1] for r in ranges], dtype=np.float64)
-    if np.any(lows >= highs):
-        bad = int(np.argmax(lows >= highs))
-        raise ValueError(
-            f"uniform_mixture_sample: range {ranges[bad]} has lo >= hi"
-        )
-    idx = rng.gen.integers(0, len(ranges), size=n)
-    u = rng.gen.random(n)
-    return lows[idx] + u * (highs[idx] - lows[idx])
 
 
 def array_digest(*arrays) -> str:

@@ -6,8 +6,9 @@ Three task families are supported:
 * ``quadratic``: 0.5 * ||A x - b||^2
 * ``rosenbrock``: (x - 1)^2 + 100 * (y - x^2)^2, always 2-dimensional
 
-A task instance is a frozen snapshot of its coefficients, so runs can be
-replayed exactly from the JSON serialization.
+A task instance is a frozen snapshot of its coefficients; `to_json` writes
+them out exactly, and `digest` hashes that text to check paired draws.
+`sample_task` is the one place that states how tasks are drawn.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import RngStream, gauss_sample, uniform_mixture_sample
+from .numeric import RngStream
 
 __all__ = [
     "LASSO",
@@ -88,10 +89,10 @@ class OptimizeeTask:
         return theta
 
     def loss_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """Loss and (sub)gradient at theta; see `TaskStack.loss_grad`."""
-        theta = self.check_theta(theta)
-        loss, grad = TaskStack([self]).loss_grad(theta.reshape(1, -1, 1))
-        return float(loss[0]), grad.reshape(-1)
+        """Loss and (sub)gradient at theta, as a one-task `TaskStack` computes them."""
+        col = self.check_theta(theta).reshape(1, -1, 1)
+        stack = TaskStack([self])
+        return float(stack.losses(col[None])[0, 0]), stack.grad(col).reshape(-1)
 
     def loss(self, theta: np.ndarray) -> float:
         return self.loss_grad(theta)[0]
@@ -121,21 +122,6 @@ class OptimizeeTask:
             "provenance": self.provenance,
         }
         return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OptimizeeTask":
-        doc = json.loads(text)
-        dim = int(doc["dim"])
-        a = None if doc["a"] is None else np.array(doc["a"], dtype=np.float64).reshape(dim, dim)
-        b = None if doc["b"] is None else np.array(doc["b"], dtype=np.float64)
-        return cls(
-            kind=doc["kind"],
-            dim=dim,
-            a=a,
-            b=b,
-            lam=float(doc["lam"]),
-            provenance=doc.get("provenance", ""),
-        )
 
     def digest(self) -> str:
         """Stable content hash, used to assert paired draws across methods."""
@@ -188,10 +174,6 @@ class TaskStack:
     def take(self, index) -> "TaskStack":
         """The slices `index` picks, in its order, as a stack of their own."""
         return TaskStack([self.tasks[i] for i in np.arange(self.size)[index]])
-
-    def loss_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Losses (B,) and (sub)gradient columns at iterate columns theta (B, dim, 1)."""
-        return self.losses(theta[None])[0], self.grad(theta)
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         """(Sub)gradient columns (B, dim, 1) at theta (B, dim, 1); sign(0) = 0 for the l1 term."""
@@ -284,16 +266,25 @@ class TaskDistribution:
 
 
 def sample_task(dist: TaskDistribution, rng: RngStream) -> OptimizeeTask:
-    """Draw one task. Order of draws: all of A (row-major), then all of b."""
+    """Draw one task. Order of draws: all of A (row-major), then all of b.
+
+    Under ``mixture`` A's d*d entries draw their range indices first, then
+    d*d uniforms u, and entry k is lo + u_k * (hi - lo) of its range in
+    TRAIN_MIXTURE_RANGES; under ``normal`` they are N(0, sigma^2).  b is
+    N(0, 1).  The rosenbrock task draws nothing.
+    """
     if dist.kind == ROSENBROCK_INIT:
         return OptimizeeTask(kind=ROSENBROCK, dim=2, provenance="rosenbrock")
     d = dist.dim
     if dist.kind == MIXTURE:
-        entries = uniform_mixture_sample(rng, d * d, TRAIN_MIXTURE_RANGES)
+        lows, highs = np.array(TRAIN_MIXTURE_RANGES).T
+        idx = rng.gen.integers(0, len(TRAIN_MIXTURE_RANGES), size=d * d)
+        u = rng.gen.random(d * d)
+        entries = lows[idx] + u * (highs[idx] - lows[idx])
     else:
-        entries = gauss_sample(rng, d * d, 0.0, dist.sigma)
+        entries = rng.gen.normal(0.0, dist.sigma, d * d)
     a = entries.reshape(d, d)
-    b = gauss_sample(rng, d, 0.0, 1.0)
+    b = rng.gen.normal(0.0, 1.0, d)
     lam = dist.lam if dist.family == LASSO else 0.0
     return OptimizeeTask(
         kind=dist.family, dim=d, a=a, b=b, lam=lam, provenance=dist.label()
@@ -319,4 +310,4 @@ def unread_fields(kind: str, family: str) -> dict[str, str]:
 
 def sample_theta0(dist: TaskDistribution, rng: RngStream) -> np.ndarray:
     """Standard-normal initial iterate of the distribution's dimension."""
-    return gauss_sample(rng, dist.dim, 0.0, 1.0)
+    return rng.gen.normal(0.0, 1.0, dist.dim)

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import make_quadratic, rel_error
 from ml2o.cell import ParamStack, random_params, save_checkpoint
-from ml2o.cli import EXIT_OK, main
+from ml2o.cli import _WORST_CASE_SUITES, EXIT_OK, main
 from ml2o.config import load_config
 from ml2o.harness import (
     DT,
@@ -35,11 +35,9 @@ from ml2o.train import train_ml2o, train_plain_l2o
 from ml2o.unroll import (
     FD_HVP_META,
     FIRST_ORDER_META,
-    jacobian_recursive,
     maml_grad,
     maml_objective,
     meta_grad,
-    unroll,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -54,39 +52,29 @@ def cache(tmp_path_factory):
     return TrainingCache(str(tmp_path_factory.mktemp("train-cache")))
 
 
-def test_criterion_1_gradient_matches_finite_differences():
-    rng = RngStream(1001)
+def worst_case_error(suite: str, rng: RngStream) -> tuple[float, float]:
+    """`verify --suite <suite>`'s worst error over 20 quadratic cases drawn from `rng`, and its tolerance."""
+    (d, horizon, hidden), tol, error_of = _WORST_CASE_SUITES[suite]
     worst = 0.0
     for i in range(20):
-        task = make_quadratic(rng, 3)
-        params = random_params(4, rng.child(f"p/{i}"))
-        theta0 = rng.gen.normal(size=3)
-        g = meta_grad(params, task, theta0, 5)
-        fd = central_diff(
-            lambda f: unroll(ParamStack(f, params.hidden), task, theta0, 5).final_loss,
-            params.flat,
-            1e-5,
-        )
-        worst = max(worst, rel_error(g, fd))
-    ok = worst <= 1e-4
-    report(1, ok, f"reverse-mode vs central differences, max rel err {worst:.3e} (tol 1e-4)")
+        task = make_quadratic(rng, d)
+        params = random_params(hidden, rng.child(f"p/{i}"))
+        theta0 = rng.gen.normal(size=d)
+        worst = max(worst, error_of(params, task, theta0, horizon))
+    return worst, tol
+
+
+def test_criterion_1_gradient_matches_finite_differences():
+    worst, tol = worst_case_error("grad", RngStream(1001))
+    ok = worst <= tol
+    report(1, ok, f"reverse-mode vs central differences, max rel err {worst:.3e} (tol {tol:g})")
     assert ok
 
 
 def test_criterion_2_jacobian_recursion_equals_reverse_mode():
-    rng = RngStream(1002)
-    worst = 0.0
-    for i in range(20):
-        task = make_quadratic(rng, 2)
-        params = random_params(3, rng.child(f"p/{i}"))
-        theta0 = rng.gen.normal(size=2)
-        jac = jacobian_recursive(params, task, theta0, 3)
-        res = unroll(params, task, theta0, 3)
-        chained = jac.T @ task.grad(res.theta_final)
-        direct = meta_grad(params, task, theta0, 3)
-        worst = max(worst, rel_error(chained, direct))
-    ok = worst <= 1e-8
-    report(2, ok, f"forward recursion vs reverse mode, max rel err {worst:.3e} (tol 1e-8)")
+    worst, tol = worst_case_error("jacobian", RngStream(1002))
+    ok = worst <= tol
+    report(2, ok, f"forward recursion vs reverse mode, max rel err {worst:.3e} (tol {tol:g})")
     assert ok
 
 

@@ -4,12 +4,11 @@ import pytest
 from conftest import make_quadratic
 from ml2o.cell import init_params, random_params
 from ml2o.numeric import RngStream
-from ml2o.tasks import NORMAL, QUADRATIC, OptimizeeTask, TaskDistribution
+from ml2o.tasks import QUADRATIC, OptimizeeTask
 from ml2o.theory import (
     default_growth_report,
     grad_lipschitz,
     gradient_gap_at,
-    gradient_gap_growth,
     input_sensitivity,
     measure_gaps,
 )
@@ -89,12 +88,3 @@ def test_growth_report_shapes_and_monotone_fraction():
     assert report.nondecreasing_fraction >= 0.9
     # reference is anchored at the first measured point
     assert report.reference[0] == pytest.approx(report.mean_gaps[0])
-
-
-def test_growth_rejects_bad_horizons(rng):
-    params = random_params(4, rng)
-    d1 = TaskDistribution(kind=NORMAL, family=QUADRATIC, dim=3, sigma=1.0)
-    with pytest.raises(ValueError):
-        gradient_gap_growth(params, (d1, d1), [], 2, rng)
-    with pytest.raises(ValueError):
-        gradient_gap_growth(params, (d1, d1), [3, 2], 2, rng)
