@@ -6,6 +6,23 @@ import pytest
 
 from conftest import child_env
 from ml2o.numeric import RngStream, central_diff, numeric_environment
+from ml2o.tasks import LASSO, MIXTURE, QUADRATIC, TaskDistribution, sample_task, sample_theta0
+
+
+def test_gauss_moments():
+    # theta0 and b are the standard-normal draws of the package
+    draws = sample_theta0(TaskDistribution(kind=MIXTURE, dim=100_000), RngStream(7).child("moments"))
+    assert abs(draws.mean()) < 0.02
+    assert abs(draws.std() - 1.0) < 0.02
+    b = sample_task(TaskDistribution(kind=MIXTURE, family=QUADRATIC, dim=2000), RngStream(7).child("b")).b
+    assert abs(b.mean()) < 0.1 and abs(b.std() - 1.0) < 0.1
+
+
+def test_mixture_training_ranges_stay_in_unit_interval(rng):
+    # 100 x 100 = 10_000 mixture entries of A
+    a = sample_task(TaskDistribution(kind=MIXTURE, family=LASSO, dim=100, lam=0.005), rng).a
+    assert a.size == 10_000
+    assert np.all(a >= 0.0) and np.all(a < 1.0)
 
 
 def test_child_streams_are_label_stable_and_order_independent():
