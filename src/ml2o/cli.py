@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -191,33 +192,50 @@ _WORST_CASE_SUITES = {
 }
 
 
-def _verify_worst_case(cfg: ExperimentConfig, out_dir: str, suite: str) -> int:
-    """Run 20 random quadratic cases; fail if the worst error exceeds the tolerance.
+def _is_worse(err: float, than: float) -> bool:
+    """Whether error `err` is worse than `than`: larger, with NaN worse than any number."""
+    return not math.isnan(than) and (math.isnan(err) or err > than)
 
-    On failure the worst case is written to worst_case.json so it can be replayed.
+
+def _worst_case(suite: str, rng: RngStream, label: str) -> tuple[float, tuple]:
+    """The worst error of `suite` over 20 random quadratic cases from `rng`, and its case.
+
+    Case i draws its weights from `rng.child(f"{label}/{i}")`; the case is
+    (task, theta0, params).  A NaN error counts as the worst, so that it
+    fails the suite.
     """
-    (d, horizon, hidden), tol, error_of = _WORST_CASE_SUITES[suite]
-    rng = RngStream(cfg.meta.seed).child(f"verify-{suite}")
-    worst = (0.0, None)
+    (d, horizon, hidden), _, error_of = _WORST_CASE_SUITES[suite]
+    worst, case = -math.inf, None
     for i in range(20):
         a = rng.gen.normal(size=(d, d))
         b = rng.gen.normal(size=d)
         task = OptimizeeTask(kind=QUADRATIC, dim=d, a=a, b=b)
-        params = random_params(hidden, rng.child(f"params/{i}"))
+        params = random_params(hidden, rng.child(f"{label}/{i}"))
         theta0 = rng.gen.normal(size=d)
         rel = error_of(params, task, theta0, horizon)
-        if rel > worst[0]:
-            worst = (rel, (task, theta0, params))
-    ok = worst[0] <= tol
-    print(f"{'PASS' if ok else 'FAIL'} {suite}: max rel error {worst[0]:.3e} (tol {tol:g})")
+        if _is_worse(rel, worst):
+            worst, case = rel, (task, theta0, params)
+    return worst, case
+
+
+def _verify_worst_case(cfg: ExperimentConfig, out_dir: str, suite: str) -> int:
+    """Fail if the worst error over the suite's cases exceeds its tolerance.
+
+    On failure the worst case is written to worst_case.json so it can be replayed.
+    """
+    (_, horizon, _), tol, _ = _WORST_CASE_SUITES[suite]
+    rel, (task, theta0, params) = _worst_case(
+        suite, RngStream(cfg.meta.seed).child(f"verify-{suite}"), "params"
+    )
+    ok = rel <= tol
+    print(f"{'PASS' if ok else 'FAIL'} {suite}: max rel error {rel:.3e} (tol {tol:g})")
     if ok:
         return EXIT_OK
-    task, theta0, params = worst[1]
     write_json(
         os.path.join(out_dir, "worst_case.json"),
         {
             "suite": suite,
-            "rel_error": worst[0],
+            "rel_error": rel,
             "task": json.loads(task.to_json()),
             "theta0": theta0.tolist(),
             "params_flat": params.flat[0].tolist(),

@@ -50,9 +50,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "sgd_mu": ("1.0", "float"),
         "grad_mode": ("fd_hvp_meta", "str"),
         "fd_epsilon": ("", "optfloat"),
-        "tasks_per_update": ("1", "int"),
-        "curriculum": ("fixed", "str"),
-        "curriculum_threshold": ("0.05", "float"),
     },
     "train": {
         "family": ("lasso", "str"),

@@ -8,13 +8,14 @@ The plain trainer, which follows the gradient of the unrolled loss itself,
 is that trainer at alpha 0, bit for bit in every gradient mode; the tests
 pin this down.
 
-Within a block of `S` epochs the optimizee iterate continues where the last
-epoch's unroll ended; at block boundaries a fresh task and a fresh random
-iterate are drawn.
+Each epoch unrolls one task per run, the protocol of Andrychowicz et al.
+2016.  Epoch k begins a block when k is a multiple of `epochs_per_task`:
+every run draws a fresh task and a fresh random iterate.  Within a block the
+optimizee iterate continues where the last epoch's unroll ended.
 
 Runs of both trainers and several seeds train in lockstep
 (`train_lockstep`): each epoch is one `maml_parts_stack` call over every
-run's unrolls, and each run's result is bit-identical to training it alone.
+run's unroll, and each run's result is bit-identical to training it alone.
 Likewise `adapt_groups` adapts the starting weights of several groups, each
 group on its own draws, in row-bounded lockstep stacks.
 """
@@ -61,8 +62,6 @@ __all__ = [
 
 ADAM = "adam"
 SGD_SCHEDULE = "sgd_schedule"
-CURRICULUM_FIXED = "fixed"
-CURRICULUM_DOUBLING = "doubling"
 
 
 class DivergenceError(RuntimeError):
@@ -99,9 +98,6 @@ class MetaConfig:
     adapt_steps: int = 5
     grad_mode: str = FD_HVP_META
     fd_epsilon: float | None = None
-    tasks_per_update: int = 1
-    curriculum: str = CURRICULUM_FIXED
-    curriculum_threshold: float = 0.05
 
     def __post_init__(self):
         if self.hidden < 1:
@@ -112,10 +108,6 @@ class MetaConfig:
             value = getattr(self, name)  # fd_epsilon None: a step scaled to the weights
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not math.isfinite(self.curriculum_threshold):
-            raise ValueError(
-                f"curriculum_threshold must be finite, got {self.curriculum_threshold}"
-            )
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.epochs_per_task < 1:
@@ -126,28 +118,21 @@ class MetaConfig:
             raise ValueError(f"unroll_len must be >= 1, got {self.unroll_len}")
         if self.adapt_steps < 0:
             raise ValueError(f"adapt_steps must be >= 0, got {self.adapt_steps}")
-        if self.tasks_per_update < 1:
-            raise ValueError(
-                f"tasks_per_update must be >= 1, got {self.tasks_per_update}"
-            )
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(
                 f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}"
             )
         if self.outer_rule not in (ADAM, SGD_SCHEDULE):
             raise ValueError(f"unknown outer rule {self.outer_rule!r}")
-        if self.curriculum not in (CURRICULUM_FIXED, CURRICULUM_DOUBLING):
-            raise ValueError(f"unknown curriculum {self.curriculum!r}")
 
 
 @dataclass
 class TrainLog:
-    """One row per epoch plus block bookkeeping."""
+    """One row per epoch; epoch k is on the run's task k // epochs_per_task."""
 
     meta_losses: list[float] = field(default_factory=list)
     task_ids: list[int] = field(default_factory=list)
     wall_ms: list[float] = field(default_factory=list)
-    task_switch_epochs: list[int] = field(default_factory=list)
     theta0_digests: list[str] = field(default_factory=list)
     theta_final_digests: list[str] = field(default_factory=list)
 
@@ -219,59 +204,20 @@ def _make_outer(cfg: MetaConfig, shape):
 
 
 class _Run:
-    """One run's draws and block bookkeeping inside a lockstep training run."""
+    """One run's random streams and log inside a lockstep training run.
 
-    def __init__(self, cfg: MetaConfig, dist: TaskDistribution):
+    Its current task and iterate are its rows of the stacks that
+    `train_lockstep` builds.  The former fields `block_len`,
+    `block_first_loss`, `last_loss` and `block_id` served only the doubling
+    curriculum and several tasks per update, both removed.
+    """
+
+    def __init__(self, cfg: MetaConfig):
         rng = RngStream(cfg.seed)
-        self.cfg = cfg
-        self.dist = dist
         self.params = init_params(cfg.hidden, rng.child("optimizer-init"))
         self.task_rng = rng.child("train-tasks")
         self.theta_rng = rng.child("train-theta0")
         self.log = TrainLog()
-        self.block_len = cfg.epochs_per_task
-        self.epochs_in_block = self.block_len  # force a draw at epoch 0
-        self.block_id = -1
-        self.block_first_loss = None
-        self.last_loss = None
-        self.tasks = []
-        self.theta0s = []
-
-    def begin_epoch(self, k: int) -> bool:
-        """Draw a fresh block of tasks when the current one is used up; True if it did."""
-        cfg = self.cfg
-        drew = self.epochs_in_block >= self.block_len
-        if drew:
-            if (
-                cfg.curriculum == CURRICULUM_DOUBLING
-                and self.block_first_loss is not None
-                and self.last_loss is not None
-            ):
-                gain = (self.block_first_loss - self.last_loss) / max(
-                    abs(self.block_first_loss), 1e-12
-                )
-                if gain < cfg.curriculum_threshold:
-                    self.block_len *= 2
-            n = cfg.tasks_per_update
-            self.tasks = [sample_task(self.dist, self.task_rng) for _ in range(n)]
-            self.theta0s = [sample_theta0(self.dist, self.theta_rng) for _ in range(n)]
-            self.epochs_in_block = 0
-            self.block_id += 1
-            self.block_first_loss = None
-            self.log.task_switch_epochs.append(k)
-        self.log.theta0_digests.append(array_digest(*self.theta0s))
-        return drew
-
-    def end_epoch(self, loss: float, theta_finals: list[np.ndarray]) -> None:
-        """Continue the block from where this epoch's unrolls ended."""
-        self.theta0s = theta_finals
-        self.epochs_in_block += 1
-        if self.block_first_loss is None:
-            self.block_first_loss = loss
-        self.last_loss = loss
-        self.log.meta_losses.append(loss)
-        self.log.task_ids.append(self.block_id)
-        self.log.theta_final_digests.append(array_digest(*theta_finals))
 
 
 def train_lockstep(
@@ -281,25 +227,23 @@ def train_lockstep(
 
     Returns (weights, log) per run, the weights a stack of one.  The configs
     may differ only in their seed; the flag picks the meta-adaptive or the
-    plain trainer.  Every epoch is one `maml_parts_stack` call over all runs'
-    `tasks_per_update` unrolls, with the inner step `alpha` on the
-    meta-adaptive slices and 0 on the plain ones: the plain trainer is the
-    meta-adaptive one at alpha 0.  Each run keeps its own random streams,
-    blocks, curriculum and outer-rule row, so its result is bit-identical to
-    training it alone.  Raises `DivergenceError`, naming the trainer and the
-    seed, for the first run that diverges.
+    plain trainer.  Every epoch is one `maml_parts_stack` call whose slice r
+    is run r's unroll, with the inner step `alpha` on the meta-adaptive
+    slices and 0 on the plain ones: the plain trainer is the meta-adaptive
+    one at alpha 0.  Every run begins a block on the same epochs but keeps
+    its own random streams and outer-rule row, so its result is
+    bit-identical to training it alone.  Raises `DivergenceError`, naming
+    the trainer and the seed, for the first run that diverges.
     """
     if not runs:
         return []
     cfg = runs[0][0]
     if any(replace(c, seed=cfg.seed) != cfg for c, _ in runs):
         raise ValueError("lockstep training needs configs that differ only in seed")
-    states = [_Run(c, dist) for c, _ in runs]
-    n_tasks = cfg.tasks_per_update
-    flats = np.concatenate([r.params.flat for r in states])  # one row per run
+    states = [_Run(c) for c, _ in runs]
+    flats = np.concatenate([run.params.flat for run in states])  # one row per run
     outer = _make_outer(cfg, flats.shape)
-    # slice r * n_tasks + j is run r on its task j
-    alpha = np.repeat([cfg.alpha if meta else 0.0 for _, meta in runs], n_tasks)
+    alpha = np.array([cfg.alpha if meta else 0.0 for _, meta in runs])
 
     def weights(r: int) -> ParamStack:
         return ParamStack(flats[r : r + 1], cfg.hidden)
@@ -311,27 +255,16 @@ def train_lockstep(
 
     for k in range(cfg.epochs):
         t_start = time.perf_counter()
-        # every run begins its epoch; the stack changes only when one drew a block
-        if any([run.begin_epoch(k) for run in states]):
-            tasks = TaskStack([t for run in states for t in run.tasks])
-        params = ParamStack(np.repeat(flats, n_tasks, axis=0), cfg.hidden)
-        theta0 = np.stack([th for run in states for th in run.theta0s])
+        if k % cfg.epochs_per_task == 0:  # a block begins: fresh tasks and iterates
+            tasks = TaskStack([sample_task(dist, run.task_rng) for run in states])
+            theta0 = np.stack([sample_theta0(dist, run.theta_rng) for run in states])
         try:
-            g, res0, values = maml_parts_stack(
-                params, tasks, theta0, cfg.unroll_len, alpha,
+            grads, res0, losses = maml_parts_stack(
+                ParamStack(flats, cfg.hidden), tasks, theta0, cfg.unroll_len, alpha,
                 meta_mode(cfg.grad_mode), cfg.fd_epsilon, inner_mode(cfg.grad_mode),
             )
         except (UnrollDivergedError, NonFiniteGradientError) as exc:
-            raise diverged(k, exc.index // n_tasks, str(exc)) from exc
-
-        # sum each run's tasks in task order, as a loop over them would
-        grads = np.zeros_like(flats)
-        loss_sum = np.zeros(len(runs))
-        for j in range(n_tasks):
-            grads += g[j::n_tasks]
-            loss_sum += values[j::n_tasks]
-        grads /= n_tasks
-        losses = loss_sum / n_tasks
+            raise diverged(k, exc.index, str(exc)) from exc
         if (bad := np.flatnonzero(~np.isfinite(losses))).size:
             r = int(bad[0])
             raise diverged(k, r, f"meta-loss {float(losses[r])!r}")
@@ -345,11 +278,20 @@ def train_lockstep(
 
         wall_ms = (time.perf_counter() - t_start) * 1e3
         for r, run in enumerate(states):
-            finals = list(res0.theta_final[r * n_tasks : (r + 1) * n_tasks])
-            run.end_epoch(float(losses[r]), finals)
+            run.log.meta_losses.append(float(losses[r]))
+            run.log.task_ids.append(k // cfg.epochs_per_task)
             run.log.wall_ms.append(wall_ms)
+            run.log.theta0_digests.append(array_digest(theta0[r]))
+            run.log.theta_final_digests.append(array_digest(res0.theta_final[r]))
+        theta0 = res0.theta_final  # the block continues where these unrolls ended
 
     return [(weights(r), run.log) for r, run in enumerate(states)]
+
+
+# fields that left MetaConfig, at the one value each could have had
+_FORMER_FIELDS = dict(
+    feature_dim=2, tasks_per_update=1, curriculum="fixed", curriculum_threshold=0.05
+)
 
 
 def training_fields(cfg: MetaConfig, meta_adaptive: bool) -> dict:
@@ -359,10 +301,12 @@ def training_fields(cfg: MetaConfig, meta_adaptive: bool) -> dict:
     trajectory mode unless it is the default, else the meta mode (plain reads
     none).  Plain drops `alpha`; `fd_epsilon` stays only where the
     finite-difference pair runs.  `adapt_steps` stays although no trainer
-    reads it, since dropping it moves every key.
+    reads it, since dropping it moves every key.  The former fields
+    `feature_dim`, `tasks_per_update`, `curriculum` and
+    `curriculum_threshold` are hashed at the one value each had, so that
+    existing keys stay valid.
     """
-    # feature_dim: a former field, hashed still so that existing keys stay valid
-    fields = dict(vars(cfg), feature_dim=2)
+    fields = dict(vars(cfg), **_FORMER_FIELDS)
     inner = inner_mode(cfg.grad_mode)
     meta = meta_mode(cfg.grad_mode) if meta_adaptive else FD_HVP_META
     fields["grad_mode"] = inner if inner != FULL_SECOND_ORDER else meta

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import make_quadratic, rel_error
 from ml2o.cell import ParamStack, random_params, save_checkpoint
-from ml2o.cli import _WORST_CASE_SUITES, EXIT_OK, main
+from ml2o.cli import _WORST_CASE_SUITES, EXIT_OK, _is_worse, _worst_case, main
 from ml2o.config import load_config
 from ml2o.harness import (
     DT,
@@ -54,14 +54,8 @@ def cache(tmp_path_factory):
 
 def worst_case_error(suite: str, rng: RngStream) -> tuple[float, float]:
     """`verify --suite <suite>`'s worst error over 20 quadratic cases drawn from `rng`, and its tolerance."""
-    (d, horizon, hidden), tol, error_of = _WORST_CASE_SUITES[suite]
-    worst = 0.0
-    for i in range(20):
-        task = make_quadratic(rng, d)
-        params = random_params(hidden, rng.child(f"p/{i}"))
-        theta0 = rng.gen.normal(size=d)
-        worst = max(worst, error_of(params, task, theta0, horizon))
-    return worst, tol
+    worst, _ = _worst_case(suite, rng, "p")
+    return worst, _WORST_CASE_SUITES[suite][1]
 
 
 def test_criterion_1_gradient_matches_finite_differences():
@@ -92,7 +86,8 @@ def test_criterion_3_meta_gradient_correctness():
             params.flat,
             1e-5,
         )
-        worst = max(worst, rel_error(g, fd))
+        if _is_worse(err := rel_error(g, fd), worst):
+            worst = err
     task = make_quadratic(rng, 3)
     params = random_params(4, rng.child("z"))
     theta0 = rng.gen.normal(size=3)

@@ -1,11 +1,14 @@
 import gc
 import hashlib
 import json
+import math
 import os
+import re
 import struct
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from ml2o.cell import (
 )
 from ml2o import cli, harness
 from ml2o.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
-from ml2o.config import ConfigError, load_config
+from ml2o.config import _SCHEMA, ConfigError, load_config
 from ml2o.harness import TrainingCache
 from ml2o.numeric import RngStream, numeric_environment
 from ml2o.tasks import NORMAL, QUADRATIC, ROSENBROCK_INIT, TaskDistribution
@@ -130,16 +133,37 @@ def test_config_rejects_bad_value(tmp_path):
         load_config(str(path))
 
 
-def test_config_rejects_other_feature_dim(tmp_path, capsys):
-    path = tmp_path / "f3.ini"
-    path.write_text(TINY.replace("hidden = 4", "hidden = 4\nfeature_dim = 3"))
-    with pytest.raises(ConfigError, match="unknown key 'feature_dim' in section \\[meta\\]"):
+@pytest.mark.parametrize(
+    "line",
+    # former [meta] keys, each refused even at the one value it could take
+    ["feature_dim = 3", "tasks_per_update = 1", "curriculum = fixed", "curriculum_threshold = 0.05"],
+    ids=lambda line: line.split()[0],
+)
+def test_config_rejects_former_meta_keys(tmp_path, capsys, line):
+    path = tmp_path / "former.ini"
+    path.write_text(TINY.replace("hidden = 4", f"hidden = 4\n{line}"))
+    message = f"unknown key '{line.split()[0]}' in section [meta]"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(str(path))
     out = tmp_path / "o"
     rc = main(["compare", "--config", str(path), "--out", str(out)])
     assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
     assert not out.exists()
+
+
+def test_readme_lists_every_config_key():
+    # the README's configuration table names exactly the schema's keys, section by section
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = {}
+    for section, cell in re.findall(r"^\| `\[(\w+)\]` ?\|(.*)\|\s*$", readme, re.M):
+        cell = re.sub(r"\([^)]*\)", "", cell)  # defaults and choices
+        keys = set(re.findall(r"`(\w+)`", cell))
+        if "same distribution keys" in cell:
+            keys |= listed["train"]
+        listed[section] = keys
+    assert listed == {section: set(keys) for section, keys in _SCHEMA.items()}
 
 
 def test_cache_keys_are_pinned(tiny_config):
@@ -506,6 +530,26 @@ def test_verify_failure_exits_4_and_dumps_worst_case(tiny_config, tmp_path, caps
     assert len(doc["theta0"]) == doc["task"]["dim"]
 
 
+def test_verify_fails_closed_on_a_nan_error(tiny_config, tmp_path, capsys, monkeypatch):
+    # a NaN error among finite ones is the worst case, not one to pass over
+    shape, tol, error_of = cli._WORST_CASE_SUITES["grad"]
+    cases = []
+
+    def nan_in_case_3(params, task, theta0, horizon):
+        cases.append(theta0)
+        return math.nan if len(cases) == 4 else error_of(params, task, theta0, horizon)
+
+    monkeypatch.setitem(cli._WORST_CASE_SUITES, "grad", (shape, tol, nan_in_case_3))
+    out = tmp_path / "grad"
+    rc = main(["verify", "--config", tiny_config, "--suite", "grad", "--out", str(out)])
+    assert rc == EXIT_VERIFY
+    assert "FAIL grad: max rel error nan" in capsys.readouterr().out
+    assert len(cases) == 20
+    doc = json.loads((out / "worst_case.json").read_text())
+    assert doc["rel_error"] is None
+    assert doc["theta0"] == cases[3].tolist()
+
+
 def test_verify_gaps_identical_distributions_zero(tiny_config, tmp_path):
     # the tiny config's adaptation and test sources coincide, so the probed
     # tasks are the identical draw and both gaps vanish exactly
@@ -732,8 +776,6 @@ def test_jobs_zero_counts_the_cores_this_process_may_use(monkeypatch):
                      id="fd_epsilon=0"),
         pytest.param("alpha = 1e-4", "alpha = nan", "alpha must be finite and >= 0",
                      id="meta-alpha=nan"),
-        pytest.param("[meta]\n", "[meta]\ncurriculum_threshold = nan\n",
-                     "curriculum_threshold must be finite", id="curriculum_threshold=nan"),
         pytest.param("alpha = 1e-6", "alpha = -1", "adaptation step must be finite and >= 0",
                      id="adapt-alpha=-1"),
         pytest.param("alpha = 1e-6", "alpha = nan", "adaptation step must be finite and >= 0",

@@ -105,7 +105,7 @@ def config_mutants(rnd: random.Random, n: int):
     junk_values = ["abc", "1.5", "", "nan", "-1", "0", "1e400", "true", "10,x", "é"]
     junk_lines = [
         "[DEFAULT]", "[bogus]", "bogus = 1", "[meta]", "seed", "= 3", "  indented = 1",
-        "feature_dim = 3", "hidden = 0", "%(seed)s = 1", "[]", "[meta",
+        "feature_dim = 3", "curriculum = doubling", "hidden = 0", "%(seed)s = 1", "[]", "[meta",
     ]
     for _ in range(n):
         mutant = list(lines)

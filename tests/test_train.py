@@ -78,7 +78,7 @@ def test_detached_input_reaches_every_ml2o_pass():
 
 
 def test_detached_input_runs_both_trainers_in_one_first_pass(monkeypatch):
-    cfg = tiny_cfg(epochs=3, tasks_per_update=2, grad_mode=DETACHED_INPUT)
+    cfg = tiny_cfg(epochs=3, grad_mode=DETACHED_INPUT)
     sizes = []
     real = unroll.meta_grad_stack
 
@@ -90,33 +90,24 @@ def test_detached_input_runs_both_trainers_in_one_first_pass(monkeypatch):
     train_lockstep([(cfg, True), (cfg, False)], TRAIN_DIST)
     # as in the default mode: the first pass over both trainers' slices, then
     # ml2o's stepped pass and its finite-difference pair
-    n = cfg.tasks_per_update
-    assert sizes == [2 * n, n, 2 * n] * cfg.epochs
+    assert sizes == [2, 1, 2] * cfg.epochs
 
 
 def test_block_continuation_is_bit_exact():
     cfg = tiny_cfg()
     _, log = train_plain_l2o(cfg, TRAIN_DIST)
-    assert log.task_switch_epochs == [0, 4, 8]
     for k in range(1, cfg.epochs):
-        if k not in log.task_switch_epochs:
+        if k % cfg.epochs_per_task:
             assert log.theta0_digests[k] == log.theta_final_digests[k - 1]
         else:
             assert log.theta0_digests[k] != log.theta_final_digests[k - 1]
 
 
-def test_doubling_curriculum_extends_blocks():
-    # threshold above any attainable gain, so every block doubles the length
-    cfg = tiny_cfg(epochs=30, epochs_per_task=2, curriculum="doubling",
-                   curriculum_threshold=10.0)
+def test_blocks_last_epochs_per_task():
+    # a block begins at every multiple of epochs_per_task; the last one is cut short
+    cfg = tiny_cfg(epochs=11, epochs_per_task=3)
     _, log = train_plain_l2o(cfg, TRAIN_DIST)
-    assert log.task_switch_epochs == [0, 2, 6, 14]
-
-
-def test_fixed_curriculum_keeps_block_length():
-    cfg = tiny_cfg(epochs=12, epochs_per_task=3)
-    _, log = train_plain_l2o(cfg, TRAIN_DIST)
-    assert log.task_switch_epochs == [0, 3, 6, 9]
+    assert log.task_ids == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3]
 
 
 def test_training_is_seed_deterministic():
@@ -136,13 +127,6 @@ def test_log_has_exactly_one_row_per_epoch(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,meta_loss,task_id,wall_ms"
     assert len(lines) == cfg.epochs + 1
-
-
-def test_tasks_per_update_batches_gradients():
-    cfg = tiny_cfg(tasks_per_update=3, epochs=6, epochs_per_task=3)
-    params, log = train_ml2o(cfg, TRAIN_DIST)
-    assert np.all(np.isfinite(params.flat))
-    assert len(log.meta_losses) == 6
 
 
 def test_sgd_schedule_outer_rule_runs():
@@ -229,20 +213,15 @@ def test_divergence_in_fd_minus_half_names_its_seed(poison_fd_minus_half):
 
 @pytest.mark.parametrize("outer_rule", ["adam", "sgd_schedule"])
 def test_lockstep_training_matches_solo_runs(outer_rule):
-    # threshold 0 doubles a block only when its loss rose, which happens for
-    # some seeds and not others, so the seeds' block lengths drift apart
-    base = tiny_cfg(epochs=16, epochs_per_task=2, curriculum="doubling",
-                    curriculum_threshold=0.0, tasks_per_update=3,
-                    outer_rule=outer_rule, sgd_beta=1e-3)
+    base = tiny_cfg(epochs=16, epochs_per_task=2, outer_rule=outer_rule, sgd_beta=1e-3)
     cfgs = [replace(base, seed=s) for s in (1, 2, 3)]
     for meta_adaptive, solo_fn in ((True, train_ml2o), (False, train_plain_l2o)):
         together = train_lockstep([(c, meta_adaptive) for c in cfgs], TRAIN_DIST)
-        assert len({tuple(log.task_switch_epochs) for _, log in together}) > 1
         for cfg, (params, log) in zip(cfgs, together):
             solo, solo_log = solo_fn(cfg, TRAIN_DIST)
             assert np.array_equal(params.flat, solo.flat)
             assert log.meta_losses == solo_log.meta_losses
-            assert log.task_switch_epochs == solo_log.task_switch_epochs
+            assert log.task_ids == solo_log.task_ids
             assert log.theta0_digests == solo_log.theta0_digests
             assert log.theta_final_digests == solo_log.theta_final_digests
 
@@ -328,9 +307,7 @@ def test_adapt_groups_refuse_a_nan_step(rng):
      ("fd_hvp_meta", 0.0)],
 )
 def test_fused_training_matches_solo_runs(grad_mode, alpha):
-    base = tiny_cfg(epochs=10, epochs_per_task=2, curriculum="doubling",
-                    curriculum_threshold=0.0, tasks_per_update=3,
-                    grad_mode=grad_mode, alpha=alpha)
+    base = tiny_cfg(epochs=10, epochs_per_task=2, grad_mode=grad_mode, alpha=alpha)
     cfgs = [replace(base, seed=s) for s in (1, 2)]
     runs = [(cfgs[0], True), (cfgs[0], False), (cfgs[1], False), (cfgs[1], True)]
     together = train_lockstep(runs, TRAIN_DIST)
@@ -338,7 +315,7 @@ def test_fused_training_matches_solo_runs(grad_mode, alpha):
         solo, solo_log = (train_ml2o if meta_adaptive else train_plain_l2o)(cfg, TRAIN_DIST)
         assert np.array_equal(params.flat, solo.flat)
         assert log.meta_losses == solo_log.meta_losses
-        assert log.task_switch_epochs == solo_log.task_switch_epochs
+        assert log.task_ids == solo_log.task_ids
         assert log.theta_final_digests == solo_log.theta_final_digests
 
 
