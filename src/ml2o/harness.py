@@ -308,16 +308,18 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
 
     Each group takes its `n_tasks` draws from its `rng` once and shares them
     by all its variants.  The groups must share the test task family and
-    dimension.  The variant x task trajectories of all groups run in
-    lockstep, in the row-bounded stacks of `row_stacks`.  A non-finite loss
-    truncates that trajectory's curve at that step instead of aborting; the
-    other trajectories are unaffected.
+    dimension, and each needs an `rng` of its own.  The variant x task
+    trajectories of all groups run in lockstep, in the row-bounded stacks of
+    `row_stacks`.  A non-finite loss truncates that trajectory's curve at
+    that step instead of aborting; the other trajectories are unaffected.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     for g in groups:
         if g.n_tasks < 1:
             raise ValueError(f"n_tasks must be >= 1, got {g.n_tasks}")
+    if len({id(g.rng) for g in groups}) != len(groups):
+        raise ValueError("evaluation groups share a random stream; each needs its own")
     group_draws = [
         [
             (sample_task(g.dist_test, g.rng), sample_theta0(g.dist_test, g.rng))

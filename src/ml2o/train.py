@@ -207,9 +207,7 @@ class _Run:
     """One run's random streams and log inside a lockstep training run.
 
     Its current task and iterate are its rows of the stacks that
-    `train_lockstep` builds.  The former fields `block_len`,
-    `block_first_loss`, `last_loss` and `block_id` served only the doubling
-    curriculum and several tasks per update, both removed.
+    `train_lockstep` builds.
     """
 
     def __init__(self, cfg: MetaConfig):
@@ -265,9 +263,6 @@ def train_lockstep(
             )
         except (UnrollDivergedError, NonFiniteGradientError) as exc:
             raise diverged(k, exc.index, str(exc)) from exc
-        if (bad := np.flatnonzero(~np.isfinite(losses))).size:
-            r = int(bad[0])
-            raise diverged(k, r, f"meta-loss {float(losses[r])!r}")
         with np.errstate(all="ignore"):  # a non-finite row is reported below
             new_flats = outer.update(flats, grads)
         if (bad := np.flatnonzero(~np.isfinite(new_flats).all(axis=1))).size:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import pins
 from conftest import child_env, make_quadratic, write_checkpoint
 from ml2o.cell import (
     FEATURE_DIM,
@@ -196,7 +197,7 @@ def test_gates_do_not_depend_on_simd_dispatch(features):
     # np.exp on a contiguous array changes bits when these targets are
     # disabled; the gates must not, as scipy's expit does not
     act = wide_activations(12, 10, 20)
-    want = hashlib.blake2b(np.stack(expit_gates(act, 20)).tobytes()).hexdigest()
+    want = pins.digest(np.stack(expit_gates(act, 20)), size=64)
     child = subprocess.run(
         [sys.executable, "-c", GATES_IN_CHILD], input=act.tobytes(),
         env=child_env(NPY_DISABLE_CPU_FEATURES=features),
@@ -408,25 +409,25 @@ def test_checkpoint_other_output_scale_rejected(tmp_path):
             loader(path)
 
 
+@pytest.mark.pinned
 def test_checkpoint_bytes_and_digest_are_pinned(tmp_path):
     # both fixed sizes stay in the header and the digest, so files and
     # digests written before they became constants are unchanged
     params = init_params(3, RngStream(7))
     path = tmp_path / "p.ckpt"
     save_checkpoint(params, path, metadata="trainer=plain key=fixed")
-    raw = path.read_bytes()
-    assert hashlib.blake2b(raw, digest_size=16).hexdigest() == "42e25eaec11696ffed6a59692818c16f"
-    assert params.digest() == "92a6d5dad35b2cdfe358420dac2c4238"
+    assert pins.digest(path.read_bytes()) == pins.CHECKPOINT_FILE_DIGEST
+    assert params.digest() == pins.CHECKPOINT_PARAMS_DIGEST
 
 
+@pytest.mark.pinned
 def test_random_params_bytes_and_digest_are_pinned():
     # the order in which init_params and random_params draw into the flat vector
     params = random_params(4, RngStream(7))
     assert params.flat.shape == (1, ParamLayout(4).size) == (1, 117)
-    assert hashlib.sha256(params.flat.astype("<f8").tobytes()).hexdigest() == (
-        "0a384d2394c55fd9d9e8238583cdec645b28919037384855a1417e385eba90be"
-    )
-    assert params.digest() == "c069342168aa38b2a805d34b0be927ad"
+    sha256 = hashlib.sha256(params.flat.astype("<f8").tobytes()).hexdigest()
+    assert sha256 == pins.RANDOM_PARAMS_SHA256
+    assert params.digest() == pins.RANDOM_PARAMS_DIGEST
 
 
 def test_checkpoint_metadata_must_be_utf8(rng, tmp_path):

@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import json
 import math
 import os
@@ -13,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pins
 from conftest import child_env, write_checkpoint
 from ml2o.cell import (
     CheckpointError,
@@ -166,29 +166,26 @@ def test_readme_lists_every_config_key():
     assert listed == {section: set(keys) for section, keys in _SCHEMA.items()}
 
 
+@pytest.mark.pinned
 def test_cache_keys_are_pinned(tiny_config):
     # `feature_dim` left the config but stays in the key, so existing cache
     # directories keep serving the same files
     cfg = load_config(tiny_config)
     keys = {t: TrainingCache._key(t, cfg.meta, cfg.dist_train) for t in ("plain", "ml2o")}
-    assert keys == {
-        "plain": "6f48a3eca64c2117f288cb4c64540ee1",
-        "ml2o": "76a21f1c57c1e3dac7a944f69e409fd0",
-    }
+    assert keys == pins.CACHE_KEYS
 
 
+@pytest.mark.pinned
 def test_cache_key_of_detached_ml2o_is_new(tiny_config):
     # ml2o trains other weights under detached_input than it once did, so its
     # key moves; plain's, and every other mode's, stay where they were
     cfg = load_config(tiny_config)
     detached = replace(cfg.meta, grad_mode="detached_input")
     keys = {t: TrainingCache._key(t, detached, cfg.dist_train) for t in ("plain", "ml2o")}
-    assert keys == {
-        "plain": "58808e6e9d0a4990fd6bfd0f411cf390",
-        "ml2o": "30685abb5ce1a57449ad96bd2bb4cec1",
-    }
+    assert keys == pins.DETACHED_CACHE_KEYS
 
 
+@pytest.mark.pinned
 def test_cache_keys_of_equivalent_modes_are_shared(tiny_config):
     # plain reads only the trajectory mode, and ml2o runs full_second_order as
     # fd_hvp_meta: modes that train the same weights share the default's key
@@ -202,20 +199,21 @@ def test_cache_keys_of_equivalent_modes_are_shared(tiny_config):
             trained.setdefault(key, set()).add((trainer, mode, params.digest()))
     shared = {key: {(t, m) for t, m, _ in runs} for key, runs in trained.items()}
     assert shared == {
-        "6f48a3eca64c2117f288cb4c64540ee1": {
+        pins.CACHE_KEYS["plain"]: {
             ("plain", FULL_SECOND_ORDER), ("plain", FD_HVP_META), ("plain", FIRST_ORDER_META),
         },
-        "76a21f1c57c1e3dac7a944f69e409fd0": {("ml2o", FULL_SECOND_ORDER), ("ml2o", FD_HVP_META)},
+        pins.CACHE_KEYS["ml2o"]: {("ml2o", FULL_SECOND_ORDER), ("ml2o", FD_HVP_META)},
         TrainingCache._key(
             "ml2o", replace(cfg.meta, grad_mode=FIRST_ORDER_META), cfg.dist_train
         ): {("ml2o", FIRST_ORDER_META)},
-        "58808e6e9d0a4990fd6bfd0f411cf390": {("plain", DETACHED_INPUT)},
-        "30685abb5ce1a57449ad96bd2bb4cec1": {("ml2o", DETACHED_INPUT)},
+        pins.DETACHED_CACHE_KEYS["plain"]: {("plain", DETACHED_INPUT)},
+        pins.DETACHED_CACHE_KEYS["ml2o"]: {("ml2o", DETACHED_INPUT)},
     }
     # and each key's runs trained the same weights
     assert all(len({d for _, _, d in runs}) == 1 for runs in trained.values())
 
 
+@pytest.mark.pinned
 def test_cache_key_grid_is_pinned(tiny_config):
     # 4 modes x 2 trainers x fd_epsilon x alpha x outer rule x 3 distributions:
     # 192 keys (72 distinct), hashed together, so that no refactor of the key
@@ -239,8 +237,7 @@ def test_cache_key_grid_is_pinned(tiny_config):
         for dist in dists
     ]
     assert (len(keys), len(set(keys))) == (192, 72)
-    digest = hashlib.blake2b("\n".join(keys).encode(), digest_size=16).hexdigest()
-    assert digest == "10b802315439977bc9c9851a207a1ce9"
+    assert pins.digest("\n".join(keys).encode()) == pins.CACHE_KEY_GRID_DIGEST
 
 
 def test_cache_key_of_first_order_ml2o_ignores_fd_epsilon(tiny_config):
@@ -569,25 +566,21 @@ def test_verify_growth_writes_report(tiny_config, tmp_path):
     assert doc["nondecreasing_fraction"] >= 0.9
 
 
+@pytest.mark.pinned
 def test_verify_report_values_are_pinned(tiny_config, tmp_path):
-    # like the desk digests, these bits belong to the numeric environment;
     # the growth reference is shape-only, so it is pinned to 1e-12 relative
     for suite in ("gaps", "growth"):
         rc = main(["verify", "--config", tiny_config, "--suite", suite, "--out", str(tmp_path)])
         assert rc == EXIT_OK
-    gaps = (tmp_path / "gaps.json").read_bytes()
-    assert hashlib.blake2b(gaps, digest_size=16).hexdigest() == "43e43f4e484dbff2b24d3823b025f236"
+    assert pins.digest((tmp_path / "gaps.json").read_bytes()) == pins.GAPS_DIGEST
     doc = json.loads((tmp_path / "growth.json").read_text())
     rows = [line.split(",") for line in (tmp_path / "growth.csv").read_text().splitlines()]
     assert rows[0] == ["horizon", "mean_gap", "reference"]
     reference = doc.pop("reference")
     assert [float(r[2]) for r in rows[1:]] == reference
     kept = json.dumps(doc, sort_keys=True) + "".join(f"{r[0]},{r[1]}\n" for r in rows)
-    assert hashlib.blake2b(kept.encode(), digest_size=16).hexdigest() == "e8ec4590104de0684692998bda735ccb"
-    assert reference == pytest.approx([
-        1.0410793890719954, 1.2822733751316358, 1.533701328220715,
-        2.0687524517528346, 2.9577770550428637, 4.32276490845433,
-    ], rel=1e-12, abs=0)
+    assert pins.digest(kept.encode()) == pins.GROWTH_DIGEST
+    assert reference == pytest.approx(pins.GROWTH_REFERENCE, rel=1e-12, abs=0)
 
 
 def test_interpolate_identical_checkpoints_flat(tiny_config, tmp_path):
@@ -622,8 +615,8 @@ def test_interpolate_summary_is_per_seed(tmp_path):
         assert all((row["half_width"] is None) == (n_seeds == 1) for row in doc)
 
 
+@pytest.mark.pinned
 def test_interpolate_output_bytes_are_pinned(tmp_path, capsys):
-    # like the desk digests, these bits belong to the numeric environment
     config = tmp_path / "exp.ini"
     config.write_text(TINY.replace("n_tasks = 1", "n_tasks = 2"))
     for name in ("w1", "w2"):
@@ -633,18 +626,11 @@ def test_interpolate_output_bytes_are_pinned(tmp_path, capsys):
                "--w2", str(tmp_path / "w2.ckpt"), "--alphas", "0,0.3,1", "--n-seeds", "3",
                "--out", str(out)])
     assert rc == EXIT_OK
-
-    def digest(*chunks: bytes) -> str:
-        h = hashlib.blake2b(digest_size=16)
-        for chunk in chunks:
-            h.update(chunk)
-        return h.hexdigest()
-
     curves = sorted((out / "curves").iterdir())
     assert len(curves) == 3 * 3 * 2
-    assert digest((out / "interpolation.json").read_bytes()) == "bad5a58cead81fb53f11c41b658694ec"
-    assert digest(*(p.name.encode() + p.read_bytes() for p in curves)) == "6c180f71ca40a3bae04d78471ba5c940"
-    assert digest(capsys.readouterr().out.encode()) == "25e4db46062b383bbb683df16f8584af"
+    assert pins.digest((out / "interpolation.json").read_bytes()) == pins.INTERPOLATION_JSON_DIGEST
+    assert pins.digest(*(p.name.encode() + p.read_bytes() for p in curves)) == pins.INTERPOLATION_CURVES_DIGEST
+    assert pins.digest(capsys.readouterr().out.encode()) == pins.INTERPOLATION_STDOUT_DIGEST
 
 
 @pytest.mark.parametrize("n_seeds", ["0", "-1"])

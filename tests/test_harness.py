@@ -378,6 +378,15 @@ def test_stacked_evaluation_keeps_a_stack_that_diverges_all_at_once(rng):
         assert np.isfinite(r.losses[0])
 
 
+def test_evaluation_groups_refuse_a_shared_stream(rng):
+    params = random_params(4, rng)
+    shared = RngStream(8).child("test")
+    # interleaved draws from one stream would differ from each group's own
+    with pytest.raises(ValueError, match="share a random stream"):
+        evaluate_groups([EvalGroup([("a", "k", params)], TEST_DIST, 2, shared),
+                         EvalGroup([("b", "k", params)], TEST_DIST, 2, shared)], 6)
+
+
 def test_divergent_method_marks_cell_without_aborting(tmp_path):
     # an absurd adaptation step blows up the fresh-init method; the others
     # must still be evaluated and aggregated normally

@@ -1,9 +1,9 @@
-import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import pins
 from conftest import make_quadratic
 from ml2o.numeric import RngStream, central_diff
 from ml2o.tasks import (
@@ -147,14 +147,9 @@ HVP_BLOCK_DISTS = {
 }
 
 
-@pytest.mark.parametrize("family, want", [
-    # blake2b of the block product: the bytes of A^T (A m), or of the dense
-    # 2x2 banana Hessian times m, which `jacobian_recursive` is pinned to
-    ("lasso", "4c221aedcc0b00de"),
-    ("quadratic", "44fea19528fc296c"),
-    ("rosenbrock", "5bcbf4c7ba43e779"),
-])
-def test_hvp_on_a_column_block(family, want):
+@pytest.mark.pinned
+@pytest.mark.parametrize("family", sorted(HVP_BLOCK_DISTS))
+def test_hvp_on_a_column_block(family):
     dist = HVP_BLOCK_DISTS[family]
     rng = RngStream(31).child(family)
     task = sample_task(dist, rng)
@@ -162,7 +157,7 @@ def test_hvp_on_a_column_block(family, want):
     block = rng.gen.normal(size=(dist.dim, 7))
     got = task.hvp(theta, block)
     assert got.shape == block.shape
-    assert hashlib.blake2b(got.tobytes(), digest_size=8).hexdigest() == want
+    assert pins.digest(got, size=8) == pins.HVP_BLOCK_DIGESTS[family]
     # one product per block, one per column: the same values, not the same bits
     cols = np.stack([task.hvp(theta, block[:, j]) for j in range(block.shape[1])], axis=1)
     assert np.linalg.norm(got - cols) <= 1e-12 * np.linalg.norm(cols)
@@ -316,19 +311,19 @@ DRAW_LAW_DISTS = [
 ]
 
 
+@pytest.mark.pinned
 def test_draw_law_is_pinned():
     # every method of a comparison sees these draws, so their bytes are the
     # paired-draw contract: 7 (task, theta0) pairs per kind, interleaved on
     # one stream as the trainers and the harness take them
-    h = hashlib.blake2b(digest_size=16)
+    parts = []
     for dist in DRAW_LAW_DISTS:
         rng = RngStream(26).child(dist.label())
         for _ in range(7):
             task = sample_task(dist, rng)
             theta0 = sample_theta0(dist, rng)
-            h.update(task.to_json().encode())
-            h.update(theta0.tobytes())
-    assert h.hexdigest() == "7bd4e310e2b49f415caddbc50ce2b54c"
+            parts += [task.to_json().encode(), theta0]
+    assert pins.digest(*parts) == pins.DRAW_LAW_DIGEST
 
 
 def test_task_arrays_immutable(rng):

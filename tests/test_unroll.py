@@ -1,8 +1,7 @@
-import hashlib
-
 import numpy as np
 import pytest
 
+import pins
 from conftest import make_quadratic, rel_error, with_proj
 
 from ml2o.cell import ParamStack, init_params, random_params
@@ -212,14 +211,9 @@ def test_jacobian_chain_rule_reproduces_meta_grad(rng):
         assert rel_error(chained, direct) <= 1e-8
 
 
-@pytest.mark.parametrize(
-    "family, want",
-    [("quadratic", "39a19368a47da0c5"), ("rosenbrock", "e9bdd9beaee14347")],
-)
-def test_jacobian_recursive_bytes_are_pinned(family, want):
-    # blake2b of the dense Jacobian; each step's input path runs through the
-    # task Hessian applied to the (dim, |weights|) Jacobian block, so a
-    # reordered Hessian product moves it
+@pytest.mark.pinned
+@pytest.mark.parametrize("family", ["quadratic", "rosenbrock"])
+def test_jacobian_recursive_bytes_are_pinned(family):
     dist = STACK_DISTS[family]
     rng = RngStream(59).child(family)
     task = sample_task(dist, rng)
@@ -227,7 +221,7 @@ def test_jacobian_recursive_bytes_are_pinned(family, want):
     params = random_params(4, rng.child("p"))
     jac = jacobian_recursive(params, task, theta0, 6)
     assert jac.shape == (dist.dim, params.layout.size)
-    assert hashlib.blake2b(jac.tobytes(), digest_size=8).hexdigest() == want
+    assert pins.digest(jac, size=8) == pins.JACOBIAN_DIGESTS[family]
 
 
 def test_jacobian_guards_against_large_instances(rng):
@@ -341,82 +335,8 @@ KERNEL_DISTS = {
     "rosenbrock": (TaskDistribution(kind="rosenbrock"), 5e77),
 }
 
-# blake2b of the kernels' outputs (below) on the fixed stacks of
-# `test_kernel_bytes_are_pinned`.  Like the desk digests, these bits belong to
-# the code plus the host's numeric environment (BLAS kernel, SIMD dispatch).
-KERNEL_DIGESTS = {
-    # meta_grad_stack under full_second_order and detached_input, unroll_stack,
-    # then maml_parts_stack under fd_hvp_meta
-    ("lasso", 1): (
-        "40d9f940f07598da", "26f555d2e66b911e", "a64bdb28b48e43f2", "b9bce2cb454427ff",
-    ),
-    ("lasso", 2): (
-        "4e3b9655d7c69486", "bde2f872b71841e5", "49052b19eaa4f9ad", "f47df34bdc6b4496",
-    ),
-    ("lasso", 4): (
-        "bb4a371b4159039e", "85456f0d7ec81b2c", "644528551e08ccd8", "4e4d979738f72557",
-    ),
-    ("lasso", 12): (
-        "45d9363f970d3d70", "c6c12820678ddf81", "85208b1e30273fe7", "a27210e1f4049fba",
-    ),
-    ("lasso-d1", 1): (
-        "43a9b83f826b4991", "bb6d758691c7b5f2", "6ddd8f16d9bd656b", "5815529c8fe49849",
-    ),
-    ("lasso-d1", 2): (
-        "cb8962dcb8519969", "3938c37b60232f7d", "01c2b427d0b5ef11", "e9cb7940bafc2edc",
-    ),
-    ("lasso-d1", 4): (
-        "9925c9af8b3434ac", "1e0dc8821721807b", "7a078798a4af086f", "9497d2861b75d733",
-    ),
-    ("lasso-d1", 12): (
-        "3a51f79831e4de1b", "5068ec6349f71c61", "6f100c06ff447272", "85b8eb73087d7eca",
-    ),
-    ("lasso-d7", 1): (
-        "eb2922f7934f7e5c", "0e943061bc954cf4", "1c03fa8af8930ada", "3b3b3196b198d720",
-    ),
-    ("lasso-d7", 2): (
-        "81b17abb5d72e5d0", "793b083b531d7fd3", "20b83080153c58f4", "e5cbd59154d3af96",
-    ),
-    ("lasso-d7", 4): (
-        "4d3a6332cf1ff218", "0b468aded0d6446f", "5c68add8c8b75c9c", "79c5eff7498224ef",
-    ),
-    ("lasso-d7", 12): (
-        "bc712c2f85738cdd", "ae6d74231091bcdb", "9ed10703b15e90ec", "02377ab9d441923a",
-    ),
-    ("quadratic", 1): (
-        "e6b6913332296a91", "8bbb37e3cb22445b", "4b6e8929466e61c3", "b234f9cbb1406adb",
-    ),
-    ("quadratic", 2): (
-        "aee6c4aa488739ff", "7c903b0f54247f1a", "56fb4b7ee0f25c7c", "df21ae5d2bfd8f53",
-    ),
-    ("quadratic", 4): (
-        "9c7b41dbf818ff98", "595d7a4cdd9dc4c9", "32230c96387aac91", "2edccbc6cba5f90e",
-    ),
-    ("quadratic", 12): (
-        "655405341690c731", "a81961d971324d42", "f1b01e3dfc748ccd", "5727422144eceda3",
-    ),
-    ("rosenbrock", 1): (
-        "b30b1e9cb5742325", "1e7ebaa9f2c21d18", "1f55bd23b53e8f5e", "78cb54387f22f403",
-    ),
-    ("rosenbrock", 2): (
-        "b13e192bc7d2f013", "ea9692929f89fd1b", "ed472085018ac52b", "6de114659be89b1b",
-    ),
-    ("rosenbrock", 4): (
-        "6faa95c07e1d5b28", "d180cb892c2a2a3e", "fc4460f6b688575b", "841e006432a05624",
-    ),
-    ("rosenbrock", 12): (
-        "562e7b9ee3635f3a", "6e19ed6c3aaada60", "b8e649d594841d19", "2bbe20f7883bc6d2",
-    ),
-}
 
-
-def kernel_digest(*parts) -> str:
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        h.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
-    return h.hexdigest()
-
-
+@pytest.mark.pinned
 @pytest.mark.parametrize("family", sorted(KERNEL_DISTS))
 @pytest.mark.parametrize("size", [1, 2, 4, 12])
 def test_kernel_bytes_are_pinned(family, size):
@@ -439,13 +359,13 @@ def test_kernel_bytes_are_pinned(family, size):
         cut = res.truncated_at or (None,) * size
         assert cut[:-1] == (None,) * (size - 1)
         assert cut[-1] is None if size == 1 else 3 <= cut[-1] <= 9
-        got.append(kernel_digest(res.grads, res.losses, res.theta_final, res.truncated_at))
+        got.append(pins.digest(res.grads, res.losses, res.theta_final, res.truncated_at, size=8))
     res = unroll_stack(stack, tasks, theta0, 12)
-    got.append(kernel_digest(res.losses, res.theta_final, res.truncated_at))
+    got.append(pins.digest(res.losses, res.theta_final, res.truncated_at, size=8))
     # the finite-difference pair of the finite slices magnifies a last-bit change
     rows = list(range(max(size - 1, 1)))
     grads, _, values = maml_parts_stack(
         ParamStack(stack.flat[rows], stack.hidden), tasks.take(rows), theta0[rows], 12, 1e-3, FD_HVP_META, None
     )
-    got.append(kernel_digest(grads, values))
-    assert tuple(got) == KERNEL_DIGESTS[family, size]
+    got.append(pins.digest(grads, values, size=8))
+    assert tuple(got) == pins.KERNEL_DIGESTS[family, size]
