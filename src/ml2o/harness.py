@@ -40,7 +40,7 @@ from .train import (
     train_lockstep,
     training_fields,
 )
-from .unroll import row_stacks, unroll_stack
+from .unroll import STACK_ROWS, row_stacks, unroll_stack
 
 __all__ = [
     "VANILLA",
@@ -309,9 +309,10 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
     Each group takes its `n_tasks` draws from its `rng` once and shares them
     by all its variants.  The groups must share the test task family and
     dimension, and each needs an `rng` of its own.  The variant x task
-    trajectories of all groups run in lockstep, in the row-bounded stacks of
-    `row_stacks`.  A non-finite loss truncates that trajectory's curve at
-    that step instead of aborting; the other trajectories are unaffected.
+    trajectories of all groups run in lockstep, in `row_stacks` of at most
+    `STACK_ROWS` untaped rows (slices x dim).  A non-finite loss truncates
+    that trajectory's curve at that step instead of aborting; the other
+    trajectories are unaffected.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -336,7 +337,7 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
     ]
     trajectories = []
     if slices:
-        for stack in row_stacks(slices, slices[0][1].dim):
+        for stack in row_stacks(slices, slices[0][1].dim, STACK_ROWS):
             result = unroll_stack(
                 ParamStack.of([params for params, _, _ in stack]),
                 TaskStack([task for _, task, _ in stack]),

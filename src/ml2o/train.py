@@ -37,6 +37,7 @@ from .unroll import (
     FD_HVP_META,
     FULL_SECOND_ORDER,
     GRAD_MODES,
+    TAPE_ROW_STEPS,
     NonFiniteGradientError,
     UnrollDivergedError,
     inner_mode,
@@ -349,11 +350,12 @@ def adapt_groups(
     group with a live start draws its adaptation task and then its starting
     iterate from its `rng`, shared by its starts.  The groups must share the
     task family and dimension, and each needs an `rng` of its own.  The live
-    starts of all groups run in lockstep, in the row-bounded stacks of
-    `row_stacks`.  Returns, per start, its adapted weights or the
-    `DivergenceError` that `adapt` would raise for it alone.  A start that
-    diverges is marked and drops out of later steps; no slice reads another,
-    so every result is bit-identical to adapting that start alone.
+    starts of all groups run in lockstep, in `row_stacks` of at most
+    `TAPE_ROW_STEPS` taped row-steps (slices x dim x `unroll_len`).  Returns,
+    per start, its adapted weights or the `DivergenceError` that `adapt`
+    would raise for it alone.  A start that diverges is marked and drops out
+    of later steps; no slice reads another, so every result is bit-identical
+    to adapting that start alone.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -380,7 +382,8 @@ def adapt_groups(
             if fresh_task_per_step or tasks[k] is None:
                 tasks[k] = sample_task(g.dist_adapt, g.rng)
             draws[k] = (tasks[k], sample_theta0(g.dist_adapt, g.rng))
-        for stack in row_stacks(live, groups[live[0][0]].dist_adapt.dim):
+        size = groups[live[0][0]].dist_adapt.dim * unroll_len
+        for stack in row_stacks(live, size, TAPE_ROW_STEPS):
             params = ParamStack.of([out[k][i] for k, i in stack])
             result = meta_grad_stack(
                 params,

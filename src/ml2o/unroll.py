@@ -49,6 +49,7 @@ __all__ = [
     "FD_HVP_META",
     "GRAD_MODES",
     "STACK_ROWS",
+    "TAPE_ROW_STEPS",
     "row_stacks",
     "UnrollResult",
     "StackResult",
@@ -179,19 +180,26 @@ def meta_mode(mode: str) -> str:
     raise ValueError(f"unknown gradient mode {mode!r}; expected one of {GRAD_MODES}")
 
 
-# Rows (slices x dim) per stack that a caller of the kernel builds from many
-# independent trajectories: evaluation and adaptation stacks alike.  At dim 10
-# the per-slice cost of an untaped `_forward` still falls slowly past 128
-# rows (about 9% less by 512), that of a taped adaptation stack barely; at
-# dim 2 it falls up to ~100.
+# Rows (slices x dim) per untaped stack, the evaluation stacks that a caller
+# builds from many independent trajectories.  At dim 10 the per-slice cost of
+# an untaped `_forward` still falls slowly past 128 rows (about 9% less by
+# 512), but 192 and 256 rows raise the peak memory of a desk `compare` (by
+# 0.1 and 0.8 MB) for no end-to-end gain that shows; at dim 2 it falls up to
+# ~100.
 STACK_ROWS = 128
 
+# Row-steps (slices x dim x unroll steps) per taped `meta_grad_stack` stack,
+# the adaptation stacks.  Their tape keeps every step's state, so their
+# memory grows with this bound while their per-slice cost barely falls: 64
+# rows at 20 steps, six lasso d=10 slices.
+TAPE_ROW_STEPS = 1280
 
-def row_stacks(slices: list, dim: int):
-    """`slices`, in order, in runs of at most STACK_ROWS rows (slices x dim, at least one slice)."""
-    size = max(1, STACK_ROWS // dim)
-    for lo in range(0, len(slices), size):
-        yield slices[lo : lo + size]
+
+def row_stacks(slices: list, size: int, limit: int):
+    """`slices`, in order, in runs of at most `limit` units of `size` each (at least one slice)."""
+    count = max(1, limit // size)
+    for lo in range(0, len(slices), count):
+        yield slices[lo : lo + count]
 
 
 @np.errstate(all="ignore")

@@ -39,7 +39,7 @@ from ml2o.harness import (
 from ml2o.numeric import RngStream, numeric_environment
 from ml2o.tasks import LASSO, MIXTURE, NORMAL, QUADRATIC, OptimizeeTask, TaskDistribution
 from ml2o.train import MetaConfig
-from ml2o.unroll import STACK_ROWS, unroll
+from ml2o.unroll import STACK_ROWS, TAPE_ROW_STEPS, unroll
 
 TRAIN_DIST = TaskDistribution(kind=MIXTURE, family=LASSO, dim=4, lam=0.005)
 ADAPT_DIST = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=10.0)
@@ -450,10 +450,11 @@ def test_compare_kernel_call_counts(tmp_path, monkeypatch):
     )
     # per epoch: both trainers' first pass, then ml2o's stepped pass and its
     # finite-difference pair; then per adaptation step one stack of the three
-    # adapted methods of every (seed, sigma), whose 48 rows fit in STACK_ROWS
+    # adapted methods of every (seed, sigma), whose 240 taped row-steps fit in
+    # TAPE_ROW_STEPS
     training = [2 * n_seeds, n_seeds, 2 * n_seeds] * meta.epochs
     slices = n_seeds * len(sigmas) * 3
-    assert slices * ADAPT_DIST.dim <= STACK_ROWS
+    assert slices * ADAPT_DIST.dim * meta.unroll_len <= TAPE_ROW_STEPS
     adaptation = [slices] * meta.adapt_steps
     assert reverse == training + adaptation
     rows = n_seeds * len(sigmas) * 4 * n_tasks * TEST_DIST.dim

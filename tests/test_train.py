@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from ml2o.train import (
     train_lockstep,
 )
 from ml2o.harness import seed_config
-from ml2o.unroll import DETACHED_INPUT, FD_HVP_META, FULL_SECOND_ORDER, GRAD_MODES
+from ml2o.unroll import DETACHED_INPUT, FD_HVP_META, FULL_SECOND_ORDER, GRAD_MODES, TAPE_ROW_STEPS
 
 TRAIN_DIST = TaskDistribution(kind=MIXTURE, family=LASSO, dim=6, lam=0.005)
 
@@ -234,7 +235,8 @@ def test_lockstep_training_rejects_mixed_configs():
 @pytest.mark.parametrize("fresh", [True, False])
 @pytest.mark.parametrize("n_starts", [1, 3])
 def test_adapt_groups_match_solo_adapt(rng, monkeypatch, n_starts, fresh):
-    # five groups on their own seeds and sigmas, at dim 10: 12 slices a stack
+    # five groups on their own seeds and sigmas, at dim 10 and the profiles'
+    # 20 unroll steps: six slices a stack
     dists = [TaskDistribution(kind=NORMAL, family=LASSO, dim=10, lam=0.005, sigma=1.0 + k)
              for k in range(5)]
     starts = [[random_params(5, rng) for _ in range(n_starts)] for _ in dists]
@@ -250,20 +252,21 @@ def test_adapt_groups_match_solo_adapt(rng, monkeypatch, n_starts, fresh):
     monkeypatch.setattr(train, "meta_grad_stack", counting)
     groups = [AdaptGroup(s, d, RngStream(k + 1).child("a"))
               for k, (s, d) in enumerate(zip(starts, dists))]
-    adapted = adapt_groups(groups, 4, 1e-4, 6, fresh_task_per_step=fresh)
+    adapted = adapt_groups(groups, 4, 1e-4, 20, fresh_task_per_step=fresh)
     monkeypatch.undo()
+    assert TAPE_ROW_STEPS // (10 * 20) == 6
     # the diverging start runs its first stack to the end and drops out of
-    # later steps; with three starts a group, later steps' first stack ends
-    # inside the last group
+    # later steps; with three starts a group, later steps' first two stacks
+    # end inside the third and the last group
     if n_starts == 3:
-        assert sizes == [12, 3] + [12, 2] * 3
+        assert sizes == [6, 6, 3] + [6, 6, 2] * 3
     else:
         assert sizes == [5] + [4] * 3
     assert [len(r) for r in adapted] == [n_starts] * len(dists)
     for k, (group_starts, results) in enumerate(zip(starts, adapted)):
         for start, got in zip(group_starts, results):
             try:
-                want = adapt(start, dists[k], 4, 1e-4, 6, RngStream(k + 1).child("a"),
+                want = adapt(start, dists[k], 4, 1e-4, 20, RngStream(k + 1).child("a"),
                              fresh_task_per_step=fresh)
             except DivergenceError as exc:
                 want = exc
@@ -274,6 +277,29 @@ def test_adapt_groups_match_solo_adapt(rng, monkeypatch, n_starts, fresh):
             else:
                 assert np.array_equal(got.flat, want.flat)
     assert sum(isinstance(r, DivergenceError) for rs in adapted for r in rs) == 1
+
+
+def test_adapt_groups_step_memory_stays_within_the_tape_budget(rng):
+    # a desk-shaped adaptation step: 10 groups x 3 starts, lasso d=10 at the
+    # profiles' 20 unroll steps.  numpy reports its buffers to tracemalloc,
+    # so the peak is the same on every run: 2.7 MB in stacks of six slices,
+    # 4.8 MB in the 12-slice stacks of a 128-row bound
+    dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=10, lam=0.005, sigma=100.0)
+    starts = [[random_params(20, rng) for _ in range(3)] for _ in range(10)]
+
+    def groups():
+        return [AdaptGroup(s, dist, RngStream(k + 1).child("a")) for k, s in enumerate(starts)]
+
+    adapt_groups(groups(), 1, 3e-7, 20)
+    fresh = groups()
+    tracemalloc.start()
+    try:
+        adapted = adapt_groups(fresh, 1, 3e-7, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(r, DivergenceError) for rs in adapted for r in rs)
+    assert peak < 3.0e6
 
 
 def test_adapt_groups_refuse_groups_that_cannot_share_a_stack(rng):
