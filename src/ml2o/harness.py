@@ -27,7 +27,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .cell import (
-    ParamStack, init_params, load_checkpoint, load_checkpoint_metadata, save_checkpoint
+    CheckpointError,
+    ParamStack,
+    init_params,
+    load_checkpoint,
+    load_checkpoint_metadata,
+    save_checkpoint,
 )
 from .config import ExperimentConfig
 from .numeric import RngStream, array_digest, numeric_environment
@@ -40,7 +45,7 @@ from .train import (
     train_lockstep,
     training_fields,
 )
-from .unroll import STACK_ROWS, row_stacks, unroll_stack
+from .unroll import STACK_ROWS, inner_mode, row_stacks, unroll_stack
 
 __all__ = [
     "VANILLA",
@@ -392,12 +397,27 @@ def evaluate(
     return evaluate_groups([group], horizon)[0]
 
 
-class TrainingCache:
-    """Deterministic memo for trained weights, optionally backed by a directory.
+# the file-name prefix of adapted weights; trained weights are named by trainer
+ADAPTED = "adapted"
 
-    Training is a pure function of (trainer, config, distribution) in one numeric
-    environment, so caching never changes its results there; a file trained in
-    another environment, or an unrecorded one, is served with a stderr warning.
+
+def _hash_key(doc: dict) -> str:
+    blob = json.dumps(doc, sort_keys=True, default=str)
+    return hashlib.blake2b(blob.encode(), digest_size=16).hexdigest()
+
+
+def _dist_fields(dist: TaskDistribution) -> dict:
+    return {k: getattr(dist, k) for k in sorted(vars(dist))}
+
+
+class TrainingCache:
+    """Deterministic memo for trained and adapted weights, optionally backed by a directory.
+
+    Training is a pure function of (trainer, config, distribution), and
+    adaptation one of (start weights, adaptation draws, settings), in one
+    numeric environment, so caching never changes a result there; a file made
+    in another environment, or an unrecorded one, is served with a stderr
+    warning.  A file whose `hidden` is not the one asked for is refused.
     """
 
     def __init__(self, directory: str | None = None):
@@ -408,35 +428,76 @@ class TrainingCache:
 
     @staticmethod
     def _key(trainer: str, cfg: MetaConfig, dist: TaskDistribution) -> str:
-        doc = {
+        return _hash_key({
             "trainer": trainer,
             "cfg": training_fields(cfg, trainer == ML2O),
-            "dist": {k: getattr(dist, k) for k in sorted(vars(dist))},
-        }
-        blob = json.dumps(doc, sort_keys=True, default=str)
-        return hashlib.blake2b(blob.encode(), digest_size=16).hexdigest()
+            "dist": _dist_fields(dist),
+        })
 
-    def _path(self, trainer: str, key: str) -> str | None:
+    @staticmethod
+    def _adapted_key(
+        start: ParamStack,
+        dist_adapt: TaskDistribution,
+        rng: RngStream,
+        steps: int,
+        alpha: float,
+        unroll_len: int,
+        grad_mode: str,
+        fresh_task_per_step: bool,
+    ) -> str:
+        """Key of `start` adapted on unread `rng`'s draws from `dist_adapt`, as `adapt_groups` does.
+
+        The trajectory mode stands for `grad_mode`, since adaptation reads no other.
+        """
+        return _hash_key({
+            "start": start.digest(),
+            "dist": _dist_fields(dist_adapt),
+            "rng": rng.key.hex(),
+            "steps": steps,
+            "alpha": float(alpha),
+            "unroll_len": unroll_len,
+            "grad_mode": inner_mode(grad_mode),
+            "fresh_task_per_step": fresh_task_per_step,
+        })
+
+    def _path(self, name: str, key: str) -> str | None:
         if self.directory is None:
             return None
-        return os.path.join(self.directory, f"{trainer}-{key}.ckpt")
+        return os.path.join(self.directory, f"{name}-{key}.ckpt")
 
-    def _cached(self, trainer: str, key: str) -> bool:
+    def _cached(self, name: str, key: str, hidden: int) -> bool:
         if key not in self._memo:
-            path = self._path(trainer, key)
+            path = self._path(name, key)
             if path is None or not os.path.exists(path):
                 return False
-            self._memo[key] = load_checkpoint(path)
+            params = load_checkpoint(path)
+            if params.hidden != hidden:
+                raise CheckpointError(
+                    f"{path}: cached weights have hidden={params.hidden}, "
+                    f"this run needs hidden={hidden}"
+                )
+            self._memo[key] = params
             # other SIMD paths or BLAS cores change the last bits: serve, but say so
             here = str(numeric_environment())
             metadata = load_checkpoint_metadata(path).split()
             recorded = " ".join(t for t in metadata if t.startswith(("simd=", "blas=")))
             if recorded != here:  # one write, so that workers' lines never interleave
+                made = "adapted" if name == ADAPTED else "trained"
                 sys.stderr.write(
-                    f"warning: cached {path} was trained under "
+                    f"warning: cached {path} was {made} under "
                     f"{recorded or 'an unrecorded numeric environment'}, this process runs {here}\n"
                 )
         return True
+
+    def _store(self, name: str, key: str, params: ParamStack, label: str) -> None:
+        """Memoize `params`; write it to a temporary file of its own writer, then rename it
+        into place, so commands sharing a directory never collide."""
+        self._memo[key] = params
+        path = self._path(name, key)
+        if path is not None:
+            tmp = f"{path}.{os.getpid()}-{os.urandom(6).hex()}.tmp"
+            save_checkpoint(params, tmp, metadata=f"{label} key={key} {numeric_environment()}")
+            os.replace(tmp, path)
 
     def get_or_train(
         self, trainer: str, cfg: MetaConfig, dist: TaskDistribution
@@ -447,29 +508,57 @@ class TrainingCache:
         self, requests: list[tuple[str, MetaConfig]], dist: TaskDistribution
     ) -> list[ParamStack]:
         """Weights for each (trainer, config); the misses of both trainers are
-        trained together in lockstep, and none is stored if any diverges.
-
-        Each checkpoint is written to a temporary file of its own writer, then
-        renamed into place, so commands sharing a directory never collide.
-        """
+        trained together in lockstep, and none is stored if any diverges."""
         keys = [(trainer, self._key(trainer, cfg, dist)) for trainer, cfg in requests]
         missing = {}
         for (trainer, key), (_, cfg) in zip(keys, requests):
-            if key not in missing and not self._cached(trainer, key):
+            if key not in missing and not self._cached(trainer, key, cfg.hidden):
                 missing[key] = (trainer, cfg)
         trained = train_lockstep(
             [(cfg, trainer == ML2O) for trainer, cfg in missing.values()], dist
         )
         for (key, (trainer, _)), (params, _) in zip(missing.items(), trained):
-            self._memo[key] = params
-            path = self._path(trainer, key)
-            if path is not None:
-                tmp = f"{path}.{os.getpid()}-{os.urandom(6).hex()}.tmp"
-                save_checkpoint(
-                    params, tmp, metadata=f"trainer={trainer} key={key} {numeric_environment()}"
-                )
-                os.replace(tmp, path)
+            self._store(trainer, key, params, f"trainer={trainer}")
         return [self._memo[key] for _, key in keys]
+
+    def get_or_adapt_all(
+        self,
+        groups: list[AdaptGroup],
+        steps: int,
+        alpha: float,
+        unroll_len: int,
+        grad_mode: str,
+        fresh_task_per_step: bool,
+    ) -> list[list[ParamStack | DivergenceError]]:
+        """`adapt_groups` of `groups`, each start served from the cache where it is held.
+
+        Each group's `rng` must be unread.  Only the starts that miss are
+        adapted, each group on its own stream, so a group whose starts all hit
+        draws nothing, and every result is the one `adapt_groups` gives.  The
+        weights of a miss are stored; a `DivergenceError` never is, so that
+        start is adapted again next time and reports the same reason.
+        """
+        settings = (steps, alpha, unroll_len, grad_mode, fresh_task_per_step)
+        keys = [
+            [self._adapted_key(start, g.dist_adapt, g.rng, *settings) for start in g.starts]
+            for g in groups
+        ]
+        missing = {}  # key -> (group index, start): each miss once, in the first group asking
+        for n, (g, group_keys) in enumerate(zip(groups, keys)):
+            for start, key in zip(g.starts, group_keys):
+                if key not in missing and not self._cached(ADAPTED, key, start.hidden):
+                    missing[key] = (n, start)
+        asking = sorted({n for n, _ in missing.values()})
+        adapted = adapt_groups(
+            [groups[n]._replace(starts=[s for m, s in missing.values() if m == n]) for n in asking],
+            *settings,
+        )
+        results = dict(zip(missing, (result for group in adapted for result in group)))
+        for key, result in results.items():
+            if not isinstance(result, DivergenceError):
+                self._store(ADAPTED, key, result, ADAPTED)
+        return [[results[key] if key in results else self._memo[key] for key in group_keys]
+                for group_keys in keys]
 
 
 def seed_config(cfg: MetaConfig, seed_index: int) -> MetaConfig:
@@ -489,10 +578,11 @@ class _Column:
 def _chunk_records(
     cfg: ExperimentConfig, columns, methods, cache: TrainingCache, seed_indices: list[int]
 ) -> list[RunRecord]:
-    """Train the chunk's cache misses in lockstep, then adapt and evaluate.
+    """Train the chunk's cache misses in lockstep, then adapt the misses and evaluate.
 
-    Adaptation runs every (seed, column) group of the chunk together
-    (`adapt_groups`), and so does evaluation (`evaluate_groups`).
+    Adaptation runs the uncached starts of every (seed, column) group of the
+    chunk together (`TrainingCache.get_or_adapt_all`), and evaluation runs
+    every group together (`evaluate_groups`); records are never cached.
     """
     metas = [seed_config(cfg.meta, k) for k in seed_indices]
     trainers = [t for t, uses in (("plain", {DT, TL}), (ML2O, {ML2O})) if uses & set(methods)]
@@ -519,9 +609,9 @@ def _chunk_records(
             )
             for col in columns
         ]
-    adapted = iter(adapt_groups(
+    adapted = iter(cache.get_or_adapt_all(
         adapt_work, cfg.meta.adapt_steps, cfg.adapt_alpha, cfg.meta.unroll_len,
-        grad_mode=cfg.meta.grad_mode, fresh_task_per_step=cfg.adapt_fresh_per_step,
+        cfg.meta.grad_mode, cfg.adapt_fresh_per_step,
     ))
 
     diverged, groups = [], []  # per (seed, column)

@@ -434,22 +434,25 @@ def test_cache_hit_from_another_environment_warns_and_serves(tiny_config, tmp_pa
     home = tmp_path / "home"
     assert compare_on_cache(tiny_config, tmp_path / "here", home) == EXIT_OK
     names = sorted(p.name for p in home.iterdir())
-    assert len(names) == 4  # 2 seeds x 2 trainers
+    # 2 seeds x 2 trainers, and 2 seeds x 3 adapted methods
+    assert [name.split("-")[0] for name in names] == ["adapted"] * 6 + ["ml2o"] * 2 + ["plain"] * 2
     for env, said in (("simd=none blas=Haswell", "simd=none blas=Haswell"),
                       ("", "an unrecorded numeric environment")):
-        # the same weights under the same keys, recorded as trained elsewhere
+        # the same weights under the same keys, recorded as made elsewhere
         cache = tmp_path / f"cache-{said}"
         cache.mkdir()
         for name in names:
-            trainer, key = name.removesuffix(".ckpt").split("-")
+            kind, key = name.removesuffix(".ckpt").split("-")
+            label = "adapted" if kind == "adapted" else f"trainer={kind}"
             save_checkpoint(load_checkpoint(home / name), cache / name,
-                            metadata=f"trainer={trainer} key={key} {env}".strip())
+                            metadata=f"{label} key={key} {env}".strip())
         capfd.readouterr()
         out = tmp_path / f"out-{said}"
         assert compare_on_cache(tiny_config, out, cache, jobs) == EXIT_OK
         warnings = sorted(capfd.readouterr().err.splitlines())  # workers print in any order
         assert warnings == [
-            f"warning: cached {cache / name} was trained under {said}, "
+            f"warning: cached {cache / name} was "
+            f"{'adapted' if name.startswith('adapted-') else 'trained'} under {said}, "
             f"this process runs {numeric_environment()}"
             for name in names
         ]
@@ -468,11 +471,136 @@ def test_cache_warning_is_one_write(tmp_path, monkeypatch):
 
     writes = Writes()
     monkeypatch.setattr(sys, "stderr", writes)
-    assert TrainingCache(str(tmp_path))._cached("plain", "k")
+    assert TrainingCache(str(tmp_path))._cached("plain", "k", 4)
     assert writes == [
         f"warning: cached {path} was trained under an unrecorded numeric environment, "
         f"this process runs {numeric_environment()}\n"
     ]
+
+
+def test_cached_weights_of_another_hidden_are_refused(tiny_config, tmp_path, capfd):
+    # valid weights of hidden 5 under TINY's (hidden 4) keys: the refusal names
+    # the file, and comes before the chunk trains or adapts anything
+    cfg = load_config(tiny_config)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    key = TrainingCache._key("plain", harness.seed_config(cfg.meta, 0), cfg.dist_train)
+    planted = cache / f"plain-{key}.ckpt"
+    save_checkpoint(random_params(5, RngStream(3)), planted, metadata=f"trainer=plain key={key}")
+    capfd.readouterr()
+    assert compare_on_cache(tiny_config, tmp_path / "o", cache) == EXIT_CONFIG
+    assert capfd.readouterr().err == (
+        f"checkpoint error: {planted}: cached weights have hidden=5, this run needs hidden=4\n"
+    )
+    assert os.listdir(cache) == [planted.name]
+    # an adapted entry is checked the same way
+    full = tmp_path / "full"
+    assert compare_on_cache(tiny_config, tmp_path / "cold", full) == EXIT_OK
+    adapted = sorted(full.glob("adapted-*.ckpt"))[0]
+    save_checkpoint(random_params(5, RngStream(3)), adapted, metadata="adapted")
+    capfd.readouterr()
+    assert compare_on_cache(tiny_config, tmp_path / "warm", full) == EXIT_CONFIG
+    assert capfd.readouterr().err == (
+        f"checkpoint error: {adapted}: cached weights have hidden=5, this run needs hidden=4\n"
+    )
+
+
+def count_adaptation_calls(monkeypatch) -> list[int]:
+    """Record the stack size of every `meta_grad_stack` call of this process."""
+    from ml2o import train, unroll
+
+    sizes = []
+    real = unroll.meta_grad_stack
+
+    def patched(params, *args, **kwargs):
+        sizes.append(params.size)
+        return real(params, *args, **kwargs)
+
+    for mod in (train, unroll):
+        monkeypatch.setattr(mod, "meta_grad_stack", patched)
+    return sizes
+
+
+def out_files(out: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+COMMANDS = {
+    "compare": ["compare", "--sigmas", "10,30"],
+    "sweep": ["sweep", "--adapt-sigmas", "5,10", "--test-sigma", "10"],
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_adapted_weights_are_served_byte_identically(
+    tiny_config, tmp_path, capfd, monkeypatch, command, jobs
+):
+    # a cold run, a warm one served every adaptation from the cache, and a
+    # partial one missing one adapted file write the same bytes and say the same
+    cache = tmp_path / "cache"
+    calls = count_adaptation_calls(monkeypatch)
+    runs = {}
+    for run in ("cold", "warm", "partial"):
+        if run == "partial":
+            lost = sorted(cache.glob("adapted-*.ckpt"))[0]
+            kept = lost.read_bytes()
+            lost.unlink()
+        calls.clear()
+        capfd.readouterr()
+        rc = main([*COMMANDS[command], "--config", tiny_config, "--jobs", jobs,
+                   "--out", str(tmp_path / run), "--cache-dir", str(cache)])
+        runs[run] = (rc, capfd.readouterr().err, out_files(tmp_path / run), list(calls))
+    assert runs["cold"][0] == EXIT_OK
+    assert runs["warm"][:3] == runs["partial"][:3] == runs["cold"][:3]
+    assert lost.read_bytes() == kept  # the lost file is written again, bit for bit
+    adapted = len(list(cache.glob("adapted-*.ckpt")))
+    assert adapted == 2 * 2 * (3 if command == "compare" else 2)  # seeds x columns x methods
+    if jobs == "1":  # the workers of --jobs 2 count in their own processes
+        assert runs["warm"][3] == []
+        assert runs["partial"][3] == [1, 1]  # one start, [adapt] steps = 2
+
+
+def test_adapted_keys_ignore_what_only_evaluation_reads(tiny_config, tmp_path, monkeypatch):
+    # horizon, test tasks, test sigma and a subset of the columns leave every
+    # adaptation where it was, and so does a sweep at another test sigma
+    cache = tmp_path / "cache"
+    assert main(["compare", "--config", tiny_config, "--sigmas", "5,10", "--out",
+                 str(tmp_path / "cold"), "--cache-dir", str(cache)]) == EXIT_OK
+    filled = sorted(p.name for p in cache.iterdir())
+    longer = tmp_path / "longer.ini"
+    longer.write_text(
+        TINY.replace("horizon = 12", "horizon = 7").replace("n_tasks = 1", "n_tasks = 2")
+    )
+    calls = count_adaptation_calls(monkeypatch)
+    for k, (config, flags) in enumerate((
+        (tiny_config, ["compare", "--sigmas", "10"]),
+        (str(longer), ["compare", "--sigmas", "5,10"]),
+        (tiny_config, ["sweep", "--adapt-sigmas", "5,10", "--test-sigma", "10"]),
+        (tiny_config, ["sweep", "--adapt-sigmas", "10", "--test-sigma", "30"]),
+    )):
+        assert main([*flags, "--config", config, "--out", str(tmp_path / f"o{k}"),
+                     "--cache-dir", str(cache)]) == EXIT_OK, flags
+        assert calls == [], flags
+    assert sorted(p.name for p in cache.iterdir()) == filled
+
+
+@pytest.mark.parametrize("alpha, written", [("1e150", 4), ("1e200", 0)])
+def test_diverged_adaptations_are_not_cached(tmp_path, capfd, alpha, written):
+    # 1e150 diverges vanilla's two starts and 1e200 all six: none is written,
+    # so a warm run adapts them again and warns with the same reasons
+    path = tmp_path / "explode.ini"
+    path.write_text(TINY.replace("alpha = 1e-6", f"alpha = {alpha}"))
+    cache = tmp_path / "cache"
+    runs = []
+    for run in ("cold", "warm"):
+        capfd.readouterr()
+        rc = main(["compare", "--config", str(path), "--out", str(tmp_path / run),
+                   "--cache-dir", str(cache)])
+        runs.append((rc, capfd.readouterr().err, out_files(tmp_path / run)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == EXIT_OK and "diverged run(s); first: seed 0: adaptation step" in runs[0][1]
+    assert len(list(cache.glob("adapted-*.ckpt"))) == written
 
 
 def test_echo_alone_reruns_a_command_given_flags(tiny_config, tmp_path):

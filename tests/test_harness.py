@@ -38,8 +38,11 @@ from ml2o.harness import (
 )
 from ml2o.numeric import RngStream, numeric_environment
 from ml2o.tasks import LASSO, MIXTURE, NORMAL, QUADRATIC, OptimizeeTask, TaskDistribution
-from ml2o.train import MetaConfig
-from ml2o.unroll import STACK_ROWS, TAPE_ROW_STEPS, unroll
+from ml2o.train import AdaptGroup, DivergenceError, MetaConfig, adapt, adapt_groups
+from ml2o.unroll import (
+    DETACHED_INPUT, FD_HVP_META, FIRST_ORDER_META, FULL_SECOND_ORDER, GRAD_MODES, STACK_ROWS,
+    TAPE_ROW_STEPS, unroll,
+)
 
 TRAIN_DIST = TaskDistribution(kind=MIXTURE, family=LASSO, dim=4, lam=0.005)
 ADAPT_DIST = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=10.0)
@@ -328,6 +331,74 @@ def test_cache_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch)
     name = f"plain-{TrainingCache._key('plain', meta, TRAIN_DIST)}.ckpt"
     assert os.listdir(directory) == [name]
     assert np.array_equal(load_checkpoint(os.path.join(directory, name)).flat, params.flat)
+
+
+ADAPT_SETTINGS = dict(
+    steps=2, alpha=1e-6, unroll_len=5, grad_mode=FULL_SECOND_ORDER, fresh_task_per_step=True
+)
+
+
+def adapted_key(start, dist=ADAPT_DIST, rng=None, **settings):
+    rng = rng or RngStream(4).child("adapt")
+    return TrainingCache._adapted_key(start, dist, rng, **{**ADAPT_SETTINGS, **settings})
+
+
+def test_adapted_key_moves_with_each_input():
+    start = random_params(4, RngStream(3))
+    keys = [
+        adapted_key(start),
+        adapted_key(random_params(4, RngStream(5))),
+        adapted_key(start, dist=replace(ADAPT_DIST, sigma=30.0)),
+        adapted_key(start, rng=RngStream(5).child("adapt")),
+        adapted_key(start, steps=3),
+        adapted_key(start, alpha=2e-6),
+        adapted_key(start, unroll_len=6),
+        adapted_key(start, grad_mode=DETACHED_INPUT),
+        adapted_key(start, fresh_task_per_step=False),
+    ]
+    assert len(set(keys)) == len(keys)
+
+
+def test_adapted_key_is_shared_by_modes_that_adapt_alike():
+    # adaptation reads only the trajectory mode: every meta mode adapts as
+    # full_second_order does, and shares its key
+    start = random_params(4, RngStream(3))
+    made = {}
+    for mode in GRAD_MODES:
+        params = adapt(start, ADAPT_DIST, 2, 1e-6, 5, RngStream(4).child("adapt"), mode)
+        made.setdefault(adapted_key(start, grad_mode=mode), set()).add((mode, params.digest()))
+    assert {frozenset(m for m, _ in runs) for runs in made.values()} == {
+        frozenset((FULL_SECOND_ORDER, FD_HVP_META, FIRST_ORDER_META)), frozenset((DETACHED_INPUT,))
+    }
+    assert all(len({d for _, d in runs}) == 1 for runs in made.values())
+
+
+def test_cached_adaptation_is_that_of_adapt_groups(tmp_path):
+    # some starts held, one diverging and one asked for by two groups: each
+    # result is the one `adapt_groups` gives for the whole groups
+    calm, other = random_params(4, RngStream(3)), random_params(4, RngStream(5))
+    wild = with_proj(calm, w_proj=1e300)
+
+    def groups():
+        return [
+            AdaptGroup([calm, wild, other], ADAPT_DIST, RngStream(1).child("adapt")),
+            AdaptGroup([other], replace(ADAPT_DIST, sigma=30.0), RngStream(2).child("adapt")),
+            AdaptGroup([calm], ADAPT_DIST, RngStream(1).child("adapt")),
+        ]
+
+    settings = list(ADAPT_SETTINGS.values())
+    want = adapt_groups(groups(), *settings)
+    cache = TrainingCache(str(tmp_path / "c"))
+    cache.get_or_adapt_all([groups()[0]._replace(starts=[other])], *settings)
+    got = TrainingCache(str(tmp_path / "c")).get_or_adapt_all(groups(), *settings)
+    assert len(list((tmp_path / "c").iterdir())) == 3  # calm, other and other at sigma 30
+    for got_group, want_group in zip(got, want):
+        for a, b in zip(got_group, want_group):
+            if isinstance(b, DivergenceError):
+                assert isinstance(a, DivergenceError) and (a.epoch, a.cause) == (b.epoch, b.cause)
+            else:
+                assert a.digest() == b.digest()
+    assert isinstance(want[0][1], DivergenceError)
 
 
 def test_parallel_jobs_do_not_change_results(tmp_path):
