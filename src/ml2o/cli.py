@@ -338,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigmas", default=None, help="comma-separated, e.g. 10,25,50,100,200")
     p.add_argument("--n-seeds", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--cache-dir", default=None, help="reuse trained checkpoints across runs")
+    p.add_argument("--cache-dir", default=None,
+                   help="reuse trained and adapted weights across runs")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="vary the adaptation sigma at a fixed test sigma")
@@ -348,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-sigma", type=float, default=None)
     p.add_argument("--n-seeds", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--cache-dir", default=None,
+                   help="reuse trained and adapted weights across runs")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="numerical checks of gradients and diagnostics")

@@ -15,6 +15,7 @@ zeros clamped at a floor of -40.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -298,10 +299,11 @@ def _counted(r: RunRecord) -> bool:
 class EvalGroup(NamedTuple):
     """Frozen optimizers to evaluate on `n_tasks` shared test draws from `rng`.
 
-    `variants` is a sequence of (method, key, params), each params a stack of one.
+    `variants` is a sequence of (method, key, params), each params a stack of
+    one, or the `DivergenceError` of that variant's adaptation.
     """
 
-    variants: list[tuple[str, str, ParamStack]]
+    variants: list[tuple[str, str, ParamStack | DivergenceError]]
     dist_test: TaskDistribution
     n_tasks: int
     rng: RngStream
@@ -317,7 +319,9 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
     trajectories of all groups run in lockstep, in `row_stacks` of at most
     `STACK_ROWS` untaped rows (slices x dim).  A non-finite loss truncates
     that trajectory's curve at that step instead of aborting; the other
-    trajectories are unaffected.
+    trajectories are unaffected.  A diverged variant gets one marked record,
+    filed as task 0 with an empty curve, a NaN metric and the reason; a group
+    with no live variant draws nothing.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -326,18 +330,19 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
             raise ValueError(f"n_tasks must be >= 1, got {g.n_tasks}")
     if len({id(g.rng) for g in groups}) != len(groups):
         raise ValueError("evaluation groups share a random stream; each needs its own")
+    live = [[p for _, _, p in g.variants if not isinstance(p, DivergenceError)] for g in groups]
     group_draws = [
         [
             (sample_task(g.dist_test, g.rng), sample_theta0(g.dist_test, g.rng))
-            for _ in range(g.n_tasks if g.variants else 0)
+            for _ in range(g.n_tasks if weights else 0)
         ]
-        for g in groups
+        for g, weights in zip(groups, live)
     ]
-    # (params, task, theta0) in group, variant, task order
+    # (params, task, theta0) in group, live variant, task order
     slices = [
         (params, task, theta0)
-        for g, draws in zip(groups, group_draws)
-        for _, _, params in g.variants
+        for weights, draws in zip(live, group_draws)
+        for params in weights
         for task, theta0 in draws
     ]
     trajectories = []
@@ -358,6 +363,11 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
         theta0_digests = [array_digest(theta0) for _, theta0 in draws]
         records = []
         for method, key, params in g.variants:
+            if isinstance(params, DivergenceError):
+                reason = f"seed {g.seed}: adaptation step {params.epoch}: {params.cause}"
+                records.append(RunRecord(method, _column_key(key), g.seed, 0, np.empty(0), math.nan,
+                                         "", "", "", diverged=True, reason=reason))
+                continue
             pdigest = params.digest()
             for j in range(g.n_tasks):
                 res = next(results)
@@ -489,15 +499,41 @@ class TrainingCache:
                 )
         return True
 
-    def _store(self, name: str, key: str, params: ParamStack, label: str) -> None:
+    def _store(self, name: str, key: str, params: ParamStack) -> None:
         """Memoize `params`; write it to a temporary file of its own writer, then rename it
-        into place, so commands sharing a directory never collide."""
+        into place, so commands sharing a directory never collide.  A failed write leaves
+        no temporary file behind."""
         self._memo[key] = params
         path = self._path(name, key)
         if path is not None:
             tmp = f"{path}.{os.getpid()}-{os.urandom(6).hex()}.tmp"
-            save_checkpoint(params, tmp, metadata=f"{label} key={key} {numeric_environment()}")
-            os.replace(tmp, path)
+            label = ADAPTED if name == ADAPTED else f"trainer={name}"
+            try:
+                save_checkpoint(params, tmp, metadata=f"{label} key={key} {numeric_environment()}")
+                os.replace(tmp, path)
+            except BaseException as exc:
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
+                if not isinstance(exc, OSError):
+                    raise
+                raise CheckpointError(f"{path}: cannot write cached weights: {exc}") from exc
+
+    def _serve(self, entries: list[tuple[str, str, int, object]], make) -> list:
+        """Each (name, key, hidden, item) entry's result: from the memo, the directory or `make`.
+
+        `make` takes the misses' items, one per key in the order first asked,
+        and returns a result for each.  A result that is weights is stored
+        under its entry's name; a `DivergenceError` never is.
+        """
+        missing = {}  # key -> (name, item)
+        for name, key, hidden, item in entries:
+            if key not in missing and not self._cached(name, key, hidden):
+                missing[key] = (name, item)
+        results = dict(zip(missing, make([item for _, item in missing.values()])))
+        for key, result in results.items():
+            if isinstance(result, ParamStack):
+                self._store(missing[key][0], key, result)
+        return [results[key] if key in results else self._memo[key] for _, key, _, _ in entries]
 
     def get_or_train(
         self, trainer: str, cfg: MetaConfig, dist: TaskDistribution
@@ -509,17 +545,10 @@ class TrainingCache:
     ) -> list[ParamStack]:
         """Weights for each (trainer, config); the misses of both trainers are
         trained together in lockstep, and none is stored if any diverges."""
-        keys = [(trainer, self._key(trainer, cfg, dist)) for trainer, cfg in requests]
-        missing = {}
-        for (trainer, key), (_, cfg) in zip(keys, requests):
-            if key not in missing and not self._cached(trainer, key, cfg.hidden):
-                missing[key] = (trainer, cfg)
-        trained = train_lockstep(
-            [(cfg, trainer == ML2O) for trainer, cfg in missing.values()], dist
+        return self._serve(
+            [(t, self._key(t, cfg, dist), cfg.hidden, (cfg, t == ML2O)) for t, cfg in requests],
+            lambda runs: [params for params, _ in train_lockstep(runs, dist)],
         )
-        for (key, (trainer, _)), (params, _) in zip(missing.items(), trained):
-            self._store(trainer, key, params, f"trainer={trainer}")
-        return [self._memo[key] for _, key in keys]
 
     def get_or_adapt_all(
         self,
@@ -539,26 +568,18 @@ class TrainingCache:
         start is adapted again next time and reports the same reason.
         """
         settings = (steps, alpha, unroll_len, grad_mode, fresh_task_per_step)
-        keys = [
-            [self._adapted_key(start, g.dist_adapt, g.rng, *settings) for start in g.starts]
-            for g in groups
-        ]
-        missing = {}  # key -> (group index, start): each miss once, in the first group asking
-        for n, (g, group_keys) in enumerate(zip(groups, keys)):
-            for start, key in zip(g.starts, group_keys):
-                if key not in missing and not self._cached(ADAPTED, key, start.hidden):
-                    missing[key] = (n, start)
-        asking = sorted({n for n, _ in missing.values()})
-        adapted = adapt_groups(
-            [groups[n]._replace(starts=[s for m, s in missing.values() if m == n]) for n in asking],
-            *settings,
-        )
-        results = dict(zip(missing, (result for group in adapted for result in group)))
-        for key, result in results.items():
-            if not isinstance(result, DivergenceError):
-                self._store(ADAPTED, key, result, ADAPTED)
-        return [[results[key] if key in results else self._memo[key] for key in group_keys]
-                for group_keys in keys]
+
+        def adapt_misses(items):  # (group index, start) pairs, in group order
+            asking = [groups[n]._replace(starts=[s for m, s in items if m == n])
+                      for n in sorted({n for n, _ in items})]
+            return [result for group in adapt_groups(asking, *settings) for result in group]
+
+        served = iter(self._serve(
+            [(ADAPTED, self._adapted_key(s, g.dist_adapt, g.rng, *settings), s.hidden, (n, s))
+             for n, g in enumerate(groups) for s in g.starts],
+            adapt_misses,
+        ))
+        return [[next(served) for _ in g.starts] for g in groups]
 
 
 def seed_config(cfg: MetaConfig, seed_index: int) -> MetaConfig:
@@ -614,38 +635,15 @@ def _chunk_records(
         cfg.meta.grad_mode, cfg.adapt_fresh_per_step,
     ))
 
-    diverged, groups = [], []  # per (seed, column)
+    groups = []  # per (seed, column)
     for seed_index, meta, start in zip(seed_indices, metas, starts):
         for col in columns:
             final = {**start, **dict(zip(adapted_methods, next(adapted)))}
-            variants, marked = [], []
-            for method in methods:
-                params = final[method]
-                if not isinstance(params, DivergenceError):
-                    variants.append((method, col.key, params))
-                    continue
-                marked.append(
-                    RunRecord(
-                        method=method,
-                        key=col.key,
-                        seed=seed_index,
-                        task_index=0,
-                        losses=np.empty(0),
-                        min_log_loss=math.nan,
-                        task_digest="",
-                        theta0_digest="",
-                        params_digest="",
-                        diverged=True,
-                        reason=(
-                            f"seed {seed_index}: adaptation step {params.epoch}: {params.cause}"
-                        ),
-                    )
-                )
-            diverged.append(marked)
-            test_rng = RngStream(meta.seed).child("test")
-            groups.append(EvalGroup(variants, col.dist_test, cfg.n_tasks, test_rng, seed_index))
-    evaluated = evaluate_groups(groups, cfg.horizon)
-    return [r for marked, records in zip(diverged, evaluated) for r in marked + records]
+            groups.append(EvalGroup(
+                [(method, col.key, final[method]) for method in methods],
+                col.dist_test, cfg.n_tasks, RngStream(meta.seed).child("test"), seed_index,
+            ))
+    return [r for records in evaluate_groups(groups, cfg.horizon) for r in records]
 
 
 def _worker_records(cfg, columns, methods, cache_dir, seed_indices):

@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import math
@@ -601,6 +602,47 @@ def test_diverged_adaptations_are_not_cached(tmp_path, capfd, alpha, written):
     assert runs[0] == runs[1]
     assert runs[0][0] == EXIT_OK and "diverged run(s); first: seed 0: adaptation step" in runs[0][1]
     assert len(list(cache.glob("adapted-*.ckpt"))) == written
+
+
+def test_failed_cache_write_leaves_no_temporary_file(tiny_config, tmp_path, monkeypatch, capsys):
+    # a full disk part-way through the first write; permission bits would not stop root
+    def write_part_then_fill_disk(params, path, metadata=""):
+        with open(path, "wb") as fh:
+            fh.write(b"ML2O")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(harness, "save_checkpoint", write_part_then_fill_disk)
+    cache = tmp_path / "cache"
+    rc = main(["compare", "--config", tiny_config, "--out", str(tmp_path / "o"),
+               "--cache-dir", str(cache)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        rf"checkpoint error: {re.escape(str(cache))}/plain-[0-9a-f]{{32}}\.ckpt: "
+        rf"cannot write cached weights: \[Errno {errno.ENOSPC}\] .*\n", err
+    )
+    assert os.listdir(cache) == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_growing_a_run_keeps_its_seeds(tiny_config, tmp_path, jobs):
+    # seeds 0 and 1 of a 3-seed run are those of a 2-seed run, records and
+    # curves alike, whatever chunk they train in
+    outs = {}
+    for n_seeds in ("2", "3"):
+        out = tmp_path / f"n{n_seeds}"
+        assert main(["compare", "--config", tiny_config, "--n-seeds", n_seeds, "--jobs", jobs,
+                     "--out", str(out)]) == EXIT_OK
+        outs[n_seeds] = out
+    rows = {
+        n: [r for r in (out / "comparison.csv").read_text().splitlines()[1:]
+            if int(r.split(",")[2]) < 2]
+        for n, out in outs.items()
+    }
+    assert len(rows["2"]) == 8 and rows["3"] == rows["2"]
+    curves = {n: out_files(out / "curves") for n, out in outs.items()}
+    assert len(curves["2"]) == 8 and len(curves["3"]) == 12
+    assert {name: curves["3"][name] for name in curves["2"]} == curves["2"]
 
 
 def test_echo_alone_reruns_a_command_given_flags(tiny_config, tmp_path):

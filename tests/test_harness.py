@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -37,7 +37,9 @@ from ml2o.harness import (
     seed_config,
 )
 from ml2o.numeric import RngStream, numeric_environment
-from ml2o.tasks import LASSO, MIXTURE, NORMAL, QUADRATIC, OptimizeeTask, TaskDistribution
+from ml2o.tasks import (
+    LASSO, MIXTURE, NORMAL, QUADRATIC, OptimizeeTask, TaskDistribution, sample_task,
+)
 from ml2o.train import AdaptGroup, DivergenceError, MetaConfig, adapt, adapt_groups
 from ml2o.unroll import (
     DETACHED_INPUT, FD_HVP_META, FIRST_ORDER_META, FULL_SECOND_ORDER, GRAD_MODES, STACK_ROWS,
@@ -447,6 +449,35 @@ def test_stacked_evaluation_keeps_a_stack_that_diverges_all_at_once(rng):
     for r in records:
         assert r.truncated_at == 1 and r.losses.shape == (1,)
         assert np.isfinite(r.losses[0])
+
+
+def test_evaluation_files_one_marked_record_per_diverged_variant(rng):
+    calm, other = random_params(4, rng), random_params(4, rng)
+    dead = DivergenceError(3, calm, "non-finite loss")
+
+    def group(variants, seed=7):
+        return EvalGroup(variants, TEST_DIST, 2, RngStream(seed).child("test"), seed)
+
+    all_dead = group([("dead", "k", dead), ("dead2", "k", dead)], seed=8)
+    mixed, alone, unevaluated = evaluate_groups([
+        group([("calm", "k", calm), ("dead", "k", dead), ("other", "k", other)]),
+        group([("calm", "k", calm), ("other", "k", other)]),
+        all_dead,
+    ], 9)
+    (marked,) = [r for r in mixed if r.method == "dead"]
+    assert (marked.key, marked.seed, marked.task_index, marked.losses.size) == ("k", 7, 0, 0)
+    assert marked.diverged and math.isnan(marked.min_log_loss)
+    assert marked.reason == "seed 7: adaptation step 3: non-finite loss"
+
+    def as_bytes(records):
+        return [asdict(replace(r, losses=r.losses.tobytes())) for r in records]
+
+    assert as_bytes(r for r in mixed if r.method != "dead") == as_bytes(alone)
+    # the all-diverged group is only marked, and drew nothing: its stream is
+    # where a fresh one starts
+    assert [(r.method, r.diverged) for r in unevaluated] == [("dead", True), ("dead2", True)]
+    fresh = RngStream(8).child("test")
+    assert sample_task(TEST_DIST, all_dead.rng).digest() == sample_task(TEST_DIST, fresh).digest()
 
 
 def test_evaluation_groups_refuse_a_shared_stream(rng):
