@@ -3,7 +3,8 @@
 Exit codes are a stable contract for scripting:
 
     0  success
-    2  configuration problems (missing file, unknown key, bad value)
+    2  configuration problems (missing file, unknown key, bad value), and a
+       result file that cannot be written
     3  training/adaptation divergence
     4  verification failure
 
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-seeds", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--cache-dir", default=None,
-                   help="reuse trained and adapted weights across runs")
+                   help="reuse trained and adapted weights and evaluated curves across runs")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="vary the adaptation sigma at a fixed test sigma")
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-seeds", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--cache-dir", default=None,
-                   help="reuse trained and adapted weights across runs")
+                   help="reuse trained and adapted weights and evaluated curves across runs")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="numerical checks of gradients and diagnostics")
@@ -387,6 +388,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except OSError as exc:  # every read turns its OSError into one of the errors above
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry() -> None:

@@ -21,7 +21,9 @@ import hashlib
 import json
 import math
 import os
+import struct
 import sys
+import zlib
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
@@ -69,6 +71,8 @@ __all__ = [
     "interpolate_eval",
     "seed_config",
     "read_comparison_json",
+    "save_curves",
+    "load_curves",
     "write_curve",
     "write_json",
 ]
@@ -310,7 +314,9 @@ class EvalGroup(NamedTuple):
     seed: int = 0
 
 
-def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecord]]:
+def evaluate_groups(
+    groups: list[EvalGroup], horizon: int, cache: TrainingCache | None = None
+) -> list[list[RunRecord]]:
     """Evaluate every group on its own test draws; returns each group's records.
 
     Each group takes its `n_tasks` draws from its `rng` once and shares them
@@ -321,7 +327,10 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
     that trajectory's curve at that step instead of aborting; the other
     trajectories are unaffected.  A diverged variant gets one marked record,
     filed as task 0 with an empty curve, a NaN metric and the reason; a group
-    with no live variant draws nothing.
+    with no live variant draws nothing.  Each group's `rng` must be unread,
+    since a curve is keyed by the stream's key (`TrainingCache.curves_key`):
+    a live variant's curves are served from `cache` where held, only the
+    misses are unrolled, and every record is the one computed without it.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -330,34 +339,49 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
             raise ValueError(f"n_tasks must be >= 1, got {g.n_tasks}")
     if len({id(g.rng) for g in groups}) != len(groups):
         raise ValueError("evaluation groups share a random stream; each needs its own")
-    live = [[p for _, _, p in g.variants if not isinstance(p, DivergenceError)] for g in groups]
+    if not all(g.rng.unread() for g in groups):
+        raise ValueError("an evaluation group's random stream has been read; each needs a fresh one")
+    # (group index, params) of every live variant, in group and variant order
+    live = [
+        (n, params)
+        for n, g in enumerate(groups)
+        for _, _, params in g.variants
+        if not isinstance(params, DivergenceError)
+    ]
+    evaluated = {n for n, _ in live}
     group_draws = [
         [
             (sample_task(g.dist_test, g.rng), sample_theta0(g.dist_test, g.rng))
-            for _ in range(g.n_tasks if weights else 0)
+            for _ in range(g.n_tasks if n in evaluated else 0)
         ]
-        for g, weights in zip(groups, live)
+        for n, g in enumerate(groups)
     ]
-    # (params, task, theta0) in group, live variant, task order
-    slices = [
-        (params, task, theta0)
-        for weights, draws in zip(live, group_draws)
-        for params in weights
-        for task, theta0 in draws
-    ]
-    trajectories = []
-    if slices:
-        for stack in row_stacks(slices, slices[0][1].dim, STACK_ROWS):
-            result = unroll_stack(
-                ParamStack.of([params for params, _, _ in stack]),
-                TaskStack([task for _, task, _ in stack]),
-                np.stack([theta0 for _, _, theta0 in stack]),
-                horizon,
-            )
-            trajectories.extend(result.trajectory(i) for i in range(len(stack)))
+
+    def unroll_curves(asked):  # (group index, params) pairs -> each one's curves
+        slices = [(params, task, theta0) for n, params in asked for task, theta0 in group_draws[n]]
+        trajectories = []
+        if slices:
+            for stack in row_stacks(slices, slices[0][1].dim, STACK_ROWS):
+                result = unroll_stack(
+                    ParamStack.of([params for params, _, _ in stack]),
+                    TaskStack([task for _, task, _ in stack]),
+                    np.stack([theta0 for _, _, theta0 in stack]),
+                    horizon,
+                )
+                trajectories.extend(result.trajectory(i) for i in range(len(stack)))
+        runs = iter(trajectories)
+        return [
+            [(res.losses, res.truncated_at) for res in (next(runs) for _ in group_draws[n])]
+            for n, _ in asked
+        ]
+
+    cache = cache or TrainingCache()
+    curves = iter(cache._serve(
+        [(CURVES, cache.curves_key(p, groups[n], horizon), None, (n, p)) for n, p in live],
+        unroll_curves,
+    ))
 
     out = []
-    results = iter(trajectories)
     for g, draws in zip(groups, group_draws):
         task_digests = [task.digest() for task, _ in draws]
         theta0_digests = [array_digest(theta0) for _, theta0 in draws]
@@ -369,20 +393,19 @@ def evaluate_groups(groups: list[EvalGroup], horizon: int) -> list[list[RunRecor
                                          "", "", "", diverged=True, reason=reason))
                 continue
             pdigest = params.digest()
-            for j in range(g.n_tasks):
-                res = next(results)
+            for j, (losses, truncated_at) in enumerate(next(curves)):
                 records.append(
                     RunRecord(
                         method=method,
                         key=_column_key(key),
                         seed=g.seed,
                         task_index=j,
-                        losses=res.losses,
-                        min_log_loss=min_log_loss(res.losses),
+                        losses=losses,
+                        min_log_loss=min_log_loss(losses),
                         task_digest=task_digests[j],
                         theta0_digest=theta0_digests[j],
                         params_digest=pdigest,
-                        truncated_at=res.truncated_at,
+                        truncated_at=truncated_at,
                     )
                 )
         out.append(records)
@@ -407,8 +430,14 @@ def evaluate(
     return evaluate_groups([group], horizon)[0]
 
 
-# the file-name prefix of adapted weights; trained weights are named by trainer
+# the file-name prefixes of adapted weights and of evaluated curves; trained
+# weights are named by trainer
 ADAPTED = "adapted"
+CURVES = "curves"
+CURVES_MAGIC = b"ML2OCRV1"
+# the modules whose code an evaluated curve runs through: the draws and the
+# record loop (harness), the task law and losses, the cell, and the unroll
+_EVALUATION_SOURCES = ("cell.py", "harness.py", "numeric.py", "tasks.py", "unroll.py")
 
 
 def _hash_key(doc: dict) -> str:
@@ -420,21 +449,134 @@ def _dist_fields(dist: TaskDistribution) -> dict:
     return {k: getattr(dist, k) for k in sorted(vars(dist))}
 
 
+@functools.cache
+def _evaluation_identity() -> str:
+    """blake2b of the source bytes of `_EVALUATION_SOURCES`, numpy's version and this
+    process's numeric environment: what, besides its inputs, fixes a curve's bits."""
+    h = hashlib.blake2b(digest_size=16)
+    for name in _EVALUATION_SOURCES:
+        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
+            h.update(fh.read())
+    h.update(f"numpy={np.__version__} {numeric_environment()}".encode())
+    return h.hexdigest()
+
+
+def save_curves(curves: list[tuple[np.ndarray, int | None]], path) -> None:
+    """Write one variant's (losses, truncated_at) per test task, little-endian.
+
+    Layout: magic "ML2OCRV1", i64 task count n, n i64 cuts (-1: not cut),
+    n i64 curve lengths, every curve's f64 losses in task order, then a u32
+    CRC-32 of all the bytes before it.
+    """
+    cuts = [-1 if cut is None else cut for _, cut in curves]
+    head = np.array([len(curves), *cuts, *(len(losses) for losses, _ in curves)], dtype="<i8")
+    body = b"".join([
+        CURVES_MAGIC,
+        head.tobytes(),
+        np.concatenate([losses for losses, _ in curves]).astype("<f8").tobytes(),
+    ])
+    with open(path, "wb") as fh:
+        fh.write(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def load_curves(path) -> list[tuple[np.ndarray, int | None]]:
+    """Read curves written by `save_curves`; a truncated or corrupt file is a
+    `CheckpointError` that names it."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot open: {exc.strerror}") from exc
+    body, tail = blob[:-4], blob[-4:]
+    start = len(CURVES_MAGIC) + 8
+    if len(blob) < start + 4 or not blob.startswith(CURVES_MAGIC):
+        raise CheckpointError(f"{path}: corrupt cached curves: bad magic or truncated")
+    if struct.unpack("<I", tail)[0] != zlib.crc32(body):
+        raise CheckpointError(f"{path}: corrupt cached curves: checksum mismatch")
+    (n,) = struct.unpack_from("<q", body, len(CURVES_MAGIC))
+    if not 0 < n <= (len(body) - start) // 16:
+        raise CheckpointError(f"{path}: corrupt cached curves: {n} tasks")
+    head = np.frombuffer(body, "<i8", 2 * n, start)
+    cuts, lengths = head[:n].tolist(), head[n:]
+    if (lengths < 0).any() or start + 16 * n + 8 * int(lengths.sum()) != len(body):
+        raise CheckpointError(f"{path}: corrupt cached curves: lengths do not match the size")
+    losses = np.frombuffer(body, "<f8", offset=start + 16 * n).astype(np.float64)
+    return [
+        (curve, None if cut == -1 else cut)
+        for curve, cut in zip(np.split(losses, np.cumsum(lengths)[:-1]), cuts)
+    ]
+
+
+class _WeightEntries:
+    """Trained (named by trainer) and adapted weights: checkpoints whose metadata
+    records the numeric environment, served from another one with a warning."""
+
+    ext, what = "ckpt", "weights"
+
+    @staticmethod
+    def save(params: ParamStack, path, name: str, key: str) -> None:
+        label = ADAPTED if name == ADAPTED else f"trainer={name}"
+        save_checkpoint(params, path, metadata=f"{label} key={key} {numeric_environment()}")
+
+    @staticmethod
+    def load(path, name: str, hidden: int) -> ParamStack:
+        params = load_checkpoint(path)
+        if params.hidden != hidden:
+            raise CheckpointError(
+                f"{path}: cached weights have hidden={params.hidden}, "
+                f"this run needs hidden={hidden}"
+            )
+        # other SIMD paths or BLAS cores change the last bits: serve, but say so
+        here = str(numeric_environment())
+        metadata = load_checkpoint_metadata(path).split()
+        recorded = " ".join(t for t in metadata if t.startswith(("simd=", "blas=")))
+        if recorded != here:  # one write, so that workers' lines never interleave
+            made = "adapted" if name == ADAPTED else "trained"
+            sys.stderr.write(
+                f"warning: cached {path} was {made} under "
+                f"{recorded or 'an unrecorded numeric environment'}, this process runs {here}\n"
+            )
+        return params
+
+
+class _CurveEntries:
+    """Evaluated curves (`save_curves`); their key holds the code and the environment."""
+
+    ext, what = "crv", "curves"
+
+    @staticmethod
+    def save(curves, path, name: str, key: str) -> None:
+        save_curves(curves, path)
+
+    @staticmethod
+    def load(path, name: str, hidden: None):
+        return load_curves(path)
+
+
+def _entries(name: str):
+    """The kind of cache entry stored under `name`: curves, or else weights."""
+    return _CurveEntries if name == CURVES else _WeightEntries
+
+
 class TrainingCache:
-    """Deterministic memo for trained and adapted weights, optionally backed by a directory.
+    """Deterministic memo for trained and adapted weights and evaluated curves,
+    optionally backed by a directory.
 
     Training is a pure function of (trainer, config, distribution), and
     adaptation one of (start weights, adaptation draws, settings), in one
     numeric environment, so caching never changes a result there; a file made
     in another environment, or an unrecorded one, is served with a stderr
     warning.  A file whose `hidden` is not the one asked for is refused.
+    An evaluated curve is keyed by its inputs and by the code and numeric
+    environment that computed it (`curves_key`), so it is never served
+    across either.
     """
 
     def __init__(self, directory: str | None = None):
         self.directory = directory
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
-        self._memo: dict[str, ParamStack] = {}
+        self._memo: dict[str, object] = {}
 
     @staticmethod
     def _key(trainer: str, cfg: MetaConfig, dist: TaskDistribution) -> str:
@@ -470,60 +612,58 @@ class TrainingCache:
             "fresh_task_per_step": fresh_task_per_step,
         })
 
+    @staticmethod
+    def curves_key(params: ParamStack, group: EvalGroup, horizon: int) -> str:
+        """Key of `params`' curves on `group`'s test draws, from its unread `rng`, as
+        `evaluate_groups` computes them in this code and numeric environment."""
+        return _hash_key({
+            "params": params.digest(),
+            "dist": _dist_fields(group.dist_test),
+            "rng": group.rng.key.hex(),
+            "n_tasks": group.n_tasks,
+            "horizon": horizon,
+            "code": _evaluation_identity(),
+        })
+
     def _path(self, name: str, key: str) -> str | None:
         if self.directory is None:
             return None
-        return os.path.join(self.directory, f"{name}-{key}.ckpt")
+        return os.path.join(self.directory, f"{name}-{key}.{_entries(name).ext}")
 
-    def _cached(self, name: str, key: str, hidden: int) -> bool:
+    def _cached(self, name: str, key: str, hidden: int | None) -> bool:
         if key not in self._memo:
             path = self._path(name, key)
             if path is None or not os.path.exists(path):
                 return False
-            params = load_checkpoint(path)
-            if params.hidden != hidden:
-                raise CheckpointError(
-                    f"{path}: cached weights have hidden={params.hidden}, "
-                    f"this run needs hidden={hidden}"
-                )
-            self._memo[key] = params
-            # other SIMD paths or BLAS cores change the last bits: serve, but say so
-            here = str(numeric_environment())
-            metadata = load_checkpoint_metadata(path).split()
-            recorded = " ".join(t for t in metadata if t.startswith(("simd=", "blas=")))
-            if recorded != here:  # one write, so that workers' lines never interleave
-                made = "adapted" if name == ADAPTED else "trained"
-                sys.stderr.write(
-                    f"warning: cached {path} was {made} under "
-                    f"{recorded or 'an unrecorded numeric environment'}, this process runs {here}\n"
-                )
+            self._memo[key] = _entries(name).load(path, name, hidden)
         return True
 
-    def _store(self, name: str, key: str, params: ParamStack) -> None:
-        """Memoize `params`; write it to a temporary file of its own writer, then rename it
+    def _store(self, name: str, key: str, result) -> None:
+        """Memoize `result`; write it to a temporary file of its own writer, then rename it
         into place, so commands sharing a directory never collide.  A failed write leaves
         no temporary file behind."""
-        self._memo[key] = params
+        self._memo[key] = result
         path = self._path(name, key)
         if path is not None:
             tmp = f"{path}.{os.getpid()}-{os.urandom(6).hex()}.tmp"
-            label = ADAPTED if name == ADAPTED else f"trainer={name}"
             try:
-                save_checkpoint(params, tmp, metadata=f"{label} key={key} {numeric_environment()}")
+                _entries(name).save(result, tmp, name, key)
                 os.replace(tmp, path)
             except BaseException as exc:
                 with contextlib.suppress(OSError):
                     os.remove(tmp)
                 if not isinstance(exc, OSError):
                     raise
-                raise CheckpointError(f"{path}: cannot write cached weights: {exc}") from exc
+                raise CheckpointError(
+                    f"{path}: cannot write cached {_entries(name).what}: {exc}"
+                ) from exc
 
-    def _serve(self, entries: list[tuple[str, str, int, object]], make) -> list:
+    def _serve(self, entries: list[tuple[str, str, int | None, object]], make) -> list:
         """Each (name, key, hidden, item) entry's result: from the memo, the directory or `make`.
 
         `make` takes the misses' items, one per key in the order first asked,
-        and returns a result for each.  A result that is weights is stored
-        under its entry's name; a `DivergenceError` never is.
+        and returns a result for each.  Every result but a `DivergenceError`
+        is stored under its entry's name.
         """
         missing = {}  # key -> (name, item)
         for name, key, hidden, item in entries:
@@ -531,7 +671,7 @@ class TrainingCache:
                 missing[key] = (name, item)
         results = dict(zip(missing, make([item for _, item in missing.values()])))
         for key, result in results.items():
-            if isinstance(result, ParamStack):
+            if not isinstance(result, DivergenceError):
                 self._store(missing[key][0], key, result)
         return [results[key] if key in results else self._memo[key] for _, key, _, _ in entries]
 
@@ -599,11 +739,12 @@ class _Column:
 def _chunk_records(
     cfg: ExperimentConfig, columns, methods, cache: TrainingCache, seed_indices: list[int]
 ) -> list[RunRecord]:
-    """Train the chunk's cache misses in lockstep, then adapt the misses and evaluate.
+    """Train the chunk's cache misses in lockstep, then adapt and evaluate the misses.
 
     Adaptation runs the uncached starts of every (seed, column) group of the
-    chunk together (`TrainingCache.get_or_adapt_all`), and evaluation runs
-    every group together (`evaluate_groups`); records are never cached.
+    chunk together (`TrainingCache.get_or_adapt_all`).  Evaluation draws every
+    group's test tasks and builds every record (`evaluate_groups`), but
+    unrolls only the variants whose curves `cache` does not hold.
     """
     metas = [seed_config(cfg.meta, k) for k in seed_indices]
     trainers = [t for t, uses in (("plain", {DT, TL}), (ML2O, {ML2O})) if uses & set(methods)]
@@ -643,7 +784,7 @@ def _chunk_records(
                 [(method, col.key, final[method]) for method in methods],
                 col.dist_test, cfg.n_tasks, RngStream(meta.seed).child("test"), seed_index,
             ))
-    return [r for records in evaluate_groups(groups, cfg.horizon) for r in records]
+    return [r for records in evaluate_groups(groups, cfg.horizon, cache) for r in records]
 
 
 def _worker_records(cfg, columns, methods, cache_dir, seed_indices):

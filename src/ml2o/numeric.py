@@ -54,6 +54,10 @@ class RngStream:
         """Fresh stream for `label`; repeatable and independent of draw order."""
         return RngStream(_key=_derive_key(self.key, str(label).encode("utf-8")))
 
+    def unread(self) -> bool:
+        """Whether nothing has been drawn yet: every draw advances Philox's counter."""
+        return not self.gen.bit_generator.state["state"]["counter"].any()
+
     def derive_seed(self, label) -> int:
         """Stable 64-bit integer for `label`, e.g. to seed a sub-config."""
         key = _derive_key(self.key, str(label).encode("utf-8"))

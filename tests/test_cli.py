@@ -27,7 +27,7 @@ from ml2o import cli, harness
 from ml2o.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
 from ml2o.config import _SCHEMA, ConfigError, load_config
 from ml2o.harness import TrainingCache
-from ml2o.numeric import RngStream, numeric_environment
+from ml2o.numeric import NumericEnvironment, RngStream, numeric_environment
 from ml2o.tasks import NORMAL, QUADRATIC, ROSENBROCK_INIT, TaskDistribution
 from ml2o.train import train_lockstep
 from ml2o.unroll import DETACHED_INPUT, FD_HVP_META, FIRST_ORDER_META, FULL_SECOND_ORDER, GRAD_MODES
@@ -434,9 +434,10 @@ def test_cache_hit_from_this_environment_is_silent(tiny_config, tmp_path, capfd)
 def test_cache_hit_from_another_environment_warns_and_serves(tiny_config, tmp_path, capfd, jobs):
     home = tmp_path / "home"
     assert compare_on_cache(tiny_config, tmp_path / "here", home) == EXIT_OK
-    names = sorted(p.name for p in home.iterdir())
+    names = sorted(p.name for p in home.glob("*.ckpt"))
     # 2 seeds x 2 trainers, and 2 seeds x 3 adapted methods
     assert [name.split("-")[0] for name in names] == ["adapted"] * 6 + ["ml2o"] * 2 + ["plain"] * 2
+    assert all(p.name.startswith("curves-") for p in home.iterdir() if p.suffix != ".ckpt")
     for env, said in (("simd=none blas=Haswell", "simd=none blas=Haswell"),
                       ("", "an unrecorded numeric environment")):
         # the same weights under the same keys, recorded as made elsewhere
@@ -568,7 +569,7 @@ def test_adapted_keys_ignore_what_only_evaluation_reads(tiny_config, tmp_path, m
     cache = tmp_path / "cache"
     assert main(["compare", "--config", tiny_config, "--sigmas", "5,10", "--out",
                  str(tmp_path / "cold"), "--cache-dir", str(cache)]) == EXIT_OK
-    filled = sorted(p.name for p in cache.iterdir())
+    filled = sorted(p.name for p in cache.glob("*.ckpt"))
     longer = tmp_path / "longer.ini"
     longer.write_text(
         TINY.replace("horizon = 12", "horizon = 7").replace("n_tasks = 1", "n_tasks = 2")
@@ -583,7 +584,8 @@ def test_adapted_keys_ignore_what_only_evaluation_reads(tiny_config, tmp_path, m
         assert main([*flags, "--config", config, "--out", str(tmp_path / f"o{k}"),
                      "--cache-dir", str(cache)]) == EXIT_OK, flags
         assert calls == [], flags
-    assert sorted(p.name for p in cache.iterdir()) == filled
+    assert sorted(p.name for p in cache.glob("*.ckpt")) == filled
+    assert all(p.name.startswith("curves-") for p in cache.iterdir() if p.suffix != ".ckpt")
 
 
 @pytest.mark.parametrize("alpha, written", [("1e150", 4), ("1e200", 0)])
@@ -622,6 +624,123 @@ def test_failed_cache_write_leaves_no_temporary_file(tiny_config, tmp_path, monk
         rf"cannot write cached weights: \[Errno {errno.ENOSPC}\] .*\n", err
     )
     assert os.listdir(cache) == []
+
+
+def test_failed_curves_write_leaves_no_temporary_file(tiny_config, tmp_path, monkeypatch, capsys):
+    # the weights are written; the first curves entry meets a full disk part-way
+    def write_part_then_fill_disk(curves, path):
+        with open(path, "wb") as fh:
+            fh.write(harness.CURVES_MAGIC)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(harness, "save_curves", write_part_then_fill_disk)
+    cache = tmp_path / "cache"
+    rc = main(["compare", "--config", tiny_config, "--out", str(tmp_path / "o"),
+               "--cache-dir", str(cache)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        rf"checkpoint error: {re.escape(str(cache))}/curves-[0-9a-f]{{32}}\.crv: "
+        rf"cannot write cached curves: \[Errno {errno.ENOSPC}\] .*\n", err
+    )
+    assert len(os.listdir(cache)) == 10 and all(n.endswith(".ckpt") for n in os.listdir(cache))
+
+
+def count_evaluation_calls(monkeypatch, log: Path):
+    """Log the stack size of every evaluation `unroll_stack` call, in this process and in
+    the workers it forks; returns a function that reads and clears the log."""
+    real = harness.unroll_stack
+
+    def patched(params, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{params.size}\n")
+        return real(params, *args, **kwargs)
+
+    def calls() -> list[int]:
+        sizes = [int(n) for n in log.read_text().split()] if log.exists() else []
+        log.unlink(missing_ok=True)
+        return sizes
+
+    monkeypatch.setattr(harness, "unroll_stack", patched)
+    return calls
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_evaluated_curves_are_served_byte_identically(
+    tiny_config, tmp_path, capfd, monkeypatch, command, jobs
+):
+    # a warm run unrolls nothing and writes and says what the cold run did
+    cache = tmp_path / "cache"
+    calls = count_evaluation_calls(monkeypatch, tmp_path / "calls.log")
+    runs = {}
+    for run in ("cold", "warm"):
+        capfd.readouterr()
+        rc = main([*COMMANDS[command], "--config", tiny_config, "--jobs", jobs,
+                   "--out", str(tmp_path / run), "--cache-dir", str(cache)])
+        runs[run] = (rc, capfd.readouterr().err, out_files(tmp_path / run), calls())
+    assert runs["cold"][0] == EXIT_OK and runs["cold"][3]  # workers' calls count too
+    assert runs["warm"][:3] == runs["cold"][:3]
+    assert runs["warm"][3] == []
+    assert len(list(cache.glob("curves-*.crv"))) == 2 * 2 * (4 if command == "compare" else 2)
+
+
+def test_sweep_at_the_test_sigma_reuses_the_curves_of_compare(tiny_config, tmp_path, monkeypatch):
+    # tl and ml2o adapted at sigma 10 and tested at sigma 10: the curves of
+    # compare's sigma-10 column, so the sweep unrolls nothing
+    cache = tmp_path / "cache"
+    sweep = ["sweep", "--adapt-sigmas", "10", "--test-sigma", "10", "--config", tiny_config]
+    assert main([*sweep, "--out", str(tmp_path / "alone")]) == EXIT_OK
+    assert main(["compare", "--sigmas", "10", "--config", tiny_config, "--out",
+                 str(tmp_path / "cmp"), "--cache-dir", str(cache)]) == EXIT_OK
+    calls = count_evaluation_calls(monkeypatch, tmp_path / "calls.log")
+    assert main([*sweep, "--out", str(tmp_path / "after"), "--cache-dir", str(cache)]) == EXIT_OK
+    assert calls() == []
+    assert out_files(tmp_path / "after") == out_files(tmp_path / "alone")
+
+
+@pytest.mark.parametrize("damage", ["truncated", "bit-flipped"])
+def test_corrupt_curves_entry_is_a_checkpoint_error(tiny_config, tmp_path, capfd, damage):
+    cache = tmp_path / "cache"
+    assert compare_on_cache(tiny_config, tmp_path / "cold", cache) == EXIT_OK
+    entry = sorted(cache.glob("curves-*.crv"))[0]
+    blob = bytearray(entry.read_bytes())
+    if damage == "truncated":
+        blob = blob[: len(blob) // 2]
+    else:
+        blob[len(blob) // 2] ^= 0x10
+    entry.write_bytes(bytes(blob))
+    capfd.readouterr()
+    assert compare_on_cache(tiny_config, tmp_path / "warm", cache) == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err.startswith(f"checkpoint error: {entry}: corrupt cached curves: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("made_under", ["another code", "another environment"])
+def test_curves_of_another_code_or_environment_are_not_served(
+    tiny_config, tmp_path, monkeypatch, request, made_under
+):
+    # entries made elsewhere stay unread: the curves are unrolled and written
+    # again, to the same bytes
+    request.addfinalizer(harness._evaluation_identity.cache_clear)
+    cache = tmp_path / "cache"
+    calls = count_evaluation_calls(monkeypatch, tmp_path / "calls.log")
+    with monkeypatch.context() as elsewhere:
+        if made_under == "another code":
+            elsewhere.setattr(harness, "_evaluation_identity", lambda: "0" * 32)
+        else:
+            elsewhere.setattr(harness, "numeric_environment",
+                              lambda: NumericEnvironment("none", "Haswell"))
+            harness._evaluation_identity.cache_clear()
+        assert compare_on_cache(tiny_config, tmp_path / "there", cache) == EXIT_OK
+    harness._evaluation_identity.cache_clear()
+    made = sorted(cache.glob("curves-*.crv"))
+    assert len(made) == 8 and calls()
+    assert compare_on_cache(tiny_config, tmp_path / "here", cache) == EXIT_OK
+    assert sum(calls()) == 8  # every variant's curve, unrolled again
+    assert len(list(cache.glob("curves-*.crv"))) == 16
+    assert out_files(tmp_path / "here") == out_files(tmp_path / "there")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -1074,6 +1193,20 @@ def test_unusable_out_or_cache_dir_is_config_error(tiny_config, tmp_path, capsys
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and str(blocker) in err, args
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("blocked", ["curves", "comparison.json"])
+def test_failed_result_write_names_the_file(tiny_config, tmp_path, capsys, blocked):
+    # a file where the curve directory goes, or a directory where a table goes
+    out = tmp_path / "o"
+    out.mkdir()
+    if blocked == "curves":
+        (out / blocked).write_text("")
+    else:
+        (out / blocked).mkdir()
+    reason = os.strerror(errno.EEXIST if blocked == "curves" else errno.EISDIR)
+    assert main(["compare", "--config", tiny_config, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: cannot write {out / blocked}: {reason}\n"
 
 
 def test_interpolate_shape_mismatch_is_config_error(tiny_config, tmp_path, capsys):

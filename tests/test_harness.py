@@ -480,6 +480,42 @@ def test_evaluation_files_one_marked_record_per_diverged_variant(rng):
     assert sample_task(TEST_DIST, all_dead.rng).digest() == sample_task(TEST_DIST, fresh).digest()
 
 
+def test_cached_curves_round_trip_a_truncated_curve(tmp_path, monkeypatch, rng):
+    # served from the directory, every record is the uncached one, the cut
+    # curve of the wild weights included
+    calm = random_params(4, rng)
+    wild = with_proj(calm, w_proj=1e300)
+
+    def groups():
+        return [EvalGroup([("calm", "k", calm), ("wild", "k", wild)], TEST_DIST, 2,
+                          RngStream(8).child("test"), 8)]
+
+    def as_bytes(records):
+        return [asdict(replace(r, losses=(r.losses.dtype, r.losses.tobytes()))) for r in records]
+
+    want = evaluate_groups(groups(), 15)[0]
+    cold = evaluate_groups(groups(), 15, TrainingCache(str(tmp_path / "c")))[0]
+    assert len(list((tmp_path / "c").glob("curves-*.crv"))) == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cached curve was unrolled")
+
+    monkeypatch.setattr(harness, "unroll_stack", refuse)
+    warm = evaluate_groups(groups(), 15, TrainingCache(str(tmp_path / "c")))[0]
+    assert as_bytes(warm) == as_bytes(cold) == as_bytes(want)
+    assert [r.truncated_at for r in warm if r.method == "wild"] == [1, 1]
+    assert all(math.isfinite(r.min_log_loss) for r in warm)
+
+
+def test_curves_file_round_trips_exactly(tmp_path):
+    curves = [(np.array([1.5, -0.0, 5e-324]), None), (np.empty(0), 0), (np.array([3.0]), 1)]
+    harness.save_curves(curves, tmp_path / "c.crv")
+    back = harness.load_curves(tmp_path / "c.crv")
+    assert [(a.dtype, a.tobytes(), cut) for a, cut in back] == [
+        (a.dtype, a.tobytes(), cut) for a, cut in curves
+    ]
+
+
 def test_evaluation_groups_refuse_a_shared_stream(rng):
     params = random_params(4, rng)
     shared = RngStream(8).child("test")
@@ -487,6 +523,18 @@ def test_evaluation_groups_refuse_a_shared_stream(rng):
     with pytest.raises(ValueError, match="share a random stream"):
         evaluate_groups([EvalGroup([("a", "k", params)], TEST_DIST, 2, shared),
                          EvalGroup([("b", "k", params)], TEST_DIST, 2, shared)], 6)
+
+
+def test_evaluation_groups_refuse_a_read_stream(rng):
+    # a curve is keyed by its stream's key, which reading does not change:
+    # a read stream would be served the curves of draws it never makes
+    params = random_params(4, rng)
+    read = RngStream(8).child("test")
+    assert read.unread()
+    read.gen.random()
+    assert not read.unread()
+    with pytest.raises(ValueError, match="has been read"):
+        evaluate_groups([EvalGroup([("a", "k", params)], TEST_DIST, 2, read)], 6)
 
 
 def test_divergent_method_marks_cell_without_aborting(tmp_path):
