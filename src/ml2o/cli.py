@@ -38,7 +38,6 @@ from .harness import (
     adapt_sweep,
     compare_methods,
     interpolate_eval,
-    write_curve,
     write_json,
 )
 from .numeric import RngStream, central_diff, numeric_environment
@@ -302,13 +301,11 @@ def cmd_verify(args) -> int:
 def cmd_interpolate(args) -> int:
     cfg = _load(args)
     table = interpolate_eval(cfg, load_checkpoint(args.w1), load_checkpoint(args.w2))
-    curve_dir = os.path.join(args.out, "curves")
-    os.makedirs(curve_dir, exist_ok=True)
-    digests = {}
-    for r in table.records:
-        digests[r.key] = r.params_digest
-        name = f"curve_alpha{r.key}_seed{r.seed}_task{r.task_index}.csv"
-        write_curve(os.path.join(curve_dir, name), r.losses)
+    table.write_curves(
+        os.path.join(args.out, "curves"),
+        name=lambda r: f"curve_alpha{r.key}_seed{r.seed}_task{r.task_index}.csv",
+    )
+    digests = {r.key: r.params_digest for r in table.records}
     summary = []  # the statistic of `compare` and `sweep`: per-seed means over the tasks
     for cell in sorted(table.cells, key=lambda c: float(c.key)):
         summary.append({

@@ -73,7 +73,7 @@ __all__ = [
     "read_comparison_json",
     "save_curves",
     "load_curves",
-    "write_curve",
+    "render_curve",
     "write_json",
 ]
 
@@ -85,6 +85,8 @@ METHOD_ORDER = (VANILLA, ML2O, DT, TL)
 
 # Log losses are clamped from below here so exact zeros stay well-defined.
 LOG_FLOOR = -40.0
+# the first line of every curve file, and the whole text of an empty curve
+CURVE_HEADER = "step,loss\n"
 
 
 def min_log_loss(losses: np.ndarray) -> float:
@@ -159,6 +161,7 @@ class RunRecord:
     truncated_at: int | None = None
     diverged: bool = False
     reason: str = ""  # why the adaptation diverged; in no result file
+    curve: str = CURVE_HEADER  # the text of its curve file, `render_curve(losses)`
 
 
 @dataclass
@@ -237,18 +240,29 @@ class ComparisonTable:
                     f"{r.min_log_loss:.17g},{trunc},{int(r.diverged)}\n"
                 )
 
-    def write_curves(self, directory) -> None:
+    def write_curves(
+        self,
+        directory,
+        name=lambda r: f"curve_{r.method}_key{r.key}_seed{r.seed}_task{r.task_index}.csv",
+    ) -> None:
+        """Write each record's curve text to `directory`, in the file `name(record)`."""
         os.makedirs(directory, exist_ok=True)
         for r in self.records:
-            name = f"curve_{r.method}_key{r.key}_seed{r.seed}_task{r.task_index}.csv"
-            write_curve(os.path.join(directory, name), r.losses)
+            with open(os.path.join(directory, name(r)), "w") as fh:
+                fh.write(r.curve)
 
 
-def write_curve(path, losses) -> None:
-    """Write one loss curve as a `step,loss` CSV file, in one write."""
-    rows = [f"{t},{loss:.17g}\n" for t, loss in enumerate(np.asarray(losses).tolist())]
-    with open(path, "w") as fh:
-        fh.write("step,loss\n" + "".join(rows))
+@functools.cache
+def _curve_template(n: int) -> str:
+    """The `%` template of an n-step curve file; a run has at most horizon + 1 lengths."""
+    return CURVE_HEADER + "".join(f"{t},%.17g\n" for t in range(n))
+
+
+def render_curve(losses: np.ndarray) -> str:
+    """The text of a curve file: a `step,loss` header, then one `t,loss` row per step,
+    each loss in `.17g`, so that it reads back to the same float."""
+    values = tuple(np.asarray(losses, dtype=np.float64).tolist())
+    return _curve_template(len(values)) % values
 
 
 def _nulls(value):
@@ -329,8 +343,9 @@ def evaluate_groups(
     filed as task 0 with an empty curve, a NaN metric and the reason; a group
     with no live variant draws nothing.  Each group's `rng` must be unread,
     since a curve is keyed by the stream's key (`TrainingCache.curves_key`):
-    a live variant's curves are served from `cache` where held, only the
-    misses are unrolled, and every record is the one computed without it.
+    a live variant's curves, with the text of their files (`render_curve`),
+    are served from `cache` where held, only the misses are unrolled and
+    rendered, and every record is the one computed without it.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -371,7 +386,8 @@ def evaluate_groups(
                 trajectories.extend(result.trajectory(i) for i in range(len(stack)))
         runs = iter(trajectories)
         return [
-            [(res.losses, res.truncated_at) for res in (next(runs) for _ in group_draws[n])]
+            [(res.losses, res.truncated_at, render_curve(res.losses))
+             for res in (next(runs) for _ in group_draws[n])]
             for n, _ in asked
         ]
 
@@ -393,7 +409,7 @@ def evaluate_groups(
                                          "", "", "", diverged=True, reason=reason))
                 continue
             pdigest = params.digest()
-            for j, (losses, truncated_at) in enumerate(next(curves)):
+            for j, (losses, truncated_at, curve) in enumerate(next(curves)):
                 records.append(
                     RunRecord(
                         method=method,
@@ -406,6 +422,7 @@ def evaluate_groups(
                         theta0_digest=theta0_digests[j],
                         params_digest=pdigest,
                         truncated_at=truncated_at,
+                        curve=curve,
                     )
                 )
         out.append(records)
@@ -434,9 +451,10 @@ def evaluate(
 # weights are named by trainer
 ADAPTED = "adapted"
 CURVES = "curves"
-CURVES_MAGIC = b"ML2OCRV1"
-# the modules whose code an evaluated curve runs through: the draws and the
-# record loop (harness), the task law and losses, the cell, and the unroll
+CURVES_MAGIC = b"ML2OCRV2"
+# the modules whose code an evaluated curve runs through: the draws, the
+# record loop and the curve text (harness), the task law and losses, the
+# cell, and the unroll
 _EVALUATION_SOURCES = ("cell.py", "harness.py", "numeric.py", "tasks.py", "unroll.py")
 
 
@@ -461,25 +479,31 @@ def _evaluation_identity() -> str:
     return h.hexdigest()
 
 
-def save_curves(curves: list[tuple[np.ndarray, int | None]], path) -> None:
-    """Write one variant's (losses, truncated_at) per test task, little-endian.
+def save_curves(curves: list[tuple[np.ndarray, int | None, str]], path) -> None:
+    """Write one variant's (losses, truncated_at, curve text) per test task, little-endian.
 
-    Layout: magic "ML2OCRV1", i64 task count n, n i64 cuts (-1: not cut),
-    n i64 curve lengths, every curve's f64 losses in task order, then a u32
-    CRC-32 of all the bytes before it.
+    Layout: magic "ML2OCRV2", i64 task count n, n i64 cuts (-1: not cut),
+    n i64 curve lengths, n i64 text byte lengths, every curve's f64 losses in
+    task order, every curve's ASCII text in task order, then a u32 CRC-32 of
+    all the bytes before it.
     """
-    cuts = [-1 if cut is None else cut for _, cut in curves]
-    head = np.array([len(curves), *cuts, *(len(losses) for losses, _ in curves)], dtype="<i8")
+    cuts = [-1 if cut is None else cut for _, cut, _ in curves]
+    texts = [text.encode("ascii") for _, _, text in curves]
+    head = np.array(
+        [len(curves), *cuts, *(len(losses) for losses, _, _ in curves), *map(len, texts)],
+        dtype="<i8",
+    )
     body = b"".join([
         CURVES_MAGIC,
         head.tobytes(),
-        np.concatenate([losses for losses, _ in curves]).astype("<f8").tobytes(),
+        np.concatenate([losses for losses, _, _ in curves]).astype("<f8").tobytes(),
+        *texts,
     ])
     with open(path, "wb") as fh:
         fh.write(body + struct.pack("<I", zlib.crc32(body)))
 
 
-def load_curves(path) -> list[tuple[np.ndarray, int | None]]:
+def load_curves(path) -> list[tuple[np.ndarray, int | None, str]]:
     """Read curves written by `save_curves`; a truncated or corrupt file is a
     `CheckpointError` that names it."""
     try:
@@ -487,23 +511,30 @@ def load_curves(path) -> list[tuple[np.ndarray, int | None]]:
             blob = fh.read()
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot open: {exc.strerror}") from exc
-    body, tail = blob[:-4], blob[-4:]
+    body = memoryview(blob)[:-4]
     start = len(CURVES_MAGIC) + 8
     if len(blob) < start + 4 or not blob.startswith(CURVES_MAGIC):
         raise CheckpointError(f"{path}: corrupt cached curves: bad magic or truncated")
-    if struct.unpack("<I", tail)[0] != zlib.crc32(body):
+    if struct.unpack("<I", blob[-4:])[0] != zlib.crc32(body):
         raise CheckpointError(f"{path}: corrupt cached curves: checksum mismatch")
     (n,) = struct.unpack_from("<q", body, len(CURVES_MAGIC))
-    if not 0 < n <= (len(body) - start) // 16:
+    if not 0 < n <= (len(body) - start) // 24:
         raise CheckpointError(f"{path}: corrupt cached curves: {n} tasks")
-    head = np.frombuffer(body, "<i8", 2 * n, start)
-    cuts, lengths = head[:n].tolist(), head[n:]
-    if (lengths < 0).any() or start + 16 * n + 8 * int(lengths.sum()) != len(body):
+    head = np.frombuffer(body, "<i8", 3 * n, start)
+    cuts, lengths, text_lengths = head[:n].tolist(), head[n : 2 * n], head[2 * n :]
+    losses_at = start + 24 * n
+    texts_at = losses_at + 8 * int(lengths.sum())
+    if (head[n:] < 0).any() or texts_at + int(text_lengths.sum()) != len(body):
         raise CheckpointError(f"{path}: corrupt cached curves: lengths do not match the size")
-    losses = np.frombuffer(body, "<f8", offset=start + 16 * n).astype(np.float64)
+    ends = (texts_at + np.cumsum(text_lengths)).tolist()
+    try:
+        texts = [str(body[begin:end], "ascii") for begin, end in zip([texts_at, *ends[:-1]], ends)]
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: corrupt cached curves: curve text is not ASCII") from exc
+    losses = np.frombuffer(body, "<f8", int(lengths.sum()), losses_at).astype(np.float64)
     return [
-        (curve, None if cut == -1 else cut)
-        for curve, cut in zip(np.split(losses, np.cumsum(lengths)[:-1]), cuts)
+        (curve, None if cut == -1 else cut, text)
+        for curve, cut, text in zip(np.split(losses, np.cumsum(lengths)[:-1]), cuts, texts)
     ]
 
 
@@ -540,7 +571,8 @@ class _WeightEntries:
 
 
 class _CurveEntries:
-    """Evaluated curves (`save_curves`); their key holds the code and the environment."""
+    """Evaluated curves and their files' text (`save_curves`); their key holds the code and
+    the environment."""
 
     ext, what = "crv", "curves"
 
@@ -744,7 +776,8 @@ def _chunk_records(
     Adaptation runs the uncached starts of every (seed, column) group of the
     chunk together (`TrainingCache.get_or_adapt_all`).  Evaluation draws every
     group's test tasks and builds every record (`evaluate_groups`), but
-    unrolls only the variants whose curves `cache` does not hold.
+    unrolls, and renders the curve text of, only the variants whose curves
+    `cache` does not hold.
     """
     metas = [seed_config(cfg.meta, k) for k in seed_indices]
     trainers = [t for t, uses in (("plain", {DT, TL}), (ML2O, {ML2O})) if uses & set(methods)]

@@ -164,3 +164,7 @@ GROWTH_REFERENCE = [
 INTERPOLATION_JSON_DIGEST = "bad5a58cead81fb53f11c41b658694ec"
 INTERPOLATION_CURVES_DIGEST = "6c180f71ca40a3bae04d78471ba5c940"
 INTERPOLATION_STDOUT_DIGEST = "25e4db46062b383bbb683df16f8584af"
+
+# test_cli.test_compare_output_bytes_are_pinned, size 16: `comparison.csv`,
+# `comparison.json`, then every curve file's name and bytes
+COMPARISON_OUTPUT_DIGEST = "4f0bd71b787793ee183e121fb0347e38"

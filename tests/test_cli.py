@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -717,6 +718,49 @@ def test_corrupt_curves_entry_is_a_checkpoint_error(tiny_config, tmp_path, capfd
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("damage, said", [
+    ("text overruns", "lengths do not match the size"),
+    ("text underruns", "lengths do not match the size"),
+    ("text not ASCII", "curve text is not ASCII"),
+])
+def test_inconsistent_curves_text_is_a_checkpoint_error(tiny_config, tmp_path, capfd, damage, said):
+    # a text section that disagrees with its lengths, under a valid checksum
+    cache = tmp_path / "cache"
+    assert compare_on_cache(tiny_config, tmp_path / "cold", cache) == EXIT_OK
+    entry = sorted(cache.glob("curves-*.crv"))[0]
+    body = bytearray(entry.read_bytes()[:-4])
+    (n,) = struct.unpack_from("<q", body, len(harness.CURVES_MAGIC))
+    last_text_length = len(harness.CURVES_MAGIC) + 8 * 3 * n  # the head's last i64
+    (length,) = struct.unpack_from("<q", body, last_text_length)
+    if damage == "text not ASCII":
+        body[-1] = 0x80
+    else:
+        struct.pack_into("<q", body, last_text_length, length + (1 if damage == "text overruns" else -1))
+    entry.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    capfd.readouterr()
+    assert compare_on_cache(tiny_config, tmp_path / "warm", cache) == EXIT_CONFIG
+    assert capfd.readouterr().err == f"checkpoint error: {entry}: corrupt cached curves: {said}\n"
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_warm_command_renders_no_curve_text(tiny_config, tmp_path, monkeypatch, command):
+    # every curve file of a warm run is the text its cold run cached
+    def run(name):
+        assert main([*COMMANDS[command], "--config", tiny_config, "--jobs", "1",
+                     "--out", str(tmp_path / name), "--cache-dir", str(tmp_path / "cache")]) == EXIT_OK
+        return out_files(tmp_path / name)
+
+    def refuse(losses):
+        raise AssertionError("a served curve was rendered again")
+
+    cold = run("cold")
+    monkeypatch.setattr(harness, "render_curve", refuse)
+    assert run("warm") == cold
+    assert len([name for name in cold if name.startswith("curves")]) == 2 * 2 * (
+        4 if command == "compare" else 2
+    )
+
+
 @pytest.mark.parametrize("made_under", ["another code", "another environment"])
 def test_curves_of_another_code_or_environment_are_not_served(
     tiny_config, tmp_path, monkeypatch, request, made_under
@@ -920,6 +964,21 @@ def test_interpolate_output_bytes_are_pinned(tmp_path, capsys):
     assert pins.digest((out / "interpolation.json").read_bytes()) == pins.INTERPOLATION_JSON_DIGEST
     assert pins.digest(*(p.name.encode() + p.read_bytes() for p in curves)) == pins.INTERPOLATION_CURVES_DIGEST
     assert pins.digest(capsys.readouterr().out.encode()) == pins.INTERPOLATION_STDOUT_DIGEST
+
+
+@pytest.mark.pinned
+def test_compare_output_bytes_are_pinned(tiny_config, tmp_path):
+    # cold, then warm from the same cache: the summary, the records and every
+    # curve file, by name and bytes
+    for run in ("cold", "warm"):
+        out = tmp_path / run
+        assert main(["compare", "--config", tiny_config, "--n-seeds", "2", "--jobs", "1",
+                     "--out", str(out), "--cache-dir", str(tmp_path / "cache")]) == EXIT_OK
+        curves = sorted((out / "curves").iterdir())
+        assert len(curves) == 4 * 2
+        parts = [(out / name).read_bytes() for name in ("comparison.csv", "comparison.json")]
+        parts += [p.name.encode() + p.read_bytes() for p in curves]
+        assert pins.digest(*parts) == pins.COMPARISON_OUTPUT_DIGEST, run
 
 
 @pytest.mark.parametrize("n_seeds", ["0", "-1"])

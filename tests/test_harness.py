@@ -468,6 +468,7 @@ def test_evaluation_files_one_marked_record_per_diverged_variant(rng):
     assert (marked.key, marked.seed, marked.task_index, marked.losses.size) == ("k", 7, 0, 0)
     assert marked.diverged and math.isnan(marked.min_log_loss)
     assert marked.reason == "seed 7: adaptation step 3: non-finite loss"
+    assert marked.curve == "step,loss\n"  # its curve file: the header alone
 
     def as_bytes(records):
         return [asdict(replace(r, losses=r.losses.tobytes())) for r in records]
@@ -508,12 +509,30 @@ def test_cached_curves_round_trip_a_truncated_curve(tmp_path, monkeypatch, rng):
 
 
 def test_curves_file_round_trips_exactly(tmp_path):
-    curves = [(np.array([1.5, -0.0, 5e-324]), None), (np.empty(0), 0), (np.array([3.0]), 1)]
+    curves = [
+        (losses, cut, harness.render_curve(losses))
+        for losses, cut in [(np.array([1.5, -0.0, 5e-324]), None), (np.empty(0), 0),
+                            (np.array([3.0]), 1)]
+    ]
     harness.save_curves(curves, tmp_path / "c.crv")
     back = harness.load_curves(tmp_path / "c.crv")
-    assert [(a.dtype, a.tobytes(), cut) for a, cut in back] == [
-        (a.dtype, a.tobytes(), cut) for a, cut in curves
+    assert [(a.dtype, a.tobytes(), cut, text) for a, cut, text in back] == [
+        (a.dtype, a.tobytes(), cut, text) for a, cut, text in curves
     ]
+    assert [text for _, _, text in back] == ["step,loss\n0,1.5\n1,-0\n2,4.9406564584124654e-324\n",
+                                             "step,loss\n", "step,loss\n0,3\n"]
+
+
+@pytest.mark.parametrize("losses", [
+    [], [2.5], [-0.0, 5e-324, 1.7976931348623157e308, 1e16],
+    [0.1 * k for k in range(600)],
+])
+def test_curve_text_is_the_rows_of_a_float_repr(losses):
+    # one `t,loss` row per step in `.17g`, which reads back to the same float
+    rows = "".join(f"{t},{loss:.17g}\n" for t, loss in enumerate(losses))
+    text = harness.render_curve(np.array(losses, dtype=np.float64))
+    assert text == "step,loss\n" + rows
+    assert [float(row.split(",")[1]) for row in text.splitlines()[1:]] == losses
 
 
 def test_evaluation_groups_refuse_a_shared_stream(rng):
