@@ -41,7 +41,7 @@ from .harness import (
     write_json,
 )
 from .numeric import RngStream, central_diff, numeric_environment
-from .tasks import NORMAL, QUADRATIC, OptimizeeTask, sample_task
+from .tasks import NORMAL, QUADRATIC, TaskDistribution, sample_task, sample_theta0
 from .train import DivergenceError, train_ml2o, train_plain_l2o, training_fields
 from .unroll import jacobian_recursive, meta_grad, unroll
 
@@ -198,20 +198,20 @@ def _is_worse(err: float, than: float) -> bool:
 
 
 def _worst_case(suite: str, rng: RngStream, label: str) -> tuple[float, tuple]:
-    """The worst error of `suite` over 20 random quadratic cases from `rng`, and its case.
+    """The worst error of `suite` over 20 cases from `rng`, and its case.
 
-    Case i draws its weights from `rng.child(f"{label}/{i}")`; the case is
-    (task, theta0, params).  A NaN error counts as the worst, so that it
-    fails the suite.
+    Each case draws a task of `quadratic-normal(sigma=1)` and then its start
+    from `rng`, and case i draws its weights from `rng.child(f"{label}/{i}")`;
+    the case is (task, theta0, params).  A NaN error counts as the worst, so
+    that it fails the suite.
     """
     (d, horizon, hidden), _, error_of = _WORST_CASE_SUITES[suite]
+    dist = TaskDistribution(kind=NORMAL, family=QUADRATIC, dim=d, sigma=1.0)
     worst, case = -math.inf, None
     for i in range(20):
-        a = rng.gen.normal(size=(d, d))
-        b = rng.gen.normal(size=d)
-        task = OptimizeeTask(kind=QUADRATIC, dim=d, a=a, b=b)
+        task = sample_task(dist, rng)
         params = random_params(hidden, rng.child(f"{label}/{i}"))
-        theta0 = rng.gen.normal(size=d)
+        theta0 = sample_theta0(dist, rng)
         rel = error_of(params, task, theta0, horizon)
         if _is_worse(rel, worst):
             worst, case = rel, (task, theta0, params)
@@ -290,12 +290,15 @@ def _verify_growth(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
+# suite -> the report it writes; the other suites are `_WORST_CASE_SUITES`
+_REPORT_SUITES = {"gaps": _verify_gaps, "growth": _verify_growth}
+
+
 def cmd_verify(args) -> int:
     cfg = _load(args)
-    if args.suite in _WORST_CASE_SUITES:
-        return _verify_worst_case(cfg, args.out, args.suite)
-    suite = {"gaps": _verify_gaps, "growth": _verify_growth}[args.suite]
-    return suite(cfg, args.out)
+    if args.suite in _REPORT_SUITES:
+        return _REPORT_SUITES[args.suite](cfg, args.out)
+    return _verify_worst_case(cfg, args.out, args.suite)
 
 
 def cmd_interpolate(args) -> int:
@@ -323,48 +326,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train, adapt and evaluate coordinate-wise learned optimizers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--config", required=True)
+    io.add_argument("--out", required=True)
+    cached = argparse.ArgumentParser(add_help=False, parents=[io])
+    cached.add_argument("--cache-dir",
+                        help="reuse trained and adapted weights and evaluated curves across runs")
 
-    p = sub.add_parser("meta-train", help="train an optimizer and save a checkpoint")
-    p.add_argument("--config", required=True)
+    def command(name, func, help, parent=io, overrides=()):
+        """Subcommand `name` with `parent`'s flags and each `_OVERRIDES` flag in `overrides`;
+        a list flag stays text until `_load` has echoed it."""
+        p = sub.add_parser(name, help=help, parents=[parent])
+        p.set_defaults(func=func)
+        for flag in overrides:
+            parse = _OVERRIDES[flag][1]
+            p.add_argument("--" + flag.replace("_", "-"),
+                           type=parse if parse in (int, float) else None,
+                           help={"sigmas": "comma-separated, e.g. 10,25,50,100,200"}.get(flag))
+        return p
+
+    p = command("meta-train", cmd_meta_train, "train an optimizer and save a checkpoint")
     p.add_argument("--method", choices=("ml2o", "plain"), default="ml2o")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_meta_train)
-
-    p = sub.add_parser("compare", help="four-method comparison across sigmas")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--sigmas", default=None, help="comma-separated, e.g. 10,25,50,100,200")
-    p.add_argument("--n-seeds", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--cache-dir", default=None,
-                   help="reuse trained and adapted weights and evaluated curves across runs")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("sweep", help="vary the adaptation sigma at a fixed test sigma")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--adapt-sigmas", default=None)
-    p.add_argument("--test-sigma", type=float, default=None)
-    p.add_argument("--n-seeds", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--cache-dir", default=None,
-                   help="reuse trained and adapted weights and evaluated curves across runs")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("verify", help="numerical checks of gradients and diagnostics")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--suite", choices=("grad", "jacobian", "gaps", "growth"), required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("interpolate", help="evaluate linear blends of two checkpoints")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    command("compare", cmd_compare, "four-method comparison across sigmas", cached,
+            ("sigmas", "n_seeds", "jobs"))
+    command("sweep", cmd_sweep, "vary the adaptation sigma at a fixed test sigma", cached,
+            ("adapt_sigmas", "test_sigma", "n_seeds", "jobs"))
+    p = command("verify", cmd_verify, "numerical checks of gradients and diagnostics")
+    p.add_argument("--suite", choices=(*_WORST_CASE_SUITES, *_REPORT_SUITES), required=True)
+    p = command("interpolate", cmd_interpolate, "evaluate linear blends of two checkpoints",
+                overrides=("alphas", "n_seeds"))
     p.add_argument("--w1", required=True)
     p.add_argument("--w2", required=True)
-    p.add_argument("--alphas", default=None)
-    p.add_argument("--n-seeds", type=int, default=None)
-    p.set_defaults(func=cmd_interpolate)
     return parser
 
 

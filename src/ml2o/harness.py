@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -520,21 +521,32 @@ def load_curves(path) -> list[tuple[np.ndarray, int | None, str]]:
     (n,) = struct.unpack_from("<q", body, len(CURVES_MAGIC))
     if not 0 < n <= (len(body) - start) // 24:
         raise CheckpointError(f"{path}: corrupt cached curves: {n} tasks")
-    head = np.frombuffer(body, "<i8", 3 * n, start)
-    cuts, lengths, text_lengths = head[:n].tolist(), head[n : 2 * n], head[2 * n :]
+    # Python ints, so that no sum of lengths wraps
+    head = struct.unpack_from(f"<{3 * n}q", body, start)
+    cuts, lengths, text_lengths = head[:n], head[n : 2 * n], head[2 * n :]
+    if min(head[n:]) < 0:
+        raise CheckpointError(f"{path}: corrupt cached curves: a negative length")
+    if any(cut not in (-1, length) for cut, length in zip(cuts, lengths)):
+        raise CheckpointError(f"{path}: corrupt cached curves: a cut that is not its curve's end")
     losses_at = start + 24 * n
-    texts_at = losses_at + 8 * int(lengths.sum())
-    if (head[n:] < 0).any() or texts_at + int(text_lengths.sum()) != len(body):
+    texts_at = losses_at + 8 * sum(lengths)
+    if texts_at + sum(text_lengths) != len(body):
         raise CheckpointError(f"{path}: corrupt cached curves: lengths do not match the size")
-    ends = (texts_at + np.cumsum(text_lengths)).tolist()
+    ends = list(itertools.accumulate(text_lengths, initial=texts_at))
     try:
-        texts = [str(body[begin:end], "ascii") for begin, end in zip([texts_at, *ends[:-1]], ends)]
+        texts = [str(body[begin:end], "ascii") for begin, end in zip(ends, ends[1:])]
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: corrupt cached curves: curve text is not ASCII") from exc
-    losses = np.frombuffer(body, "<f8", int(lengths.sum()), losses_at).astype(np.float64)
+    if any(
+        not text.startswith(CURVE_HEADER) or text.count("\n") != length + 1
+        for text, length in zip(texts, lengths)
+    ):
+        raise CheckpointError(f"{path}: corrupt cached curves: a text is not one row per loss")
+    losses = np.frombuffer(body, "<f8", sum(lengths), losses_at).astype(np.float64)
+    curves = np.split(losses, list(itertools.accumulate(lengths))[:-1])
     return [
         (curve, None if cut == -1 else cut, text)
-        for curve, cut, text in zip(np.split(losses, np.cumsum(lengths)[:-1]), cuts, texts)
+        for curve, cut, text in zip(curves, cuts, texts)
     ]
 
 

@@ -36,6 +36,15 @@ def write_checkpoint(path, hidden: int, feature_dim: int, output_scale: float = 
     return path
 
 
+def set_curves_head(path, at: int, *values: int):
+    """Overwrite i64 head fields of the curves entry at `path` from field `at` (0 is the
+    task count n, then n cuts, n curve lengths and n text lengths) and recompute its CRC,
+    so that a loader's checks past the checksum see the values."""
+    body = bytearray(path.read_bytes()[:-4])
+    struct.pack_into(f"<{len(values)}q", body, 8 + 8 * at, *values)
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+
+
 def with_proj(params: ParamStack, w_proj: float | None = None, b_proj: float | None = None):
     """`params` with every output projection weight, or its bias, set to one value."""
     flat, layout = params.flat.copy(), params.layout

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import gc
 import json
@@ -808,6 +809,63 @@ def test_growing_a_run_keeps_its_seeds(tiny_config, tmp_path, jobs):
     assert {name: curves["3"][name] for name in curves["2"]} == curves["2"]
 
 
+# every subcommand's options: (option, dest, required, type, default, choices); the
+# help text may change, and so may the order the help lists them in
+CLI_OPTIONS = {
+    "meta-train": {
+        ("--config", "config", True, None, None, None),
+        ("--out", "out", True, None, None, None),
+        ("--method", "method", False, None, "ml2o", ("ml2o", "plain")),
+    },
+    "compare": {
+        ("--config", "config", True, None, None, None),
+        ("--out", "out", True, None, None, None),
+        ("--sigmas", "sigmas", False, None, None, None),
+        ("--n-seeds", "n_seeds", False, int, None, None),
+        ("--jobs", "jobs", False, int, None, None),
+        ("--cache-dir", "cache_dir", False, None, None, None),
+    },
+    "sweep": {
+        ("--config", "config", True, None, None, None),
+        ("--out", "out", True, None, None, None),
+        ("--adapt-sigmas", "adapt_sigmas", False, None, None, None),
+        ("--test-sigma", "test_sigma", False, float, None, None),
+        ("--n-seeds", "n_seeds", False, int, None, None),
+        ("--jobs", "jobs", False, int, None, None),
+        ("--cache-dir", "cache_dir", False, None, None, None),
+    },
+    "verify": {
+        ("--config", "config", True, None, None, None),
+        ("--out", "out", True, None, None, None),
+        ("--suite", "suite", True, None, None, ("grad", "jacobian", "gaps", "growth")),
+    },
+    "interpolate": {
+        ("--config", "config", True, None, None, None),
+        ("--out", "out", True, None, None, None),
+        ("--w1", "w1", True, None, None, None),
+        ("--w2", "w2", True, None, None, None),
+        ("--alphas", "alphas", False, None, None, None),
+        ("--n-seeds", "n_seeds", False, int, None, None),
+    },
+}
+
+
+def test_cli_options_are_pinned():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {
+            (*a.option_strings, a.dest, a.required, a.type, a.default,
+             None if a.choices is None else tuple(a.choices))
+            for a in sub._actions if not isinstance(a, argparse._HelpAction)
+        }
+        for name, sub in commands.choices.items()
+    }
+    assert options == CLI_OPTIONS
+    assert list(commands.choices) == list(CLI_OPTIONS)
+    assert commands.required and parser.prog == "ml2o"
+
+
 def test_echo_alone_reruns_a_command_given_flags(tiny_config, tmp_path):
     # the echo holds each flag's value, and no key that a config may not set
     # (TINY's mixture reads no [train] sigma)
@@ -858,6 +916,7 @@ def test_verify_failure_exits_4_and_dumps_worst_case(tiny_config, tmp_path, caps
     assert doc["feature_dim"] == 2
     assert len(doc["params_flat"]) == ParamLayout(doc["hidden"]).size
     assert len(doc["theta0"]) == doc["task"]["dim"]
+    assert doc["task"]["provenance"] == "quadratic-normal(sigma=1)"
 
 
 def test_verify_fails_closed_on_a_nan_error(tiny_config, tmp_path, capsys, monkeypatch):

@@ -1,8 +1,11 @@
-"""Seeded fuzzing of the two input parsers: checkpoints and config files.
+"""Seeded fuzzing of the three input parsers: checkpoints, config files and
+the cached curves entries of `--cache-dir`.
 
 Every mutated input must either load or fail with the parser's own error
-(`CheckpointError`, `ConfigError`); any other exception is a hole.  What
-loads must also build an optimizer that runs a cell step.
+(`CheckpointError`, `ConfigError`); any other exception is a hole.  A
+checkpoint or config that loads must also build an optimizer that runs a
+cell step; curves that load must agree with themselves: each text holds one
+row per loss, and each cut is None or its curve's length.
 """
 
 import random
@@ -21,7 +24,9 @@ from ml2o.cell import (
     step,
 )
 from ml2o.config import ConfigError, load_config
+from ml2o.harness import CURVE_HEADER, load_curves, render_curve, save_curves
 from ml2o.numeric import RngStream
+from conftest import set_curves_head
 from test_cli import TINY
 
 
@@ -144,3 +149,74 @@ def test_fuzz_config_mutants(tmp_path):
         run_step(init_params(meta.hidden, RngStream(meta.seed)))
         loaded += 1
     assert loaded and refused  # the mutants reach both outcomes
+
+
+# three curves (n = 3): one whole, one cut at its end, one cut before its first step
+CURVES = [(np.array([1.5, -0.0, 5e-324]), None), (np.array([0.25, 3.0]), 2), (np.empty(0), 0)]
+
+
+@pytest.fixture
+def curves_path(tmp_path):
+    path = tmp_path / "good.crv"
+    save_curves([(losses, cut, render_curve(losses)) for losses, cut in CURVES], path)
+    return path
+
+
+def loads_curves_or_checkpoint_error(path) -> bool:
+    """Read `path` with `load_curves`; True if it loaded, and then consistently."""
+    try:
+        curves = load_curves(path)
+    except CheckpointError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return False
+    for losses, cut, text in curves:
+        assert text.startswith(CURVE_HEADER)
+        assert len(text.splitlines()) - 1 == len(losses)
+        assert cut is None or cut == len(losses)
+    return True
+
+
+def test_fuzz_curves_truncations(curves_path):
+    blob = curves_path.read_bytes()
+    for n in range(len(blob)):
+        curves_path.write_bytes(blob[:n])
+        assert not loads_curves_or_checkpoint_error(curves_path), n
+    curves_path.write_bytes(blob)
+    assert loads_curves_or_checkpoint_error(curves_path)
+
+
+def test_fuzz_curves_byte_flips(curves_path):
+    rnd = random.Random(20261020)
+    blob = curves_path.read_bytes()
+    for _ in range(400):
+        raw = bytearray(blob)
+        for _ in range(rnd.choice((1, 1, 2, 3))):
+            raw[rnd.randrange(len(raw))] ^= rnd.randrange(1, 256)
+        curves_path.write_bytes(bytes(raw))
+        loads_curves_or_checkpoint_error(curves_path)
+
+
+def test_fuzz_curves_appended_bytes(curves_path):
+    # whatever follows the checksum is refused, not ignored
+    rnd = random.Random(20261021)
+    blob = curves_path.read_bytes()
+    for n in (1, 4, 16, 4096):
+        curves_path.write_bytes(blob + bytes(rnd.randrange(256) for _ in range(n)))
+        assert not loads_curves_or_checkpoint_error(curves_path), n
+
+
+def test_fuzz_curves_absurd_heads(curves_path):
+    # each head field (n, 3 cuts, 3 curve lengths, 3 text lengths) set to an absurd
+    # value under a recomputed checksum, so that the mutant reaches the length checks
+    blob = curves_path.read_bytes()
+    absurd = (-2**63, -7, -1, 0, 1, 2, 3, 5, 2**31, 2**62, 2**63 - 1)
+    mutants = [(at, (value,)) for at in range(10) for value in absurd]
+    # int64 sums that wrap to the true totals, and lengths moved between curves
+    mutants += [(1, (-7, -1, -1, 2**63 - 1, 2**63 - 1, 7)), (4, (2**63 - 1, 2**63 - 1, 7)),
+                (4, (2, 3, 0)), (4, (3, 1, 1)), (7, (48, 20)), (8, (10, 21))]
+    loaded = 0
+    for at, values in mutants:
+        curves_path.write_bytes(blob)
+        set_curves_head(curves_path, at, *values)
+        loaded += loads_curves_or_checkpoint_error(curves_path)
+    assert 0 < loaded < len(mutants)  # the mutants reach both outcomes

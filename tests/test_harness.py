@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -10,9 +11,15 @@ import numpy as np
 import pytest
 from scipy.special import stdtrit
 
-from conftest import child_env, with_proj
+from conftest import child_env, set_curves_head, with_proj
 from ml2o import harness
-from ml2o.cell import init_params, load_checkpoint, load_checkpoint_metadata, random_params
+from ml2o.cell import (
+    CheckpointError,
+    init_params,
+    load_checkpoint,
+    load_checkpoint_metadata,
+    random_params,
+)
 from ml2o.config import ExperimentConfig
 from ml2o.harness import (
     DT,
@@ -521,6 +528,25 @@ def test_curves_file_round_trips_exactly(tmp_path):
     ]
     assert [text for _, _, text in back] == ["step,loss\n0,1.5\n1,-0\n2,4.9406564584124654e-324\n",
                                              "step,loss\n", "step,loss\n0,3\n"]
+
+
+@pytest.mark.parametrize("at, values", [
+    # int64 sums of these lengths wrap to the true total, 6, and a cut of -7 with them
+    (1, (-7, -1, -1, 2**63 - 1, 2**63 - 1, 8)),
+    (4, (2**63 - 1, 2**63 - 1, 8)),
+    (1, (-7,)),
+    (1, (2,)),
+    (4, (-1, 4, 3)),
+    (4, (2, 3, 1)),  # each text's rows are another curve's losses
+    (7, (23, 17)),  # one byte of the second text read as the first's
+])
+def test_curves_entry_with_wrapping_lengths_or_a_stray_cut_is_refused(tmp_path, at, values):
+    path = tmp_path / "c.crv"
+    curves = [np.arange(k, dtype=np.float64) for k in (3, 2, 1)]
+    harness.save_curves([(c, None, harness.render_curve(c)) for c in curves], path)
+    set_curves_head(path, at, *values)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: corrupt cached curves: ")):
+        harness.load_curves(path)
 
 
 @pytest.mark.parametrize("losses", [
