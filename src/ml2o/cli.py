@@ -33,14 +33,9 @@ from .cell import (
     save_checkpoint,
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_float_list
-from .harness import (
-    TrainingCache,
-    adapt_sweep,
-    compare_methods,
-    interpolate_eval,
-    write_json,
-)
+from .harness import adapt_sweep, compare_methods, interpolate_eval, write_json
 from .numeric import RngStream, central_diff, numeric_environment
+from .store import TrainingCache
 from .tasks import NORMAL, QUADRATIC, TaskDistribution, sample_task, sample_theta0
 from .train import DivergenceError, train_ml2o, train_plain_l2o, training_fields
 from .unroll import jacobian_recursive, meta_grad, unroll

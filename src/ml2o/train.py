@@ -48,6 +48,7 @@ from .unroll import (
 )
 
 __all__ = [
+    "ML2O",
     "MetaConfig",
     "TrainLog",
     "DivergenceError",
@@ -63,6 +64,8 @@ __all__ = [
 
 ADAM = "adam"
 SGD_SCHEDULE = "sgd_schedule"
+# the meta-adaptive trainer: the name of its cached weights and of its method
+ML2O = "ml2o"
 
 
 class DivergenceError(RuntimeError):
@@ -249,7 +252,7 @@ def train_lockstep(
 
     def diverged(k: int, r: int, cause: str) -> DivergenceError:
         c, meta = runs[r]
-        trainer = "ml2o" if meta else "plain"
+        trainer = ML2O if meta else "plain"
         return DivergenceError(k, weights(r), f"{trainer} seed {c.seed}: {cause}")
 
     for k in range(cfg.epochs):

@@ -147,6 +147,22 @@ DETACHED_CACHE_KEYS = {
     "ml2o": "30685abb5ce1a57449ad96bd2bb4cec1",
 }
 
+# test_cli.test_weights_entry_names_are_pinned: the sorted names of every
+# checkpoint that the tiny config's `compare --n-seeds 2 --jobs 1` caches,
+# trained (per trainer and seed) and adapted (per seed and adapted method)
+WEIGHTS_ENTRY_NAMES = (
+    "adapted-48d0064702c7846f1109bdb7ec6d2d1d.ckpt",
+    "adapted-7fc56c8e67b87e0fd2bb27ad2f3bcda2.ckpt",
+    "adapted-831ecec780a458146f8db7a97f39d871.ckpt",
+    "adapted-a24d5f6cc93519c163ba604ade672680.ckpt",
+    "adapted-b2917d219e24e0f102312b88b533b02a.ckpt",
+    "adapted-f72dd960de391c1f63d5d265cc0a8acc.ckpt",
+    "ml2o-3f6c5fbfce7fb2afc3a650501233e730.ckpt",
+    "ml2o-ee117a1c13572c8f6f3c71f9b8027403.ckpt",
+    "plain-5c5b7305610a02aca0419987c7a24d46.ckpt",
+    "plain-e388ed268c42713476f470ba79aa24f4.ckpt",
+)
+
 # test_cli.test_cache_key_grid_is_pinned, size 16: the 192 keys, one a line
 CACHE_KEY_GRID_DIGEST = "10b802315439977bc9c9851a207a1ce9"
 

@@ -22,13 +22,13 @@ from ml2o.harness import (
     ML2O,
     TL,
     VANILLA,
-    TrainingCache,
     adapt_sweep,
     compare_methods,
     evaluate,
     interpolate_eval,
 )
 from ml2o.numeric import RngStream, central_diff
+from ml2o.store import TrainingCache
 from ml2o.tasks import TaskDistribution
 from ml2o.theory import default_growth_report, gradient_gap_at, measure_gaps
 from ml2o.train import train_ml2o, train_plain_l2o

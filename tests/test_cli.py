@@ -25,12 +25,14 @@ from ml2o.cell import (
     random_params,
     save_checkpoint,
 )
-from ml2o import cli, harness
+from ml2o import cli, evaluation, harness, store
 from ml2o.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
 from ml2o.config import _SCHEMA, ConfigError, load_config
-from ml2o.harness import TrainingCache
 from ml2o.numeric import NumericEnvironment, RngStream, numeric_environment
-from ml2o.tasks import NORMAL, QUADRATIC, ROSENBROCK_INIT, TaskDistribution
+from ml2o.store import TrainingCache
+from ml2o.tasks import (
+    NORMAL, QUADRATIC, ROSENBROCK_INIT, TaskDistribution, sample_task, sample_theta0,
+)
 from ml2o.train import train_lockstep
 from ml2o.unroll import DETACHED_INPUT, FD_HVP_META, FIRST_ORDER_META, FULL_SECOND_ORDER, GRAD_MODES
 
@@ -176,6 +178,16 @@ def test_cache_keys_are_pinned(tiny_config):
     cfg = load_config(tiny_config)
     keys = {t: TrainingCache._key(t, cfg.meta, cfg.dist_train) for t in ("plain", "ml2o")}
     assert keys == pins.CACHE_KEYS
+
+
+@pytest.mark.pinned
+def test_weights_entry_names_are_pinned(tiny_config, tmp_path):
+    # every trained and adapted key of a run, so that a cache directory keeps
+    # serving its weights across a change to the code that stores them
+    cache = tmp_path / "cache"
+    assert main(["compare", "--config", tiny_config, "--n-seeds", "2", "--jobs", "1",
+                 "--out", str(tmp_path / "o"), "--cache-dir", str(cache)]) == EXIT_OK
+    assert tuple(sorted(p.name for p in cache.glob("*.ckpt"))) == pins.WEIGHTS_ENTRY_NAMES
 
 
 @pytest.mark.pinned
@@ -615,7 +627,7 @@ def test_failed_cache_write_leaves_no_temporary_file(tiny_config, tmp_path, monk
             fh.write(b"ML2O")
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(harness, "save_checkpoint", write_part_then_fill_disk)
+    monkeypatch.setattr(store, "save_checkpoint", write_part_then_fill_disk)
     cache = tmp_path / "cache"
     rc = main(["compare", "--config", tiny_config, "--out", str(tmp_path / "o"),
                "--cache-dir", str(cache)])
@@ -632,10 +644,10 @@ def test_failed_curves_write_leaves_no_temporary_file(tiny_config, tmp_path, mon
     # the weights are written; the first curves entry meets a full disk part-way
     def write_part_then_fill_disk(curves, path):
         with open(path, "wb") as fh:
-            fh.write(harness.CURVES_MAGIC)
+            fh.write(store.CURVES_MAGIC)
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(harness, "save_curves", write_part_then_fill_disk)
+    monkeypatch.setattr(store, "save_curves", write_part_then_fill_disk)
     cache = tmp_path / "cache"
     rc = main(["compare", "--config", tiny_config, "--out", str(tmp_path / "o"),
                "--cache-dir", str(cache)])
@@ -651,7 +663,7 @@ def test_failed_curves_write_leaves_no_temporary_file(tiny_config, tmp_path, mon
 def count_evaluation_calls(monkeypatch, log: Path):
     """Log the stack size of every evaluation `unroll_stack` call, in this process and in
     the workers it forks; returns a function that reads and clears the log."""
-    real = harness.unroll_stack
+    real = evaluation.unroll_stack
 
     def patched(params, *args, **kwargs):
         with open(log, "a") as fh:
@@ -663,7 +675,7 @@ def count_evaluation_calls(monkeypatch, log: Path):
         log.unlink(missing_ok=True)
         return sizes
 
-    monkeypatch.setattr(harness, "unroll_stack", patched)
+    monkeypatch.setattr(evaluation, "unroll_stack", patched)
     return calls
 
 
@@ -730,8 +742,8 @@ def test_inconsistent_curves_text_is_a_checkpoint_error(tiny_config, tmp_path, c
     assert compare_on_cache(tiny_config, tmp_path / "cold", cache) == EXIT_OK
     entry = sorted(cache.glob("curves-*.crv"))[0]
     body = bytearray(entry.read_bytes()[:-4])
-    (n,) = struct.unpack_from("<q", body, len(harness.CURVES_MAGIC))
-    last_text_length = len(harness.CURVES_MAGIC) + 8 * 3 * n  # the head's last i64
+    (n,) = struct.unpack_from("<q", body, len(store.CURVES_MAGIC))
+    last_text_length = len(store.CURVES_MAGIC) + 8 * 3 * n  # the head's last i64
     (length,) = struct.unpack_from("<q", body, last_text_length)
     if damage == "text not ASCII":
         body[-1] = 0x80
@@ -755,7 +767,7 @@ def test_warm_command_renders_no_curve_text(tiny_config, tmp_path, monkeypatch, 
         raise AssertionError("a served curve was rendered again")
 
     cold = run("cold")
-    monkeypatch.setattr(harness, "render_curve", refuse)
+    monkeypatch.setattr(evaluation, "render_curve", refuse)
     assert run("warm") == cold
     assert len([name for name in cold if name.startswith("curves")]) == 2 * 2 * (
         4 if command == "compare" else 2
@@ -768,18 +780,18 @@ def test_curves_of_another_code_or_environment_are_not_served(
 ):
     # entries made elsewhere stay unread: the curves are unrolled and written
     # again, to the same bytes
-    request.addfinalizer(harness._evaluation_identity.cache_clear)
+    request.addfinalizer(store._evaluation_identity.cache_clear)
     cache = tmp_path / "cache"
     calls = count_evaluation_calls(monkeypatch, tmp_path / "calls.log")
     with monkeypatch.context() as elsewhere:
         if made_under == "another code":
-            elsewhere.setattr(harness, "_evaluation_identity", lambda: "0" * 32)
+            elsewhere.setattr(store, "_evaluation_identity", lambda: "0" * 32)
         else:
-            elsewhere.setattr(harness, "numeric_environment",
+            elsewhere.setattr(store, "numeric_environment",
                               lambda: NumericEnvironment("none", "Haswell"))
-            harness._evaluation_identity.cache_clear()
+            store._evaluation_identity.cache_clear()
         assert compare_on_cache(tiny_config, tmp_path / "there", cache) == EXIT_OK
-    harness._evaluation_identity.cache_clear()
+    store._evaluation_identity.cache_clear()
     made = sorted(cache.glob("curves-*.crv"))
     assert len(made) == 8 and calls()
     assert compare_on_cache(tiny_config, tmp_path / "here", cache) == EXIT_OK
@@ -807,6 +819,44 @@ def test_growing_a_run_keeps_its_seeds(tiny_config, tmp_path, jobs):
     curves = {n: out_files(out / "curves") for n, out in outs.items()}
     assert len(curves["2"]) == 8 and len(curves["3"]) == 12
     assert {name: curves["3"][name] for name in curves["2"]} == curves["2"]
+
+
+def test_growing_a_run_on_its_cache_computes_only_the_new_seed(tiny_config, tmp_path, monkeypatch):
+    # a 3-seed run on the cache of a 2-seed run trains, adapts and evaluates
+    # seed 2 alone, and writes what a fresh 3-seed run writes
+    def compare(n_seeds, out, *cache):
+        assert main(["compare", "--config", tiny_config, "--n-seeds", n_seeds, "--jobs", "1",
+                     "--out", str(tmp_path / out), *cache]) == EXIT_OK
+        return out_files(tmp_path / out)
+
+    def log_slices(mod, name, log, slices):
+        real = getattr(mod, name)
+
+        def patched(*args):
+            log.extend(slices(*args))
+            return real(*args)
+
+        monkeypatch.setattr(mod, name, patched)
+
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    compare("2", "n2", *cache)
+    trained, adapted, evaluated = [], [], []
+    log_slices(store, "train_lockstep", trained, lambda runs, dist: [c.seed for c, _ in runs])
+    log_slices(store, "adapt_groups", adapted,
+               lambda groups, *settings: [g.rng.key for g in groups for _ in g.starts])
+    log_slices(evaluation, "unroll_stack", evaluated,
+               lambda params, tasks, theta0, horizon: list(theta0))
+    grown = compare("3", "n3", *cache)
+    monkeypatch.undo()
+    cfg = load_config(tiny_config)
+    seed = harness.seed_config(cfg.meta, 2).seed
+    assert trained == [seed, seed]  # plain and ml2o
+    assert adapted == [RngStream(seed).child("adapt").key] * 3  # vanilla, ml2o and tl
+    test = RngStream(seed).child("test")
+    sample_task(cfg.dist_test, test)
+    theta0 = sample_theta0(cfg.dist_test, test)
+    assert len(evaluated) == 4 and all(np.array_equal(row, theta0) for row in evaluated)
+    assert grown == compare("3", "fresh")
 
 
 # every subcommand's options: (option, dest, required, type, default, choices); the
@@ -1069,7 +1119,7 @@ def no_training(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("training started")
 
-    monkeypatch.setattr(harness, "train_lockstep", refuse)
+    monkeypatch.setattr(store, "train_lockstep", refuse)
 
 
 def test_empty_float_lists_are_refused_before_training(tmp_path, capsys, no_training):

@@ -24,8 +24,9 @@ from ml2o.cell import (
     step,
 )
 from ml2o.config import ConfigError, load_config
-from ml2o.harness import CURVE_HEADER, load_curves, render_curve, save_curves
+from ml2o.evaluation import CURVE_HEADER, render_curve
 from ml2o.numeric import RngStream
+from ml2o.store import load_curves, save_curves
 from conftest import set_curves_head
 from test_cli import TINY
 

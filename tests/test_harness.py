@@ -3,6 +3,7 @@ import math
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -12,7 +13,7 @@ import pytest
 from scipy.special import stdtrit
 
 from conftest import child_env, set_curves_head, with_proj
-from ml2o import harness
+from ml2o import evaluation, store
 from ml2o.cell import (
     CheckpointError,
     init_params,
@@ -21,29 +22,25 @@ from ml2o.cell import (
     random_params,
 )
 from ml2o.config import ExperimentConfig
+from ml2o.evaluation import LOG_FLOOR, EvalGroup, RunRecord, evaluate_groups, min_log_loss
 from ml2o.harness import (
     DT,
     ML2O,
     TL,
     VANILLA,
-    LOG_FLOOR,
     T975,
     ComparisonTable,
-    EvalGroup,
-    RunRecord,
-    TrainingCache,
     adapt_sweep,
     blend_params,
     compare_methods,
     confidence_interval,
     evaluate,
-    evaluate_groups,
     interpolate_eval,
-    min_log_loss,
     read_comparison_json,
     seed_config,
 )
 from ml2o.numeric import RngStream, numeric_environment
+from ml2o.store import TrainingCache
 from ml2o.tasks import (
     LASSO, MIXTURE, NORMAL, QUADRATIC, OptimizeeTask, TaskDistribution, sample_task,
 )
@@ -324,7 +321,7 @@ def test_training_cache_hits_are_identical(tmp_path):
 def test_cache_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch):
     meta = tiny_meta()
     directory = str(tmp_path / "c")
-    real_save = harness.save_checkpoint
+    real_save = store.save_checkpoint
     written = []
 
     def save_then_other_writer_publishes(params, path, metadata=""):
@@ -334,7 +331,7 @@ def test_cache_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch)
             # another command, training the same key, writes and publishes first
             TrainingCache(directory).get_or_train_all([("plain", meta)], TRAIN_DIST)
 
-    monkeypatch.setattr(harness, "save_checkpoint", save_then_other_writer_publishes)
+    monkeypatch.setattr(store, "save_checkpoint", save_then_other_writer_publishes)
     (params,) = TrainingCache(directory).get_or_train_all([("plain", meta)], TRAIN_DIST)
     assert len(written) == 2 and written[0] != written[1]
     name = f"plain-{TrainingCache._key('plain', meta, TRAIN_DIST)}.ckpt"
@@ -410,6 +407,27 @@ def test_cached_adaptation_is_that_of_adapt_groups(tmp_path):
     assert isinstance(want[0][1], DivergenceError)
 
 
+def test_cached_adaptation_refuses_a_read_stream(tmp_path):
+    # an adapted start is keyed by its stream's key, which reading does not
+    # change: a read stream would be adapted on later draws and its weights
+    # served, and stored, as those of the fresh stream
+    start = random_params(4, RngStream(3))
+    settings = list(ADAPT_SETTINGS.values())
+    read, twin = RngStream(1).child("adapt"), RngStream(1).child("adapt")
+    read.gen.random(), twin.gen.random()
+    cache = TrainingCache(str(tmp_path / "c"))
+    with pytest.raises(ValueError, match="random stream has been read"):
+        cache.get_or_adapt_all([AdaptGroup([start], ADAPT_DIST, read)], *settings)
+    assert read.gen.random() == twin.gen.random()  # refused before a draw
+    assert os.listdir(tmp_path / "c") == []
+    # the fresh stream of that key is adapted as `adapt_groups` adapts it
+    ((got,),) = cache.get_or_adapt_all(
+        [AdaptGroup([start], ADAPT_DIST, RngStream(1).child("adapt"))], *settings
+    )
+    ((want,),) = adapt_groups([AdaptGroup([start], ADAPT_DIST, RngStream(1).child("adapt"))], *settings)
+    assert got.digest() == want.digest()
+
+
 def test_parallel_jobs_do_not_change_results(tmp_path):
     # 3 seeds in 2 chunks: one chunk trains two seeds in lockstep, the other one
     tables = {}
@@ -432,7 +450,7 @@ def test_stacked_evaluation_truncates_one_slice_only(rng):
     stacked = evaluate_groups([EvalGroup(
         [("calm", "k", calm), ("wild", "k", wild), ("calm2", "k", calm)],
         TEST_DIST, 2, RngStream(8).child("test"),
-    )], 15)[0]
+    )], 15, TrainingCache())[0]
     alone = evaluate(calm, TEST_DIST, 15, 2, RngStream(8).child("test"))
     by_method = {}
     for r in stacked:
@@ -451,7 +469,7 @@ def test_stacked_evaluation_keeps_a_stack_that_diverges_all_at_once(rng):
     # there, and each record is truncated all the same
     wild = with_proj(random_params(4, rng), w_proj=1e300)
     records = evaluate_groups([EvalGroup([("wild", "k", wild)], TEST_DIST, 3,
-                                         RngStream(8).child("test"))], 6)[0]
+                                         RngStream(8).child("test"))], 6, TrainingCache())[0]
     assert len(records) == 3
     for r in records:
         assert r.truncated_at == 1 and r.losses.shape == (1,)
@@ -470,7 +488,7 @@ def test_evaluation_files_one_marked_record_per_diverged_variant(rng):
         group([("calm", "k", calm), ("dead", "k", dead), ("other", "k", other)]),
         group([("calm", "k", calm), ("other", "k", other)]),
         all_dead,
-    ], 9)
+    ], 9, TrainingCache())
     (marked,) = [r for r in mixed if r.method == "dead"]
     assert (marked.key, marked.seed, marked.task_index, marked.losses.size) == ("k", 7, 0, 0)
     assert marked.diverged and math.isnan(marked.min_log_loss)
@@ -501,14 +519,14 @@ def test_cached_curves_round_trip_a_truncated_curve(tmp_path, monkeypatch, rng):
     def as_bytes(records):
         return [asdict(replace(r, losses=(r.losses.dtype, r.losses.tobytes()))) for r in records]
 
-    want = evaluate_groups(groups(), 15)[0]
+    want = evaluate_groups(groups(), 15, TrainingCache())[0]
     cold = evaluate_groups(groups(), 15, TrainingCache(str(tmp_path / "c")))[0]
     assert len(list((tmp_path / "c").glob("curves-*.crv"))) == 2
 
     def refuse(*args, **kwargs):
         raise AssertionError("a cached curve was unrolled")
 
-    monkeypatch.setattr(harness, "unroll_stack", refuse)
+    monkeypatch.setattr(evaluation, "unroll_stack", refuse)
     warm = evaluate_groups(groups(), 15, TrainingCache(str(tmp_path / "c")))[0]
     assert as_bytes(warm) == as_bytes(cold) == as_bytes(want)
     assert [r.truncated_at for r in warm if r.method == "wild"] == [1, 1]
@@ -517,17 +535,55 @@ def test_cached_curves_round_trip_a_truncated_curve(tmp_path, monkeypatch, rng):
 
 def test_curves_file_round_trips_exactly(tmp_path):
     curves = [
-        (losses, cut, harness.render_curve(losses))
+        (losses, cut, evaluation.render_curve(losses))
         for losses, cut in [(np.array([1.5, -0.0, 5e-324]), None), (np.empty(0), 0),
                             (np.array([3.0]), 1)]
     ]
-    harness.save_curves(curves, tmp_path / "c.crv")
-    back = harness.load_curves(tmp_path / "c.crv")
+    store.save_curves(curves, tmp_path / "c.crv")
+    back = store.load_curves(tmp_path / "c.crv")
     assert [(a.dtype, a.tobytes(), cut, text) for a, cut, text in back] == [
         (a.dtype, a.tobytes(), cut, text) for a, cut, text in curves
     ]
     assert [text for _, _, text in back] == ["step,loss\n0,1.5\n1,-0\n2,4.9406564584124654e-324\n",
                                              "step,loss\n", "step,loss\n0,3\n"]
+
+
+CURVES_KEY = """
+from ml2o.cell import random_params
+from ml2o.evaluation import EvalGroup
+from ml2o.numeric import RngStream
+from ml2o.store import TrainingCache
+from ml2o.tasks import LASSO, NORMAL, TaskDistribution
+
+dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=10.0)
+group = EvalGroup([], dist, 2, RngStream(8).child("test"))
+print(TrainingCache.curves_key(random_params(4, RngStream(3)), group, 15))
+"""
+
+
+def test_curves_key_moves_only_with_the_code_that_computes_curves(tmp_path):
+    # a byte appended to the store or the protocol keeps every cached curve;
+    # one appended to the evaluation moves every curves key
+    def key_after_appending(name):
+        package = tmp_path / name / "ml2o"
+        shutil.copytree(os.path.dirname(store.__file__), package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        if name != "none":
+            with open(package / name, "ab") as fh:
+                fh.write(b"\n")
+        child = subprocess.run([sys.executable, "-c", CURVES_KEY],
+                               env=dict(child_env(), PYTHONPATH=str(package.parent)),
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        return child.stdout.strip()
+
+    here = TrainingCache.curves_key(
+        random_params(4, RngStream(3)), EvalGroup([], TEST_DIST, 2, RngStream(8).child("test")), 15
+    )
+    assert key_after_appending("none") == here
+    assert key_after_appending("store.py") == here
+    assert key_after_appending("harness.py") == here
+    assert key_after_appending("evaluation.py") != here
 
 
 @pytest.mark.parametrize("at, values", [
@@ -543,10 +599,10 @@ def test_curves_file_round_trips_exactly(tmp_path):
 def test_curves_entry_with_wrapping_lengths_or_a_stray_cut_is_refused(tmp_path, at, values):
     path = tmp_path / "c.crv"
     curves = [np.arange(k, dtype=np.float64) for k in (3, 2, 1)]
-    harness.save_curves([(c, None, harness.render_curve(c)) for c in curves], path)
+    store.save_curves([(c, None, evaluation.render_curve(c)) for c in curves], path)
     set_curves_head(path, at, *values)
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: corrupt cached curves: ")):
-        harness.load_curves(path)
+        store.load_curves(path)
 
 
 @pytest.mark.parametrize("losses", [
@@ -556,7 +612,7 @@ def test_curves_entry_with_wrapping_lengths_or_a_stray_cut_is_refused(tmp_path, 
 def test_curve_text_is_the_rows_of_a_float_repr(losses):
     # one `t,loss` row per step in `.17g`, which reads back to the same float
     rows = "".join(f"{t},{loss:.17g}\n" for t, loss in enumerate(losses))
-    text = harness.render_curve(np.array(losses, dtype=np.float64))
+    text = evaluation.render_curve(np.array(losses, dtype=np.float64))
     assert text == "step,loss\n" + rows
     assert [float(row.split(",")[1]) for row in text.splitlines()[1:]] == losses
 
@@ -567,7 +623,8 @@ def test_evaluation_groups_refuse_a_shared_stream(rng):
     # interleaved draws from one stream would differ from each group's own
     with pytest.raises(ValueError, match="share a random stream"):
         evaluate_groups([EvalGroup([("a", "k", params)], TEST_DIST, 2, shared),
-                         EvalGroup([("b", "k", params)], TEST_DIST, 2, shared)], 6)
+                         EvalGroup([("b", "k", params)], TEST_DIST, 2, shared)], 6,
+                        TrainingCache())
 
 
 def test_evaluation_groups_refuse_a_read_stream(rng):
@@ -579,7 +636,7 @@ def test_evaluation_groups_refuse_a_read_stream(rng):
     read.gen.random()
     assert not read.unread()
     with pytest.raises(ValueError, match="has been read"):
-        evaluate_groups([EvalGroup([("a", "k", params)], TEST_DIST, 2, read)], 6)
+        evaluate_groups([EvalGroup([("a", "k", params)], TEST_DIST, 2, read)], 6, TrainingCache())
 
 
 def test_divergent_method_marks_cell_without_aborting(tmp_path):
@@ -606,11 +663,11 @@ def test_chunk_evaluation_matches_per_group_stacks(rng):
         for seed, sigma in ((0, 10.0), (1, 30.0), (2, 10.0))
     ]
     assert STACK_ROWS % (5 * 4) != 0 and len(groups) * 15 * 4 > STACK_ROWS
-    together = evaluate_groups(groups, 12)
+    together = evaluate_groups(groups, 12, TrainingCache())
     for group, got in zip(groups, together):
         fresh = EvalGroup(group.variants, group.dist_test, group.n_tasks,
                           RngStream(group.seed).child("test"), group.seed)
-        want = evaluate_groups([fresh], 12)[0]
+        want = evaluate_groups([fresh], 12, TrainingCache())[0]
         assert len(got) == len(want) == 15
         for a, b in zip(got, want):
             assert (a.method, a.key, a.seed, a.task_index) == (b.method, b.key, b.seed, b.task_index)
@@ -637,7 +694,7 @@ def test_compare_kernel_call_counts(tmp_path, monkeypatch):
 
     for mod in (train, unroll):
         monkeypatch.setattr(mod, "meta_grad_stack", counting(unroll.meta_grad_stack, reverse))
-    monkeypatch.setattr(harness, "unroll_stack", counting(unroll.unroll_stack, evaluation))
+    monkeypatch.setattr("ml2o.evaluation.unroll_stack", counting(unroll.unroll_stack, evaluation))
     meta = tiny_meta()
     n_seeds, sigmas, n_tasks = 2, (10.0, 30.0), 3
     compare_methods(

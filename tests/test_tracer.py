@@ -1,9 +1,12 @@
 """The benchmark's tracer must keep running against the package.
 
 `perfbench/trace_cli.py` re-binds functions and methods of `ml2o` by name; a
-name it binds that the package drops breaks `perfbench/run.py --trace 1`.
+name it binds that the package drops breaks `perfbench/run.py --trace 1`,
+and a call site it does not re-bind escapes its spans.
 """
 
+import collections
+import json
 import os
 import subprocess
 import sys
@@ -17,21 +20,45 @@ from test_cli import TINY, out_files
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_compare_matches_untraced(tmp_path):
-    config = tmp_path / "exp.ini"
-    config.write_text(TINY)
-    args = ["compare", "--config", str(config), "--n-seeds", "2", "--jobs", "1"]
-    spans = tmp_path / "spans.npz"
+def trace(tmp_path, name, args) -> collections.Counter:
+    """Run `ml2o ARGS --out tmp_path/name` under the tracer; returns its spans per name."""
+    spans = tmp_path / f"{name}.npz"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     traced = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "trace_cli.py"), str(spans),
-         *args, "--out", str(tmp_path / "traced")],
+         *args, "--out", str(tmp_path / name)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert traced.returncode == EXIT_OK, traced.stderr
     with np.load(spans) as z:
-        assert z["name"].size > 0
+        names = json.loads(str(z["meta"]))["names"]
+        return collections.Counter(names[i] for i in z["name"])
+
+
+def tiny_compare(tmp_path):
+    config = tmp_path / "exp.ini"
+    config.write_text(TINY)
+    return ["compare", "--config", str(config), "--n-seeds", "2", "--jobs", "1"]
+
+
+def test_traced_compare_matches_untraced(tmp_path):
+    args = tiny_compare(tmp_path)
+    assert sum(trace(tmp_path, "traced", args).values()) > 0
     assert main([*args, "--out", str(tmp_path / "plain")]) == EXIT_OK
     # every output file, the curves that the wrapped `write_curves` writes included
     assert out_files(tmp_path / "traced") == out_files(tmp_path / "plain")
     assert len([name for name in out_files(tmp_path / "plain") if name.startswith("curves")]) == 8
+
+
+def test_traced_compare_spans_every_checkpoint_read_and_write(tmp_path):
+    # the per-layer checkpoint figures: one save span per checkpoint a cold run
+    # caches, one load span per checkpoint a warm run serves
+    cache = tmp_path / "cache"
+    args = [*tiny_compare(tmp_path), "--cache-dir", str(cache)]
+    cold = trace(tmp_path, "cold", args)
+    written = len(list(cache.glob("*.ckpt")))
+    warm = trace(tmp_path, "warm", args)
+    assert written == 10  # per seed: plain, ml2o and three adapted
+    assert (cold["cell.save_checkpoint"], cold["cell.load_checkpoint"]) == (written, 0)
+    assert (warm["cell.save_checkpoint"], warm["cell.load_checkpoint"]) == (0, written)
+    assert len(list(cache.glob("*.ckpt"))) == written
