@@ -37,7 +37,7 @@ from .harness import adapt_sweep, compare_methods, interpolate_eval, write_json
 from .numeric import RngStream, central_diff, numeric_environment
 from .store import TrainingCache
 from .tasks import NORMAL, QUADRATIC, TaskDistribution, sample_task, sample_theta0
-from .train import DivergenceError, train_ml2o, train_plain_l2o, training_fields
+from .train import ML2O, PLAIN, DivergenceError, train_ml2o, train_plain_l2o, training_fields
 from .unroll import jacobian_recursive, meta_grad, unroll
 
 EXIT_OK = 0
@@ -79,7 +79,7 @@ def _load(args) -> ExperimentConfig:
 
 def cmd_meta_train(args) -> int:
     cfg = _load(args)
-    meta_adaptive = args.method == "ml2o"
+    meta_adaptive = args.method == ML2O
     # the [meta] keys that this run's training does not read
     unread = vars(cfg.meta).keys() - training_fields(cfg.meta, meta_adaptive).keys()
     under = f" under grad_mode = {cfg.meta.grad_mode}" if meta_adaptive else ""
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("meta-train", cmd_meta_train, "train an optimizer and save a checkpoint")
-    p.add_argument("--method", choices=("ml2o", "plain"), default="ml2o")
+    p.add_argument("--method", choices=(ML2O, PLAIN), default=ML2O)
     command("compare", cmd_compare, "four-method comparison across sigmas", cached,
             ("sigmas", "n_seeds", "jobs"))
     command("sweep", cmd_sweep, "vary the adaptation sigma at a fixed test sigma", cached,

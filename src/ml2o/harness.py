@@ -33,7 +33,7 @@ from .evaluation import EvalGroup, RunRecord, _column_key, evaluate_groups
 from .numeric import RngStream
 from .store import TrainingCache
 from .tasks import NORMAL, TaskDistribution
-from .train import ML2O, AdaptGroup, MetaConfig
+from .train import ML2O, PLAIN, AdaptGroup, MetaConfig
 
 __all__ = [
     "VANILLA",
@@ -281,7 +281,7 @@ def _chunk_records(
     `cache` does not hold.
     """
     metas = [seed_config(cfg.meta, k) for k in seed_indices]
-    trainers = [t for t, uses in (("plain", {DT, TL}), (ML2O, {ML2O})) if uses & set(methods)]
+    trainers = [t for t, uses in ((PLAIN, {DT, TL}), (ML2O, {ML2O})) if uses & set(methods)]
     requests = [(t, meta) for t in trainers for meta in metas]
     weights = cache.get_or_train_all(requests, cfg.dist_train)
     trained = {t: weights[i * len(metas) : (i + 1) * len(metas)] for i, t in enumerate(trainers)}
@@ -291,7 +291,7 @@ def _chunk_records(
     for n, meta in enumerate(metas):
         start = {}
         if TL in methods or DT in methods:
-            start[TL] = start[DT] = trained["plain"][n]
+            start[TL] = start[DT] = trained[PLAIN][n]
         if ML2O in methods:
             start[ML2O] = trained[ML2O][n]
         if VANILLA in methods:

@@ -49,6 +49,7 @@ from .unroll import (
 
 __all__ = [
     "ML2O",
+    "PLAIN",
     "MetaConfig",
     "TrainLog",
     "DivergenceError",
@@ -66,6 +67,8 @@ ADAM = "adam"
 SGD_SCHEDULE = "sgd_schedule"
 # the meta-adaptive trainer: the name of its cached weights and of its method
 ML2O = "ml2o"
+# the plain trainer: the name of its cached weights
+PLAIN = "plain"
 
 
 class DivergenceError(RuntimeError):
@@ -252,7 +255,7 @@ def train_lockstep(
 
     def diverged(k: int, r: int, cause: str) -> DivergenceError:
         c, meta = runs[r]
-        trainer = ML2O if meta else "plain"
+        trainer = ML2O if meta else PLAIN
         return DivergenceError(k, weights(r), f"{trainer} seed {c.seed}: {cause}")
 
     for k in range(cfg.epochs):

@@ -11,6 +11,11 @@ themselves depend on the iterate) is kept alive via Hessian-vector products;
 ``detached_input`` cuts that path, which is the cheaper convention much of
 the practical literature trains with.
 
+The forward pass keeps its tape in a few time-major buffers, one row per
+step, allocated once per call and freed with it.  Each step writes its
+values there once, through `cell.step`, and the reverse sweep reads step
+t's rows back to front (`_forward`, `meta_grad_stack`).
+
 A diverging slice is an outcome, not an exception: the stacked kernels run
 every slice to the end with numpy's floating-point warnings off, and
 `StackResult.failure` names the error of a slice's first non-finite value
@@ -26,6 +31,7 @@ agreement between them is a real check, not a tautology.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,11 +225,24 @@ def _forward(
     at each step and writes the iterates into one (T+1, B, dim, 1) buffer;
     the loss curve is computed from that buffer after the last step, in one
     `TaskStack.losses` call, and checked for finiteness there.  Returns
-    (result, tape, grad).  With `keep_tape`, `grad` holds the task gradients
-    at the last iterates, (B, dim, 1), and tape[t] is step t's
-    (theta, grad, m', v', cache, h'): its iterate and task gradient, the
-    moments and hidden state it produced, and the cell's cache (see
-    `cell.cell_forward`).  Without it both are None.
+    (result, tape, grad); without `keep_tape` the last two are None.
+
+    Each step writes its values once, through `cell.step`'s `out`, into
+    buffers allocated once per call, which nothing keeps past the caller's
+    use of the tape.  With `keep_tape` the tape is those buffers, (thetas,
+    xs, gates, gqs, cs, taus, ms, vs), time-major: row t belongs to step t.
+    - thetas (T+1, B, dim, 1): the iterate it reads.
+    - xs (T+1, B, dim, FEATURE_DIM + hidden): its cell input [grad | nm | h],
+      the task gradient, the normalized momentum and the hidden state.  h
+      is the h' that step t-1 wrote there: zero in row 0, the last h' in
+      row T.
+    - gates (T, 3, B, dim, hidden), gqs and taus (T, B, dim, hidden): its
+      input, forget and output gates, gate-major, its candidate and tanh(c').
+    - cs (T+1, B, dim, hidden), ms and vs (T+1, B, dim, 1): the cell state
+      and moments it reads; it writes row t+1.
+    `grad` holds the task gradients at the last iterates, (B, dim, 1).
+    Without `keep_tape` the buffers other than thetas hold two rows each,
+    which the steps take in turn.
     """
     n, d = params.size, tasks.dim
     theta0 = np.asarray(theta0, dtype=np.float64)
@@ -234,24 +253,32 @@ def _forward(
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     hid = params.hidden
-    tape = [] if keep_tape else None
     # spread once, so that every step adds the bias in place without broadcasting
     bias = np.repeat(params.b, d, axis=1)
 
-    # iterates, gradients and moments are columns (B, dim, 1)
-    thetas = np.empty((horizon + 1, n, d, 1))
+    state, steps = (horizon + 1, horizon) if keep_tape else (2, 2)  # rows per buffer
+    # iterates, gradients and moments are columns (B, dim, 1); in order: thetas,
+    # the tape's xs, gates, gqs, cs, taus, ms and vs, and the per-step scratch
+    thetas, *tape, act, update = (np.empty(shape) for shape in (
+        (horizon + 1, n, d, 1), (state, n, d, FEATURE_DIM + hid),
+        (steps, 3, n, d, hid), (steps, n, d, hid), (state, n, d, hid), (steps, n, d, hid),
+        (state, n, d, 1), (state, n, d, 1), (n, d, 4 * hid), (n, d, 1),
+    ))
     thetas[0] = theta0.reshape(n, d, 1)
-    h = np.zeros((n, d, hid))
-    c = np.zeros((n, d, hid))
-    m = np.zeros((n, d, 1))
-    v = np.zeros((n, d, 1))
-    for t in range(horizon):
-        theta = thetas[t]
-        grad = tasks.grad(theta)
-        update, h, c, m, v, cache = step(params, grad, h, c, m, v, bias)
-        if keep_tape:
-            tape.append((theta, grad, m, v, cache, h))
-        np.add(theta, update, out=thetas[t + 1])
+    xs, gates, gqs, cs, taus, ms, vs = tape
+    hs = xs[:, :, :, FEATURE_DIM:]
+    hs[0] = cs[0] = ms[0] = vs[0] = 0.0
+    # step t reads the state rows t and writes rows t+1; untaped, the steps
+    # take the two rows of every buffer in turn
+    ahead = slice(1, None) if keep_tape else slice(None, None, -1)
+    rows = zip(xs, hs, hs[ahead], cs, cs[ahead], ms, ms[ahead], vs, vs[ahead], gates, gqs, taus)
+    if not keep_tape:
+        rows = itertools.cycle(list(rows))
+    for theta, theta2, row in zip(thetas, thetas[1:], rows):
+        x, h, h2, c, c2, m, m2, v, v2, g, gq, tau = row
+        out = (x, m2, v2, update, (h2, c2, g, gq, tau, act))
+        step(params, tasks.grad(theta), h, c, m, v, bias, out)
+        np.add(theta, update, out=theta2)
     grad = tasks.grad(thetas[horizon]) if keep_tape else None
 
     losses = tasks.losses(thetas)
@@ -265,7 +292,7 @@ def _forward(
         for i in np.flatnonzero(stopped):
             theta_final[i] = thetas[first[i], i, :, 0]
     result = StackResult(theta_final=theta_final, losses=losses, truncated_at=truncated)
-    return result, tape, grad
+    return result, (thetas, *tape) if keep_tape else None, grad
 
 
 def unroll_stack(
@@ -316,13 +343,19 @@ def meta_grad_stack(
     gives for params[i], tasks[i] and theta0[i] alone, bit for bit.  Nothing
     is raised: `StackResult.failure` reports non-finite losses and gradients.
 
-    The sweep reads `_forward`'s tape back to front.  What depends on the
+    The sweep reads `_forward`'s tape back to front, step t from row t of its
+    buffers: the iterate thetas[t]; the cell input xs[t], whose first column
+    is the task gradient; the gates, candidate, tanh(c') and cell state
+    gates[t], gqs[t], taus[t] and cs[t]; the moment ms[t+1] that step t
+    wrote; and its h', the hidden columns of xs[t+1].  What depends on the
     forward alone is taken once per call: the momentum feature's column
-    factors over the stacked (T, B, dim, 1) moments, and the projection
-    weights' gradient, one stacked product of the hidden states and the
-    iterate adjoints summed over steps in sweep order.  Each step writes the
-    input, forget and output gates' adjoints gate-major, like the cache's
-    gates, and places them into the activation adjoint with one copy.
+    factors over the moments vs[1:], and the projection weights' gradient,
+    one stacked product of the hidden states and the iterate adjoints
+    summed over steps in sweep order.  The iterate adjoint of sweep step k
+    (step T-1-k) is row k of one (T+1, B, dim, 1) buffer, the first row
+    the task gradient at the last iterates.  Each step writes the input,
+    forget and output gates' adjoints gate-major, like the tape's gates,
+    and places them into the activation adjoint with one copy.
     """
     if mode not in TRAJECTORY_MODES:
         raise ValueError(
@@ -331,6 +364,7 @@ def meta_grad_stack(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1 for gradients, got {horizon}")
     result, tape, dtheta = _forward(params, tasks, theta0, horizon, keep_tape=True)
+    thetas, xs, gate_rows, gqs, cs, taus, ms, vs = tape
 
     n, d = params.size, tasks.dim
     hid = params.hidden
@@ -343,7 +377,9 @@ def meta_grad_stack(
     db_proj = np.zeros((n, 1, 1))
     # per-step terms of the bias and projection gradients, in sweep order
     db_steps = np.empty((horizon, n, 4 * hid))
-    hs, dthetas = [], []
+    # the iterate adjoints in sweep order: the theta identity path carries each
+    # over unchanged, and second order adds a Hessian term in every step
+    dthetas = np.repeat(dtheta[None], horizon + 1, axis=0)
 
     dh = np.zeros((n, d, hid))
     dc = np.zeros((n, d, hid))
@@ -355,7 +391,7 @@ def meta_grad_stack(
 
     if second_order:
         # d(normalized momentum)/d(m, v) factors of every step: nm = m / (s + EPS), s = sqrt(v)
-        v_all = np.concatenate([v2 for _, _, _, v2, _, _ in tape]).reshape(horizon, n, d, 1)
+        v_all = vs[1:]
         s = np.sqrt(v_all)
         denom = s + EPS
         pos = v_all > 0.0
@@ -363,14 +399,11 @@ def meta_grad_stack(
         dv_denom = denom * denom * 2.0 * safe_s
 
     for k, t in enumerate(range(horizon - 1, -1, -1)):
-        # popping frees each step's tape once the sweep has read it
-        theta_t, g_t, m2, _, cache, h2 = tape.pop()
-        x, gates, gq, c_prev, tau = cache
+        x, gates, gq, c_prev, tau = xs[t], gate_rows[t], gqs[t], cs[t], taus[t]
         gi, gf, go = gates
+        dtheta = dthetas[k]
 
         # update projection: u = scale * (h2 @ w_proj + b_proj)
-        hs.append(h2)
-        dthetas.append(dtheta)
         # per step: a sum over stacked adjoints would reduce the rows in another order
         db_proj += scale * np.add.reduce(dtheta, axis=1, keepdims=True)
         dh_full = dh + scale * dtheta * w_proj_row
@@ -395,19 +428,20 @@ def meta_grad_stack(
         if second_order:
             dnm = dx[:, :, 1:2]
             dm_full = dm + dnm / denom[t]
-            dv_full = dv + np.where(pos[t], -dnm * m2 / dv_denom[t], 0.0)
+            dv_full = dv + np.where(pos[t], -dnm * ms[t + 1] / dv_denom[t], 0.0)
             dg = dx[:, :, 0:1] + (
-                dm_full * (1.0 - BETA1) + dv_full * 2.0 * g_t * (1.0 - BETA2)
+                dm_full * (1.0 - BETA1) + dv_full * 2.0 * x[:, :, 0:1] * (1.0 - BETA2)
             )
             dm = dm_full * BETA1
             dv = dv_full * BETA2
-            dtheta = dtheta + tasks.hvp(theta_t, dg)
-        # theta identity path: dtheta carries over unchanged otherwise
+            np.add(dtheta, tasks.hvp(thetas[t], dg), out=dthetas[k + 1])
 
+    # the hidden states h' in sweep order go into the tanh(c') rows, which the
+    # sweep has read: the product's bits need them C-contiguous, as BLAS
+    # rounds strided ones differently at small hidden
+    taus[...] = xs[horizon:0:-1, :, :, FEATURE_DIM:]
     # each sum starts from +0.0, as accumulating into zeros did, so a -0.0 term sums alike
-    h_all = np.concatenate(hs).reshape(horizon, n, d, hid)
-    dtheta_all = np.concatenate(dthetas).reshape(horizon, n, d, 1)
-    dw_proj = np.add.reduce(scale * (h_all.swapaxes(2, 3) @ dtheta_all), axis=0, initial=0.0)
+    dw_proj = np.add.reduce(scale * (taus.swapaxes(2, 3) @ dthetas[:horizon]), axis=0, initial=0.0)
     db = np.add.reduce(db_steps, axis=0, initial=0.0)
 
     result.layout = params.layout

@@ -62,3 +62,19 @@ def test_traced_compare_spans_every_checkpoint_read_and_write(tmp_path):
     assert (cold["cell.save_checkpoint"], cold["cell.load_checkpoint"]) == (written, 0)
     assert (warm["cell.save_checkpoint"], warm["cell.load_checkpoint"]) == (0, written)
     assert len(list(cache.glob("*.ckpt"))) == written
+
+
+def test_traced_compare_spans_every_step_of_the_kernel(tmp_path):
+    # the per-layer cell figures: each forward step of every unroll, taped or
+    # not, goes through the wrapped `cell` functions once, inside its span
+    trace(tmp_path, "cold", tiny_compare(tmp_path))
+    with np.load(tmp_path / "cold.npz") as z:
+        names = json.loads(str(z["meta"]))["names"]
+        name, parent, work = z["name"], z["parent"], z["work"]
+    forward = [i for i, k in enumerate(name) if names[k].startswith("unroll.forward")]
+    assert {names[name[i]] for i in forward} == {"unroll.forward", "unroll.forward_taped"}
+    for layer in ("cell.cell_forward", "cell.moment_update", "cell.predict_update"):
+        spans = name == names.index(layer)
+        for i in forward:
+            assert np.count_nonzero(spans & (parent == i)) == work[i]
+        assert np.count_nonzero(spans) == sum(work[i] for i in forward)

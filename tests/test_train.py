@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import with_proj
 from ml2o.cell import random_params
+from ml2o.config import load_config
 from ml2o.numeric import RngStream
 from ml2o.tasks import LASSO, MIXTURE, NORMAL, QUADRATIC, TaskDistribution
 from ml2o import train, unroll
@@ -300,6 +302,26 @@ def test_adapt_groups_step_memory_stays_within_the_tape_budget(rng):
         tracemalloc.stop()
     assert not any(isinstance(r, DivergenceError) for rs in adapted for r in rs)
     assert peak < 3.0e6
+
+
+def test_train_lockstep_memory_stays_within_the_tape_budget():
+    # desk-shaped training: lasso_desk's two trainers at 2 seeds in one
+    # lockstep stack of four, 3 epochs of 20 unroll steps.  The taped kernel
+    # runs three times per ml2o epoch (first pass, stepped pass, FD pair), so
+    # its tape sets the peak: 2.25 MB with a tape of per-step tuples, 2.17 MB
+    # with time-major buffers
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "lasso_desk.ini"))
+    meta = replace(cfg.meta, epochs=3)
+    runs = [(seed_config(meta, k), adaptive) for adaptive in (False, True) for k in range(2)]
+    train_lockstep(runs, cfg.dist_train)
+    tracemalloc.start()
+    try:
+        trained = train_lockstep(runs, cfg.dist_train)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trained) == 4
+    assert peak < 2.4e6
 
 
 def test_adapt_groups_refuse_groups_that_cannot_share_a_stack(rng):
