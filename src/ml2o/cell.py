@@ -51,13 +51,6 @@ EPS = 1e-8
 FEATURE_DIM = 2
 OUTPUT_SCALE = 0.01
 
-
-# the step's scalar operands as 0-d float64 arrays: a ufunc call takes one
-# about 190 ns faster than a Python float, and computes the same bits
-_BETA1, _BETA2, _EPS, _ONE_MINUS_BETA1, _ONE_MINUS_BETA2, _ONE, _OUTPUT_SCALE = (
-    np.array(value) for value in (BETA1, BETA2, EPS, 1.0 - BETA1, 1.0 - BETA2, 1.0, OUTPUT_SCALE)
-)
-
 CHECKPOINT_MAGIC = b"ML2O"
 CHECKPOINT_VERSION = 1
 
@@ -152,15 +145,15 @@ def random_params(hidden: int, rng: RngStream, proj_scale: float = 0.5) -> Param
 def moment_update(m: np.ndarray, v: np.ndarray, grad: np.ndarray, out=None):
     """One accumulator step; returns (m', v', normalized momentum), written into `out` if given."""
     m2, v2, nm = (None,) * 3 if out is None else out
-    m2 = np.multiply(m, _BETA1, out=m2)
-    term = grad * _ONE_MINUS_BETA1
+    m2 = np.multiply(m, BETA1, out=m2)
+    term = grad * (1.0 - BETA1)
     m2 += term
-    np.multiply(grad, _ONE_MINUS_BETA2, out=term)
+    np.multiply(grad, 1.0 - BETA2, out=term)
     term *= grad
-    v2 = np.multiply(v, _BETA2, out=v2)
+    v2 = np.multiply(v, BETA2, out=v2)
     v2 += term
     np.sqrt(v2, out=term)
-    term += _EPS
+    term += EPS
     return m2, v2, np.divide(m2, term, out=nm)
 
 
@@ -250,21 +243,21 @@ def logistic_gates(act: np.ndarray, hidden: int, out: np.ndarray | None = None) 
     for a reversed 1-D input written to a fresh array; a forward input, a
     reversed output or a reversed view of more dimensions (which numpy flips
     back) takes SIMD loops whose bits change with the CPU.  Overflow is not
-    reported, as `expit` never reported it: a call without `out` silences
-    it, and a caller that passes a C-contiguous `out` to write the gates
-    into holds `np.errstate(over="ignore")` itself, as the unroll kernel
-    does for every step.  Guarded by
-    tests/test_cell.py::test_gates_are_expit_bit_for_bit.
+    reported, as `expit` never reported it.  `out`, if given, is the
+    C-contiguous (3, B, dim, hidden) array to write the gates into.  Guarded
+    by tests/test_cell.py::test_gates_are_expit_bit_for_bit.
     """
     b, d = act.shape[:2]
     if out is None:
-        with np.errstate(over="ignore"):
-            return logistic_gates(act, hidden, np.empty((3, b, d, hidden)))
+        out = np.empty((3, b, d, hidden))
+    elif not out.flags.c_contiguous:
+        raise ValueError("logistic_gates writes its gates through a C-contiguous out")
     np.negative(act[:, :, : 3 * hidden].reshape(b, d, 3, hidden).transpose(2, 0, 1, 3), out=out)
     flat = out.reshape(-1)
-    e = np.exp(flat[::-1])
-    e += _ONE
-    np.divide(_ONE, e[::-1], out=flat)
+    with np.errstate(over="ignore"):
+        e = np.exp(flat[::-1])
+    e += 1.0
+    np.divide(1.0, e[::-1], out=flat)
     return out
 
 
@@ -281,8 +274,7 @@ def cell_forward(
     backward pass needs, with the input, forget and output gates as one
     gate-major (3, B, dim, hidden) array.  `out`, if given, is the arrays
     (h', c', gates, gq, tau, act) to write into, act (B, dim, 4*hidden) being
-    scratch; gates, gq and tau must be C-contiguous, and the caller holds
-    the errstate of `logistic_gates`.
+    scratch; gates, gq and tau must be C-contiguous.
     """
     hid = params.hidden
     h2, c2, gates, gq, tau, act = (None,) * 6 if out is None else out
@@ -306,7 +298,7 @@ def predict_update(params: ParamStack, h2: np.ndarray, out: np.ndarray | None = 
     """
     update = np.matmul(h2, params.w_proj, out=out)
     update += params.b_proj
-    update *= _OUTPUT_SCALE
+    update *= OUTPUT_SCALE
     return update
 
 
@@ -335,13 +327,12 @@ def step(
     they do when the previous step wrote its h' there, so h is not read.
     """
     if out is None:
-        m2, v2, nm = moment_update(m, v, grad)
-        x = np.concatenate([grad, nm, h], axis=2)
-        update = cell = None
-    else:
-        x, m2, v2, update, cell = out
-        x[..., :1] = grad
-        moment_update(m, v, grad, (m2, v2, x[..., 1:2]))
+        x = np.empty(grad.shape[:2] + (FEATURE_DIM + h.shape[2],))
+        x[..., FEATURE_DIM:] = h
+        out = (x, None, None, None, None)
+    x, m2, v2, update, cell = out
+    x[..., :1] = grad
+    m2, v2, _ = moment_update(m, v, grad, (m2, v2, x[..., 1:2]))
     h2, c2, cache = cell_forward(params, x, c, bias, cell)
     return predict_update(params, h2, update), h2, c2, m2, v2, cache
 

@@ -241,8 +241,9 @@ def _forward(
     - cs (T+1, B, dim, hidden), ms and vs (T+1, B, dim, 1): the cell state
       and moments it reads; it writes row t+1.
     `grad` holds the task gradients at the last iterates, (B, dim, 1).
-    Without `keep_tape` the buffers other than thetas hold two rows each,
-    which the steps take in turn.
+    Without `keep_tape` the state buffers xs, cs, ms and vs hold two rows,
+    which the steps take in turn, and gates, gqs and taus one, which every
+    step overwrites.
     """
     n, d = params.size, tasks.dim
     theta0 = np.asarray(theta0, dtype=np.float64)
@@ -256,7 +257,7 @@ def _forward(
     # spread once, so that every step adds the bias in place without broadcasting
     bias = np.repeat(params.b, d, axis=1)
 
-    state, steps = (horizon + 1, horizon) if keep_tape else (2, 2)  # rows per buffer
+    state, steps = (horizon + 1, horizon) if keep_tape else (2, 1)  # rows per buffer
     # iterates, gradients and moments are columns (B, dim, 1); in order: thetas,
     # the tape's xs, gates, gqs, cs, taus, ms and vs, and the per-step scratch
     thetas, *tape, act, update = (np.empty(shape) for shape in (
@@ -269,13 +270,14 @@ def _forward(
     hs = xs[:, :, :, FEATURE_DIM:]
     hs[0] = cs[0] = ms[0] = vs[0] = 0.0
     # step t reads the state rows t and writes rows t+1; untaped, the steps
-    # take the two rows of every buffer in turn
+    # take the two state rows in turn and share the one row of the others
     ahead = slice(1, None) if keep_tape else slice(None, None, -1)
-    rows = zip(xs, hs, hs[ahead], cs, cs[ahead], ms, ms[ahead], vs, vs[ahead], gates, gqs, taus)
+    rows = zip(xs, hs, hs[ahead], cs, cs[ahead], ms, ms[ahead], vs, vs[ahead])
+    cells = zip(gates, gqs, taus)
     if not keep_tape:
-        rows = itertools.cycle(list(rows))
-    for theta, theta2, row in zip(thetas, thetas[1:], rows):
-        x, h, h2, c, c2, m, m2, v, v2, g, gq, tau = row
+        rows, cells = itertools.cycle(list(rows)), itertools.repeat(next(cells))
+    for theta, theta2, row, (g, gq, tau) in zip(thetas, thetas[1:], rows, cells):
+        x, h, h2, c, c2, m, m2, v, v2 = row
         out = (x, m2, v2, update, (h2, c2, g, gq, tau, act))
         step(params, tasks.grad(theta), h, c, m, v, bias, out)
         np.add(theta, update, out=theta2)

@@ -172,6 +172,11 @@ def test_gates_are_expit_bit_for_bit(b, d):
     for got, want in zip(gates, expit_gates(act, hid)):
         assert got.flags.c_contiguous
         assert same_bits(got, want)
+    # the same into a given array; one that a flat write would copy is refused
+    out = np.empty((2, 3, b, d, hid))[1]
+    assert logistic_gates(act, hid, out) is out and same_bits(out, gates)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        logistic_gates(act, hid, np.empty((3, b, d, 2 * hid))[..., ::2])
     # the same through the cell, on the activations its cache implies
     params = ParamStack.of([random_params(hid, RngStream(s)) for s in range(b)])
     gen = np.random.default_rng(1)
@@ -216,6 +221,7 @@ def test_gates_raise_no_overflow_warning(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, _, (_, gates, *_) = cell_forward(params, zeros, zeros[..., :hid])
+        logistic_gates(np.full((1, 2, 4 * hid), -800.0), hid, np.empty((3, 1, 2, hid)))
     assert np.array_equal(np.concatenate(gates, axis=2), np.tile([1.0, 0.0], (1, 2, 3 * hid // 2)))
 
 

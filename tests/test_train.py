@@ -309,7 +309,9 @@ def test_train_lockstep_memory_stays_within_the_tape_budget():
     # lockstep stack of four, 3 epochs of 20 unroll steps.  The taped kernel
     # runs three times per ml2o epoch (first pass, stepped pass, FD pair), so
     # its tape sets the peak: 2.25 MB with a tape of per-step tuples, 2.17 MB
-    # with time-major buffers
+    # with time-major buffers.  The bound sits above the per-step-tuple tape's
+    # peak: it guards against growth beyond that level, not the time-major
+    # saving
     cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "lasso_desk.ini"))
     meta = replace(cfg.meta, epochs=3)
     runs = [(seed_config(meta, k), adaptive) for adaptive in (False, True) for k in range(2)]
