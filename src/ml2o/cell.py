@@ -22,7 +22,6 @@ import hashlib
 import os
 import struct
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +38,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointError",
+    "read_file",
 ]
 
 # Momentum feature constants (Adam-style normalization).
@@ -57,6 +57,20 @@ CHECKPOINT_VERSION = 1
 
 class CheckpointError(Exception):
     """Raised for unreadable, corrupt or incompatible checkpoint files."""
+
+
+def read_file(path, parse):
+    """`parse` of the bytes of the file at `path`, read whole in one read; every
+    `CheckpointError`, "cannot open" included, begins with `path`."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{os.fspath(path)}: cannot open: {exc.strerror}") from exc
+    try:
+        return parse(blob)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{os.fspath(path)}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -360,30 +374,27 @@ def save_checkpoint(params: ParamStack, path, metadata: str = "") -> None:
         fh.write(struct.pack("<I", zlib.crc32(payload)))
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    """Read n bytes, refusing lengths beyond the end of the file before reading."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:
-        raise CheckpointError(
-            f"corrupt checkpoint: truncated while reading {what} "
-            f"({n} bytes needed, {max(left, 0)} left)"
-        )
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"corrupt checkpoint: truncated while reading {what}")
-    return buf
+def _parse_checkpoint(blob: bytes) -> tuple[ParamStack, str]:
+    """(weights, metadata) parsed from a checkpoint's bytes; a length that runs past their
+    end is refused as truncated."""
+    at = 0
 
+    def take(n: int, what: str) -> bytes:
+        nonlocal at
+        if n > len(blob) - at:
+            raise CheckpointError(
+                f"corrupt checkpoint: truncated while reading {what} "
+                f"({n} bytes needed, {len(blob) - at} left)"
+            )
+        at += n
+        return blob[at - n : at]
 
-def _read_header(fh) -> tuple[int, str]:
-    """Check and read a checkpoint's header: (hidden, metadata)."""
-    magic = _read_exact(fh, 4, "magic")
+    magic = take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(
             f"corrupt checkpoint: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
         )
-    version, hidden, feature_dim, output_scale = struct.unpack(
-        "<IIId", _read_exact(fh, 20, "header")
-    )
+    version, hidden, feature_dim, output_scale = struct.unpack("<IIId", take(20, "header"))
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {version}, this build reads version {CHECKPOINT_VERSION}"
@@ -400,51 +411,29 @@ def _read_header(fh) -> tuple[int, str]:
         raise CheckpointError(
             f"corrupt checkpoint: output_scale={output_scale!r}, this build reads {OUTPUT_SCALE!r}"
         )
-    (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
+    (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
     try:
-        metadata = _read_exact(fh, meta_len, "metadata").decode("utf-8")
+        metadata = take(meta_len, "metadata").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"corrupt checkpoint: metadata is not UTF-8 ({exc})") from exc
-    return hidden, metadata
+    (count,) = struct.unpack("<Q", take(8, "payload count"))
+    expected = ParamLayout(hidden).size
+    if count != expected:
+        raise CheckpointError(
+            f"checkpoint header inconsistent with payload: header says "
+            f"hidden={hidden} ({expected} values) but payload count is {count}"
+        )
+    payload = take(8 * count, "payload")
+    (crc,) = struct.unpack("<I", take(4, "checksum"))
+    if crc != zlib.crc32(payload):
+        raise CheckpointError("corrupt checkpoint: payload checksum mismatch")
+    if at < len(blob):
+        raise CheckpointError(f"corrupt checkpoint: {len(blob) - at} bytes after the checksum")
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    return ParamStack(flat[None], hidden), metadata
 
 
-@contextmanager
-def _checkpoint_file(path):
-    """The checkpoint at `path`, open for reading; every `CheckpointError` names `path`."""
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise CheckpointError(f"{os.fspath(path)}: cannot open: {exc.strerror}") from exc
-    with fh:
-        try:
-            yield fh
-        except CheckpointError as exc:
-            raise CheckpointError(f"{os.fspath(path)}: {exc}") from exc
-
-
-def load_checkpoint(path) -> ParamStack:
-    """Read a checkpoint written by `save_checkpoint` as a stack of one; see it for the layout."""
-    with _checkpoint_file(path) as fh:
-        hidden, _ = _read_header(fh)
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "payload count"))
-        expected = ParamLayout(hidden).size
-        if count != expected:
-            raise CheckpointError(
-                f"checkpoint header inconsistent with payload: header says "
-                f"hidden={hidden} ({expected} values) but payload count is {count}"
-            )
-        payload = _read_exact(fh, 8 * count, "payload")
-        (crc,) = struct.unpack("<I", _read_exact(fh, 4, "checksum"))
-        if crc != zlib.crc32(payload):
-            raise CheckpointError("corrupt checkpoint: payload checksum mismatch")
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if left:
-            raise CheckpointError(f"corrupt checkpoint: {left} bytes after the checksum")
-        flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return ParamStack(flat[None], hidden)
-
-
-def load_checkpoint_metadata(path) -> str:
-    """Return the metadata string stored in a checkpoint."""
-    with _checkpoint_file(path) as fh:
-        return _read_header(fh)[1]
+def load_checkpoint(path) -> tuple[ParamStack, str]:
+    """Read a checkpoint written by `save_checkpoint`, in one read: (a stack of one, its
+    metadata); see it for the layout."""
+    return read_file(path, _parse_checkpoint)

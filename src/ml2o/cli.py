@@ -298,7 +298,7 @@ def cmd_verify(args) -> int:
 
 def cmd_interpolate(args) -> int:
     cfg = _load(args)
-    table = interpolate_eval(cfg, load_checkpoint(args.w1), load_checkpoint(args.w2))
+    table = interpolate_eval(cfg, load_checkpoint(args.w1)[0], load_checkpoint(args.w2)[0])
     table.write_curves(
         os.path.join(args.out, "curves"),
         name=lambda r: f"curve_alpha{r.key}_seed{r.seed}_task{r.task_index}.csv",

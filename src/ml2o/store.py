@@ -17,19 +17,14 @@ import hashlib
 import itertools
 import json
 import os
+import pathlib
 import struct
 import sys
 import zlib
 
 import numpy as np
 
-from .cell import (
-    CheckpointError,
-    ParamStack,
-    load_checkpoint,
-    load_checkpoint_metadata,
-    save_checkpoint,
-)
+from .cell import CheckpointError, ParamStack, load_checkpoint, read_file, save_checkpoint
 from .evaluation import CURVE_HEADER, EvalGroup
 from .numeric import RngStream, numeric_environment
 from .tasks import TaskDistribution
@@ -76,8 +71,7 @@ def _evaluation_identity() -> str:
     process's numeric environment: what, besides its inputs, fixes a curve's bits."""
     h = hashlib.blake2b(digest_size=16)
     for name in _EVALUATION_SOURCES:
-        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
-            h.update(fh.read())
+        h.update(pathlib.Path(__file__).with_name(name).read_bytes())
     h.update(f"numpy={np.__version__} {numeric_environment()}".encode())
     return h.hexdigest()
 
@@ -107,43 +101,42 @@ def save_curves(curves: list[tuple[np.ndarray, int | None, str]], path) -> None:
 
 
 def load_curves(path) -> list[tuple[np.ndarray, int | None, str]]:
-    """Read curves written by `save_curves`; a truncated or corrupt file is a
+    """Read curves written by `save_curves`, in one read; a truncated or corrupt file is a
     `CheckpointError` that names it."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"{path}: cannot open: {exc.strerror}") from exc
+    return read_file(path, _parse_curves)
+
+
+def _parse_curves(blob: bytes) -> list[tuple[np.ndarray, int | None, str]]:
     body = memoryview(blob)[:-4]
     start = len(CURVES_MAGIC) + 8
     if len(blob) < start + 4 or not blob.startswith(CURVES_MAGIC):
-        raise CheckpointError(f"{path}: corrupt cached curves: bad magic or truncated")
+        raise CheckpointError("corrupt cached curves: bad magic or truncated")
     if struct.unpack("<I", blob[-4:])[0] != zlib.crc32(body):
-        raise CheckpointError(f"{path}: corrupt cached curves: checksum mismatch")
+        raise CheckpointError("corrupt cached curves: checksum mismatch")
     (n,) = struct.unpack_from("<q", body, len(CURVES_MAGIC))
     if not 0 < n <= (len(body) - start) // 24:
-        raise CheckpointError(f"{path}: corrupt cached curves: {n} tasks")
+        raise CheckpointError(f"corrupt cached curves: {n} tasks")
     # Python ints, so that no sum of lengths wraps
     head = struct.unpack_from(f"<{3 * n}q", body, start)
     cuts, lengths, text_lengths = head[:n], head[n : 2 * n], head[2 * n :]
     if min(head[n:]) < 0:
-        raise CheckpointError(f"{path}: corrupt cached curves: a negative length")
+        raise CheckpointError("corrupt cached curves: a negative length")
     if any(cut not in (-1, length) for cut, length in zip(cuts, lengths)):
-        raise CheckpointError(f"{path}: corrupt cached curves: a cut that is not its curve's end")
+        raise CheckpointError("corrupt cached curves: a cut that is not its curve's end")
     losses_at = start + 24 * n
     texts_at = losses_at + 8 * sum(lengths)
     if texts_at + sum(text_lengths) != len(body):
-        raise CheckpointError(f"{path}: corrupt cached curves: lengths do not match the size")
+        raise CheckpointError("corrupt cached curves: lengths do not match the size")
     ends = list(itertools.accumulate(text_lengths, initial=texts_at))
     try:
         texts = [str(body[begin:end], "ascii") for begin, end in zip(ends, ends[1:])]
     except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{path}: corrupt cached curves: curve text is not ASCII") from exc
+        raise CheckpointError("corrupt cached curves: curve text is not ASCII") from exc
     if any(
         not text.startswith(CURVE_HEADER) or text.count("\n") != length + 1
         for text, length in zip(texts, lengths)
     ):
-        raise CheckpointError(f"{path}: corrupt cached curves: a text is not one row per loss")
+        raise CheckpointError("corrupt cached curves: a text is not one row per loss")
     losses = np.frombuffer(body, "<f8", sum(lengths), losses_at).astype(np.float64)
     curves = np.split(losses, list(itertools.accumulate(lengths))[:-1])
     return [
@@ -165,7 +158,7 @@ class _WeightEntries:
 
     @staticmethod
     def load(path, name: str, hidden: int) -> ParamStack:
-        params = load_checkpoint(path)
+        params, metadata = load_checkpoint(path)
         if params.hidden != hidden:
             raise CheckpointError(
                 f"{path}: cached weights have hidden={params.hidden}, "
@@ -173,8 +166,7 @@ class _WeightEntries:
             )
         # other SIMD paths or BLAS cores change the last bits: serve, but say so
         here = str(numeric_environment())
-        metadata = load_checkpoint_metadata(path).split()
-        recorded = " ".join(t for t in metadata if t.startswith(("simd=", "blas=")))
+        recorded = " ".join(t for t in metadata.split() if t.startswith(("simd=", "blas=")))
         if recorded != here:  # one write, so that workers' lines never interleave
             made = "adapted" if name == ADAPTED else "trained"
             sys.stderr.write(

@@ -19,7 +19,6 @@ from ml2o.cell import (
     cell_forward,
     init_params,
     load_checkpoint,
-    load_checkpoint_metadata,
     logistic_gates,
     random_params,
     save_checkpoint,
@@ -329,16 +328,18 @@ def test_lone_optimizer_readers_refuse_larger_stacks(rng, tmp_path):
         unroll(pair, task, np.zeros(2), 1)
     # a slice of one is a lone optimizer again
     save_checkpoint(ParamStack(pair.flat[[1]], 3), tmp_path / "one.ckpt")
-    assert load_checkpoint(tmp_path / "one.ckpt").digest() == ParamStack(pair.flat[1:2], 3).digest()
+    loaded, _ = load_checkpoint(tmp_path / "one.ckpt")
+    assert loaded.digest() == ParamStack(pair.flat[1:2], 3).digest()
 
 
 def test_checkpoint_round_trip_bit_exact(rng, tmp_path):
     params = random_params(6, rng)
     path = tmp_path / "w.ckpt"
-    save_checkpoint(params, path, metadata="unit-test")
-    loaded = load_checkpoint(path)
-    assert np.array_equal(loaded.flat, params.flat)
-    assert load_checkpoint_metadata(path) == "unit-test"
+    for metadata in ("", "unit-test", "trainer=plain key=é σ"):
+        save_checkpoint(params, path, metadata=metadata)
+        loaded, read = load_checkpoint(path)
+        assert np.array_equal(loaded.flat, params.flat)
+        assert read == metadata
 
 
 def test_checkpoint_truncation_detected(rng, tmp_path):
@@ -402,17 +403,18 @@ def test_checkpoint_zero_sizes_rejected(tmp_path, hidden, feature_dim):
 def test_checkpoint_other_feature_dim_rejected(tmp_path):
     # a consistent, CRC-valid file whose cell reads three features
     path = write_checkpoint(tmp_path / "f3.ckpt", 4, 3)
-    for loader in (load_checkpoint, load_checkpoint_metadata):
-        with pytest.raises(CheckpointError, match="feature_dim=3"):
-            loader(path)
+    with pytest.raises(CheckpointError, match="feature_dim=3"):
+        load_checkpoint(path)
+    # the same file at the cell's own feature_dim loads, with its empty metadata
+    assert load_checkpoint(write_checkpoint(tmp_path / "f2.ckpt", 4, 2))[1] == ""
 
 
 def test_checkpoint_other_output_scale_rejected(tmp_path):
     # a consistent, CRC-valid file whose update rule scales by 0.02
     path = write_checkpoint(tmp_path / "s.ckpt", 4, 2, output_scale=0.02)
-    for loader in (load_checkpoint, load_checkpoint_metadata):
-        with pytest.raises(CheckpointError, match="output_scale=0.02"):
-            loader(path)
+    with pytest.raises(CheckpointError, match="output_scale=0.02"):
+        load_checkpoint(path)
+    assert load_checkpoint(write_checkpoint(tmp_path / "s1.ckpt", 4, 2, 0.01))[1] == ""
 
 
 @pytest.mark.pinned
@@ -439,21 +441,10 @@ def test_random_params_bytes_and_digest_are_pinned():
 def test_checkpoint_metadata_must_be_utf8(rng, tmp_path):
     path = tmp_path / "w.ckpt"
     save_checkpoint(random_params(4, rng), path, metadata="ab")
+    assert load_checkpoint(path)[1] == "ab"
     raw = bytearray(path.read_bytes())
     raw[28] = 0xFF  # first metadata byte, after magic, header and length
     (tmp_path / "m.ckpt").write_bytes(bytes(raw))
-    for loader in (load_checkpoint, load_checkpoint_metadata):
-        with pytest.raises(CheckpointError, match="UTF-8"):
-            loader(tmp_path / "m.ckpt")
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(tmp_path / "m.ckpt")
 
-
-def test_checkpoint_metadata_reader_checks_the_header(rng, tmp_path):
-    path = tmp_path / "w.ckpt"
-    save_checkpoint(random_params(4, rng), path, metadata="m")
-    raw = bytearray(path.read_bytes())
-    raw[4:8] = struct.pack("<I", 9)
-    (tmp_path / "v.ckpt").write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError, match="version 9"):
-        load_checkpoint_metadata(tmp_path / "v.ckpt")
-    with pytest.raises(CheckpointError, match="must be >= 1"):
-        load_checkpoint_metadata(write_checkpoint(tmp_path / "z.ckpt", 0, 2))

@@ -1,4 +1,6 @@
 import argparse
+import builtins
+import collections
 import errno
 import gc
 import json
@@ -21,7 +23,6 @@ from ml2o.cell import (
     CheckpointError,
     ParamLayout,
     load_checkpoint,
-    load_checkpoint_metadata,
     random_params,
     save_checkpoint,
 )
@@ -293,11 +294,9 @@ def test_meta_train_writes_artifacts_and_echo(tiny_config, tmp_path):
     assert (out / "trainlog.csv").exists()
     echoed = (out / "config.resolved.ini").read_text()
     assert "[meta]" in echoed and "epochs = 6" in echoed
-    params = load_checkpoint(out / "checkpoint_plain.ckpt")
+    params, metadata = load_checkpoint(out / "checkpoint_plain.ckpt")
     assert params.hidden == 4
-    assert load_checkpoint_metadata(out / "checkpoint_plain.ckpt") == (
-        f"method=plain seed=9 epochs=6 {numeric_environment()}"
-    )
+    assert metadata == f"method=plain seed=9 epochs=6 {numeric_environment()}"
 
 
 def test_meta_train_warns_alpha_ignored_for_plain(tiny_config, tmp_path, capsys):
@@ -348,9 +347,8 @@ def test_meta_train_divergence_exit_code(tmp_path, capsys):
     rc = main(["meta-train", "--config", str(path), "--method", "plain",
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_DIVERGED
-    last = load_checkpoint(tmp_path / "o" / "checkpoint_last_good.ckpt")
+    last, metadata = load_checkpoint(tmp_path / "o" / "checkpoint_last_good.ckpt")
     assert np.all(np.isfinite(last.flat))
-    metadata = load_checkpoint_metadata(tmp_path / "o" / "checkpoint_last_good.ckpt")
     assert metadata.startswith("diverged-at-epoch=")
     assert metadata.endswith(f" {numeric_environment()}")
 
@@ -460,7 +458,7 @@ def test_cache_hit_from_another_environment_warns_and_serves(tiny_config, tmp_pa
         for name in names:
             kind, key = name.removesuffix(".ckpt").split("-")
             label = "adapted" if kind == "adapted" else f"trainer={kind}"
-            save_checkpoint(load_checkpoint(home / name), cache / name,
+            save_checkpoint(load_checkpoint(home / name)[0], cache / name,
                             metadata=f"{label} key={key} {env}".strip())
         capfd.readouterr()
         out = tmp_path / f"out-{said}"
@@ -474,6 +472,26 @@ def test_cache_hit_from_another_environment_warns_and_serves(tiny_config, tmp_pa
         ]
         for name in ("comparison.json", "comparison.csv"):
             assert (out / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
+def test_warm_compare_opens_each_cached_file_once(tiny_config, tmp_path, monkeypatch):
+    # a served checkpoint's weights and metadata, and a served curves entry,
+    # each come from one open of its file
+    cache = tmp_path / "cache"
+    assert compare_on_cache(tiny_config, tmp_path / "cold", cache) == EXIT_OK
+    cached = sorted(str(p) for p in cache.iterdir())
+    assert collections.Counter(p.rsplit(".", 1)[1] for p in cached) == {"ckpt": 10, "crv": 8}
+    opened = collections.Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened[os.fspath(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert compare_on_cache(tiny_config, tmp_path / "warm", cache) == EXIT_OK
+    assert {p: opened[p] for p in cached} == dict.fromkeys(cached, 1)
 
 
 def test_cache_warning_is_one_write(tmp_path, monkeypatch):
@@ -1429,10 +1447,9 @@ def test_checkpoint_errors_name_the_file(tiny_config, tmp_path, capsys, no_train
     junk = cache / f"plain-{key}.ckpt"
     junk.write_bytes(b"garbage")
     bad_magic = "corrupt checkpoint: bad magic b'garb', expected b'ML2O'"
-    for read in (load_checkpoint, load_checkpoint_metadata):
-        with pytest.raises(CheckpointError) as exc:
-            read(junk)
-        assert str(exc.value) == f"{junk}: {bad_magic}"
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(junk)
+    assert str(exc.value) == f"{junk}: {bad_magic}"
     rc = main(["compare", "--config", tiny_config, "--out", str(tmp_path / "o"),
                "--cache-dir", str(cache)])
     assert rc == EXIT_CONFIG

@@ -18,7 +18,6 @@ from ml2o.cell import (
     CheckpointError,
     init_params,
     load_checkpoint,
-    load_checkpoint_metadata,
     random_params,
     save_checkpoint,
     step,
@@ -38,14 +37,11 @@ def run_step(params) -> None:
 
 
 def loads_or_checkpoint_error(path) -> bool:
-    """Read `path` with both loaders; True if `load_checkpoint` accepted it."""
+    """Read `path` with `load_checkpoint`; True if it loaded, and then ran a cell step."""
     try:
-        load_checkpoint_metadata(path)
-    except CheckpointError:
-        pass
-    try:
-        params = load_checkpoint(path)
-    except CheckpointError:
+        params, _ = load_checkpoint(path)
+    except CheckpointError as exc:
+        assert str(exc).startswith(f"{path}: ")
         return False
     run_step(params)
     return True
@@ -103,6 +99,15 @@ def test_fuzz_checkpoint_appended_bytes(checkpoint_bytes, tmp_path):
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         assert str(exc.value) == f"{path}: corrupt checkpoint: {n} bytes after the checksum"
+
+
+def test_unopenable_paths_are_named(tmp_path):
+    # a directory cannot be read as a file: each cached kind names it, as it
+    # names a corrupt file
+    for load in (load_checkpoint, load_curves):
+        with pytest.raises(CheckpointError) as exc:
+            load(tmp_path)
+        assert str(exc.value).startswith(f"{tmp_path}: cannot open: "), load
 
 
 def config_mutants(rnd: random.Random, n: int):

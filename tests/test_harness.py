@@ -18,7 +18,6 @@ from ml2o.cell import (
     CheckpointError,
     init_params,
     load_checkpoint,
-    load_checkpoint_metadata,
     random_params,
 )
 from ml2o.config import ExperimentConfig
@@ -315,7 +314,7 @@ def test_training_cache_hits_are_identical(tmp_path):
     (path,) = (tmp_path / "c").glob("plain-*.ckpt")
     key = TrainingCache._key("plain", meta, TRAIN_DIST)
     assert path.name == f"plain-{key}.ckpt"
-    assert load_checkpoint_metadata(path) == f"trainer=plain key={key} {numeric_environment()}"
+    assert load_checkpoint(path)[1] == f"trainer=plain key={key} {numeric_environment()}"
 
 
 def test_cache_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch):
@@ -336,7 +335,7 @@ def test_cache_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch)
     assert len(written) == 2 and written[0] != written[1]
     name = f"plain-{TrainingCache._key('plain', meta, TRAIN_DIST)}.ckpt"
     assert os.listdir(directory) == [name]
-    assert np.array_equal(load_checkpoint(os.path.join(directory, name)).flat, params.flat)
+    assert np.array_equal(load_checkpoint(os.path.join(directory, name))[0].flat, params.flat)
 
 
 ADAPT_SETTINGS = dict(
