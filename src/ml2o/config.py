@@ -21,7 +21,7 @@ from .tasks import (
     TaskDistribution,
     unread_fields,
 )
-from .train import MetaConfig
+from .train import Adaptation, MetaConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_float_list"]
 
@@ -117,6 +117,16 @@ class ExperimentConfig:
     jobs: int  # 0: one per core this process may run on
     raw: dict = field(default_factory=dict)
     explicit: set = field(default_factory=set)
+
+    @property
+    def adaptation(self) -> Adaptation:
+        """How every adapted method of a comparison adapts: [adapt] steps and alpha (by
+        default [meta] alpha), with the training unroll length and gradient mode."""
+        alpha = self.meta.alpha if self.adapt_alpha is None else self.adapt_alpha
+        return Adaptation(
+            self.meta.adapt_steps, alpha, self.meta.unroll_len, self.meta.grad_mode,
+            self.adapt_fresh_per_step,
+        )
 
     def resolved_text(self) -> str:
         lines = []

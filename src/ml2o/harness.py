@@ -33,7 +33,7 @@ from .evaluation import EvalGroup, RunRecord, _column_key, evaluate_groups
 from .numeric import RngStream
 from .store import TrainingCache
 from .tasks import NORMAL, TaskDistribution
-from .train import ML2O, PLAIN, AdaptGroup, MetaConfig
+from .train import ML2O, PLAIN, AdaptGroup, Adaptation, MetaConfig
 
 __all__ = [
     "VANILLA",
@@ -270,15 +270,16 @@ class _Column:
 
 
 def _chunk_records(
-    cfg: ExperimentConfig, columns, methods, cache: TrainingCache, seed_indices: list[int]
+    cfg: ExperimentConfig, columns, methods, how: Adaptation, cache: TrainingCache,
+    seed_indices: list[int],
 ) -> list[RunRecord]:
     """Train the chunk's cache misses in lockstep, then adapt and evaluate the misses.
 
     Adaptation runs the uncached starts of every (seed, column) group of the
-    chunk together (`TrainingCache.get_or_adapt_all`).  Evaluation draws every
-    group's test tasks and builds every record (`evaluate_groups`), but
-    unrolls, and renders the curve text of, only the variants whose curves
-    `cache` does not hold.
+    chunk together, each as `how` says (`TrainingCache.get_or_adapt_all`).
+    Evaluation draws every group's test tasks and builds every record
+    (`evaluate_groups`), but unrolls, and renders the curve text of, only the
+    variants whose curves `cache` does not hold.
     """
     metas = [seed_config(cfg.meta, k) for k in seed_indices]
     trainers = [t for t, uses in ((PLAIN, {DT, TL}), (ML2O, {ML2O})) if uses & set(methods)]
@@ -305,10 +306,7 @@ def _chunk_records(
             )
             for col in columns
         ]
-    adapted = iter(cache.get_or_adapt_all(
-        adapt_work, cfg.meta.adapt_steps, cfg.adapt_alpha, cfg.meta.unroll_len,
-        cfg.meta.grad_mode, cfg.adapt_fresh_per_step,
-    ))
+    adapted = iter(cache.get_or_adapt_all(adapt_work, how))
 
     groups = []  # per (seed, column)
     for seed_index, meta, start in zip(seed_indices, metas, starts):
@@ -321,8 +319,8 @@ def _chunk_records(
     return [r for records in evaluate_groups(groups, cfg.horizon, cache) for r in records]
 
 
-def _worker_records(cfg, columns, methods, cache_dir, seed_indices):
-    return _chunk_records(cfg, columns, methods, TrainingCache(cache_dir), seed_indices)
+def _worker_records(cfg, columns, methods, how, cache_dir, seed_indices):
+    return _chunk_records(cfg, columns, methods, how, TrainingCache(cache_dir), seed_indices)
 
 
 def _usable_cores() -> int:
@@ -335,10 +333,10 @@ def _usable_cores() -> int:
 def _compare(cfg: ExperimentConfig, columns, methods, cache) -> ComparisonTable:
     """The `methods` x `columns` table over `cfg.n_seeds` paired seeds; see `compare_methods`.
 
-    The seeds are split into `cfg.jobs` contiguous chunks (0: one per core
-    this process may run on), one worker process each; a single chunk runs
-    in this process, with the caller's cache.
-    Each chunk trains in lockstep, and every seed's records are the same
+    Every adapted method adapts with `cfg.adaptation`, read, and so checked,
+    before any work.  The seeds are split into `cfg.jobs` contiguous chunks
+    (0: one per core this process may run on), one worker process each; a
+    single chunk runs in this process, with the caller's cache.  Each chunk trains in lockstep, and every seed's records are the same
     whatever chunk it lands in, so `jobs` never changes a result.
     """
     if cfg.n_seeds < 2:
@@ -348,10 +346,7 @@ def _compare(cfg: ExperimentConfig, columns, methods, cache) -> ComparisonTable:
     _check_column_keys([col.key for col in columns])
     if cfg.jobs < 0:
         raise ValueError(f"jobs must be >= 0 (0: all cores), got {cfg.jobs}")
-    alpha = cfg.meta.alpha if cfg.adapt_alpha is None else cfg.adapt_alpha
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"the adaptation step must be finite and >= 0, got {alpha}")
-    cfg = replace(cfg, adapt_alpha=alpha)
+    how = cfg.adaptation
     cache = cache or TrainingCache()
     chunks = [
         [int(k) for k in chunk]
@@ -359,10 +354,12 @@ def _compare(cfg: ExperimentConfig, columns, methods, cache) -> ComparisonTable:
         if chunk.size
     ]
     if len(chunks) == 1:
-        return ComparisonTable.from_records(_chunk_records(cfg, columns, methods, cache, chunks[0]))
+        return ComparisonTable.from_records(
+            _chunk_records(cfg, columns, methods, how, cache, chunks[0])
+        )
     from concurrent.futures import ProcessPoolExecutor
 
-    work = functools.partial(_worker_records, cfg, columns, methods, cache.directory)
+    work = functools.partial(_worker_records, cfg, columns, methods, how, cache.directory)
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         return ComparisonTable.from_records([r for part in pool.map(work, chunks) for r in part])
 

@@ -6,7 +6,8 @@ entry.  Each kind has its key, its file-name prefix and its file format
 here: weights are checkpoints (`cell.save_checkpoint`), curves are
 `save_curves` files.  A curve's key holds the source of the modules that
 compute it (`_EVALUATION_SOURCES`), which leave this module out, so an edit
-to the store keeps every cached curve.
+to the store keeps every cached curve, and the curves file format
+(`CURVES_MAGIC`), so a new format computes every curve again.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pathlib
 import struct
 import sys
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,13 +33,13 @@ from .tasks import TaskDistribution
 from .train import (
     ML2O,
     AdaptGroup,
+    Adaptation,
     DivergenceError,
     MetaConfig,
     adapt_groups,
     train_lockstep,
     training_fields,
 )
-from .unroll import inner_mode
 
 __all__ = [
     "TrainingCache",
@@ -201,13 +203,13 @@ class TrainingCache:
     optionally backed by a directory.
 
     Training is a pure function of (trainer, config, distribution), and
-    adaptation one of (start weights, adaptation draws, settings), in one
+    adaptation one of (start weights, adaptation draws, `Adaptation`), in one
     numeric environment, so caching never changes a result there; a file made
     in another environment, or an unrecorded one, is served with a stderr
     warning.  A file whose `hidden` is not the one asked for is refused.
-    An evaluated curve is keyed by its inputs and by the code and numeric
-    environment that computed it (`curves_key`), so it is never served
-    across either.
+    An evaluated curve is keyed by its inputs, by the code and numeric
+    environment that computed it and by the curves file format
+    (`curves_key`), so it is never served across any of them.
     """
 
     def __init__(self, directory: str | None = None):
@@ -226,34 +228,22 @@ class TrainingCache:
 
     @staticmethod
     def _adapted_key(
-        start: ParamStack,
-        dist_adapt: TaskDistribution,
-        rng: RngStream,
-        steps: int,
-        alpha: float,
-        unroll_len: int,
-        grad_mode: str,
-        fresh_task_per_step: bool,
+        start: ParamStack, dist_adapt: TaskDistribution, rng: RngStream, how: Adaptation
     ) -> str:
-        """Key of `start` adapted on unread `rng`'s draws from `dist_adapt`, as `adapt_groups` does.
-
-        The trajectory mode stands for `grad_mode`, since adaptation reads no other.
-        """
+        """Key of `start` adapted on unread `rng`'s draws from `dist_adapt`, as `adapt_groups`
+        adapts it with `how`."""
         return _hash_key({
             "start": start.digest(),
             "dist": _dist_fields(dist_adapt),
             "rng": rng.key.hex(),
-            "steps": steps,
-            "alpha": float(alpha),
-            "unroll_len": unroll_len,
-            "grad_mode": inner_mode(grad_mode),
-            "fresh_task_per_step": fresh_task_per_step,
+            **asdict(how),
         })
 
     @staticmethod
     def curves_key(params: ParamStack, group: EvalGroup, horizon: int) -> str:
         """Key of `params`' curves on `group`'s test draws, from its unread `rng`, as
-        `evaluate_groups` computes them in this code and numeric environment."""
+        `evaluate_groups` computes them in this code and numeric environment, in this
+        curves file format."""
         return _hash_key({
             "params": params.digest(),
             "dist": _dist_fields(group.dist_test),
@@ -261,6 +251,7 @@ class TrainingCache:
             "n_tasks": group.n_tasks,
             "horizon": horizon,
             "code": _evaluation_identity(),
+            "format": CURVES_MAGIC.decode("ascii"),
         })
 
     def _path(self, name: str, key: str) -> str | None:
@@ -329,15 +320,9 @@ class TrainingCache:
         )
 
     def get_or_adapt_all(
-        self,
-        groups: list[AdaptGroup],
-        steps: int,
-        alpha: float,
-        unroll_len: int,
-        grad_mode: str,
-        fresh_task_per_step: bool,
+        self, groups: list[AdaptGroup], how: Adaptation
     ) -> list[list[ParamStack | DivergenceError]]:
-        """`adapt_groups` of `groups`, each start served from the cache where it is held.
+        """`adapt_groups(groups, how)`, each start served from the cache where it is held.
 
         Each group's `rng` must be unread, since an adapted start is keyed by
         its stream's key (`_adapted_key`); a read one is refused before
@@ -351,15 +336,14 @@ class TrainingCache:
             raise ValueError(
                 "an adaptation group's random stream has been read; each needs a fresh one"
             )
-        settings = (steps, alpha, unroll_len, grad_mode, fresh_task_per_step)
 
         def adapt_misses(items):  # (group index, start) pairs, in group order
             asking = [groups[n]._replace(starts=[s for m, s in items if m == n])
                       for n in sorted({n for n, _ in items})]
-            return [result for group in adapt_groups(asking, *settings) for result in group]
+            return [result for group in adapt_groups(asking, how) for result in group]
 
         served = iter(self._serve(
-            [(ADAPTED, self._adapted_key(s, g.dist_adapt, g.rng, *settings), s.hidden, (n, s))
+            [(ADAPTED, self._adapted_key(s, g.dist_adapt, g.rng, how), s.hidden, (n, s))
              for n, g in enumerate(groups) for s in g.starts],
             adapt_misses,
         ))

@@ -58,6 +58,7 @@ __all__ = [
     "train_lockstep",
     "training_fields",
     "adapt",
+    "Adaptation",
     "AdaptGroup",
     "adapt_groups",
     "sgd_schedule_lr",
@@ -334,6 +335,30 @@ def train_plain_l2o(cfg: MetaConfig, dist: TaskDistribution):
     return train_lockstep([(cfg, False)], dist)[0]
 
 
+@dataclass(frozen=True)
+class Adaptation:
+    """How a start adapts: `steps` plain gradient steps of size `alpha` on the
+    unrolled loss over `unroll_len` steps, each on a fresh task unless
+    `fresh_task_per_step` is false.
+
+    `grad_mode` is kept as its trajectory mode, the one that adaptation reads.
+    """
+
+    steps: int
+    alpha: float
+    unroll_len: int
+    grad_mode: str = FULL_SECOND_ORDER
+    fresh_task_per_step: bool = True
+
+    def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"the adaptation step must be finite and >= 0, got {self.alpha}")
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "grad_mode", inner_mode(self.grad_mode))
+
+
 class AdaptGroup(NamedTuple):
     """Starting weights, each a stack of one, to adapt on shared draws from `rng`."""
 
@@ -343,30 +368,22 @@ class AdaptGroup(NamedTuple):
 
 
 def adapt_groups(
-    groups: list[AdaptGroup],
-    steps: int,
-    alpha: float,
-    unroll_len: int,
-    grad_mode: str = FULL_SECOND_ORDER,
-    fresh_task_per_step: bool = True,
+    groups: list[AdaptGroup], how: Adaptation
 ) -> list[list[ParamStack | DivergenceError]]:
-    """Adapt every group's starts on the group's own draws; returns each group's results.
+    """Adapt every group's starts on the group's own draws, as `how` says; returns each
+    group's results.
 
     Each start takes the plain gradient steps of `adapt`.  Every step, each
     group with a live start draws its adaptation task and then its starting
     iterate from its `rng`, shared by its starts.  The groups must share the
     task family and dimension, and each needs an `rng` of its own.  The live
     starts of all groups run in lockstep, in `row_stacks` of at most
-    `TAPE_ROW_STEPS` taped row-steps (slices x dim x `unroll_len`).  Returns,
-    per start, its adapted weights or the `DivergenceError` that `adapt`
-    would raise for it alone.  A start that diverges is marked and drops out
-    of later steps; no slice reads another, so every result is bit-identical
-    to adapting that start alone.
+    `TAPE_ROW_STEPS` taped row-steps (slices x dim x `how.unroll_len`).
+    Returns, per start, its adapted weights or the `DivergenceError` that
+    `adapt` would raise for it alone.  A start that diverges is marked and
+    drops out of later steps; no slice reads another, so every result is
+    bit-identical to adapting that start alone.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
     if len({id(g.rng) for g in groups}) != len(groups):
         raise ValueError("adaptation groups share a random stream; each needs its own")
     shapes = {(g.dist_adapt.family, g.dist_adapt.dim) for g in groups}
@@ -375,31 +392,30 @@ def adapt_groups(
         raise ValueError(
             f"adaptation groups must share task family and dim, got {', '.join(names)}"
         )
-    mode = inner_mode(grad_mode)
     out: list[list[ParamStack | DivergenceError]] = [list(g.starts) for g in groups]
     live = [(k, i) for k, g in enumerate(groups) for i in range(len(g.starts))]
     tasks = [None] * len(groups)
-    for s in range(steps):
+    for s in range(how.steps):
         if not live:
             break
         draws = {}
         for k in sorted({k for k, _ in live}):
             g = groups[k]
-            if fresh_task_per_step or tasks[k] is None:
+            if how.fresh_task_per_step or tasks[k] is None:
                 tasks[k] = sample_task(g.dist_adapt, g.rng)
             draws[k] = (tasks[k], sample_theta0(g.dist_adapt, g.rng))
-        size = groups[live[0][0]].dist_adapt.dim * unroll_len
+        size = groups[live[0][0]].dist_adapt.dim * how.unroll_len
         for stack in row_stacks(live, size, TAPE_ROW_STEPS):
             params = ParamStack.of([out[k][i] for k, i in stack])
             result = meta_grad_stack(
                 params,
                 TaskStack([draws[k][0] for k, _ in stack]),
                 np.stack([draws[k][1] for k, _ in stack]),
-                unroll_len,
-                mode,
+                how.unroll_len,
+                how.grad_mode,
             )
             with np.errstate(all="ignore"):  # a non-finite row is reported below
-                new_flats = params.flat - alpha * result.grads
+                new_flats = params.flat - how.alpha * result.grads
             for j, (k, i) in enumerate(stack):
                 failure = result.failure(j)
                 if failure is None and np.all(np.isfinite(new_flats[j])):
@@ -429,10 +445,8 @@ def adapt(
     single task is drawn once and reused.  Raises `DivergenceError` with the
     last finite weights.
     """
-    ((result,),) = adapt_groups(
-        [AdaptGroup([params], dist_adapt, rng)],
-        steps, alpha, unroll_len, grad_mode, fresh_task_per_step,
-    )
+    how = Adaptation(steps, alpha, unroll_len, grad_mode, fresh_task_per_step)
+    ((result,),) = adapt_groups([AdaptGroup([params], dist_adapt, rng)], how)
     if isinstance(result, DivergenceError):
         raise result
     return result

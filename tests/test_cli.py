@@ -34,7 +34,7 @@ from ml2o.store import TrainingCache
 from ml2o.tasks import (
     NORMAL, QUADRATIC, ROSENBROCK_INIT, TaskDistribution, sample_task, sample_theta0,
 )
-from ml2o.train import train_lockstep
+from ml2o.train import AdaptGroup, adapt_groups, train_lockstep, train_plain_l2o
 from ml2o.unroll import DETACHED_INPUT, FD_HVP_META, FIRST_ORDER_META, FULL_SECOND_ORDER, GRAD_MODES
 
 TINY = """
@@ -115,6 +115,7 @@ def test_config_defaults_follow_reference_setup(tmp_path):
     assert cfg.sigmas == (10.0, 25.0, 50.0, 100.0, 200.0)
     assert cfg.horizon == 200
     assert cfg.adapt_alpha is None  # the comparison adapts with [meta] alpha
+    assert cfg.adaptation.alpha == cfg.meta.alpha
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -818,6 +819,37 @@ def test_curves_of_another_code_or_environment_are_not_served(
     assert out_files(tmp_path / "here") == out_files(tmp_path / "there")
 
 
+def test_curves_of_another_file_format_are_not_served(tiny_config, tmp_path, monkeypatch):
+    # the format is part of the curves key: after a format change the entries
+    # of the old one stay unread, and the curves are unrolled and written again
+    cache = tmp_path / "cache"
+    assert compare_on_cache(tiny_config, tmp_path / "old", cache) == EXIT_OK
+    old = sorted(cache.glob("curves-*.crv"))
+    monkeypatch.setattr(store, "CURVES_MAGIC", b"ML2OCRV9")
+    calls = count_evaluation_calls(monkeypatch, tmp_path / "calls.log")
+    assert compare_on_cache(tiny_config, tmp_path / "new", cache) == EXIT_OK
+    assert sum(calls()) == len(old) == 8  # every variant's curve, unrolled again
+    new = sorted(set(cache.glob("curves-*.crv")) - set(old))
+    assert len(new) == 8 and all(p.read_bytes().startswith(b"ML2OCRV9") for p in new)
+    assert out_files(tmp_path / "new") == out_files(tmp_path / "old")
+
+
+def test_a_script_adapts_as_compare_does(tiny_config, tmp_path):
+    # `cfg.adaptation` is the protocol of `compare`: seed 0's trained plain
+    # weights, adapted with it on the column's distribution and seed 0's
+    # adaptation stream, are tl's cached weights of that column, bit for bit
+    cache = tmp_path / "cache"
+    assert compare_on_cache(tiny_config, tmp_path / "o", cache) == EXIT_OK
+    cfg = load_config(tiny_config)
+    meta = harness.seed_config(cfg.meta, 0)
+    w, _ = train_plain_l2o(meta, cfg.dist_train)
+    dist, how = replace(cfg.dist_adapt, sigma=cfg.sigmas[0]), cfg.adaptation
+    ((tl,),) = adapt_groups([AdaptGroup([w], dist, RngStream(meta.seed).child("adapt"))], how)
+    key = TrainingCache._adapted_key(w, dist, RngStream(meta.seed).child("adapt"), how)
+    cached, _ = load_checkpoint(cache / f"adapted-{key}.ckpt")
+    assert tl.flat.tobytes() == cached.flat.tobytes()
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_growing_a_run_keeps_its_seeds(tiny_config, tmp_path, jobs):
     # seeds 0 and 1 of a 3-seed run are those of a 2-seed run, records and
@@ -861,7 +893,7 @@ def test_growing_a_run_on_its_cache_computes_only_the_new_seed(tiny_config, tmp_
     trained, adapted, evaluated = [], [], []
     log_slices(store, "train_lockstep", trained, lambda runs, dist: [c.seed for c, _ in runs])
     log_slices(store, "adapt_groups", adapted,
-               lambda groups, *settings: [g.rng.key for g in groups for _ in g.starts])
+               lambda groups, how: [g.rng.key for g in groups for _ in g.starts])
     log_slices(evaluation, "unroll_stack", evaluated,
                lambda params, tasks, theta0, horizon: list(theta0))
     grown = compare("3", "n3", *cache)

@@ -43,7 +43,7 @@ from ml2o.store import TrainingCache
 from ml2o.tasks import (
     LASSO, MIXTURE, NORMAL, QUADRATIC, OptimizeeTask, TaskDistribution, sample_task,
 )
-from ml2o.train import AdaptGroup, DivergenceError, MetaConfig, adapt, adapt_groups
+from ml2o.train import AdaptGroup, Adaptation, DivergenceError, MetaConfig, adapt, adapt_groups
 from ml2o.unroll import (
     DETACHED_INPUT, FD_HVP_META, FIRST_ORDER_META, FULL_SECOND_ORDER, GRAD_MODES, STACK_ROWS,
     TAPE_ROW_STEPS, unroll,
@@ -345,7 +345,8 @@ ADAPT_SETTINGS = dict(
 
 def adapted_key(start, dist=ADAPT_DIST, rng=None, **settings):
     rng = rng or RngStream(4).child("adapt")
-    return TrainingCache._adapted_key(start, dist, rng, **{**ADAPT_SETTINGS, **settings})
+    how = Adaptation(**{**ADAPT_SETTINGS, **settings})
+    return TrainingCache._adapted_key(start, dist, rng, how)
 
 
 def test_adapted_key_moves_with_each_input():
@@ -391,11 +392,11 @@ def test_cached_adaptation_is_that_of_adapt_groups(tmp_path):
             AdaptGroup([calm], ADAPT_DIST, RngStream(1).child("adapt")),
         ]
 
-    settings = list(ADAPT_SETTINGS.values())
-    want = adapt_groups(groups(), *settings)
+    how = Adaptation(**ADAPT_SETTINGS)
+    want = adapt_groups(groups(), how)
     cache = TrainingCache(str(tmp_path / "c"))
-    cache.get_or_adapt_all([groups()[0]._replace(starts=[other])], *settings)
-    got = TrainingCache(str(tmp_path / "c")).get_or_adapt_all(groups(), *settings)
+    cache.get_or_adapt_all([groups()[0]._replace(starts=[other])], how)
+    got = TrainingCache(str(tmp_path / "c")).get_or_adapt_all(groups(), how)
     assert len(list((tmp_path / "c").iterdir())) == 3  # calm, other and other at sigma 30
     for got_group, want_group in zip(got, want):
         for a, b in zip(got_group, want_group):
@@ -411,19 +412,19 @@ def test_cached_adaptation_refuses_a_read_stream(tmp_path):
     # change: a read stream would be adapted on later draws and its weights
     # served, and stored, as those of the fresh stream
     start = random_params(4, RngStream(3))
-    settings = list(ADAPT_SETTINGS.values())
+    how = Adaptation(**ADAPT_SETTINGS)
     read, twin = RngStream(1).child("adapt"), RngStream(1).child("adapt")
     read.gen.random(), twin.gen.random()
     cache = TrainingCache(str(tmp_path / "c"))
     with pytest.raises(ValueError, match="random stream has been read"):
-        cache.get_or_adapt_all([AdaptGroup([start], ADAPT_DIST, read)], *settings)
+        cache.get_or_adapt_all([AdaptGroup([start], ADAPT_DIST, read)], how)
     assert read.gen.random() == twin.gen.random()  # refused before a draw
     assert os.listdir(tmp_path / "c") == []
     # the fresh stream of that key is adapted as `adapt_groups` adapts it
     ((got,),) = cache.get_or_adapt_all(
-        [AdaptGroup([start], ADAPT_DIST, RngStream(1).child("adapt"))], *settings
+        [AdaptGroup([start], ADAPT_DIST, RngStream(1).child("adapt"))], how
     )
-    ((want,),) = adapt_groups([AdaptGroup([start], ADAPT_DIST, RngStream(1).child("adapt"))], *settings)
+    ((want,),) = adapt_groups([AdaptGroup([start], ADAPT_DIST, RngStream(1).child("adapt"))], how)
     assert got.digest() == want.digest()
 
 

@@ -14,6 +14,7 @@ from ml2o.tasks import LASSO, MIXTURE, NORMAL, QUADRATIC, TaskDistribution
 from ml2o import train, unroll
 from ml2o.train import (
     AdaptGroup,
+    Adaptation,
     DivergenceError,
     MetaConfig,
     adapt,
@@ -254,7 +255,7 @@ def test_adapt_groups_match_solo_adapt(rng, monkeypatch, n_starts, fresh):
     monkeypatch.setattr(train, "meta_grad_stack", counting)
     groups = [AdaptGroup(s, d, RngStream(k + 1).child("a"))
               for k, (s, d) in enumerate(zip(starts, dists))]
-    adapted = adapt_groups(groups, 4, 1e-4, 20, fresh_task_per_step=fresh)
+    adapted = adapt_groups(groups, Adaptation(4, 1e-4, 20, fresh_task_per_step=fresh))
     monkeypatch.undo()
     assert TAPE_ROW_STEPS // (10 * 20) == 6
     # the diverging start runs its first stack to the end and drops out of
@@ -292,11 +293,11 @@ def test_adapt_groups_step_memory_stays_within_the_tape_budget(rng):
     def groups():
         return [AdaptGroup(s, dist, RngStream(k + 1).child("a")) for k, s in enumerate(starts)]
 
-    adapt_groups(groups(), 1, 3e-7, 20)
+    adapt_groups(groups(), Adaptation(1, 3e-7, 20))
     fresh = groups()
     tracemalloc.start()
     try:
-        adapted = adapt_groups(fresh, 1, 3e-7, 20)
+        adapted = adapt_groups(fresh, Adaptation(1, 3e-7, 20))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -333,12 +334,12 @@ def test_adapt_groups_refuse_groups_that_cannot_share_a_stack(rng):
     # interleaved draws from one stream would differ from each group's own
     with pytest.raises(ValueError, match="share a random stream"):
         adapt_groups([AdaptGroup([params], dist, shared), AdaptGroup([params], dist, shared)],
-                     2, 1e-4, 6)
+                     Adaptation(2, 1e-4, 6))
     for other in (replace(dist, family=QUADRATIC), replace(dist, dim=5),
                   TaskDistribution(kind="rosenbrock")):
         groups = [AdaptGroup([params], dist, RngStream(1)), AdaptGroup([params], other, RngStream(2))]
         with pytest.raises(ValueError, match="must share task family and dim") as err:
-            adapt_groups(groups, 2, 1e-4, 6)
+            adapt_groups(groups, Adaptation(2, 1e-4, 6))
         for d in (dist, other):
             assert f"{d.label()} (dim {d.dim})" in str(err.value)
 
@@ -346,9 +347,9 @@ def test_adapt_groups_refuse_groups_that_cannot_share_a_stack(rng):
 def test_adapt_groups_refuse_a_nan_step(rng):
     params = random_params(5, rng)
     dist = TaskDistribution(kind=NORMAL, family=LASSO, dim=4, lam=0.005, sigma=2.0)
-    for alpha in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="alpha must be >= 0"):
-            adapt_groups([AdaptGroup([params], dist, RngStream(1))], 2, alpha, 6)
+    for alpha in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="adaptation step must be finite and >= 0"):
+            adapt_groups([AdaptGroup([params], dist, RngStream(1))], Adaptation(2, alpha, 6))
 
 
 @pytest.mark.parametrize(
